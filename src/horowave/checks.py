@@ -59,10 +59,6 @@ def _check(name: str, value: float, tol: float) -> CheckResult:
     return CheckResult(name, value <= tol, f"{value:.3e} (tol {tol:.0e})")
 
 
-def _geodesic_dist_hyp(z: complex, w: complex) -> float:
-    return float(distance_array(np.asarray(z), np.asarray(w)))
-
-
 def _random_group(rng: np.random.Generator) -> GroupElement:
     t = rng.uniform(-2.5, 2.5)
     phi1, phi2 = rng.uniform(0, 2 * math.pi, 2)
@@ -143,7 +139,7 @@ def suite_waves() -> list[CheckResult]:
     for lam in (0.5, 1.0, 2.0, 4.0):
         target = -(lam**2 + 0.25)
         fw = lambda z: complex(helgason_wave_array(lam, 0.0, np.asarray(z)))
-        fs = lambda z: complex(spherical_radial(lam, _geodesic_dist_hyp(z, 0j)))
+        fs = lambda z: complex(spherical_radial(lam, distance_array(np.asarray(z), 0j)))
         for f, z0 in ((fw, 0.3 + 0.2j), (fs, 0.25 - 0.35j)):
             worst = max(worst, abs(_fd_laplacian_ratio(f, z0) - target) / abs(target))
     out.append(_check("Laplacian eigenvalue -(lam^2 + 1/4)", worst, 1e-3))

@@ -118,6 +118,16 @@ def _grid_from(args) -> GridSpec:
     return GridSpec(n_r, n_theta, radius)
 
 
+def _quadrature_grid_from(args) -> GridSpec:
+    """The grid of a command that integrates over it: its area weights must hold."""
+    grid = _grid_from(args)
+    try:
+        SampledField.zeros(grid)
+    except ValueError as exc:
+        raise ConfigError("grid", str(exc))
+    return grid
+
+
 # --- output ----------------------------------------------------------------
 
 def _atomic_write(path: str, data: bytes) -> None:
@@ -177,6 +187,8 @@ def cmd_spherical(args) -> int:
     # outermost radius; reported, not asserted
     from .waves import spherical
     M = int(args.resolution) if args.resolution else 4096
+    if M < 2:
+        raise ConfigError("resolution", "must be at least 2")
     far = DiskPoint(float(np.abs(grid.z).max()) + 0j)
     est = abs(spherical(lam, far, M=M) - spherical_radial(lam, float(d.max())))
     footer = {"command": "spherical", "lambda": lam,
@@ -190,7 +202,7 @@ def cmd_moire(args) -> int:
     lam = _required(args, "lambda", float)
     b0 = BoundaryPoint(float(args.b0) if args.b0 is not None else 0.0)
     x = DiskPoint(_parse_complex(args.x)) if args.x else DiskPoint(0j)
-    grid = _grid_from(args)
+    grid = _quadrature_grid_from(args)
     n = int(args.centers) if args.centers else 5
     if n < 1:
         raise ConfigError("centers", "must be a positive integer")
@@ -218,7 +230,7 @@ def cmd_moire(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    grid = _grid_from(args)
+    grid = _quadrature_grid_from(args)
     width = float(args.bump_width) if args.bump_width else 1.25
     _positive("bump-width", width)
     f = SampledField.from_function(

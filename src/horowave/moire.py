@@ -28,7 +28,6 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import QuadratureUnderResolved
 from .geometry import (
     BoundaryPoint,
     DiskPoint,
@@ -45,6 +44,7 @@ from .tapers import TaperSpec
 from .transform import DEFAULT_GRID, GridSpec, SampledField, horocycle_integral
 from .waves import (
     RHO,
+    _trapezoid_halving,
     helgason_wave,
     plancherel_density,
     spherical_radial,
@@ -202,19 +202,8 @@ def _line_integrals_multi(lams: np.ndarray, b0: BoundaryPoint, x: DiskPoint,
         d = distance_array(y, xz)
         return taper(s)[None, :] * spherical_radial_profile(lams, d)
 
-    n = n_start
-    h = 2.0 * S / n
-    f = values(np.linspace(-S, S, n + 1))
-    T = h * (np.sum(f, axis=1) - 0.5 * (f[:, 0] + f[:, -1]))
-    for _ in range(max_halvings):
-        mids = np.linspace(-S + 0.5 * h, S - 0.5 * h, n)
-        T_new = 0.5 * T + 0.5 * h * np.sum(values(mids), axis=1)
-        if np.max(np.abs(T_new - T)) < tol:
-            return T_new
-        T, h, n = T_new, 0.5 * h, 2 * n
-    raise QuadratureUnderResolved(
-        f"horocycle line integrals did not settle below {tol}"
-    )
+    return _trapezoid_halving(values, -S, S, n_start, tol, max_halvings,
+                              "horocycle line integrals")
 
 
 def _weak_pair(window: LambdaWindow, b0: BoundaryPoint, x: DiskPoint,
@@ -327,19 +316,10 @@ def reduction_paths(lam: float, b0: BoundaryPoint, x: DiskPoint,
     eb = math.exp(beta)
     half = taper.support_radius / eb
 
-    def quad_b(n: int) -> complex:
-        t = np.linspace(-u0 - half, -u0 + half, n)
+    def fn_b(t: np.ndarray) -> np.ndarray:
         y = horocycle_points_array(b0.theta, beta, t)
         d = distance_array(y, np.asarray(0j))
-        vals = taper(eb * (t + u0)) * spherical_radial(lam, d)
-        return complex(eb * np.trapezoid(vals, t))
+        return eb * taper(eb * (t + u0)) * spherical_radial(lam, d)
 
-    n = 513
-    prev = quad_b(n)
-    for _ in range(12):
-        n = 2 * n - 1
-        cur = quad_b(n)
-        if abs(cur - prev) < tol:
-            return a, cur
-        prev = cur
-    raise QuadratureUnderResolved("reduction path B did not converge")
+    b = _trapezoid_halving(fn_b, -u0 - half, -u0 + half, 512, tol, 12, "reduction path B")
+    return a, complex(b)

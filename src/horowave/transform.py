@@ -22,18 +22,18 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NotRadial, SpectralTruncation, SupportOverflow, QuadratureUnderResolved
+from .errors import NotRadial, SpectralTruncation, SupportOverflow
 from .geometry import (
     BoundaryPoint,
     DiskPoint,
     Horocycle,
     busemann,
+    busemann_array,
     horocycle_points_array,
     horocycle_through,
 )
 from .tapers import TaperSpec
-from . import waves
-from .waves import CONVENTION, RHO, plancherel_density, spherical_radial
+from .waves import CONVENTION, RHO, _trapezoid_halving, plancherel_density, spherical_radial
 
 __all__ = [
     "GridSpec",
@@ -43,7 +43,6 @@ __all__ = [
     "forward_at",
     "inverse",
     "spherical_transform",
-    "plancherel_spatial",
     "plancherel_spectral",
     "horocycle_integral",
     "coarea_profile",
@@ -142,16 +141,18 @@ class SpectralField:
             raise ValueError("lambda grid must be strictly increasing")
 
 
-_BUSEMANN_CACHE: dict[GridSpec, np.ndarray] = {}
+def _wave_kernel_ffts(grid: GridSpec, lams: np.ndarray):
+    """Per lambda, the FFT over the angle index of e_{lambda,1} on the grid.
 
-
-def _busemann_circulant(grid: GridSpec) -> np.ndarray:
-    """B[j, l] = busemann(r_j e^{i 2 pi l / n}, direction angle 0)."""
-    if grid not in _BUSEMANN_CACHE:
-        r = np.tanh(grid.radii_t / 2.0)[:, None]
-        cosl = np.cos(grid.angles)[None, :]
-        _BUSEMANN_CACHE[grid] = np.log((1.0 - r**2) / (1.0 + r**2 - 2.0 * r * cosl))
-    return _BUSEMANN_CACHE[grid]
+    The Busemann bracket of the node at angle index l toward the boundary
+    node at index m depends only on l - m, so ``inverse`` is a circular
+    convolution with this kernel over the angle index. ``forward`` is the
+    circular correlation with e_{-lambda,1} = conj(e_{lambda,1}), whose
+    FFT is the conjugate of this one.
+    """
+    B = busemann_array(grid.z, 0.0)
+    for lam in lams:
+        yield np.fft.fft(np.exp((1j * lam + RHO) * B), axis=1)
 
 
 def _check_support(f: SampledField) -> None:
@@ -184,22 +185,17 @@ def forward(f: SampledField, lambda_max: float = LAMBDA_MAX,
     _check_support(f)
     grid = f.grid
     lams = np.arange(0.0, lambda_max + lambda_step / 2.0, lambda_step)
-    Bc = _busemann_circulant(grid)
-    a = f.values * grid.row_weights[:, None]
-    A = np.fft.fft(a, axis=1)
+    A = np.fft.fft(f.values * grid.row_weights[:, None], axis=1)
     out = np.empty((len(lams), grid.n_theta), complex)
-    for i, lam in enumerate(lams):
-        E = np.exp((-1j * lam + RHO) * Bc)
-        E_flipped = np.roll(E[:, ::-1], 1, axis=1)  # index l -> -l mod n
-        out[i] = np.fft.ifft(np.sum(A * np.fft.fft(E_flipped, axis=1), axis=0))
+    for i, K in enumerate(_wave_kernel_ffts(grid, lams)):
+        out[i] = np.fft.ifft(np.sum(A * np.conj(K), axis=0))
     return SpectralField(lams, grid.angles, out, grid)
 
 
 def forward_at(f: SampledField, lams: np.ndarray, b: BoundaryPoint) -> np.ndarray:
     """Transform values at arbitrary lambda nodes for one boundary direction."""
     _check_support(f)
-    z = f.grid.z
-    B = np.log((1.0 - np.abs(z) ** 2) / np.abs(z - b.b) ** 2)
+    B = busemann_array(f.grid.z, b.theta)
     g = f.values * f.weights
     out = np.empty(len(lams), complex)
     for i, lam in enumerate(np.asarray(lams, float)):
@@ -220,15 +216,13 @@ def inverse(F: SpectralField, kappa: float | None = None) -> SampledField:
     grid = F.grid
     if len(F.b_grid) != grid.n_theta or not np.allclose(F.b_grid, grid.angles):
         raise ValueError("b grid must coincide with the spatial angular grid")
-    Bc = _busemann_circulant(grid)
     dens = plancherel_density(F.lambda_grid, kappa=kappa)
     wl = _lambda_weights(F.lambda_grid)
     db = 1.0 / grid.n_theta
     acc = np.zeros((grid.n_r, grid.n_theta), complex)
-    for i, lam in enumerate(F.lambda_grid):
-        E = np.exp((1j * lam + RHO) * Bc)
+    for i, K in enumerate(_wave_kernel_ffts(grid, F.lambda_grid)):
         FF = np.fft.fft(F.values[i])
-        acc += (dens[i] * wl[i] * db) * np.fft.ifft(np.fft.fft(E, axis=1) * FF[None, :], axis=1)
+        acc += (dens[i] * wl[i] * db) * np.fft.ifft(K * FF[None, :], axis=1)
     return SampledField(grid, acc)
 
 
@@ -250,10 +244,6 @@ def spherical_transform(f: SampledField, lams: np.ndarray) -> np.ndarray:
     return 2.0 * np.pi * dt * np.sum(phis * (prof * np.sinh(t))[None, :], axis=1)
 
 
-def plancherel_spatial(f: SampledField) -> float:
-    return f.norm2()
-
-
 def plancherel_spectral(ftilde: np.ndarray, lams: np.ndarray,
                         kappa: float | None = None) -> float:
     """(1/w) int_{-L}^{L} |ftilde|^2 density dlam, by evenness = int_0^L."""
@@ -267,27 +257,17 @@ def horocycle_integral(fn: FieldFunction, h: Horocycle, taper: TaperSpec,
     """Tapered line integral of fn along the horocycle, arc-length measure.
 
     fn must accept an ndarray of complex disk coordinates. The uniform
-    trapezoid step is halved until the result moves by less than tol.
+    trapezoid on n_start nodes is refined by halving its step until the
+    result moves by less than tol; each node is passed to fn once.
     """
     S = taper.support_radius
 
-    def quad(n: int) -> complex:
-        s = np.linspace(-S, S, n)
+    def values(s: np.ndarray) -> np.ndarray:
         y = horocycle_points_array(h.direction.theta, h.busemann_value, s)
-        vals = taper(s) * np.asarray(fn(y), complex)
-        return complex(np.trapezoid(vals, s))
+        return taper(s) * np.asarray(fn(y), complex)
 
-    n = n_start
-    prev = quad(n)
-    for _ in range(max_halvings):
-        n = 2 * n - 1
-        cur = quad(n)
-        if abs(cur - prev) < tol:
-            return cur
-        prev = cur
-    raise QuadratureUnderResolved(
-        f"horocycle integral did not settle below {tol} after {max_halvings} halvings"
-    )
+    return complex(_trapezoid_halving(values, -S, S, n_start - 1, tol, max_halvings,
+                                      "horocycle integral"))
 
 
 WIDE_TAPER = TaperSpec("gaussian", 20.0)

@@ -85,26 +85,47 @@ def helgason_wave_array(lam: float, theta: float, z: np.ndarray) -> np.ndarray:
     return np.exp((1j * lam + RHO) * busemann_array(z, theta))
 
 
+def _trapezoid_halving(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
+                       n: int, tol: float, max_halvings: int, what: str):
+    """Trapezoid of f on [lo, hi] from n intervals, step halved until settled.
+
+    Each halving evaluates f only at the new midpoints and updates
+    T <- T/2 + (h/2) * sum f(mids). f maps a 1-D node array to values whose
+    last axis runs over the nodes, so a leading axis integrates several
+    functions on one grid; the change between levels is measured in the
+    max-abs norm. Returns the first level that moved by less than tol, and
+    raises QuadratureUnderResolved when max_halvings halvings do not settle.
+    """
+    h = (hi - lo) / n
+    y = f(np.linspace(lo, hi, n + 1))
+    T = h * (np.sum(y, axis=-1) - 0.5 * (y[..., 0] + y[..., -1]))
+    change = math.inf
+    for _ in range(max_halvings):
+        mids = np.linspace(lo + 0.5 * h, hi - 0.5 * h, n)
+        T_new = 0.5 * T + 0.5 * h * np.sum(f(mids), axis=-1)
+        change = float(np.max(np.abs(T_new - T)))
+        if change < tol:
+            return T_new
+        T, h, n = T_new, 0.5 * h, 2 * n
+    raise QuadratureUnderResolved(
+        f"{what} did not settle below {tol:g} after {max_halvings} halvings "
+        f"(last change {change:.2e})"
+    )
+
+
 def spherical(lam: float, p: DiskPoint, M: int = 512) -> complex:
     """Boundary average of Helgason waves (periodic trapezoid, M nodes).
 
     Raises QuadratureUnderResolved when the M and M/2 node results differ
     by more than 1e-9; pass a larger M for points far from the origin.
     """
-
-    def quad(m: int) -> complex:
-        th = 2.0 * np.pi * np.arange(m) / m
-        B = busemann_array(np.asarray(p.z), th)
-        return complex(np.mean(np.exp((1j * lam + RHO) * B)))
-
-    coarse = quad(M // 2)
-    fine = quad(M)
-    if abs(fine - coarse) > 1e-9:
-        raise QuadratureUnderResolved(
-            f"spherical({lam}, |z|={abs(p.z):.4f}): M={M} vs M/2 differ by "
-            f"{abs(fine - coarse):.2e} > 1e-9"
-        )
-    return fine
+    # the boundary angle in turns, so that the integral is the mean; on a
+    # periodic integrand the trapezoid with one halving is the M-node rule
+    z = np.asarray(p.z)
+    return complex(_trapezoid_halving(
+        lambda u: np.exp((1j * lam + RHO) * busemann_array(z, 2.0 * np.pi * u)),
+        0.0, 1.0, M // 2, tol=1e-9, max_halvings=1,
+        what=f"spherical({lam}, |z|={abs(p.z):.4f}) with M={M}"))
 
 
 # Gauss-Legendre rule on [0, 1] shared by all radial evaluations.
@@ -128,6 +149,25 @@ def _log_sinhc(h: np.ndarray) -> np.ndarray:
     return np.where(small, np.log1p(h * h / 6.0), out)
 
 
+def _mehler_dirichlet(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """lambda-independent part of the radial rule at 1-D distances d.
+
+    Returns (W, phase), each of shape (len(d), nodes), such that
+    phi_lambda(d[j]) = sum_k W[j, k] cos(lambda * phase[j, k]) for d[j] > 0:
+    the Gauss-Legendre nodes v in [0, sqrt(d)] of the substituted
+    integrand, with t = phase = d - v^2.
+    """
+    d = d[:, None]
+    vmax = np.sqrt(d)
+    v = vmax * _GL_X[None, :]
+    h = 0.5 * v * v
+    # cosh d - cosh(d - v^2) = 2 sinh(d - h) sinh(h); divide by v^2 = 2h
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_q = _log_sinh(np.maximum(d - h, 1e-300)) + _log_sinhc(h)
+        W = (2.0 * math.sqrt(2.0) / math.pi) * (vmax * _GL_W[None, :]) * np.exp(-0.5 * log_q)
+        return W, d - v * v
+
+
 def spherical_radial(lam, d) -> np.ndarray:
     """phi_lambda at geodesic distance d from the center; broadcasts.
 
@@ -135,22 +175,13 @@ def spherical_radial(lam, d) -> np.ndarray:
     Stable for all d (the cosh difference under the square root is kept
     in log space).
     """
-    lam = np.asarray(lam, float)
-    d = np.asarray(d, float)
-    lam_b, d_b = np.broadcast_arrays(lam, d)
+    lam_b, d_b = np.broadcast_arrays(np.asarray(lam, float), np.asarray(d, float))
     shape = lam_b.shape
-    lam_f = lam_b.reshape(-1, 1)
-    d_f = d_b.reshape(-1, 1)
-    vmax = np.sqrt(d_f)
-    v = vmax * _GL_X
-    w = vmax * _GL_W
-    h = 0.5 * v * v
-    # cosh d - cosh(d - v^2) = 2 sinh(d - h) sinh(h); divide by v^2 = 2h
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_q = _log_sinh(np.maximum(d_f - h, 1e-300)) + _log_sinhc(h)
-        integrand = 2.0 * np.cos(lam_f * (d_f - v * v)) * np.exp(-0.5 * log_q)
-        out = (math.sqrt(2.0) / math.pi) * np.sum(w * integrand, axis=1)
-    out = np.where(d_b.reshape(-1) == 0.0, 1.0, out)
+    d_f = d_b.reshape(-1)
+    W, phase = _mehler_dirichlet(d_f)
+    with np.errstate(invalid="ignore"):
+        out = np.sum(W * np.cos(lam_b.reshape(-1, 1) * phase), axis=1)
+    out = np.where(d_f == 0.0, 1.0, out)
     result = out.reshape(shape)
     return result if shape else result[()]
 
@@ -168,16 +199,9 @@ def spherical_radial_profile(lams: np.ndarray, d: np.ndarray,
     lams = np.asarray(lams, float).ravel()
     d = np.asarray(d, float).ravel()
     out = np.empty((len(lams), len(d)))
-    scale = 2.0 * math.sqrt(2.0) / math.pi
     for lo in range(0, len(d), chunk):
-        db = d[lo:lo + chunk][:, None]
-        vmax = np.sqrt(db)
-        v = vmax * _GL_X[None, :]
-        h = 0.5 * v * v
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_q = _log_sinh(np.maximum(db - h, 1e-300)) + _log_sinhc(h)
-            W = scale * (vmax * _GL_W[None, :]) * np.exp(-0.5 * log_q)
-            phase = db - v * v
+        W, phase = _mehler_dirichlet(d[lo:lo + chunk])
+        with np.errstate(invalid="ignore"):
             for i, lam in enumerate(lams):
                 out[i, lo:lo + chunk] = np.sum(W * np.cos(lam * phase), axis=1)
     out[:, d == 0.0] = 1.0

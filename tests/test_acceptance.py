@@ -11,7 +11,6 @@ import time
 
 import numpy as np
 
-from conftest import disk_distance
 from horowave import checks
 from horowave.geometry import BoundaryPoint, DiskPoint, Horocycle, horocycle_point
 from horowave.moire import (
@@ -23,7 +22,7 @@ from horowave.moire import (
 )
 from horowave.tapers import TaperSpec
 from horowave.transform import GridSpec
-from horowave.waves import harish_chandra_c, spherical, spherical_radial
+from horowave.waves import harish_chandra_c
 
 B0 = BoundaryPoint(0.0)
 X0 = DiskPoint(0j)
@@ -48,41 +47,27 @@ def test_criterion_1_geometry():
     report(1, "geometry suite (Iwasawa, invariance, arc law, Busemann)", ok, detail)
 
 
+_WAVES_RESULTS = []
+
+
+def waves_results():
+    if not _WAVES_RESULTS:
+        _WAVES_RESULTS.extend(checks.suite_waves())
+    return _WAVES_RESULTS
+
+
 def test_criterion_2_eigenfunctions():
-    worst = 0.0
-    for lam in (0.5, 1.0, 2.0, 4.0):
-        target = -(lam**2 + 0.25)
-        for f, z0 in (
-            (lambda z: np.exp((1j * lam + 0.5)
-                              * np.log((1 - abs(z) ** 2) / abs(z - 1) ** 2)), 0.3 + 0.2j),
-            (lambda z: spherical_radial(lam, float(disk_distance(np.asarray(z)))),
-             0.25 - 0.35j),
-        ):
-            h = 1e-3
-            lap = (f(z0 + h) + f(z0 - h) + f(z0 + 1j * h) + f(z0 - 1j * h)
-                   - 4 * f(z0)) / h**2
-            val = ((1 - abs(z0) ** 2) ** 2 / 4.0) * lap / f(z0)
-            worst = max(worst, abs(val - target) / abs(target))
-    report(2, "hyperbolic Laplacian eigenvalue -(lam^2 + 1/4)", worst <= 1e-3,
-           f"worst rel err {worst:.2e}")
+    results = [r for r in waves_results() if r.name.startswith("Laplacian eigenvalue")]
+    ok, detail = suite_ok(results)
+    report(2, "hyperbolic Laplacian eigenvalue -(lam^2 + 1/4)", ok, detail)
 
 
 def test_criterion_3_spherical_oracle():
-    worst = 0.0
-    for lam in (0.0, 1.0, 2.5, 4.0):
-        for d, M in ((0.5, 512), (2.0, 512), (3.5, 2048), (5.0, 8192)):
-            p = DiskPoint(math.tanh(d / 2) * np.exp(0.4j))
-            worst = max(worst, abs(spherical(lam, p, M=M) - spherical_radial(lam, d)))
-    lams = np.linspace(0.0, 4.0, 17)
-    ds = np.linspace(0.0, 5.0, 21)
-    P = spherical_radial(lams[:, None], ds[None, :])
-    origin = float(np.max(np.abs(P[:, 0] - 1.0)))
-    weyl = float(np.max(np.abs(P - spherical_radial(-lams[:, None], ds[None, :]))))
-    bound = float(np.max(np.abs(P)))
-    ok = worst <= 1e-8 and origin <= 1e-12 and weyl <= 1e-12 and bound <= 1 + 1e-12
-    report(3, "spherical-function oracle agreement and bounds", ok,
-           f"two-path {worst:.1e}, origin {origin:.1e}, weyl {weyl:.1e}, "
-           f"max modulus {bound:.6f}")
+    results = [r for r in waves_results()
+               if r.name.startswith(("boundary vs radial", "phi at origin", "Weyl symmetry",
+                                     "modulus bound"))]
+    ok, detail = suite_ok(results)
+    report(3, "spherical-function oracle agreement and bounds", ok, detail)
 
 
 def test_criterion_4_c_function():

@@ -111,6 +111,25 @@ def test_bad_config_exit_code():
     assert "grid" in res.stderr
 
 
+@pytest.mark.parametrize("args, code", [
+    (("moire", "--lambda", "2", "--grid", "8x8", "--radius", "1.8"), 2),
+    (("transform", "--grid", "16x16"), 2),
+    (("spherical", "--lambda", "1", "--grid", "8x8", "--radius", "1.8"), 0),
+])
+def test_grid_too_coarse_for_area_weights(tmp_path, args, code):
+    res = run(*args, "--out", str(tmp_path / "c.csv"))
+    assert res.returncode == code
+    if code == 2:
+        assert "configuration error" in res.stderr and "'grid'" in res.stderr
+
+
+def test_spherical_resolution_below_two_is_rejected(tmp_path):
+    res = run("spherical", "--lambda", "1", "--grid", "8x8", "--resolution", "1",
+              "--out", str(tmp_path / "s.csv"))
+    assert res.returncode == 2
+    assert "'resolution'" in res.stderr
+
+
 def test_missing_required_parameter():
     res = run("wave", "--out", "x.csv")
     assert res.returncode == 2

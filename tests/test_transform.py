@@ -6,7 +6,13 @@ import pytest
 
 import oracles
 from conftest import disk_distance, mobius_to
-from horowave.errors import NotRadial, SpectralTruncation, SupportOverflow
+from horowave import moire
+from horowave.errors import (
+    NotRadial,
+    QuadratureUnderResolved,
+    SpectralTruncation,
+    SupportOverflow,
+)
 from horowave.geometry import (
     BoundaryPoint,
     DiskPoint,
@@ -151,6 +157,34 @@ def test_horocycle_integral_isometry_invariance():
     i1 = horocycle_integral(f, Horocycle(BoundaryPoint(0.0), 0.0), taper)
     i2 = horocycle_integral(f_pulled, Horocycle(BoundaryPoint(1.1), 0.0), taper)
     assert abs(i1 - i2) < 1e-7
+
+
+def test_horocycle_integral_evaluates_each_node_once():
+    seen = []
+
+    def bump(y):
+        seen.append(y)
+        return np.exp(-8.0 * disk_distance(y) ** 2)
+
+    n_start = 65
+    horocycle_integral(bump, Horocycle(BoundaryPoint(0), 0.0), TaperSpec("gaussian", 4.0),
+                       n_start=n_start)
+    levels = len(seen) - 1
+    assert levels >= 1
+    nodes = np.concatenate(seen)
+    assert len(nodes) == (n_start - 1) * 2 ** levels + 1  # the final level's node count
+    assert len(np.unique(nodes)) == len(nodes)
+
+
+@pytest.mark.parametrize("integrate", [
+    lambda: horocycle_integral(lambda y: np.ones(y.shape), Horocycle(BoundaryPoint(0), 0.0),
+                               TaperSpec("gaussian", 2.0), max_halvings=0),
+    lambda: moire._line_integrals_multi(np.array([1.0, 2.0]), BoundaryPoint(0), DiskPoint(0j),
+                                        TaperSpec("gaussian", 2.0), max_halvings=0),
+], ids=["scalar", "vector"])
+def test_halving_budget_exhausted_raises(integrate):
+    with pytest.raises(QuadratureUnderResolved):
+        integrate()
 
 
 # --- coarea and lemma -------------------------------------------------------
