@@ -94,15 +94,26 @@ def _merge_config(args: argparse.Namespace) -> None:
             setattr(args, attr, val)
 
 
-def _required(args, name: str, parse, default=None):
-    raw = getattr(args, name if name != "lambda" else "lam")
+def _number(args, name: str, kind=float, default=None):
+    """The numeric option ``name`` parsed with ``kind`` (float or int).
+
+    An absent option gives ``default``, or is a missing required parameter
+    when there is none; text that ``kind`` cannot parse, nan and inf are a
+    ConfigError.
+    """
+    raw = getattr(args, "lam" if name == "lambda" else name.replace("-", "_"))
     if raw is None:
         if default is None:
             raise ConfigError(name, "missing required parameter")
         return default
-    if isinstance(raw, str):
-        return parse(raw)
-    return raw
+    try:
+        value = kind(raw)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise ConfigError(name, f"expected a finite {'integer' if kind is int else 'number'}, "
+                            f"got {raw!r}")
 
 
 def _positive(key: str, value: float) -> float:
@@ -114,7 +125,7 @@ def _positive(key: str, value: float) -> float:
 def _grid_from(args) -> GridSpec:
     n_r, n_theta = _parse_grid(args.grid) if args.grid else (DEFAULT_GRID.n_r,
                                                             DEFAULT_GRID.n_theta)
-    radius = _positive("radius", float(args.radius)) if args.radius else DEFAULT_GRID.R
+    radius = _positive("radius", _number(args, "radius", default=DEFAULT_GRID.R))
     return GridSpec(n_r, n_theta, radius)
 
 
@@ -167,8 +178,8 @@ def _emit_field(path: str, xy: np.ndarray, values: np.ndarray, footer: dict) -> 
 # --- subcommands ------------------------------------------------------------
 
 def cmd_wave(args) -> int:
-    lam = _required(args, "lambda", float)
-    b0 = BoundaryPoint(float(args.b0) if args.b0 is not None else 0.0)
+    lam = _number(args, "lambda")
+    b0 = BoundaryPoint(_number(args, "b0", default=0.0))
     grid = _grid_from(args)
     values = helgason_wave_array(lam, b0.theta, grid.z)
     footer = {"command": "wave", "lambda": lam, "b0": b0.theta,
@@ -179,16 +190,16 @@ def cmd_wave(args) -> int:
 
 
 def cmd_spherical(args) -> int:
-    lam = _required(args, "lambda", float)
+    lam = _number(args, "lambda")
     grid = _grid_from(args)
+    M = _number(args, "resolution", int, default=4096)
+    if M < 2:
+        raise ConfigError("resolution", "must be at least 2")
     d = 2.0 * np.arctanh(np.abs(grid.z))
     values = spherical_radial(lam, d).astype(complex)
     # cross-check the radial quadrature against the boundary average at the
     # outermost radius; reported, not asserted
     from .waves import spherical
-    M = int(args.resolution) if args.resolution else 4096
-    if M < 2:
-        raise ConfigError("resolution", "must be at least 2")
     far = DiskPoint(float(np.abs(grid.z).max()) + 0j)
     est = abs(spherical(lam, far, M=M) - spherical_radial(lam, float(d.max())))
     footer = {"command": "spherical", "lambda": lam,
@@ -199,14 +210,14 @@ def cmd_spherical(args) -> int:
 
 
 def cmd_moire(args) -> int:
-    lam = _required(args, "lambda", float)
-    b0 = BoundaryPoint(float(args.b0) if args.b0 is not None else 0.0)
+    lam = _number(args, "lambda")
+    b0 = BoundaryPoint(_number(args, "b0", default=0.0))
     x = DiskPoint(_parse_complex(args.x)) if args.x else DiskPoint(0j)
     grid = _quadrature_grid_from(args)
-    n = int(args.centers) if args.centers else 5
+    n = _number(args, "centers", int, default=5)
     if n < 1:
         raise ConfigError("centers", "must be a positive integer")
-    spacing = _positive("spacing", float(args.spacing)) if args.spacing else 0.35
+    spacing = _positive("spacing", _number(args, "spacing", default=0.35))
     sigmas = _parse_floats(args.sigmas) if args.sigmas else [4.0, 8.0, 12.0]
     kind = (_parse_taper(args.taper).kind if args.taper else "gaussian")
 
@@ -231,8 +242,7 @@ def cmd_moire(args) -> int:
 
 def cmd_transform(args) -> int:
     grid = _quadrature_grid_from(args)
-    width = float(args.bump_width) if args.bump_width else 1.25
-    _positive("bump-width", width)
+    width = _positive("bump-width", _number(args, "bump-width", default=1.25))
     f = SampledField.from_function(
         lambda z: np.exp(-width * (2.0 * np.arctanh(np.abs(z))) ** 2), grid)
     g = inverse(forward(f))
@@ -249,7 +259,7 @@ def cmd_transform(args) -> int:
 
 def cmd_lemma(args) -> int:
     from .transform import lemma_check
-    b0 = BoundaryPoint(float(args.b0) if args.b0 is not None else 0.0)
+    b0 = BoundaryPoint(_number(args, "b0", default=0.0))
     x = DiskPoint(_parse_complex(args.x)) if args.x else DiskPoint(0j)
     psi = lambda z: np.exp(-1.25 * (2.0 * np.arctanh(np.abs(z))) ** 2)
     lhs, rhs = lemma_check(psi, b0, x)
@@ -267,17 +277,18 @@ def cmd_lemma(args) -> int:
 
 
 def cmd_euclid(args) -> int:
-    lam = _required(args, "lambda", float, default=1.0)
-    _positive("lambda", lam)
-    n = int(args.centers) if args.centers else 5
+    lam = _positive("lambda", _number(args, "lambda", default=1.0))
+    n = _number(args, "centers", int, default=5)
     if n < 1:
         raise ConfigError("centers", "must be a positive integer")
-    spacing = _positive("spacing", float(args.spacing)) if args.spacing else 0.5
+    spacing = _positive("spacing", _number(args, "spacing", default=0.5))
     n_x, n_y = _parse_grid(args.grid) if args.grid else (81, 81)
     xs = np.linspace(2.0, 6.0, n_x)
     ys = np.linspace(-2.0, 2.0, n_y)
     Q = xs[None, :] + 1j * ys[:, None]
-    m = int(args.resolution) if args.resolution else 256
+    m = _number(args, "resolution", int, default=256)
+    if m < 2:
+        raise ConfigError("resolution", "must be at least 2")
     values = euclid.line_moire_array(lam, n, spacing, Q, m=m)
     est = float(np.max(np.abs(values - euclid.line_moire_array(lam, n, spacing, Q,
                                                                m=m // 2))))
@@ -290,7 +301,7 @@ def cmd_euclid(args) -> int:
 
 def cmd_validate(args) -> int:
     names = args.suite.split(",") if args.suite else None
-    kappa_scale = float(args.kappa_scale) if args.kappa_scale else 1.0
+    kappa_scale = _number(args, "kappa-scale", default=1.0)
     try:
         results, all_ok = checks.run_suites(names, kappa_scale=kappa_scale)
     except KeyError as exc:

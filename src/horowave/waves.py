@@ -138,7 +138,7 @@ _GL_W = 0.5 * _gl_w
 def _log_sinh(x: np.ndarray) -> np.ndarray:
     """log(sinh x) for x > 0 without overflow."""
     x = np.asarray(x, float)
-    return x + np.log1p(-np.exp(-2.0 * np.minimum(x, 700.0))) - math.log(2.0)
+    return x + np.log(-np.expm1(-2.0 * np.minimum(x, 700.0))) - math.log(2.0)
 
 
 def _log_sinhc(h: np.ndarray) -> np.ndarray:

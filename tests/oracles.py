@@ -4,9 +4,14 @@ Everything here is deliberately built on a different integral
 representation (or a different library routine) than the implementation
 under test.
 """
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import j0
+
+from horowave.euclid import bessel_wave_array
+from horowave.geometry import distance_array
+from horowave.waves import spherical_radial_profile
 
 
 def legendre_spherical(lam: float, d: float) -> float:
@@ -24,6 +29,63 @@ def legendre_spherical(lam: float, d: float) -> float:
 
     val, _ = quad(integrand, 0.0, np.pi, limit=400)
     return val / np.pi
+
+
+def conical_spherical(lam: float, d: float) -> float:
+    """phi_lambda(d) as the conical function P_{-1/2+i lam}(cosh d), in mpmath.
+
+    cosh d is formed at 40 digits, so distances far below the float64
+    resolution of cosh d near 1 stay distinct from 0.
+    """
+    with mpmath.workdps(40):
+        z = mpmath.cosh(mpmath.mpf(d))
+        return float(mpmath.re(mpmath.legenp(mpmath.mpc(-0.5, lam), 0, z, type=3)))
+
+
+def boundary_moire_sum(lam: float, z: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(1/n) sum_c phi_lambda(d(z, c)) through the addition formula.
+
+    phi_lambda(d(x, y)) = int_B e_{lambda,b}(x) e_{-lambda,b}(y) db, so the
+    center sum is the boundary mean of e_{lambda,b}(z) against
+    S(b) = (1/n) sum_c e_{-lambda,b}(c). The periodic trapezoid in b
+    doubles its node count from 256 until the result moves by less than
+    1e-14; the node count it needs grows like e^{d(0, z) + d(0, c)}.
+    """
+    z = np.asarray(z, complex).ravel()
+    centers = np.asarray(centers, complex).ravel()
+
+    def bracket(w, beta):
+        b = np.exp(1j * beta)[None, :]
+        return np.log((1.0 - np.abs(w[:, None]) ** 2) / np.abs(w[:, None] - b) ** 2)
+
+    prev, m = None, 256
+    while m <= 1 << 16:
+        beta = 2.0 * np.pi * np.arange(m) / m
+        S = np.mean(np.exp((0.5 - 1j * lam) * bracket(centers, beta)), axis=0)
+        val = np.exp((0.5 + 1j * lam) * bracket(z, beta)) @ S / m
+        if prev is not None and np.max(np.abs(val - prev)) < 1e-14:
+            return val
+        prev, m = val, 2 * m
+    raise RuntimeError("boundary trapezoid did not settle with 65536 nodes")
+
+
+def kernel_moire_sum(lam: float, z: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(1/n) sum_c phi_lambda(d(z, c)), one radial kernel call per center."""
+    z = np.asarray(z, complex).ravel()
+    acc = np.zeros(z.shape)
+    for c in np.asarray(centers, complex).ravel():
+        acc += spherical_radial_profile([lam], distance_array(z, np.asarray(c)))[0]
+    return acc / len(centers)
+
+
+def line_moire_loop(lam: float, n: int, spacing: float, q: np.ndarray,
+                    m: int = 256) -> np.ndarray:
+    """Average of n J0 rings on the y-axis, one circle average per center."""
+    centers = spacing * (np.arange(1, n + 1) - (n + 1) / 2.0)
+    out = np.zeros(np.shape(q), complex)
+    for c in centers:
+        out = out + bessel_wave_array(lam, 1j * c, q, m=m)
+    return out / n
 
 
 def bessel_j0(x):

@@ -130,6 +130,25 @@ def test_spherical_resolution_below_two_is_rejected(tmp_path):
     assert "'resolution'" in res.stderr
 
 
+@pytest.mark.parametrize("args, key", [
+    (("wave", "--lambda", "abc"), "lambda"),
+    (("wave", "--lambda", "nan"), "lambda"),
+    (("wave", "--lambda", "2", "--b0", "east"), "b0"),
+    (("wave", "--lambda", "2", "--radius", "far"), "radius"),
+    (("spherical", "--lambda", "1", "--resolution", "2.5"), "resolution"),
+    (("moire", "--lambda", "2", "--spacing", "q"), "spacing"),
+    (("euclid", "--centers", "x"), "centers"),
+    (("euclid", "--resolution", "1"), "resolution"),
+    (("transform", "--bump-width", "wide"), "bump-width"),
+    (("validate", "--suite", "hypgeo", "--kappa-scale", "big"), "kappa-scale"),
+])
+def test_bad_numeric_option_is_a_config_error(tmp_path, args, key):
+    res = run(*args, "--out", str(tmp_path / "n.csv"))
+    assert res.returncode == 2
+    assert "configuration error" in res.stderr and f"'{key}'" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_missing_required_parameter():
     res = run("wave", "--out", "x.csv")
     assert res.returncode == 2

@@ -54,6 +54,17 @@ def test_line_moire_single_center_reduces_to_bessel():
                                bessel_wave_array(1.0, 0j, q), atol=1e-15)
 
 
+@pytest.mark.parametrize("lam", [0.5, 4.0])
+@pytest.mark.parametrize("n", [1, 60])
+def test_line_moire_matches_per_center_loop(lam, n):
+    xs = np.linspace(2.0, 6.0, 9)
+    ys = np.linspace(-2.0, 2.0, 7)
+    for q in (np.asarray(3.1 - 0.4j), xs + 0.3j, xs[None, :] + 1j * ys[:, None]):
+        got = line_moire_array(lam, n, 0.5, q)
+        assert got.shape == q.shape
+        assert np.max(np.abs(got - oracles.line_moire_loop(lam, n, 0.5, q))) <= 1e-14
+
+
 def test_line_moire_validates_input():
     with pytest.raises(ValueError):
         line_moire(1.0, 0, 0.5, PlanePoint(1, 0))

@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from horowave.geometry import BoundaryPoint, DiskPoint, Horocycle, horocycle_point
+import oracles
+from horowave.geometry import (
+    BoundaryPoint,
+    DiskPoint,
+    Horocycle,
+    horocycle_point,
+    horocycle_points_array,
+)
 from horowave.moire import (
     LambdaWindow,
     convergence_study,
@@ -132,6 +139,33 @@ def test_moire_sum_single_center():
     fld = moire_sum_discrete(2.0, B0, 1, 0.35, SMALL_GRID)
     d = 2.0 * np.arctanh(np.abs(SMALL_GRID.z))
     np.testing.assert_allclose(fld.values.real, spherical_radial(2.0, d), atol=1e-12)
+
+
+def _sampled_center_sum(lam, grid):
+    """24 centers' moire_sum_discrete at 24 seeded grid nodes, with the nodes
+    and the centers."""
+    b0 = BoundaryPoint(0.7)
+    values = moire_sum_discrete(lam, b0, 24, 0.35, grid).values.ravel()
+    idx = np.random.default_rng(3).choice(values.size, 24, replace=False)
+    centers = horocycle_points_array(b0.theta, 0.0, 0.35 * (np.arange(1, 25) - 12.5))
+    return values[idx], grid.z.ravel()[idx], centers
+
+
+@pytest.mark.parametrize("lam", [0.5, 4.0])
+@pytest.mark.parametrize("grid", [SMALL_GRID, GridSpec(200, 256, 4.0)],
+                         ids=["75x128-R1.8", "200x256-R4"])
+def test_moire_sum_matches_addition_formula(grid, lam):
+    got, z, centers = _sampled_center_sum(lam, grid)
+    expect = oracles.boundary_moire_sum(lam, z, centers)
+    assert np.max(np.abs(got - expect)) < 1e-12
+
+
+@pytest.mark.parametrize("lam", [0.5, 4.0])
+def test_moire_sum_matches_kernel_sum_far_out(lam):
+    # at R = 8 the boundary trapezoid needs ~1e5 nodes; compare to the
+    # radial kernel summed center by center instead
+    got, z, centers = _sampled_center_sum(lam, GridSpec(75, 128, 8.0))
+    assert np.max(np.abs(got - oracles.kernel_moire_sum(lam, z, centers))) < 1e-12
 
 
 def test_moire_sum_mirror_symmetry():

@@ -90,6 +90,14 @@ def test_profile_matches_broadcast_path():
     np.testing.assert_allclose(P1, P2, atol=1e-13)
 
 
+def test_radial_paths_at_tiny_distances():
+    for lam in (0.0, 2.0):
+        for d in (1e-18, 1e-16, 1e-12, 1e-8):
+            expect = oracles.conical_spherical(lam, d)
+            assert abs(spherical_radial(lam, d) - expect) < 1e-14
+            assert abs(spherical_radial_profile([lam], [d])[0, 0] - expect) < 1e-14
+
+
 def test_xi_function_is_lambda_zero():
     ds = np.array([0.3, 1.0, 2.5])
     np.testing.assert_allclose(xi_function(ds), spherical_radial(0.0, ds), atol=0)
