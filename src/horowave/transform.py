@@ -139,6 +139,42 @@ class SpectralField:
             raise ValueError("values shape does not match the (lambda, b) grid")
         if len(self.lambda_grid) > 1 and not np.all(np.diff(self.lambda_grid) > 0):
             raise ValueError("lambda grid must be strictly increasing")
+        _lambda_step(self.lambda_grid)
+
+
+def _lambda_step(lams: np.ndarray) -> float:
+    """Spacing h of an equally spaced lambda grid; 0.0 for fewer than two nodes.
+
+    Raises ValueError when some node is off lams[0] + k h by more than
+    1e-12 of the largest |lambda|.
+    """
+    lams = np.asarray(lams, float)
+    n = len(lams)
+    if n < 2:
+        return 0.0
+    h = (lams[-1] - lams[0]) / (n - 1)
+    if np.max(np.abs(lams - (lams[0] + h * np.arange(n)))) > 1e-12 * np.max(np.abs(lams)):
+        raise ValueError("lambda grid must be equally spaced")
+    return h
+
+
+def _busemann_exponentials(B: np.ndarray, lams: np.ndarray, sign: int):
+    """exp((sign i lambda_k + rho) B) on an equally spaced lambda grid, by giant and baby steps.
+
+    With s = ceil(sqrt(n)) and step h, returns (G, S), of shapes
+    (ceil(n / s),) + B.shape and (s,) + B.shape, with
+    G[a] = exp((sign i lams[a s] + rho) B) and S[b] = exp(sign i b h B), so
+    that exp((sign i lams[k] + rho) B) = G[k // s] * S[k % s]: about
+    2 sqrt(n) exponentials instead of n, each value one product of two
+    correctly rounded ones. Raises ValueError on a grid that is not
+    equally spaced.
+    """
+    lams = np.asarray(lams, float)
+    h = _lambda_step(lams)
+    s = math.isqrt(max(len(lams), 1) - 1) + 1
+    G = np.exp(np.multiply.outer(sign * 1j * lams[::s] + RHO, B))
+    S = np.exp(np.multiply.outer(sign * 1j * h * np.arange(s), B))
+    return G, S
 
 
 def _wave_kernel_ffts(grid: GridSpec, lams: np.ndarray):
@@ -150,9 +186,10 @@ def _wave_kernel_ffts(grid: GridSpec, lams: np.ndarray):
     circular correlation with e_{-lambda,1} = conj(e_{lambda,1}), whose
     FFT is the conjugate of this one.
     """
-    B = busemann_array(grid.z, 0.0)
-    for lam in lams:
-        yield np.fft.fft(np.exp((1j * lam + RHO) * B), axis=1)
+    G, S = _busemann_exponentials(busemann_array(grid.z, 0.0), lams, 1)
+    s = len(S)
+    for k in range(len(lams)):
+        yield np.fft.fft(G[k // s] * S[k % s], axis=1)
 
 
 def _check_support(f: SampledField) -> None:
@@ -169,7 +206,8 @@ def _check_support(f: SampledField) -> None:
 
 
 def _lambda_weights(lams: np.ndarray) -> np.ndarray:
-    w = np.full(len(lams), LAMBDA_STEP)
+    """Trapezoid weights on the grid's own spacing (a single node gets 0)."""
+    w = np.full(len(lams), _lambda_step(lams))
     w[0] *= 0.5
     w[-1] *= 0.5
     return w
@@ -188,19 +226,18 @@ def forward(f: SampledField, lambda_max: float = LAMBDA_MAX,
     A = np.fft.fft(f.values * grid.row_weights[:, None], axis=1)
     out = np.empty((len(lams), grid.n_theta), complex)
     for i, K in enumerate(_wave_kernel_ffts(grid, lams)):
-        out[i] = np.fft.ifft(np.sum(A * np.conj(K), axis=0))
-    return SpectralField(lams, grid.angles, out, grid)
+        out[i] = np.sum(A * np.conj(K), axis=0)
+    return SpectralField(lams, grid.angles, np.fft.ifft(out, axis=1), grid)
 
 
 def forward_at(f: SampledField, lams: np.ndarray, b: BoundaryPoint) -> np.ndarray:
-    """Transform values at arbitrary lambda nodes for one boundary direction."""
+    """Transform values at equally spaced lambda nodes for one boundary direction."""
     _check_support(f)
     B = busemann_array(f.grid.z, b.theta)
-    g = f.values * f.weights
-    out = np.empty(len(lams), complex)
-    for i, lam in enumerate(np.asarray(lams, float)):
-        out[i] = np.sum(np.exp((-1j * lam + RHO) * B) * g)
-    return out
+    G, S = _busemann_exponentials(B, lams, -1)
+    G *= f.values * f.weights
+    # out[a s + b] = sum over the grid of G[a] * S[b]
+    return (G.reshape(len(G), B.size) @ S.reshape(len(S), B.size).T).ravel()[:len(lams)]
 
 
 def inverse(F: SpectralField, kappa: float | None = None) -> SampledField:
@@ -219,11 +256,13 @@ def inverse(F: SpectralField, kappa: float | None = None) -> SampledField:
     dens = plancherel_density(F.lambda_grid, kappa=kappa)
     wl = _lambda_weights(F.lambda_grid)
     db = 1.0 / grid.n_theta
+    # inverse is linear: sum the kernel products over lambda, then one IFFT
+    FF = np.fft.fft(F.values, axis=1) * (dens * wl * db)[:, None]
     acc = np.zeros((grid.n_r, grid.n_theta), complex)
     for i, K in enumerate(_wave_kernel_ffts(grid, F.lambda_grid)):
-        FF = np.fft.fft(F.values[i])
-        acc += (dens[i] * wl[i] * db) * np.fft.ifft(K * FF[None, :], axis=1)
-    return SampledField(grid, acc)
+        K *= FF[i]
+        acc += K
+    return SampledField(grid, np.fft.ifft(acc, axis=1))
 
 
 def _radial_profile(f: SampledField) -> np.ndarray:

@@ -168,26 +168,51 @@ def _mehler_dirichlet(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return W, d - v * v
 
 
+def _near_center(lam: np.ndarray, d: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """phi with the series 1 - (lam^2 + 1/4) d^2 / 4 where its next term is negligible.
+
+    The series is used where x = (lam^2 + 1/4) d^2 < 1e-16, so the
+    dropped O(x^2) term is below 1e-32 and d = 0 gives exactly 1. The
+    quadrature alone goes wrong below d ~ 1e-250, where its squared
+    nodes underflow. Only distances in [0, 2e-8) can qualify, and only
+    those are looked at.
+    """
+    if not np.any((0.0 <= d) & (d < 2e-8)):
+        return phi
+    lam, d = np.broadcast_arrays(lam, d)
+    near = (0.0 <= d) & (d < 2e-8)
+    x = (lam[near] ** 2 + 0.25) * d[near] ** 2
+    phi[near] = np.where(x < 1e-16, 1.0 - 0.25 * x, phi[near])
+    return phi
+
+
+# Distances per block of the radial rule; bounds its (block, nodes) temporaries.
+_CHUNK = 4096
+
+
 def spherical_radial(lam, d) -> np.ndarray:
     """phi_lambda at geodesic distance d from the center; broadcasts.
 
     Equals spherical(lam, tanh(d/2) * e^{i alpha}) for any angle alpha.
     Stable for all d (the cosh difference under the square root is kept
-    in log space).
+    in log space, and a Taylor series takes over near d = 0). Distances
+    are processed in blocks of 4096 to bound the temporaries.
     """
     lam_b, d_b = np.broadcast_arrays(np.asarray(lam, float), np.asarray(d, float))
     shape = lam_b.shape
-    d_f = d_b.reshape(-1)
-    W, phase = _mehler_dirichlet(d_f)
-    with np.errstate(invalid="ignore"):
-        out = np.sum(W * np.cos(lam_b.reshape(-1, 1) * phase), axis=1)
-    out = np.where(d_f == 0.0, 1.0, out)
-    result = out.reshape(shape)
+    lam_f, d_f = lam_b.reshape(-1), d_b.reshape(-1)
+    out = np.empty(len(d_f))
+    for lo in range(0, len(d_f), _CHUNK):
+        W, phase = _mehler_dirichlet(d_f[lo:lo + _CHUNK])
+        with np.errstate(invalid="ignore"):
+            out[lo:lo + _CHUNK] = np.sum(W * np.cos(lam_f[lo:lo + _CHUNK, None] * phase),
+                                         axis=1)
+    result = _near_center(lam_f, d_f, out).reshape(shape)
     return result if shape else result[()]
 
 
 def spherical_radial_profile(lams: np.ndarray, d: np.ndarray,
-                             chunk: int = 4096) -> np.ndarray:
+                             chunk: int = _CHUNK) -> np.ndarray:
     """Matrix phi[i, j] = phi_{lams[i]}(d[j]) for 1-D lams and d.
 
     Same quadrature as ``spherical_radial``, but the lambda-independent
@@ -204,8 +229,7 @@ def spherical_radial_profile(lams: np.ndarray, d: np.ndarray,
         with np.errstate(invalid="ignore"):
             for i, lam in enumerate(lams):
                 out[i, lo:lo + chunk] = np.sum(W * np.cos(lam * phase), axis=1)
-    out[:, d == 0.0] = 1.0
-    return out
+    return _near_center(lams[:, None], d[None, :], out)
 
 
 def xi_function(d) -> np.ndarray:

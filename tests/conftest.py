@@ -1,6 +1,17 @@
 """Shared fixtures: one-time calibrations and common test fields."""
+import os
+
 import numpy as np
 import pytest
+
+import horowave
+
+# CLI tests run ``python -m horowave.cli`` in a subprocess: let it import the
+# same package as the tests, also when that is found only through pytest's
+# ``pythonpath`` setting
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [os.path.dirname(os.path.dirname(horowave.__file__)),
+                  os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from scipy.special import j0
 
 from horowave.euclid import bessel_wave_array
-from horowave.geometry import distance_array
+from horowave.geometry import busemann_array, distance_array
 from horowave.waves import spherical_radial_profile
 
 
@@ -109,3 +109,44 @@ def horocycle_bump_integral(coeff: float, taper_width: float) -> float:
 
     val, _ = quad(integrand, -6.0 * taper_width, 6.0 * taper_width, limit=800)
     return val
+
+
+def direct_forward(f, lams: np.ndarray) -> np.ndarray:
+    """Helgason-Fourier transform on the (lams, grid angles) rectangle, one exp per lambda.
+
+    Row i is the circular correlation over the angle index of the weighted
+    samples with e_{-lambda_i, 1}, each kernel built by its own np.exp.
+    """
+    B = busemann_array(f.grid.z, 0.0)
+    A = np.fft.fft(f.values * f.grid.row_weights[:, None], axis=1)
+    out = np.empty((len(lams), f.grid.n_theta), complex)
+    for i, lam in enumerate(lams):
+        K = np.fft.fft(np.exp((1j * lam + 0.5) * B), axis=1)
+        out[i] = np.fft.ifft(np.sum(A * np.conj(K), axis=0))
+    return out
+
+
+def direct_inverse(lams: np.ndarray, values: np.ndarray, grid, kappa: float) -> np.ndarray:
+    """Plancherel-weighted inversion over [lams[0], lams[-1]], one exp and IFFT per lambda.
+
+    Trapezoid weights in lambda on the grid's first step, density
+    kappa * lambda * tanh(pi lambda).
+    """
+    B = busemann_array(grid.z, 0.0)
+    h = lams[1] - lams[0] if len(lams) > 1 else 0.0
+    wl = np.full(len(lams), h)
+    wl[[0, -1]] *= 0.5
+    dens = kappa * lams * np.tanh(np.pi * lams)
+    acc = np.zeros((grid.n_r, grid.n_theta), complex)
+    for i, lam in enumerate(lams):
+        K = np.fft.fft(np.exp((1j * lam + 0.5) * B), axis=1)
+        FF = np.fft.fft(values[i])
+        acc += (dens[i] * wl[i] / grid.n_theta) * np.fft.ifft(K * FF[None, :], axis=1)
+    return acc
+
+
+def direct_forward_at(f, lams: np.ndarray, theta: float) -> np.ndarray:
+    """Transform values toward the boundary angle theta, one exp per lambda."""
+    B = busemann_array(f.grid.z, theta)
+    g = f.values * f.weights
+    return np.array([np.sum(np.exp((-1j * lam + 0.5) * B) * g) for lam in lams])

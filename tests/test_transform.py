@@ -25,6 +25,7 @@ from horowave.tapers import TaperSpec
 from horowave.transform import (
     GridSpec,
     SampledField,
+    SpectralField,
     coarea_profile,
     forward,
     forward_at,
@@ -64,6 +65,51 @@ def test_round_trip_three_bumps(plancherel_kappa):
         f = SampledField.from_function(fn)
         g = inverse(forward(f))
         assert rel_l2(f, g) < 2e-2, name
+
+
+@pytest.mark.parametrize("step", [0.025, 0.05, 0.1])
+def test_round_trip_on_the_grids_own_lambda_step(plancherel_kappa, step):
+    f = SampledField.from_function(BUMPS["offcenter"])
+    g = inverse(forward(f, lambda_step=step))
+    assert rel_l2(f, g) < 2e-2
+
+
+def test_unequally_spaced_lambda_grid_is_rejected():
+    f = SampledField.from_function(BUMPS["radial"])
+    lams = np.array([0.0, 0.05, 0.1, 0.2])
+    with pytest.raises(ValueError, match="equally spaced"):
+        SpectralField(lams, f.grid.angles, np.zeros((4, f.grid.n_theta), complex))
+    with pytest.raises(ValueError, match="equally spaced"):
+        forward_at(f, lams, BoundaryPoint(0.0))
+
+
+def _rel_max(got: np.ndarray, ref: np.ndarray) -> float:
+    scale = np.max(np.abs(ref))
+    return float(np.max(np.abs(got - ref)) / scale) if scale else float(np.max(np.abs(got)))
+
+
+@pytest.mark.parametrize("shape", [(120, 192), (160, 256), (200, 256)])
+def test_transform_matches_direct_exponentials(shape):
+    """Giant/baby-step kernels against one np.exp per lambda, n_lambda in {1, 2, 3, 161, 321}."""
+    grid = GridSpec(*shape, 4.0)
+    f = SampledField.from_function(BUMPS["offcenter"], grid)
+    rng = np.random.default_rng(7)
+    for lambda_max, step in ((0.0, 0.05), (0.05, 0.05), (0.1, 0.05), (8.0, 0.05), (8.0, 0.025)):
+        F = forward(f, lambda_max, step)
+        assert _rel_max(F.values, oracles.direct_forward(f, F.lambda_grid)) < 1e-13
+        if len(F.lambda_grid) > 3:
+            lams, vals = F.lambda_grid, F.values
+        else:  # off lambda = 0, with the last row empty so the truncation check passes
+            lams = 0.5 + F.lambda_grid
+            vals = rng.standard_normal(F.values.shape) + 1j * rng.standard_normal(F.values.shape)
+            vals[-1] = 0.0
+        got = inverse(SpectralField(lams, grid.angles, vals, grid), kappa=1.0).values
+        assert _rel_max(got, oracles.direct_inverse(lams, vals, grid, 1.0)) < 1e-13
+    lemma_lams = np.arange(-8.0, 8.025, 0.05)
+    ref = oracles.direct_forward_at(f, lemma_lams, 0.7)
+    for n in (1, 2, 3, 161, 321):
+        got = forward_at(f, lemma_lams[:n], BoundaryPoint(0.7))
+        assert np.max(np.abs(got - ref[:n])) < 1e-13 * np.max(np.abs(ref))
 
 
 def test_linearity(plancherel_kappa):

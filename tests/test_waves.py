@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from horowave import waves
 from horowave.errors import QuadratureUnderResolved, SpectralSingularity
 from horowave.geometry import BoundaryPoint, DiskPoint
 from horowave.waves import (
@@ -96,6 +97,23 @@ def test_radial_paths_at_tiny_distances():
             expect = oracles.conical_spherical(lam, d)
             assert abs(spherical_radial(lam, d) - expect) < 1e-14
             assert abs(spherical_radial_profile([lam], [d])[0, 0] - expect) < 1e-14
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0, 32.0])
+def test_radial_paths_where_the_quadrature_underflows(lam):
+    for d in (1e-250, 1e-300, 1e-310):
+        expect = oracles.conical_spherical(lam, d)
+        assert abs(spherical_radial(lam, d) - expect) < 1e-14
+        assert abs(spherical_radial_profile([lam], [d])[0, 0] - expect) < 1e-14
+
+
+def test_spherical_radial_blocks_match_one_block():
+    rng = np.random.default_rng(5)
+    d = rng.uniform(0.01, 6.0, 5000)
+    lam = rng.uniform(0.0, 8.0, 5000)
+    W, phase = waves._mehler_dirichlet(d)
+    one_block = np.sum(W * np.cos(lam[:, None] * phase), axis=1)
+    np.testing.assert_array_equal(spherical_radial(lam, d), one_block)
 
 
 def test_xi_function_is_lambda_zero():
