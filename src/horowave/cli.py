@@ -195,13 +195,14 @@ def cmd_spherical(args) -> int:
     M = _number(args, "resolution", int, default=4096)
     if M < 2:
         raise ConfigError("resolution", "must be at least 2")
-    d = 2.0 * np.arctanh(np.abs(grid.z))
-    values = spherical_radial(lam, d).astype(complex)
+    # phi is radial: one evaluation per grid radius, the same along each row
+    t = grid.radii_t
+    values = np.broadcast_to(spherical_radial(lam, t)[:, None], grid.z.shape).astype(complex)
     # cross-check the radial quadrature against the boundary average at the
     # outermost radius; reported, not asserted
     from .waves import spherical
-    far = DiskPoint(float(np.abs(grid.z).max()) + 0j)
-    est = abs(spherical(lam, far, M=M) - spherical_radial(lam, float(d.max())))
+    far = DiskPoint(math.tanh(t[-1] / 2.0) + 0j)
+    est = abs(spherical(lam, far, M=M) - spherical_radial(lam, float(t[-1])))
     footer = {"command": "spherical", "lambda": lam,
               "grid": f"{grid.n_r}x{grid.n_theta}", "radius": grid.R,
               "quadrature_error_estimate": f"{est:.3e}"}
@@ -289,9 +290,11 @@ def cmd_euclid(args) -> int:
     m = _number(args, "resolution", int, default=256)
     if m < 2:
         raise ConfigError("resolution", "must be at least 2")
-    values = euclid.line_moire_array(lam, n, spacing, Q, m=m)
+    # the mean of J0 rings is real, and with an even m so is the m-node rule
+    # (its nodes pair up as conjugates); the imaginary part is round-off
+    values = euclid.line_moire_array(lam, n, spacing, Q, m=m).real
     est = float(np.max(np.abs(values - euclid.line_moire_array(lam, n, spacing, Q,
-                                                               m=m // 2))))
+                                                               m=m // 2).real)))
     footer = {"command": "euclid", "lambda": lam, "centers": n, "spacing": spacing,
               "grid": f"{n_x}x{n_y}", "resolution": m,
               "quadrature_error_estimate": f"{est:.3e}"}

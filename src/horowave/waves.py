@@ -7,11 +7,13 @@ Mehler-Dirichlet integral
 
     phi_lambda(d) = (sqrt(2)/pi) * int_0^d cos(lambda t) / sqrt(cosh d - cosh t) dt,
 
-regularized by the substitution t = d - v^2 and evaluated with fixed
-Gauss-Legendre nodes. The two agree to machine precision at desk scale.
+regularized by the substitution t = d - v^2 and evaluated by a Gauss rule
+whose node count follows lambda * d and is checked against the half-size
+rule on every call. The two agree to machine precision at desk scale.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -128,11 +130,51 @@ def spherical(lam: float, p: DiskPoint, M: int = 512) -> complex:
         what=f"spherical({lam}, |z|={abs(p.z):.4f}) with M={M}"))
 
 
-# Gauss-Legendre rule on [0, 1] shared by all radial evaluations.
-_N_GL = 400
-_gl_x, _gl_w = np.polynomial.legendre.leggauss(_N_GL)
-_GL_X = 0.5 * (_gl_x + 1.0)
-_GL_W = 0.5 * _gl_w
+# The radial rule: the positive half of the 2n-point Gauss-Legendre rule on
+# [-1, 1], scaled to v in [0, sqrt(d)]. The integrand is even in v, so these n
+# nodes act as an n-point Gauss rule in v^2. n runs up a power-of-two ladder
+# and starts at the smallest rung >= 0.7 |lambda| d + 26: its n/2-node rule
+# then has more nodes than the 1e-13 Xi(d) accuracy needs at every (lambda, d)
+# measured against mpmath (d <= 80, lambda d <= 1280), except at large d with
+# small lambda, where the check below doubles n.
+_MIN_NODES = 32
+_MAX_NODES = 4096
+# Every evaluation compares its n-node and n/2-node sums; a distance whose sums
+# differ by more than max(_RULE_TOL, 8 eps lambda d) Xi(d) doubles its n (the
+# second term is the round-off of cos(lambda (d - v^2))).
+_RULE_TOL = 1e-13
+_EPS = float(np.finfo(float).eps)
+# Distances times nodes (both rules) per block; bounds the temporaries.
+_BLOCK = 4096 * 400
+
+
+@functools.cache
+def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positive nodes (ascending) and weights of the 2n-point Gauss-Legendre rule.
+
+    Newton iteration on the three-term recurrence from the asymptotic
+    nodes; the weights sum to 1. Unlike numpy's ``leggauss``, it stays
+    accurate to ~1e-16 at thousands of nodes.
+    """
+    m = 2 * n
+
+    def legendre(x):
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, m + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        return p1, m * (x * p1 - p0) / (x * x - 1.0)
+
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (m + 0.5))
+    for _ in range(10):
+        p, dp = legendre(x)
+        x = x - p / dp
+        if np.max(np.abs(p / dp)) < 1e-15:
+            break
+    dp = legendre(x)[1]
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def _log_sinh(x: np.ndarray) -> np.ndarray:
@@ -149,87 +191,130 @@ def _log_sinhc(h: np.ndarray) -> np.ndarray:
     return np.where(small, np.log1p(h * h / 6.0), out)
 
 
-def _mehler_dirichlet(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """lambda-independent part of the radial rule at 1-D distances d.
+def _mehler_dirichlet(d: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """lambda-independent part of the n-node radial rule at 1-D distances d > 0.
 
-    Returns (W, phase), each of shape (len(d), nodes), such that
-    phi_lambda(d[j]) = sum_k W[j, k] cos(lambda * phase[j, k]) for d[j] > 0:
-    the Gauss-Legendre nodes v in [0, sqrt(d)] of the substituted
-    integrand, with t = phase = d - v^2.
+    Returns (W, phase), each of shape (len(d), n), such that
+    phi_lambda(d[j]) ~ sum_k W[j, k] cos(lambda * phase[j, k]): the nodes v
+    in [0, sqrt(d)] of the substituted integrand, with t = phase = d - v^2.
     """
+    x, w = _gauss_rule(n)
     d = d[:, None]
     vmax = np.sqrt(d)
-    v = vmax * _GL_X[None, :]
+    v = vmax * x[None, :]
     h = 0.5 * v * v
     # cosh d - cosh(d - v^2) = 2 sinh(d - h) sinh(h); divide by v^2 = 2h
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_q = _log_sinh(np.maximum(d - h, 1e-300)) + _log_sinhc(h)
-        W = (2.0 * math.sqrt(2.0) / math.pi) * (vmax * _GL_W[None, :]) * np.exp(-0.5 * log_q)
-        return W, d - v * v
+    log_q = _log_sinh(d - h) + _log_sinhc(h)
+    W = (2.0 * math.sqrt(2.0) / math.pi) * (vmax * w[None, :]) * np.exp(-0.5 * log_q)
+    return W, d - v * v
 
 
-def _near_center(lam: np.ndarray, d: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """phi with the series 1 - (lam^2 + 1/4) d^2 / 4 where its next term is negligible.
+def _rule_sums(lam: np.ndarray, d: np.ndarray, n: int):
+    """The n-node and n/2-node sums at distances d, and Xi(d) from the n-node weights.
 
-    The series is used where x = (lam^2 + 1/4) d^2 < 1e-16, so the
-    dropped O(x^2) term is below 1e-32 and d = 0 gives exactly 1. The
-    quadrature alone goes wrong below d ~ 1e-250, where its squared
-    nodes underflow. Only distances in [0, 2e-8) can qualify, and only
-    those are looked at.
+    lam has shape (L, len(d)), one lambda per distance in each row, or
+    (L, 1), one lambda per row; both sums have shape (L, len(d)).
     """
-    if not np.any((0.0 <= d) & (d < 2e-8)):
-        return phi
-    lam, d = np.broadcast_arrays(lam, d)
-    near = (0.0 <= d) & (d < 2e-8)
-    x = (lam[near] ** 2 + 0.25) * d[near] ** 2
-    phi[near] = np.where(x < 1e-16, 1.0 - 0.25 * x, phi[near])
-    return phi
+    sums = np.empty((2, len(lam), len(d)))
+    for k, m in enumerate((n, n // 2)):
+        W, phase = _mehler_dirichlet(d, m)
+        if k == 0:
+            xi = np.sum(W, axis=1)
+        for i, row in enumerate(lam):
+            sums[k, i] = np.sum(W * np.cos(row[:, None] * phase), axis=1)
+    return sums[0], sums[1], xi
 
 
-# Distances per block of the radial rule; bounds its (block, nodes) temporaries.
-_CHUNK = 4096
+def _first_rung(key: np.ndarray) -> np.ndarray:
+    """The ladder rung each key = |lambda| d starts on: smallest n >= 0.7 key + 26.
+
+    Raises QuadratureUnderResolved where that exceeds _MAX_NODES.
+    """
+    need = 0.7 * key + 26.0
+    if np.any(need > _MAX_NODES):
+        j = int(np.argmax(key))
+        raise QuadratureUnderResolved(
+            f"radial rule at lambda*d = {key[j]:.4g} needs about {need[j]:.0f} nodes, "
+            f"more than {_MAX_NODES}")
+    return np.exp2(np.ceil(np.log2(np.maximum(need, _MIN_NODES)))).astype(int)
+
+
+def _radial(lam: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """phi_lambda(d) of shape (L, len(d)) for 1-D distances d.
+
+    lam has shape (L, len(d)) or (L, 1) as in ``_rule_sums``. Each distance
+    starts on the ladder rung of its key max_rows |lambda| d, which depends
+    on that distance and its lambdas only, so blocking cannot change a
+    value. Where x = (lambda^2 + 1/4) d^2 < 1e-16 (only d < 2e-8 qualify),
+    the series 1 - x/4 replaces the rule: its dropped O(x^2) term is below
+    1e-32, d = 0 gives exactly 1, and the rule's squared nodes underflow
+    below d ~ 1e-250. Raises ValueError on a negative or non-finite
+    distance or a non-finite lambda, and QuadratureUnderResolved when a
+    distance would need more than _MAX_NODES nodes.
+    """
+    if not np.all(np.isfinite(d) & (d >= 0.0)):
+        raise ValueError("spherical function distances must be finite and >= 0")
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("spherical function lambdas must be finite")
+    x = (lam * lam + 0.25) * (d * d)
+    series = x < 1e-16
+    n = _first_rung(np.max(np.abs(lam), axis=0, initial=0.0) * d)
+    out = np.empty(x.shape)
+    todo = np.flatnonzero(~np.all(series, axis=0))
+    while todo.size:
+        failed, worst = [], 0.0
+        for nodes in np.unique(n[todo]).tolist():
+            idx = todo[n[todo] == nodes]
+            step = max(1, _BLOCK // (nodes + nodes // 2))
+            for lo in range(0, len(idx), step):
+                j = idx[lo:lo + step]
+                lam_j = lam if lam.shape[1] == 1 else lam[:, j]
+                fine, coarse, xi = _rule_sums(lam_j, d[j], nodes)
+                change = np.abs(fine - coarse)
+                tol = np.maximum(_RULE_TOL, 8.0 * _EPS * np.abs(lam_j) * d[j]) * xi
+                bad = ~np.all((change <= tol) | series[:, j], axis=0)
+                out[:, j] = fine
+                if np.any(bad):
+                    failed.append(j[bad])
+                    worst = max(worst, float(np.max(change[:, bad] / xi[bad])))
+        todo = np.concatenate(failed) if failed else todo[:0]
+        n[todo] *= 2
+        if np.any(n[todo] > _MAX_NODES):
+            raise QuadratureUnderResolved(
+                f"radial rule did not settle with {_MAX_NODES} nodes at "
+                f"d = {float(np.max(d[todo])):.4g} (last change {worst:.2e} Xi(d))")
+    return np.where(series, 1.0 - 0.25 * x, out)
 
 
 def spherical_radial(lam, d) -> np.ndarray:
     """phi_lambda at geodesic distance d from the center; broadcasts.
 
     Equals spherical(lam, tanh(d/2) * e^{i alpha}) for any angle alpha.
-    Stable for all d (the cosh difference under the square root is kept
-    in log space, and a Taylor series takes over near d = 0). Distances
-    are processed in blocks of 4096 to bound the temporaries.
+    Each element gets the node count its own |lambda| d asks for, checked
+    against the half-size rule to max(1e-13, 8 eps |lambda| d) Xi(d); the
+    cosh difference under the square root is kept in log space, and a
+    Taylor series takes over near d = 0. Raises ValueError for a negative
+    or non-finite d and QuadratureUnderResolved where the rule would need
+    more than 4096 nodes.
     """
     lam_b, d_b = np.broadcast_arrays(np.asarray(lam, float), np.asarray(d, float))
     shape = lam_b.shape
-    lam_f, d_f = lam_b.reshape(-1), d_b.reshape(-1)
-    out = np.empty(len(d_f))
-    for lo in range(0, len(d_f), _CHUNK):
-        W, phase = _mehler_dirichlet(d_f[lo:lo + _CHUNK])
-        with np.errstate(invalid="ignore"):
-            out[lo:lo + _CHUNK] = np.sum(W * np.cos(lam_f[lo:lo + _CHUNK, None] * phase),
-                                         axis=1)
-    result = _near_center(lam_f, d_f, out).reshape(shape)
+    result = _radial(lam_b.reshape(1, -1), d_b.reshape(-1))[0].reshape(shape)
     return result if shape else result[()]
 
 
-def spherical_radial_profile(lams: np.ndarray, d: np.ndarray,
-                             chunk: int = _CHUNK) -> np.ndarray:
+def spherical_radial_profile(lams: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Matrix phi[i, j] = phi_{lams[i]}(d[j]) for 1-D lams and d.
 
-    Same quadrature as ``spherical_radial``, but the lambda-independent
+    Same rule and checks as ``spherical_radial``, but the lambda-independent
     kernel (weights times the regularized cosh-difference factor) is built
-    once per distance block and reused for every lambda, which is much
-    faster than broadcasting when len(lams) is large. Distances are
-    processed in blocks of ``chunk`` to bound the temporaries.
+    once per distance and reused for every lambda, which is much faster
+    than broadcasting when len(lams) is large. Each distance's node count
+    follows max |lams| * d.
     """
     lams = np.asarray(lams, float).ravel()
     d = np.asarray(d, float).ravel()
-    out = np.empty((len(lams), len(d)))
-    for lo in range(0, len(d), chunk):
-        W, phase = _mehler_dirichlet(d[lo:lo + chunk])
-        with np.errstate(invalid="ignore"):
-            for i, lam in enumerate(lams):
-                out[i, lo:lo + chunk] = np.sum(W * np.cos(lam * phase), axis=1)
-    return _near_center(lams[:, None], d[None, :], out)
+    return _radial(lams[:, None], d)
 
 
 def xi_function(d) -> np.ndarray:

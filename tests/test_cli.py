@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+import oracles
+
 CLI = [sys.executable, "-m", "horowave.cli"]
 
 
@@ -88,6 +90,36 @@ def test_euclid_field(tmp_path):
     assert res.returncode == 0
     header, rows, _ = read_field(out)
     assert rows.shape == (41 * 41, 4)
+    # the line moire is real: no round-off imaginary column, and the phase
+    # quick-look has one gray level per sign
+    assert np.all(rows[:, 3] == 0.0)
+    pgm = (tmp_path / "eu.pgm").read_bytes()
+    assert set(pgm[pgm.index(b"255\n") + 4:]) <= {128, 255}
+
+
+def test_euclid_readme_preset_pgm_has_two_phase_levels(tmp_path):
+    out = tmp_path / "euclid.csv"
+    res = run("euclid", "--centers", "60", "--spacing", "0.5", "--out", str(out))
+    assert res.returncode == 0
+    _, rows, _ = read_field(out)
+    assert np.all(rows[:, 3] == 0.0)
+    pgm = (tmp_path / "euclid.pgm").read_bytes()
+    assert set(pgm[pgm.index(b"255\n") + 4:]) == {128, 255}
+
+
+def test_spherical_rows_are_one_radial_value(tmp_path):
+    out = tmp_path / "sph.csv"
+    res = run("spherical", "--lambda", "2.5", "--grid", "75x128", "--radius", "1.8",
+              "--out", str(out))
+    assert res.returncode == 0
+    _, rows, footer = read_field(out)
+    field = rows[:, 2].reshape(75, 128)
+    assert np.all(field == field[:, :1])
+    assert np.all(rows[:, 3] == 0.0)
+    t = (np.arange(75) + 0.5) * 1.8 / 75
+    for j in (0, 37, 74):
+        assert abs(field[j, 0] - oracles.conical_spherical(2.5, t[j])) < 1e-12
+    assert float(footer["quadrature_error_estimate"]) < 1e-9
 
 
 def test_lemma_prints_agreement():

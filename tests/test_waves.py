@@ -107,13 +107,67 @@ def test_radial_paths_where_the_quadrature_underflows(lam):
         assert abs(spherical_radial_profile([lam], [d])[0, 0] - expect) < 1e-14
 
 
-def test_spherical_radial_blocks_match_one_block():
+def _one_block(rows, d, key):
+    """The radial rule at each distance's first rung, each rung in one block."""
+    n = waves._first_rung(key)
+    out = np.empty((len(rows), len(d)))
+    for nodes in np.unique(n):
+        j = n == nodes
+        out[:, j] = waves._rule_sums(rows if rows.shape[1] == 1 else rows[:, j],
+                                     d[j], nodes)[0]
+    return out
+
+
+def test_spherical_radial_blocks_match_one_block(monkeypatch):
     rng = np.random.default_rng(5)
-    d = rng.uniform(0.01, 6.0, 5000)
+    d = rng.uniform(0.01, 12.0, 5000)
     lam = rng.uniform(0.0, 8.0, 5000)
-    W, phase = waves._mehler_dirichlet(d)
-    one_block = np.sum(W * np.cos(lam[:, None] * phase), axis=1)
+    one_block = _one_block(lam[None, :], d, lam * d)[0]
+    # small blocks: 25 distances per block on the 128-node rung
+    monkeypatch.setattr(waves, "_BLOCK", 96 * 50)
     np.testing.assert_array_equal(spherical_radial(lam, d), one_block)
+
+
+def test_spherical_radial_profile_blocks_match_one_block(monkeypatch):
+    rng = np.random.default_rng(6)
+    d = rng.uniform(0.01, 12.0, 5000)
+    lams = np.array([0.5, 3.0, 8.0])
+    one_block = _one_block(lams[:, None], d, 8.0 * d)
+    monkeypatch.setattr(waves, "_BLOCK", 96 * 50)
+    np.testing.assert_array_equal(spherical_radial_profile(lams, d), one_block)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 4.0, 16.0, 32.0])
+def test_radial_paths_against_conical_function_at_the_edges(lam):
+    for d in (1e-6, 1.8, 12.0, 40.0, 80.0):
+        expect = oracles.conical_spherical(lam, d)
+        tol = 1e-12 * oracles.conical_spherical(0.0, d)
+        assert abs(spherical_radial(lam, d) - expect) < tol
+        assert abs(spherical_radial_profile([lam], [d])[0, 0] - expect) < tol
+
+
+def test_radial_paths_raise_where_the_rule_would_need_too_many_nodes():
+    with pytest.raises(QuadratureUnderResolved):
+        spherical_radial(1e4, 80.0)
+    with pytest.raises(QuadratureUnderResolved):
+        spherical_radial_profile([0.5, 1e4], [1.0, 80.0])
+
+
+def test_radial_paths_raise_when_doubling_runs_past_the_ladder(monkeypatch):
+    # at lambda = 0, d = 80 the first rung (32 nodes) fails its check and doubles
+    monkeypatch.setattr(waves, "_MAX_NODES", 32)
+    with pytest.raises(QuadratureUnderResolved, match="did not settle"):
+        spherical_radial(0.0, 80.0)
+    with pytest.raises(QuadratureUnderResolved, match="did not settle"):
+        spherical_radial_profile([0.0], [1.0, 80.0])
+
+
+@pytest.mark.parametrize("d", [-1.0, -1e-300, math.nan, math.inf])
+def test_radial_paths_reject_negative_or_non_finite_distances(d):
+    with pytest.raises(ValueError):
+        spherical_radial(1.0, d)
+    with pytest.raises(ValueError):
+        spherical_radial_profile([1.0], [0.5, d])
 
 
 def test_xi_function_is_lambda_zero():
