@@ -7,7 +7,8 @@ a binary PGM (P5) quick-look image maps the phase linearly from
 (-pi, pi] to 0..255. All outputs are written atomically (temp + rename)
 and are byte-identical across reruns of the same configuration.
 
-Exit codes: 0 ok, 1 validation failure, 2 bad configuration, 3 IO error.
+Exit codes: 0 ok, 1 validation failure (a field holding NaN or inf is one,
+and writes no file), 2 bad configuration, 3 IO error.
 """
 from __future__ import annotations
 
@@ -154,13 +155,21 @@ def _atomic_write(path: str, data: bytes) -> None:
         raise
 
 
+_CSV_ROW = "%.12g,%.12g,%.12g,%.12g\n"
+_CSV_BLOCK = 4096  # rows per %-format: bounds the temporary tuple of Python floats
+
+
 def _field_csv(xy: np.ndarray, values: np.ndarray, footer: dict) -> bytes:
-    lines = ["x,y,re,im"]
-    for p, v in zip(xy.ravel(), values.ravel()):
-        lines.append(f"{p.real:.12g},{p.imag:.12g},{v.real:.12g},{v.imag:.12g}")
-    for key, val in footer.items():
-        lines.append(f"# {key}={val}")
-    return ("\n".join(lines) + "\n").encode()
+    # one %-format per block of rows: the %.12g text of a per-row f-string
+    # without a Python-level loop over the rows
+    cols = np.stack([xy.real.ravel(), xy.imag.ravel(),
+                     values.real.ravel(), values.imag.ravel()], axis=1)
+    parts = [b"x,y,re,im\n"]
+    for start in range(0, len(cols), _CSV_BLOCK):
+        block = cols[start:start + _CSV_BLOCK]
+        parts.append(((_CSV_ROW * len(block)) % tuple(block.ravel().tolist())).encode())
+    parts += [f"# {key}={val}\n".encode() for key, val in footer.items()]
+    return b"".join(parts)
 
 
 def _phase_pgm(values: np.ndarray) -> bytes:
@@ -171,6 +180,10 @@ def _phase_pgm(values: np.ndarray) -> bytes:
 
 
 def _emit_field(path: str, xy: np.ndarray, values: np.ndarray, footer: dict) -> None:
+    bad = np.count_nonzero(~np.isfinite(values))
+    if bad:
+        raise HorowaveError(f"{footer['command']} field has {bad} non-finite values of "
+                            f"{values.size}; nothing written")
     _atomic_write(path, _field_csv(xy, values, footer))
     _atomic_write(os.path.splitext(path)[0] + ".pgm", _phase_pgm(values))
 

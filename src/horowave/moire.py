@@ -276,7 +276,8 @@ def moire_sum_discrete(lam: float, b0: BoundaryPoint, n: int, spacing: float,
     z = grid.z
     acc = np.zeros(z.shape)
     for c in centers:
-        acc += chebval(distance_array(z, np.asarray(c)) / dmax, coef)
+        x = distance_array(z, np.asarray(c)) / dmax
+        acc += chebval(2.0 * x * x - 1.0, coef)
     return SampledField(grid, (acc / n).astype(complex))
 
 
@@ -285,13 +286,16 @@ _PHI_TABLE_TAIL = 1e-14
 
 
 def _phi_table(lam: float, dmax: float) -> np.ndarray:
-    """Chebyshev coefficients of x -> phi_lambda(dmax * |x|) on [-1, 1].
+    """Chebyshev coefficients of u -> phi_lambda(d) on [-1, 1], u = 2 (d/dmax)^2 - 1.
 
-    phi_lambda is even in d, so the table interpolates its even extension:
-    d = 0 then sits mid-interval instead of at an end point, where a table
-    on [0, dmax] was off by up to 1e-14 near d = 0 (this one: 5e-16). The
-    coefficients are the DCT of the values at first-kind Chebyshev points;
-    the node count doubles from 32 until the top quarter of the
+    phi_lambda is even in d, so the table interpolates its even extension
+    x -> phi_lambda(dmax * |x|): d = 0 then sits mid-interval instead of at
+    an end point, where a table on [0, dmax] was off by up to 1e-14 near
+    d = 0 (this one: 5e-16). The extension's odd coefficients vanish, and
+    T_2k(x) = T_k(2x^2 - 1) turns its even ones into a table in u of half
+    the length, so each Clenshaw sum takes half the steps. The coefficients
+    are the DCT of the values at first-kind Chebyshev points; the node
+    count doubles from 32 until the top quarter of the extension's
     coefficients is below 1e-14.
     """
     n = 32
@@ -301,7 +305,7 @@ def _phi_table(lam: float, dmax: float) -> np.ndarray:
         coef[0] *= 0.5
         tail = float(np.max(np.abs(coef[-n // 4:])))
         if tail < _PHI_TABLE_TAIL:
-            return coef
+            return coef[::2]
         n *= 2
     raise QuadratureUnderResolved(
         f"Chebyshev table of phi_{lam:g} on [0, {dmax:g}] did not settle below "

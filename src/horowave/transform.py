@@ -67,6 +67,13 @@ class GridSpec:
     n_theta: int = 256
     R: float = 4.0
 
+    def __post_init__(self):
+        if self.n_r < 1 or self.n_theta < 1:
+            raise ValueError(f"grid needs at least one radius and one angle, "
+                             f"got {self.n_r}x{self.n_theta}")
+        if not (math.isfinite(self.R) and self.R > 0):
+            raise ValueError(f"grid radius must be positive and finite, got {self.R}")
+
     @property
     def radii_t(self) -> np.ndarray:
         dt = self.R / self.n_r

@@ -88,6 +88,16 @@ def line_moire_loop(lam: float, n: int, spacing: float, q: np.ndarray,
     return out / n
 
 
+def field_csv_rows(xy: np.ndarray, values: np.ndarray, footer: dict) -> bytes:
+    """A field CSV written one f-string row at a time (x, y, re, im at %.12g)."""
+    lines = ["x,y,re,im"]
+    for p, v in zip(xy.ravel(), values.ravel()):
+        lines.append(f"{p.real:.12g},{p.imag:.12g},{v.real:.12g},{v.imag:.12g}")
+    for key, val in footer.items():
+        lines.append(f"# {key}={val}")
+    return ("\n".join(lines) + "\n").encode()
+
+
 def bessel_j0(x):
     """Reference J0 from scipy.special."""
     return j0(x)

@@ -107,6 +107,56 @@ def test_euclid_readme_preset_pgm_has_two_phase_levels(tmp_path):
     assert set(pgm[pgm.index(b"255\n") + 4:]) == {128, 255}
 
 
+def test_euclid_odd_resolution(tmp_path):
+    # an odd m-node rule has no conjugate node pairs; the field is still
+    # the real part of the per-center circle average
+    out = tmp_path / "eu.csv"
+    res = run("euclid", "--centers", "7", "--spacing", "0.5", "--grid", "33x21",
+              "--resolution", "97", "--out", str(out))
+    assert res.returncode == 0
+    _, rows, footer = read_field(out)
+    Q = np.linspace(2.0, 6.0, 33)[None, :] + 1j * np.linspace(-2.0, 2.0, 21)[:, None]
+    ref = oracles.line_moire_loop(1.0, 7, 0.5, Q, m=97).real
+    assert np.max(np.abs(rows[:, 2] - ref.ravel())) < 1e-12
+    assert np.all(rows[:, 3] == 0.0)
+    est = np.max(np.abs(ref - oracles.line_moire_loop(1.0, 7, 0.5, Q, m=48).real))
+    assert float(footer["quadrature_error_estimate"]) == pytest.approx(est, rel=1e-3)
+
+
+def test_non_finite_field_exits_1_and_writes_nothing(tmp_path):
+    # at R = 40 |z| = tanh(t/2) rounds to 1 and the wave is nan there
+    res = run("wave", "--lambda", "2", "--radius", "40", "--out", str(tmp_path / "w.csv"))
+    assert res.returncode == 1
+    assert "non-finite" in res.stderr and "Traceback" not in res.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+EDGE_VALUES = [0.0, -0.0, 1e-300, 5e-324, 1e300, 1 / 3, 123456789012345.0]
+WAVE_FOOTER = {"command": "wave", "lambda": 2.0, "b0": 0.0, "grid": "200x256",
+               "radius": 4.0, "quadrature_error_estimate": 0.0}
+
+
+def test_field_writer_matches_per_row_writer_on_wave_preset():
+    from horowave.cli import _field_csv
+    from horowave.transform import DEFAULT_GRID
+    from horowave.waves import helgason_wave_array
+    z = DEFAULT_GRID.z
+    values = helgason_wave_array(2.0, 0.0, z)
+    assert _field_csv(z, values, WAVE_FOOTER) == \
+        oracles.field_csv_rows(z, values, WAVE_FOOTER)
+
+
+def test_field_writer_matches_per_row_writer_on_edge_values():
+    from horowave.cli import _field_csv
+    v = np.array(EDGE_VALUES + [-x for x in EDGE_VALUES])
+    xy = (v + 1j * v[::-1]).reshape(2, -1)
+    for values in (np.roll(v, 3) - 1j * np.roll(v, 5), np.roll(v, 1)):  # complex, real
+        values = values.reshape(2, -1)
+        got = _field_csv(xy, values, WAVE_FOOTER)
+        assert got == oracles.field_csv_rows(xy, values, WAVE_FOOTER)
+        assert got.endswith(b"\n# quadrature_error_estimate=0.0\n")
+
+
 def test_spherical_rows_are_one_radial_value(tmp_path):
     out = tmp_path / "sph.csv"
     res = run("spherical", "--lambda", "2.5", "--grid", "75x128", "--radius", "1.8",

@@ -59,7 +59,13 @@ def test_line_moire_single_center_reduces_to_bessel():
 def test_line_moire_matches_per_center_loop(lam, n):
     xs = np.linspace(2.0, 6.0, 9)
     ys = np.linspace(-2.0, 2.0, 7)
-    for q in (np.asarray(3.1 - 0.4j), xs + 0.3j, xs[None, :] + 1j * ys[:, None]):
+    # off tensor grids too: scattered points (every coordinate distinct), and
+    # points that share coordinates and repeat outright
+    rng = np.random.default_rng(11)
+    scattered = rng.uniform(2.0, 6.0, (7, 5)) + 1j * rng.uniform(-2.0, 2.0, (7, 5))
+    repeated = rng.choice([2.0, 3.5, 5.25], (6, 4)) + 1j * rng.choice([-1.5, 0.0, 0.75], (6, 4))
+    for q in (np.asarray(3.1 - 0.4j), xs + 0.3j, xs[None, :] + 1j * ys[:, None],
+              scattered, repeated):
         got = line_moire_array(lam, n, 0.5, q)
         assert got.shape == q.shape
         assert np.max(np.abs(got - oracles.line_moire_loop(lam, n, 0.5, q))) <= 1e-14

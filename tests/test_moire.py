@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval
 
 import oracles
 from horowave.geometry import (
@@ -14,6 +15,7 @@ from horowave.geometry import (
 )
 from horowave.moire import (
     LambdaWindow,
+    _phi_table,
     convergence_study,
     moire_integral,
     moire_sum_discrete,
@@ -166,6 +168,15 @@ def test_moire_sum_matches_kernel_sum_far_out(lam):
     # radial kernel summed center by center instead
     got, z, centers = _sampled_center_sum(lam, GridSpec(75, 128, 8.0))
     assert np.max(np.abs(got - oracles.kernel_moire_sum(lam, z, centers))) < 1e-12
+
+
+@pytest.mark.parametrize("lam, dmax", [(0.5, 3.0), (2.0, 4.3), (4.0, 12.0)])
+def test_phi_table_in_even_variable_matches_radial_kernel(lam, dmax):
+    coef = _phi_table(lam, dmax)
+    d = np.concatenate([[0.0, dmax], np.random.default_rng(5).uniform(0.0, dmax, 200)])
+    got = chebval(2.0 * (d / dmax) ** 2 - 1.0, coef)
+    assert np.max(np.abs(got - spherical_radial(lam, d))) < 1e-13
+    assert abs(got[0] - 1.0) < 1e-14
 
 
 def test_moire_sum_mirror_symmetry():

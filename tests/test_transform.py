@@ -55,6 +55,14 @@ def test_grid_reproduces_hyperbolic_area():
     assert area == pytest.approx(2 * math.pi * (math.cosh(3.0) - 1.0), rel=1e-4)
 
 
+@pytest.mark.parametrize("n_r, n_theta, R", [(0, 8, 1.0), (8, 0, 1.0), (8, 8, 0.0),
+                                          (8, 8, -1.0), (8, 8, math.inf),
+                                          (8, 8, math.nan)])
+def test_grid_spec_rejects_empty_or_bad_radius(n_r, n_theta, R):
+    with pytest.raises(ValueError):
+        GridSpec(n_r, n_theta, R)
+
+
 def test_sampled_field_shape_guard():
     with pytest.raises(ValueError):
         SampledField(GridSpec(10, 8, 2.0), np.zeros((10, 9), complex))
