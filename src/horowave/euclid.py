@@ -76,7 +76,9 @@ def line_moire_array(lam: float, n: int, spacing: float, q: np.ndarray,
     e^{ik x cos u} * e^{ik y sin u}, so exponentials are taken only on the
     distinct x and the distinct y coordinates of q (A folds into the y
     factor), and each point costs m products: O(m (n_x + n_y + n + |q|))
-    instead of O(m |q|) exponentials, a saving on tensor grids.
+    instead of O(m |q|) exponentials, a saving on tensor grids. There the
+    products are summed once per grid node from the two factor tables,
+    without gathering a copy of them per point.
     """
     if n < 1:
         raise ValueError("line_moire requires n >= 1")
@@ -91,8 +93,14 @@ def line_moire_array(lam: float, n: int, spacing: float, q: np.ndarray,
     ys, iy = np.unique(q.imag.ravel(), return_inverse=True)
     ex = np.exp(1j * k * xs[:, None] * np.cos(u))
     ey = np.exp(1j * k * ys[:, None] * np.sin(u)) * A
-    # einsum's own loop, not a BLAS product: no thread pool for small sums
-    return (np.einsum("pu,pu->p", ey[iy], ex[ix]) / m).reshape(q.shape)
+    # einsum's own loops, not BLAS products: no thread pool for small sums
+    if len(xs) * len(ys) <= q.size:
+        # the grid of q's distinct x and y is no larger than q (a tensor
+        # grid, a point): one sum per node of that grid, read back per point
+        sums = np.einsum("yu,xu->yx", ey, ex)[iy, ix]
+    else:
+        sums = np.einsum("pu,pu->p", ey[iy], ex[ix])
+    return (sums / m).reshape(q.shape)
 
 
 def j0_series(x: np.ndarray, terms: int = 40) -> np.ndarray:

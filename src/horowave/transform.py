@@ -21,8 +21,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebvander
 
-from .errors import NotRadial, SpectralTruncation, SupportOverflow
+from .errors import NotRadial, QuadratureUnderResolved, SpectralTruncation, SupportOverflow
 from .geometry import (
     BoundaryPoint,
     DiskPoint,
@@ -165,38 +166,112 @@ def _lambda_step(lams: np.ndarray) -> float:
     return h
 
 
-def _busemann_exponentials(B: np.ndarray, lams: np.ndarray, sign: int):
-    """exp((sign i lambda_k + rho) B) on an equally spaced lambda grid, by giant and baby steps.
+_KERNEL_TAIL = 1e-15       # bound on |J_{K-1}| at a block's largest |c B|
+_KERNEL_MAX_TERMS = 4096
+_BLOCK_POINTS = 4096       # grid points per block of kernel rows
 
-    With s = ceil(sqrt(n)) and step h, returns (G, S), of shapes
-    (ceil(n / s),) + B.shape and (s,) + B.shape, with
-    G[a] = exp((sign i lams[a s] + rho) B) and S[b] = exp(sign i b h B), so
-    that exp((sign i lams[k] + rho) B) = G[k // s] * S[k % s]: about
-    2 sqrt(n) exponentials instead of n, each value one product of two
-    correctly rounded ones. Raises ValueError on a grid that is not
-    equally spaced.
+
+def _bessel_stack(z: np.ndarray, K: int) -> np.ndarray:
+    """J_0(z), ..., J_{K-1}(z), of shape (K,) + z.shape, by Miller's backward recurrence.
+
+    The recurrence runs on the ratios r_k = J_k / J_{k-1} = z / (2k - z r_{k+1})
+    from r = 0 eight orders above K, so tiny |z| cannot overflow it and z = 0
+    gives J_0 = 1; J_0 + 2 sum_k J_2k = 1 sets the scale (its sum is
+    nested into the same pass as t <- r_{2k-1} r_{2k} (1 + t)), and
+    J_k = J_0 r_1 ... r_k. Negative z needs nothing special. A ratio whose
+    denominator rounds to exactly 0, possible where z sits on a zero of
+    J_{k-1}, leaves t non-finite; those columns are taken again at the next
+    float above z. See W. Gautschi, SIAM Review 9 (1967).
+    """
+    z = np.asarray(z, float)
+    J = np.empty((K,) + z.shape)
+    spare = (np.zeros_like(z), np.empty_like(z))  # ratios above order K - 1
+    r, den, t = spare[0], np.empty_like(z), np.zeros_like(z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(K + 8 + K % 2, 0, -1):  # an even start sums whole pairs
+            np.multiply(z, r, out=den)
+            np.subtract(2.0 * k, den, out=den)
+            prev, r = r, (J[k] if k < K else spare[k % 2])
+            np.divide(z, den, out=r)
+            if k % 2:
+                t += 1.0
+                t *= r
+                t *= prev
+    J[0] = 1.0 / (1.0 + 2.0 * t)
+    for k in range(1, K):  # np.cumprod along axis 0 took ten times as long
+        J[k] *= J[k - 1]
+    bad = ~np.isfinite(t) & np.isfinite(z)
+    if bad.any():
+        J[:, bad] = _bessel_stack(np.nextafter(z[bad], np.inf), K)
+    return J
+
+
+def _kernel_terms(zmax: np.ndarray) -> np.ndarray:
+    """Jacobi-Anger terms for arguments |z| <= zmax, one count per entry of zmax.
+
+    Each count K is one more than the first order k > zmax with
+    |J_k(zmax)| < _KERNEL_TAIL. Past its turning point J_k(z) grows with
+    |z|, so the bound holds at every |z| <= zmax. The search starts at
+    order ceil(max zmax) + 24 and doubles; QuadratureUnderResolved past
+    _KERNEL_MAX_TERMS terms.
+    """
+    zmax = np.asarray(zmax, float)
+    n = math.ceil(np.max(zmax)) + 24
+    while True:
+        n = min(n, _KERNEL_MAX_TERMS)
+        j = np.abs(_bessel_stack(zmax, n))
+        settled = (j < _KERNEL_TAIL) & (np.arange(n)[:, None] > zmax)
+        if settled.any(axis=0).all():
+            return settled.argmax(axis=0) + 1
+        if n == _KERNEL_MAX_TERMS:
+            raise QuadratureUnderResolved(
+                f"Jacobi-Anger expansion at |c B| = {np.max(zmax):g} did not settle below "
+                f"{_KERNEL_TAIL:g} with {n} terms (last |J_{n - 1}| = {np.max(j[-1]):.2e})")
+        n *= 2
+
+
+def _busemann_kernel(B: np.ndarray, lams: np.ndarray):
+    """The Busemann kernel e^{(i lam + rho) B} of every lambda, as lambda-free rows.
+
+    With lam = mid + c x on [min lams, max lams], x in [-1, 1], the
+    Jacobi-Anger expansion (DLMF 10.12.1-3) gives
+    e^{(i lam + rho) B} = sum_k T_k(x) s_k J_k(c B) e^{(i mid + rho) B},
+    s_k = eps_k i^k with eps_0 = 1 and eps_k = 2. Returns (T, s, blocks):
+    T[i, k] = T_k(x_i), of shape (len(lams), K), s of shape (K,), and an
+    iterator over blocks of rows of B yielding (rows, W) with
+    W[k] = J_k(c B[rows]) e^{(i mid + rho) B[rows]}, so the kernel of
+    lams[i] is sum_k T[i, k] s_k W[k]. A block holds about _BLOCK_POINTS
+    grid points and takes as many terms as its own max|c B| needs
+    (_kernel_terms); K is the most any block takes. The counts follow
+    c max|B|, not the number of lambdas.
     """
     lams = np.asarray(lams, float)
-    h = _lambda_step(lams)
-    s = math.isqrt(max(len(lams), 1) - 1) + 1
-    G = np.exp(np.multiply.outer(sign * 1j * lams[::s] + RHO, B))
-    S = np.exp(np.multiply.outer(sign * 1j * h * np.arange(s), B))
-    return G, S
+    lo, hi = (lams.min(), lams.max()) if lams.size else (0.0, 0.0)
+    mid, c = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    starts = np.arange(0, len(B), max(1, _BLOCK_POINTS // B.shape[-1]))
+    # where |z| rounds to 1, B is not finite and its kernel values are NaN
+    row_max = np.max(np.abs(B), axis=1, where=np.isfinite(B), initial=0.0)
+    terms = _kernel_terms(c * np.maximum.reduceat(row_max, starts))
+    k = np.arange(np.max(terms))
+    s = np.where(k, 2.0, 1.0) * np.array([1, 1j, -1, -1j])[k % 4]
+    T = chebvander((lams - mid) / c if c else np.zeros_like(lams), len(k) - 1)
+
+    def blocks():
+        for a, b, n in zip(starts, [*starts[1:], len(B)], terms):
+            Bb = B[a:b]
+            yield slice(a, b), _bessel_stack(c * Bb, n) * np.exp((1j * mid + RHO) * Bb)
+
+    return T, s, blocks()
 
 
-def _wave_kernel_ffts(grid: GridSpec, lams: np.ndarray):
-    """Per lambda, the FFT over the angle index of e_{lambda,1} on the grid.
+def _real_matmul(T: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """T @ X for a real T and a C-contiguous complex X, in einsum's own loop.
 
-    The Busemann bracket of the node at angle index l toward the boundary
-    node at index m depends only on l - m, so ``inverse`` is a circular
-    convolution with this kernel over the angle index. ``forward`` is the
-    circular correlation with e_{-lambda,1} = conj(e_{lambda,1}), whose
-    FFT is the conjugate of this one.
+    As an OpenBLAS product with two threads, the (161 x 45) @ (45 x 512)
+    shape of ``forward`` took a median of 14-15 ms right after other work,
+    against 0.3 ms with one thread and 1.5 ms here.
     """
-    G, S = _busemann_exponentials(busemann_array(grid.z, 0.0), lams, 1)
-    s = len(S)
-    for k in range(len(lams)):
-        yield np.fft.fft(G[k // s] * S[k % s], axis=1)
+    return np.einsum("ik,kl->il", T, X.view(float)).view(complex)
 
 
 def _check_support(f: SampledField) -> None:
@@ -230,21 +305,27 @@ def forward(f: SampledField, lambda_max: float = LAMBDA_MAX,
     _check_support(f)
     grid = f.grid
     lams = np.arange(0.0, lambda_max + lambda_step / 2.0, lambda_step)
-    A = np.fft.fft(f.values * grid.row_weights[:, None], axis=1)
-    out = np.empty((len(lams), grid.n_theta), complex)
-    for i, K in enumerate(_wave_kernel_ffts(grid, lams)):
-        out[i] = np.sum(A * np.conj(K), axis=0)
+    conj_a = np.conj(np.fft.fft(f.values * grid.row_weights[:, None], axis=1))
+    T, s, blocks = _busemann_kernel(busemann_array(grid.z, 0.0), lams)
+    # row k of P: the sum over radii of conj(A) times the FFT of kernel row k;
+    # forward correlates with e_{-lambda,1} = conj(e_{lambda,1}), so out = conj(T s P)
+    P = np.zeros((len(s), grid.n_theta), complex)
+    for rows, W in blocks:
+        P[:len(W)] += np.einsum("jl,kjl->kl", conj_a[rows], np.fft.fft(W, axis=-1))
+    out = np.conj(_real_matmul(T, s[:, None] * P))
     return SpectralField(lams, grid.angles, np.fft.ifft(out, axis=1), grid)
 
 
 def forward_at(f: SampledField, lams: np.ndarray, b: BoundaryPoint) -> np.ndarray:
     """Transform values at equally spaced lambda nodes for one boundary direction."""
     _check_support(f)
-    B = busemann_array(f.grid.z, b.theta)
-    G, S = _busemann_exponentials(B, lams, -1)
-    G *= f.values * f.weights
-    # out[a s + b] = sum over the grid of G[a] * S[b]
-    return (G.reshape(len(G), B.size) @ S.reshape(len(S), B.size).T).ravel()[:len(lams)]
+    _lambda_step(lams)  # raises on a grid that is not equally spaced
+    conj_g = np.conj(f.values * f.weights)
+    T, s, blocks = _busemann_kernel(busemann_array(f.grid.z, b.theta), lams)
+    V = np.zeros(len(s), complex)
+    for rows, W in blocks:
+        V[:len(W)] += np.einsum("kjl,jl->k", W, conj_g[rows])
+    return np.conj(np.einsum("ik,k->i", T, s * V))
 
 
 def inverse(F: SpectralField, kappa: float | None = None) -> SampledField:
@@ -263,12 +344,14 @@ def inverse(F: SpectralField, kappa: float | None = None) -> SampledField:
     dens = plancherel_density(F.lambda_grid, kappa=kappa)
     wl = _lambda_weights(F.lambda_grid)
     db = 1.0 / grid.n_theta
-    # inverse is linear: sum the kernel products over lambda, then one IFFT
+    # inverse is linear: fold the lambda rows onto the K kernel rows,
+    # G = s T^T FF, sum the kernel products over those rows, then one IFFT
     FF = np.fft.fft(F.values, axis=1) * (dens * wl * db)[:, None]
-    acc = np.zeros((grid.n_r, grid.n_theta), complex)
-    for i, K in enumerate(_wave_kernel_ffts(grid, F.lambda_grid)):
-        K *= FF[i]
-        acc += K
+    T, s, blocks = _busemann_kernel(busemann_array(grid.z, 0.0), F.lambda_grid)
+    G = s[:, None] * _real_matmul(T.T, FF)
+    acc = np.empty((grid.n_r, grid.n_theta), complex)
+    for rows, W in blocks:
+        acc[rows] = np.einsum("kjl,kl->jl", np.fft.fft(W, axis=-1), G[:len(W)])
     return SampledField(grid, np.fft.ifft(acc, axis=1))
 
 

@@ -131,6 +131,15 @@ def test_non_finite_field_exits_1_and_writes_nothing(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_transform_where_z_rounds_to_1_exits_1(tmp_path):
+    # the outer rows' Busemann values are not finite; the kernel expansion
+    # sizes its terms on the finite ones and the field comes out non-finite
+    res = run("transform", "--radius", "40", "--grid", "400x64", "--out", str(tmp_path / "t.csv"))
+    assert res.returncode == 1
+    assert "non-finite" in res.stderr and "Traceback" not in res.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 EDGE_VALUES = [0.0, -0.0, 1e-300, 5e-324, 1e300, 1 / 3, 123456789012345.0]
 WAVE_FOOTER = {"command": "wave", "lambda": 2.0, "b0": 0.0, "grid": "200x256",
                "radius": 4.0, "quadrature_error_estimate": 0.0}

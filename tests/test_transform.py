@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import jn_zeros, jv
 
 import oracles
 from conftest import disk_distance, mobius_to
-from horowave import moire
+from horowave import moire, transform
 from horowave.errors import (
     NotRadial,
     QuadratureUnderResolved,
@@ -96,13 +97,19 @@ def _rel_max(got: np.ndarray, ref: np.ndarray) -> float:
     return float(np.max(np.abs(got - ref)) / scale) if scale else float(np.max(np.abs(got)))
 
 
-@pytest.mark.parametrize("shape", [(120, 192), (160, 256), (200, 256)])
+@pytest.mark.parametrize("shape", [(120, 192, 4.0), (160, 256, 4.0), (200, 256, 4.0),
+                                   (240, 512, 6.0)])
 def test_transform_matches_direct_exponentials(shape):
-    """Giant/baby-step kernels against one np.exp per lambda, n_lambda in {1, 2, 3, 161, 321}."""
-    grid = GridSpec(*shape, 4.0)
+    """Jacobi-Anger kernel rows against one np.exp per lambda.
+
+    n_lambda in {1, 2, 3, 161, 321, 641}; at R = 6 forward's max|c B| is 24
+    and forward_at's 48.
+    """
+    grid = GridSpec(*shape)
     f = SampledField.from_function(BUMPS["offcenter"], grid)
     rng = np.random.default_rng(7)
-    for lambda_max, step in ((0.0, 0.05), (0.05, 0.05), (0.1, 0.05), (8.0, 0.05), (8.0, 0.025)):
+    for lambda_max, step in ((0.0, 0.05), (0.05, 0.05), (0.1, 0.05), (8.0, 0.05), (8.0, 0.025),
+                             (8.0, 0.0125)):
         F = forward(f, lambda_max, step)
         assert _rel_max(F.values, oracles.direct_forward(f, F.lambda_grid)) < 1e-13
         if len(F.lambda_grid) > 3:
@@ -118,6 +125,41 @@ def test_transform_matches_direct_exponentials(shape):
     for n in (1, 2, 3, 161, 321):
         got = forward_at(f, lemma_lams[:n], BoundaryPoint(0.7))
         assert np.max(np.abs(got - ref[:n])) < 1e-13 * np.max(np.abs(ref))
+
+
+def test_bessel_stack_matches_scipy():
+    z = np.concatenate([np.linspace(-40.0, 40.0, 4001), [0.0, 1e-300, -1e-300, 1e-8, -1e-8],
+                        jn_zeros(0, 3), -jn_zeros(0, 3), jn_zeros(1, 3), -jn_zeros(1, 3)])
+    K = int(transform._kernel_terms(np.array([40.0]))[0])
+    got = transform._bessel_stack(z, K)
+    assert got.shape == (K, len(z))
+    assert np.max(np.abs(got - jv(np.arange(K)[:, None], z))) <= 2e-15
+    # at this z (near the second zero of J_3) the ratio recurrence's
+    # denominator 2k - z r_{k+1} rounds to exactly 0 at k = 4 with 35 orders
+    z0 = np.array([9.76102312998167])
+    got = transform._bessel_stack(z0, 35)
+    assert np.max(np.abs(got - jv(np.arange(35)[:, None], z0))) <= 2e-15
+
+
+def test_kernel_terms_past_the_cap_raise(monkeypatch):
+    f = SampledField.from_function(BUMPS["offcenter"])
+    monkeypatch.setattr(transform, "_KERNEL_MAX_TERMS", 32)  # max|c B| = 16 needs about 45
+    with pytest.raises(QuadratureUnderResolved):
+        forward(f)
+    with pytest.raises(QuadratureUnderResolved):
+        forward_at(f, np.arange(-8.0, 8.025, 0.05), BoundaryPoint(0.7))
+
+
+def test_kernel_term_count_does_not_depend_on_lambda_step(monkeypatch):
+    counts = []
+    terms = transform._kernel_terms
+    monkeypatch.setattr(transform, "_kernel_terms", lambda z: counts.append(terms(z)) or counts[-1])
+    f = SampledField.from_function(BUMPS["offcenter"])
+    for step in (0.0125, 0.025, 0.05):
+        forward(f, lambda_step=step)
+    assert len(counts) == 3
+    for c in counts[1:]:
+        np.testing.assert_array_equal(c, counts[0])
 
 
 def test_linearity(plancherel_kappa):
