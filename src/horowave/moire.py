@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from functools import cache
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
@@ -34,7 +34,6 @@ from .errors import QuadratureUnderResolved
 from .geometry import (
     BoundaryPoint,
     DiskPoint,
-    Horocycle,
     act,
     busemann,
     busemann_array,
@@ -44,7 +43,7 @@ from .geometry import (
     nilpotent_flow,
 )
 from .tapers import TaperSpec
-from .transform import DEFAULT_GRID, GridSpec, SampledField, horocycle_integral
+from .transform import DEFAULT_GRID, GridSpec, SampledField
 from .waves import (
     RHO,
     _trapezoid_halving,
@@ -59,7 +58,6 @@ __all__ = [
     "MoireReport",
     "DEFAULT_TAPER",
     "kappa_h",
-    "set_kappa_h",
     "moire_integral",
     "moire_weak",
     "convergence_study",
@@ -118,31 +116,18 @@ class MoireReport:
 
 # --- the single fitted measure constant ----------------------------------
 
-_kappa_h: Optional[float] = None
-
-
+@cache
 def kappa_h() -> float:
-    """The frozen horocycle-measure normalization (empirically ~ pi)."""
-    global _kappa_h
-    if _kappa_h is None:
-        _kappa_h = _fit_kappa_h()
-    return _kappa_h
+    """The horocycle-measure normalization (empirically ~ pi), fitted on first use.
 
-
-def set_kappa_h(value: float) -> None:
-    global _kappa_h
-    if _kappa_h is not None:
-        raise RuntimeError("kappa_h is already frozen")
-    _kappa_h = float(value)
-
-
-def _fit_kappa_h() -> float:
-    # The fit taper is much wider than any acceptance run: the windowed
-    # taper residual decays like a Gaussian in log(width), and width 48
-    # leaves the constant accurate to ~3e-4 (empirically kappa_h ~ pi).
-    window = LambdaWindow(1.5)
-    lhs, rhs = _weak_pair(window, BoundaryPoint(0.0), DiskPoint(0j),
-                          TaperSpec("gaussian", 48.0), kappa_h_value=1.0)
+    The fit taper is much wider than any acceptance run. The fitted value
+    moves with the taper width (relative to pi: -8.4e-3 at width 12,
+    -2.45e-3 at 24, +3.15e-4 at 48) and then levels off near +1.5e-4
+    (+1.61e-4 at 96, +1.42e-4 at 192), so a wider taper does not make it
+    exact.
+    """
+    lhs, rhs = _weak_pair(LambdaWindow(1.5), BoundaryPoint(0.0), DiskPoint(0j),
+                          TaperSpec("gaussian", 48.0))
     return float((rhs / lhs).real)
 
 
@@ -173,53 +158,57 @@ def moire_integral(lam: float, b0: BoundaryPoint, x: DiskPoint,
     integral. The target is the Helgason wave at x; agreement is expected
     only up to the taper's oscillation band (see ``convergence_study``).
     """
-    xz = np.asarray(_center_under(b0, x).z)
-
-    def fn(y: np.ndarray) -> np.ndarray:
-        return spherical_radial(lam, distance_array(y, xz))
-
-    line = horocycle_integral(fn, Horocycle(b0, 0.0), taper, tol=1e-8)
+    line = _line_integrals_multi([lam], b0, _center_under(b0, x), taper,
+                                 tol=1e-8, n_start=512, max_halvings=12)[0]
     approx = complex(kappa_h() * plancherel_density(lam) * line)
     target = helgason_wave(lam, b0, x)
     return MoireReport(lam, b0, x, approx, target, abs(approx - target), taper)
 
 
-def _line_integrals_multi(lams: np.ndarray, b0: BoundaryPoint, x: DiskPoint,
+def _line_integrals_multi(lams, b0: BoundaryPoint, x: DiskPoint,
                           taper: TaperSpec, tol: float = 1e-7,
                           n_start: int = 2048, max_halvings: int = 8) -> np.ndarray:
-    """Tapered horocycle integrals of phi_lambda for many lambda at once.
+    """Tapered integrals of phi_lambda(d(y(s), x)) along ``xi(b0, 0)`` for a list of lambda.
 
-    Shared-grid trapezoid refined by interval halving; each refinement
-    reuses the previous sum and only evaluates the new midpoints.
+    Shared-grid trapezoid from n_start intervals refined by interval
+    halving; each refinement reuses the previous sum and only evaluates
+    the new midpoints. phi is read from one Chebyshev table per call
+    (``_phi_table``) on [0, D], D the larger of the endpoint distances
+    d(y(+-S), x): in half-plane coordinates with b0 at infinity and
+    (beta, a) the horocycle coordinates of x,
+    cosh d(y(s), x) = 1 + ((s - a)^2 + (1 - e^beta)^2) / (2 e^beta) grows
+    with |s - a|, so D bounds the distance at every node.
 
-    Unlike ``moire_integral``, the taper is deliberately NOT recentered
-    under x: runs at different points of the same horocycle then probe
-    genuinely different tapered quadratures that must all converge to the
-    same windowed target.
+    The taper is centered at s = 0, not under x: ``moire_weak`` runs at
+    different points of the same horocycle then probe genuinely different
+    tapered quadratures that must all converge to the same windowed target.
     """
     S = taper.support_radius
     xz = np.asarray(x.z)
 
+    def dist(s: np.ndarray) -> np.ndarray:
+        return distance_array(horocycle_points_array(b0.theta, 0.0, s), xz)
+
+    dmax = float(np.max(dist(np.array([-S, S]))))
+    coef = _phi_table(lams, dmax)
+
     def values(s: np.ndarray) -> np.ndarray:
-        y = horocycle_points_array(b0.theta, 0.0, s)
-        d = distance_array(y, xz)
-        return taper(s)[None, :] * spherical_radial_profile(lams, d)
+        u = dist(s) / dmax
+        return taper(s)[None, :] * chebval(2.0 * u * u - 1.0, coef)
 
     return _trapezoid_halving(values, -S, S, n_start, tol, max_halvings,
                               "horocycle line integrals")
 
 
 def _weak_pair(window: LambdaWindow, b0: BoundaryPoint, x: DiskPoint,
-               taper: TaperSpec, kappa_h_value: Optional[float] = None,
-               n_lambda: int = 81) -> tuple[complex, complex]:
-    lams = np.linspace(window.lo, window.hi, n_lambda)
+               taper: TaperSpec) -> tuple[complex, complex]:
+    """Window averages of the tapered superposition without kappa_H, and of the wave."""
+    lams = np.linspace(window.lo, window.hi, 81)
     chi = window(lams)
     if not np.any(chi):
         return 0j, 0j
-    if kappa_h_value is None:
-        kappa_h_value = kappa_h()
     line = _line_integrals_multi(lams, b0, x, taper)
-    lhs = np.trapezoid(chi * kappa_h_value * plancherel_density(lams) * line, lams)
+    lhs = np.trapezoid(chi * plancherel_density(lams) * line, lams)
     beta = busemann(x, b0)
     rhs = np.trapezoid(chi * np.exp((1j * lams + RHO) * beta), lams)
     return complex(lhs), complex(rhs)
@@ -232,7 +221,9 @@ def moire_weak(window: LambdaWindow, b0: BoundaryPoint, x: DiskPoint,
     The smoothing in lambda kills the taper's non-decaying oscillatory
     residual, so lhs approaches rhs as the taper widens.
     """
-    return _weak_pair(window, b0, x, taper)
+    lhs, rhs = _weak_pair(window, b0, x, taper)
+    # a zero window gives lhs = 0 and needs no kappa_H fit
+    return (kappa_h() * lhs if lhs else lhs), rhs
 
 
 def convergence_study(lam: float, b0: BoundaryPoint, x: DiskPoint,
@@ -272,7 +263,7 @@ def moire_sum_discrete(lam: float, b0: BoundaryPoint, n: int, spacing: float,
     s_i = spacing * (np.arange(1, n + 1) - (n + 1) / 2.0)
     centers = horocycle_points_array(b0.theta, 0.0, s_i)
     dmax = grid.R + float(np.max(distance_array(centers, np.asarray(0j))))
-    coef = _phi_table(lam, dmax)
+    coef = _phi_table([lam], dmax)[:, 0]
     z = grid.z
     acc = np.zeros(z.shape)
     for c in centers:
@@ -285,8 +276,12 @@ _PHI_TABLE_MAX_NODES = 4096
 _PHI_TABLE_TAIL = 1e-14
 
 
-def _phi_table(lam: float, dmax: float) -> np.ndarray:
+def _phi_table(lams, dmax: float) -> np.ndarray:
     """Chebyshev coefficients of u -> phi_lambda(d) on [-1, 1], u = 2 (d/dmax)^2 - 1.
+
+    One column per lambda of the 1-D list lams: the result has shape
+    (K, len(lams)), so ``chebval(u, coef)`` evaluates every lambda at once
+    and returns shape (len(lams),) + u.shape.
 
     phi_lambda is even in d, so the table interpolates its even extension
     x -> phi_lambda(dmax * |x|): d = 0 then sits mid-interval instead of at
@@ -296,20 +291,21 @@ def _phi_table(lam: float, dmax: float) -> np.ndarray:
     the length, so each Clenshaw sum takes half the steps. The coefficients
     are the DCT of the values at first-kind Chebyshev points; the node
     count doubles from 32 until the top quarter of the extension's
-    coefficients is below 1e-14.
+    coefficients is below 1e-14 for every lambda.
     """
     n = 32
     while n <= _PHI_TABLE_MAX_NODES:
         x = np.cos(np.pi * (np.arange(n) + 0.5) / n)
-        coef = dct(spherical_radial_profile([lam], dmax * np.abs(x))[0], type=2) / n
+        coef = dct(spherical_radial_profile(lams, dmax * np.abs(x)), type=2).T / n
         coef[0] *= 0.5
         tail = float(np.max(np.abs(coef[-n // 4:])))
         if tail < _PHI_TABLE_TAIL:
             return coef[::2]
         n *= 2
     raise QuadratureUnderResolved(
-        f"Chebyshev table of phi_{lam:g} on [0, {dmax:g}] did not settle below "
-        f"{_PHI_TABLE_TAIL:g} with {_PHI_TABLE_MAX_NODES} nodes (last tail {tail:.2e})")
+        f"Chebyshev table of phi_lambda, |lambda| <= {np.max(np.abs(lams)):g}, on "
+        f"[0, {dmax:g}] did not settle below {_PHI_TABLE_TAIL:g} with "
+        f"{_PHI_TABLE_MAX_NODES} nodes (last tail {tail:.2e})")
 
 
 def phase_correlation(field: SampledField, lam: float, b0: BoundaryPoint,
@@ -338,19 +334,17 @@ def reduction_paths(lam: float, b0: BoundaryPoint, x: DiskPoint,
     """Both sides of the change-of-variables reduction, independently.
 
     Path A integrates phi_lambda(d(., x)) over the zero horocycle with the
-    given taper. Path B moves the integral to the horocycle through x:
-    with (beta, u0) the horocycle coordinates of x,
+    given taper, reading phi from the Chebyshev table. Path B moves the
+    integral to the horocycle through x: with (beta, u0) the horocycle
+    coordinates of x,
 
         A = e^beta * int theta(e^beta (t + u0)) phi_lambda(d(0, y_beta(t))) dt,
 
-    which path B evaluates on its own quadrature grid.
+    which path B evaluates on its own quadrature grid with the radial
+    kernel at every node, so the two paths reach phi independently.
     """
-    xz = np.asarray(x.z)
-
-    def fn_a(y: np.ndarray) -> np.ndarray:
-        return spherical_radial(lam, distance_array(y, xz))
-
-    a = horocycle_integral(fn_a, Horocycle(b0, 0.0), taper, tol=tol)
+    a = _line_integrals_multi([lam], b0, x, taper, tol=tol, n_start=512,
+                              max_halvings=12)[0]
 
     beta, u0 = horocycle_coordinates(x, b0)
     eb = math.exp(beta)
@@ -362,4 +356,4 @@ def reduction_paths(lam: float, b0: BoundaryPoint, x: DiskPoint,
         return eb * taper(eb * (t + u0)) * spherical_radial(lam, d)
 
     b = _trapezoid_halving(fn_b, -u0 - half, -u0 + half, 512, tol, 12, "reduction path B")
-    return a, complex(b)
+    return complex(a), complex(b)

@@ -40,15 +40,11 @@ RHO = 0.5
 
 
 class SpectralConvention:
-    """Fixed constants of the build plus the one calibrated scalar.
+    """The Plancherel constant kappa, fitted on first use by the registered calibrator.
 
-    ``plancherel_kappa`` is set once by the transform round-trip
-    calibration and is immutable afterwards (initialize-then-freeze).
+    ``transform`` registers the round-trip calibration at import; the
+    fitted value is then kept for the life of the process.
     """
-
-    rho: float = RHO
-    curvature: float = -1.0
-    weyl_order: int = 2
 
     def __init__(self):
         self._kappa: Optional[float] = None
@@ -64,15 +60,6 @@ class SpectralConvention:
                 raise RuntimeError("plancherel_kappa not calibrated yet")
             self._kappa = float(self._calibrator())
         return self._kappa
-
-    def set_plancherel_kappa(self, value: float) -> None:
-        if self._kappa is not None:
-            raise RuntimeError("plancherel_kappa is already frozen")
-        self._kappa = float(value)
-
-    @property
-    def is_calibrated(self) -> bool:
-        return self._kappa is not None
 
 
 CONVENTION = SpectralConvention()

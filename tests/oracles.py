@@ -10,8 +10,8 @@ from scipy.integrate import quad
 from scipy.special import j0
 
 from horowave.euclid import bessel_wave_array
-from horowave.geometry import busemann_array, distance_array
-from horowave.waves import spherical_radial_profile
+from horowave.geometry import busemann_array, distance_array, horocycle_points_array
+from horowave.waves import _trapezoid_halving, spherical_radial_profile
 
 
 def legendre_spherical(lam: float, d: float) -> float:
@@ -76,6 +76,25 @@ def kernel_moire_sum(lam: float, z: np.ndarray, centers: np.ndarray) -> np.ndarr
     for c in np.asarray(centers, complex).ravel():
         acc += spherical_radial_profile([lam], distance_array(z, np.asarray(c)))[0]
     return acc / len(centers)
+
+
+def line_integrals_per_node(lams, b0, x, taper, tol: float = 1e-7,
+                            n_start: int = 2048, max_halvings: int = 8) -> np.ndarray:
+    """Tapered integrals of phi_lambda(d(y(s), x)) along the zero horocycle of b0.
+
+    The same halving trapezoid as ``moire._line_integrals_multi``, but with
+    the radial kernel called at every node of every level instead of a
+    Chebyshev table of phi.
+    """
+    S = taper.support_radius
+    xz = np.asarray(x.z)
+
+    def values(s):
+        d = distance_array(horocycle_points_array(b0.theta, 0.0, s), xz)
+        return taper(s)[None, :] * spherical_radial_profile(lams, d)
+
+    return _trapezoid_halving(values, -S, S, n_start, tol, max_halvings,
+                              "per-node horocycle line integrals")
 
 
 def line_moire_loop(lam: float, n: int, spacing: float, q: np.ndarray,

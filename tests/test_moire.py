@@ -13,8 +13,11 @@ from horowave.geometry import (
     horocycle_point,
     horocycle_points_array,
 )
+from horowave import moire
+from horowave.errors import QuadratureUnderResolved
 from horowave.moire import (
     LambdaWindow,
+    _line_integrals_multi,
     _phi_table,
     convergence_study,
     moire_integral,
@@ -25,7 +28,7 @@ from horowave.moire import (
 )
 from horowave.tapers import TaperSpec
 from horowave.transform import GridSpec
-from horowave.waves import helgason_wave, spherical_radial
+from horowave.waves import helgason_wave, spherical_radial, spherical_radial_profile
 
 B0 = BoundaryPoint(0.0)
 X0 = DiskPoint(0j)
@@ -170,13 +173,35 @@ def test_moire_sum_matches_kernel_sum_far_out(lam):
     assert np.max(np.abs(got - oracles.kernel_moire_sum(lam, z, centers))) < 1e-12
 
 
-@pytest.mark.parametrize("lam, dmax", [(0.5, 3.0), (2.0, 4.3), (4.0, 12.0)])
+@pytest.mark.parametrize("lam, dmax", [(0.5, 3.0), (2.0, 4.3), (4.0, 12.0),
+                                       ((0.0, 0.7, 2.2, 4.0), 9.5)])
 def test_phi_table_in_even_variable_matches_radial_kernel(lam, dmax):
-    coef = _phi_table(lam, dmax)
+    lams = np.atleast_1d(lam)
+    coef = _phi_table(lams, dmax)
+    assert coef.shape[1] == len(lams)
     d = np.concatenate([[0.0, dmax], np.random.default_rng(5).uniform(0.0, dmax, 200)])
     got = chebval(2.0 * (d / dmax) ** 2 - 1.0, coef)
-    assert np.max(np.abs(got - spherical_radial(lam, d))) < 1e-13
-    assert abs(got[0] - 1.0) < 1e-14
+    assert np.max(np.abs(got - spherical_radial_profile(lams, d))) < 1e-13
+    assert np.max(np.abs(got[:, 0] - 1.0)) < 1e-14
+
+
+def test_phi_table_that_does_not_settle_raises(monkeypatch):
+    monkeypatch.setattr(moire, "_PHI_TABLE_MAX_NODES", 32)
+    with pytest.raises(QuadratureUnderResolved):
+        moire_sum_discrete(2.0, B0, 5, 0.35, SMALL_GRID)
+    with pytest.raises(QuadratureUnderResolved):
+        moire_weak(LambdaWindow(2.2), B0, X0, TaperSpec("gaussian", 4.0))
+
+
+@pytest.mark.parametrize("width", [4.0, 12.0, 48.0])
+def test_line_integrals_match_per_node_kernel(width):
+    lams = np.linspace(0.5, 4.0, 81)
+    taper = TaperSpec("gaussian", width)
+    for arc in (0.0, 1.2, -2.5):
+        x = horocycle_point(ZERO_HOROCYCLE, arc)
+        got = _line_integrals_multi(lams, B0, x, taper)
+        expect = oracles.line_integrals_per_node(lams, B0, x, taper)
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
 def test_moire_sum_mirror_symmetry():

@@ -9,7 +9,6 @@ from horowave import waves
 from horowave.errors import QuadratureUnderResolved, SpectralSingularity
 from horowave.geometry import BoundaryPoint, DiskPoint
 from horowave.waves import (
-    CONVENTION,
     harish_chandra_c,
     helgason_wave,
     plancherel_density,
@@ -203,9 +202,3 @@ def test_plancherel_density_shape(plancherel_kappa):
 
 def test_kappa_calibrates_to_inverse_two_pi(plancherel_kappa):
     assert plancherel_kappa == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-3)
-
-
-def test_kappa_frozen_after_calibration(plancherel_kappa):
-    assert CONVENTION.is_calibrated
-    with pytest.raises(RuntimeError):
-        CONVENTION.set_plancherel_kappa(1.0)
