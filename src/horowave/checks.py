@@ -31,6 +31,7 @@ from .transform import (
     SampledField,
     coarea_profile,
     forward,
+    gaussian_bump,
     horocycle_integral,
     inverse,
     lemma_check,
@@ -155,7 +156,7 @@ def _mobius_to(z: np.ndarray, w: complex) -> np.ndarray:
 
 
 _BUMPS = {
-    "radial": lambda z: np.exp(-1.25 * _disk_d(z) ** 2),
+    "radial": gaussian_bump(1.25),
     "offcenter": lambda z: np.exp(-1.7 * _disk_d(_mobius_to(z, 0.25)) ** 2),
     "two-lobe": lambda z: (np.exp(-1.5 * _disk_d(_mobius_to(z, 0.2j)) ** 2)
                            + 0.5 * np.exp(-2.0 * _disk_d(_mobius_to(z, -0.15)) ** 2)),
@@ -164,7 +165,7 @@ _BUMPS = {
 _LEMMA_FUNCS = {
     "radial": _BUMPS["radial"],
     "offcenter": _BUMPS["offcenter"],
-    "oscillating": lambda z: np.exp(-1.25 * _disk_d(z) ** 2) * np.cos(3.0 * _disk_d(z)),
+    "oscillating": lambda z: _BUMPS["radial"](z) * np.cos(3.0 * _disk_d(z)),
 }
 
 
@@ -181,7 +182,7 @@ def suite_hft(kappa_scale: float = 1.0) -> list[CheckResult]:
 
     lams = np.arange(0.0, 8.0001, 0.05)
     for a in (1.25, 1.7, 2.2):
-        f = SampledField.from_function(lambda z: np.exp(-a * _disk_d(z) ** 2))
+        f = SampledField.from_function(gaussian_bump(a))
         ft = spherical_transform(f, lams)
         ratio = plancherel_spectral(ft, lams, kappa=kappa) / f.norm2()
         out.append(_check(f"Plancherel isometry (width {a})", abs(ratio - 1.0), 2e-2))

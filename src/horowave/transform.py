@@ -60,6 +60,11 @@ LAMBDA_STEP = 0.05
 FieldFunction = Callable[[np.ndarray], np.ndarray]  # complex z array -> complex values
 
 
+def gaussian_bump(width: float) -> FieldFunction:
+    """The radial Gaussian z -> exp(-width d(0, z)^2), d(0, z) = 2 artanh|z|."""
+    return lambda z: np.exp(-width * (2.0 * np.arctanh(np.abs(z))) ** 2)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Polar sampling of the disk: n_r geodesic radii up to R, n_theta angles."""
@@ -445,8 +450,7 @@ def calibrate_plancherel_kappa(grid: GridSpec = DEFAULT_GRID) -> float:
     enough to clear the support check at the default R. kappa is the
     scalar minimizing ||kappa * inverse(forward(f0), 1) - f0||_{L2}.
     """
-    f0 = SampledField.from_function(
-        lambda z: np.exp(-1.25 * (2.0 * np.arctanh(np.abs(z))) ** 2), grid)
+    f0 = SampledField.from_function(gaussian_bump(1.25), grid)
     g1 = inverse(forward(f0), kappa=1.0)
     w = f0.weights
     num = float(np.sum(w * np.conj(g1.values) * f0.values).real)

@@ -5,8 +5,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from horowave.cli import _field_csv
 
 CLI = [sys.executable, "-m", "horowave.cli"]
 
@@ -146,7 +149,6 @@ WAVE_FOOTER = {"command": "wave", "lambda": 2.0, "b0": 0.0, "grid": "200x256",
 
 
 def test_field_writer_matches_per_row_writer_on_wave_preset():
-    from horowave.cli import _field_csv
     from horowave.transform import DEFAULT_GRID
     from horowave.waves import helgason_wave_array
     z = DEFAULT_GRID.z
@@ -156,7 +158,6 @@ def test_field_writer_matches_per_row_writer_on_wave_preset():
 
 
 def test_field_writer_matches_per_row_writer_on_edge_values():
-    from horowave.cli import _field_csv
     v = np.array(EDGE_VALUES + [-x for x in EDGE_VALUES])
     xy = (v + 1j * v[::-1]).reshape(2, -1)
     for values in (np.roll(v, 3) - 1j * np.roll(v, 5), np.roll(v, 1)):  # complex, real
@@ -164,6 +165,56 @@ def test_field_writer_matches_per_row_writer_on_edge_values():
         got = _field_csv(xy, values, WAVE_FOOTER)
         assert got == oracles.field_csv_rows(xy, values, WAVE_FOOTER)
         assert got.endswith(b"\n# quadrature_error_estimate=0.0\n")
+
+
+# ties at 13 digits: exact ones (%.12g rounds them half to even), and
+# decimal ones whose double lies within an ulp of the tie, on either side;
+# then values that round up to the next decade, and the decades themselves
+TIE_AND_CARRY_VALUES = [0.1234567890105, 123.4567890135, 1234567890125.0, 1234567890135.0,
+                        1.234567890125e-06, 0.001234567890145, 12345678.03125,
+                        9.99999999999950e-5, 1e-4, 99999999999.95, 999999999999.5, 1e11,
+                        1e12, 1e16, 5e-324, 9999999999.995, 1e10, 1e-100,
+                        9.99999999999995e-100]
+
+
+@pytest.mark.parametrize("rows", [1, 4095, 4096, 4097])  # a partial or whole last block
+def test_field_writer_matches_per_row_writer_on_ties_and_carries(rows):
+    rng = np.random.default_rng(rows)
+    edges = np.array(TIE_AND_CARRY_VALUES + [-x for x in TIE_AND_CARRY_VALUES])
+    v = rng.choice(edges, 4 * rows) * np.where(rng.random(4 * rows) < 0.5, 1.0,
+                                               10.0 ** rng.integers(-20, 20, 4 * rows))
+    v[:len(edges)] = edges[:4 * rows]
+    xy = v[0::4] + 1j * v[1::4]
+    for values in (v[2::4] + 1j * v[3::4], v[2::4]):  # complex, real
+        assert _field_csv(xy, values, WAVE_FOOTER) == \
+            oracles.field_csv_rows(xy, values, WAVE_FOOTER)
+
+
+# any finite double, and decimals with up to 14 digits, whose 13th digit
+# can make an exact tie
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.builds(lambda m, k: m * 10.0 ** k,
+                             st.integers(-10**14, 10**14), st.integers(-110, 20)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(FINITE, FINITE, FINITE, FINITE), min_size=1, max_size=40),
+       st.booleans())
+def test_field_writer_matches_per_row_writer_on_any_finite_values(rows, real):
+    cols = np.array(rows)
+    xy = cols[:, 0] + 1j * cols[:, 1]
+    values = cols[:, 2] if real else cols[:, 2] + 1j * cols[:, 3]
+    assert _field_csv(xy, values, WAVE_FOOTER) == \
+        oracles.field_csv_rows(xy, values, WAVE_FOOTER)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_field_writer_rejects_non_finite_values(bad):
+    xy = np.array([0.1 + 0.2j, 0.3 - 0.4j])
+    with pytest.raises(ValueError):
+        _field_csv(xy, np.array([1.0, complex(0.5, bad)]), WAVE_FOOTER)
+    with pytest.raises(ValueError):
+        _field_csv(np.array([0.1, bad]), np.ones(2), WAVE_FOOTER)
 
 
 def test_spherical_rows_are_one_radial_value(tmp_path):
