@@ -25,10 +25,12 @@ from .geometry import (
     horocycle_point,
     horocycle_through,
     iwasawa,
+    origin_distance,
 )
 from .tapers import TaperSpec
 from .transform import (
     SampledField,
+    calibrate_plancherel_kappa,
     coarea_profile,
     forward,
     gaussian_bump,
@@ -39,7 +41,7 @@ from .transform import (
     spherical_transform,
 )
 from .waves import (
-    CONVENTION,
+    PLANCHEREL_KAPPA,
     harish_chandra_c,
     helgason_wave_array,
     spherical,
@@ -147,31 +149,29 @@ def suite_waves() -> list[CheckResult]:
     return out
 
 
-def _disk_d(z: np.ndarray) -> np.ndarray:
-    return 2.0 * np.arctanh(np.abs(z))
-
-
 def _mobius_to(z: np.ndarray, w: complex) -> np.ndarray:
     return (z - w) / (1.0 - np.conj(w) * z)
 
 
 _BUMPS = {
     "radial": gaussian_bump(1.25),
-    "offcenter": lambda z: np.exp(-1.7 * _disk_d(_mobius_to(z, 0.25)) ** 2),
-    "two-lobe": lambda z: (np.exp(-1.5 * _disk_d(_mobius_to(z, 0.2j)) ** 2)
-                           + 0.5 * np.exp(-2.0 * _disk_d(_mobius_to(z, -0.15)) ** 2)),
+    "offcenter": lambda z: np.exp(-1.7 * origin_distance(_mobius_to(z, 0.25)) ** 2),
+    "two-lobe": lambda z: (np.exp(-1.5 * origin_distance(_mobius_to(z, 0.2j)) ** 2)
+                           + 0.5 * np.exp(-2.0 * origin_distance(_mobius_to(z, -0.15)) ** 2)),
 }
 
 _LEMMA_FUNCS = {
     "radial": _BUMPS["radial"],
     "offcenter": _BUMPS["offcenter"],
-    "oscillating": lambda z: _BUMPS["radial"](z) * np.cos(3.0 * _disk_d(z)),
+    "oscillating": lambda z: _BUMPS["radial"](z) * np.cos(3.0 * origin_distance(z)),
 }
 
 
 def suite_hft(kappa_scale: float = 1.0) -> list[CheckResult]:
     out = []
-    kappa = kappa_scale * CONVENTION.plancherel_kappa
+    kappa = kappa_scale * PLANCHEREL_KAPPA
+    out.append(_check("kappa fit equals 1/(2 pi)",
+                      abs(calibrate_plancherel_kappa() / PLANCHEREL_KAPPA - 1.0), 1e-6))
 
     for name, fn in _BUMPS.items():
         f = SampledField.from_function(fn)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import checks, euclid, moire
 from .errors import ConfigError, HorowaveError
-from .geometry import BoundaryPoint, DiskPoint, busemann_array, distance_array
+from .geometry import BoundaryPoint, DiskPoint
 from .tapers import TaperSpec
 from .transform import (
     DEFAULT_GRID,
@@ -33,7 +33,7 @@ from .transform import (
     inverse,
     lemma_check,
 )
-from .waves import CONVENTION, helgason_wave_array, spherical, spherical_radial
+from .waves import PLANCHEREL_KAPPA, helgason_wave_array, spherical, spherical_radial
 
 __all__ = ["main"]
 
@@ -373,7 +373,7 @@ def cmd_transform(args) -> int:
                     / f.norm2())
     footer = {"command": "transform", "bump_width": width,
               "grid": f"{grid.n_r}x{grid.n_theta}", "radius": grid.R,
-              "plancherel_kappa": f"{CONVENTION.plancherel_kappa:.12g}",
+              "plancherel_kappa": f"{PLANCHEREL_KAPPA:.12g}",
               "roundtrip_relative_l2_error": f"{err:.3e}",
               "quadrature_error_estimate": f"{err:.3e}"}
     _emit_field(args.out, grid.z, g.values, footer)

@@ -34,6 +34,7 @@ __all__ = [
     "nilpotent_flow",
     "busemann_array",
     "distance_array",
+    "origin_distance",
     "horocycle_points_array",
 ]
 
@@ -218,6 +219,11 @@ def distance_array(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     num = 2.0 * np.abs(z - w) ** 2
     den = (1.0 - np.abs(z) ** 2) * (1.0 - np.abs(w) ** 2)
     return np.arccosh(1.0 + num / den)
+
+
+def origin_distance(z: np.ndarray) -> np.ndarray:
+    """Hyperbolic distance d(0, z) = 2 artanh|z|, vectorized."""
+    return 2.0 * np.arctanh(np.abs(z))
 
 
 def horocycle_points_array(theta: float, beta: float, s: np.ndarray) -> np.ndarray:

@@ -41,6 +41,7 @@ from .geometry import (
     horocycle_coordinates,
     horocycle_points_array,
     nilpotent_flow,
+    origin_distance,
 )
 from .tapers import TaperSpec
 from .transform import DEFAULT_GRID, GridSpec, SampledField
@@ -121,10 +122,10 @@ def kappa_h() -> float:
     """The horocycle-measure normalization (empirically ~ pi), fitted on first use.
 
     The fit taper is much wider than any acceptance run. The fitted value
-    moves with the taper width (relative to pi: -8.4e-3 at width 12,
-    -2.45e-3 at 24, +3.15e-4 at 48) and then levels off near +1.5e-4
-    (+1.61e-4 at 96, +1.42e-4 at 192), so a wider taper does not make it
-    exact.
+    moves with the taper width (relative to pi: -8.48e-3 at width 12,
+    -2.53e-3 at 24, +2.37e-4 at 48) and then levels off near +6e-5
+    (+8.3e-5 at 96, +6.4e-5 at 192, +6.6e-5 at 384, +4.9e-5 at 768, not
+    monotone), so a wider taper does not make it exact.
     """
     lhs, rhs = _weak_pair(LambdaWindow(1.5), BoundaryPoint(0.0), DiskPoint(0j),
                           TaperSpec("gaussian", 48.0))
@@ -317,7 +318,7 @@ def phase_correlation(field: SampledField, lam: float, b0: BoundaryPoint,
     correlation is taken.
     """
     z = field.grid.z
-    mask = 2.0 * np.arctanh(np.abs(z)) <= radius
+    mask = origin_distance(z) <= radius
     w = field.weights[mask]
     f = field.values[mask]
     g = np.exp(1j * lam * busemann_array(z, b0.theta))[mask]

@@ -3,16 +3,16 @@
 Grids: the disk is sampled in geodesic polar coordinates, radii
 r_j = tanh(t_j / 2) for midpoint geodesic radii t_j in (0, R), uniform
 angles; the quadrature weight per node is sinh(t_j) dt dtheta (hyperbolic
-area). The spectral side is a rectangular (lambda, b) grid whose angular
-nodes coincide with the spatial ones, so that the Busemann kernel is
-circulant in (angle - b) and both transform directions reduce to FFT
-convolutions over the angle index.
+area, end-corrected at t = 0). The spectral side is a rectangular
+(lambda, b) grid whose angular nodes coincide with the spatial ones, so
+that the Busemann kernel is circulant in (angle - b) and both transform
+directions reduce to FFT convolutions over the angle index.
 
 The inverse integrates lambda over [0, Lambda] with the Plancherel weight
 kappa * lambda * tanh(pi lambda); this equals the (1/w)-weighted integral
 over [-Lambda, Lambda] because the boundary-integrated inversion integrand
-is even in lambda. kappa is calibrated once from the round trip on a
-reference Gaussian bump, then frozen.
+is even in lambda. kappa is the exact 1/(2 pi) (``waves.PLANCHEREL_KAPPA``);
+``calibrate_plancherel_kappa`` refits it from a round trip as a check.
 """
 from __future__ import annotations
 
@@ -32,9 +32,11 @@ from .geometry import (
     busemann_array,
     horocycle_points_array,
     horocycle_through,
+    origin_distance,
 )
 from .tapers import TaperSpec
-from .waves import CONVENTION, RHO, _trapezoid_halving, plancherel_density, spherical_radial
+from .waves import (PLANCHEREL_KAPPA, RHO, _trapezoid_halving, plancherel_density,
+                    spherical_radial)
 
 __all__ = [
     "GridSpec",
@@ -61,8 +63,8 @@ FieldFunction = Callable[[np.ndarray], np.ndarray]  # complex z array -> complex
 
 
 def gaussian_bump(width: float) -> FieldFunction:
-    """The radial Gaussian z -> exp(-width d(0, z)^2), d(0, z) = 2 artanh|z|."""
-    return lambda z: np.exp(-width * (2.0 * np.arctanh(np.abs(z))) ** 2)
+    """The radial Gaussian z -> exp(-width d(0, z)^2)."""
+    return lambda z: np.exp(-width * origin_distance(z) ** 2)
 
 
 @dataclass(frozen=True)
@@ -91,10 +93,19 @@ class GridSpec:
 
     @property
     def row_weights(self) -> np.ndarray:
-        """Hyperbolic area weight per node in radial row j."""
+        """Hyperbolic area weight per node in radial row j: the one radial rule.
+
+        Midpoint weights sinh(t_j) dt dtheta plus the Euler-Maclaurin end term
+        -(dt^2/24) g'(0), g = sinh(t) F(t), with g'(0) = (27 g(t_0) - g(t_1)) / (12 dt)
+        to O(dt^2) as g is odd: O(dt^4) for F vanishing at R (``_check_support``).
+        One radius has no t_1 and keeps the midpoint weight.
+        """
         dt = self.R / self.n_r
         dth = 2.0 * np.pi / self.n_theta
-        return np.sinh(self.radii_t) * dt * dth
+        w = np.sinh(self.radii_t) * dt * dth
+        if self.n_r > 1:
+            w[:2] *= (1.0 - 27.0 / 288.0, 1.0 + 1.0 / 288.0)
+        return w
 
     @property
     def z(self) -> np.ndarray:
@@ -333,7 +344,7 @@ def forward_at(f: SampledField, lams: np.ndarray, b: BoundaryPoint) -> np.ndarra
     return np.conj(np.einsum("ik,k->i", T, s * V))
 
 
-def inverse(F: SpectralField, kappa: float | None = None) -> SampledField:
+def inverse(F: SpectralField, kappa: float = PLANCHEREL_KAPPA) -> SampledField:
     """Inversion with Plancherel weight; lambda over [0, Lambda] (see module doc)."""
     dens0 = plancherel_density(F.lambda_grid, kappa=1.0)
     energy = dens0 * np.sum(np.abs(F.values) ** 2, axis=1)
@@ -369,17 +380,14 @@ def _radial_profile(f: SampledField) -> np.ndarray:
 
 
 def spherical_transform(f: SampledField, lams: np.ndarray) -> np.ndarray:
-    """K-invariant transform: 2 pi int f(t) phi_{-lambda}(t) sinh(t) dt."""
+    """K-invariant transform: 2 pi int f(t) phi_{-lambda}(t) sinh(t) dt, on row_weights."""
     prof = _radial_profile(f)
-    t = f.grid.radii_t
-    dt = f.grid.R / f.grid.n_r
-    lams = np.asarray(lams, float)
-    phis = spherical_radial(lams[:, None], t[None, :])
-    return 2.0 * np.pi * dt * np.sum(phis * (prof * np.sinh(t))[None, :], axis=1)
+    phis = spherical_radial(np.asarray(lams, float)[:, None], f.grid.radii_t[None, :])
+    return phis @ (prof * f.grid.row_weights * f.grid.n_theta)
 
 
 def plancherel_spectral(ftilde: np.ndarray, lams: np.ndarray,
-                        kappa: float | None = None) -> float:
+                        kappa: float = PLANCHEREL_KAPPA) -> float:
     """(1/w) int_{-L}^{L} |ftilde|^2 density dlam, by evenness = int_0^L."""
     wl = _lambda_weights(np.asarray(lams, float))
     return float(np.sum(wl * plancherel_density(lams, kappa=kappa) * np.abs(ftilde) ** 2))
@@ -444,10 +452,10 @@ def lemma_check(psi: FieldFunction, b0: BoundaryPoint, x: DiskPoint,
 
 
 def calibrate_plancherel_kappa(grid: GridSpec = DEFAULT_GRID) -> float:
-    """One-time kappa fit: L2 projection of the reference-bump round trip.
+    """kappa refitted from a round trip, as a check of PLANCHEREL_KAPPA.
 
     The reference input is the radial Gaussian exp(-1.25 d(0,z)^2), narrow
-    enough to clear the support check at the default R. kappa is the
+    enough to clear the support check at the default R. The fit is the
     scalar minimizing ||kappa * inverse(forward(f0), 1) - f0||_{L2}.
     """
     f0 = SampledField.from_function(gaussian_bump(1.25), grid)
@@ -456,6 +464,3 @@ def calibrate_plancherel_kappa(grid: GridSpec = DEFAULT_GRID) -> float:
     num = float(np.sum(w * np.conj(g1.values) * f0.values).real)
     den = float(np.sum(w * np.abs(g1.values) ** 2))
     return num / den
-
-
-CONVENTION.register_calibrator(calibrate_plancherel_kappa)

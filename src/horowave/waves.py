@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from .geometry import BoundaryPoint, DiskPoint, busemann_array
 __all__ = [
     "SpectralConvention",
     "CONVENTION",
+    "PLANCHEREL_KAPPA",
     "helgason_wave",
     "helgason_wave_array",
     "spherical",
@@ -37,29 +37,21 @@ __all__ = [
 ]
 
 RHO = 0.5
+# kappa in the inversion density kappa lambda tanh(pi lambda) = |c(lambda)|^-2
+# / (2 pi^2) (Helgason, Groups and Geometric Analysis, ch. IV)
+PLANCHEREL_KAPPA = 1.0 / (2.0 * math.pi)
 
 
 class SpectralConvention:
-    """The Plancherel constant kappa, fitted on first use by the registered calibrator.
-
-    ``transform`` registers the round-trip calibration at import; the
-    fitted value is then kept for the life of the process.
-    """
-
-    def __init__(self):
-        self._kappa: Optional[float] = None
-        self._calibrator: Optional[Callable[[], float]] = None
+    """No state: ``plancherel_kappa`` is PLANCHEREL_KAPPA; perfbench's set-up reads it."""
 
     def register_calibrator(self, fn: Callable[[], float]) -> None:
-        self._calibrator = fn
+        """Does nothing. perfbench's tracer is its last caller; deleting it waits
+        for a benchmark change (ROADMAP item 2, "Benchmark first")."""
 
     @property
     def plancherel_kappa(self) -> float:
-        if self._kappa is None:
-            if self._calibrator is None:
-                raise RuntimeError("plancherel_kappa not calibrated yet")
-            self._kappa = float(self._calibrator())
-        return self._kappa
+        return PLANCHEREL_KAPPA
 
 
 CONVENTION = SpectralConvention()
@@ -325,13 +317,8 @@ def harish_chandra_c(lam: float, t_window: tuple[float, float] = (10.0, 14.0),
     return complex(coef[0])
 
 
-def plancherel_density(lam, kappa: Optional[float] = None) -> np.ndarray:
-    """kappa * lam * tanh(pi lam); even in lam, vanishing at lam = 0.
-
-    Uses the frozen calibrated kappa unless one is passed explicitly.
-    """
-    if kappa is None:
-        kappa = CONVENTION.plancherel_kappa
+def plancherel_density(lam, kappa: float = PLANCHEREL_KAPPA) -> np.ndarray:
+    """kappa * lam * tanh(pi lam); even in lam, vanishing at lam = 0."""
     lam = np.asarray(lam, float)
     out = kappa * lam * np.tanh(np.pi * lam)
     return out if out.shape else out[()]

@@ -1,4 +1,4 @@
-"""Shared fixtures: one-time calibrations and common test fields."""
+"""Shared fixtures: the one-time kappa_H fit and common test fields."""
 import os
 
 import numpy as np
@@ -12,13 +12,6 @@ import horowave
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [os.path.dirname(os.path.dirname(horowave.__file__)),
                   os.environ.get("PYTHONPATH")]))
-
-
-@pytest.fixture(scope="session")
-def plancherel_kappa():
-    """Trigger the one-time round-trip calibration and return kappa."""
-    from horowave.waves import CONVENTION
-    return CONVENTION.plancherel_kappa
 
 
 @pytest.fixture(scope="session")

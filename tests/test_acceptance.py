@@ -95,14 +95,14 @@ def hft_results():
     return _HFT_RESULTS
 
 
-def test_criterion_5_transform(plancherel_kappa):
+def test_criterion_5_transform():
     results = [r for r in hft_results()
-               if r.name.startswith(("round trip", "Plancherel"))]
+               if r.name.startswith(("kappa", "round trip", "Plancherel"))]
     ok, detail = suite_ok(results)
     report(5, "transform round trips and Plancherel isometry (2%)", ok, detail)
 
 
-def test_criterion_6_lemma_and_coarea(plancherel_kappa):
+def test_criterion_6_lemma_and_coarea():
     results = [r for r in hft_results()
                if r.name.startswith(("lemma", "coarea"))]
     ok, detail = suite_ok(results)

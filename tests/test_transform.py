@@ -64,20 +64,44 @@ def test_grid_spec_rejects_empty_or_bad_radius(n_r, n_theta, R):
         GridSpec(n_r, n_theta, R)
 
 
+def test_grids_with_one_or_two_radii():
+    # one radius has no second node to end-correct with: it keeps the midpoint weight
+    one = GridSpec(1, 8, 0.1)
+    np.testing.assert_allclose(one.row_weights, [math.sinh(0.05) * 0.1 * math.pi / 4],
+                               rtol=1e-15)
+    assert SampledField.zeros(one).values.shape == (1, 8)
+    # two radii take both corrections; the area integrand does not vanish at R, so
+    # the t = R end leaves (dt^2/24) cosh R, 2% of the area, and the check refuses
+    two = GridSpec(2, 8, 0.1)
+    mid = np.sinh([0.025, 0.075]) * 0.05 * math.pi / 4
+    np.testing.assert_allclose(two.row_weights, mid * [1 - 27 / 288, 1 + 1 / 288],
+                               rtol=1e-15)
+    with pytest.raises(ValueError, match="hyperbolic area"):
+        SampledField.zeros(two)
+
+
 def test_sampled_field_shape_guard():
     with pytest.raises(ValueError):
         SampledField(GridSpec(10, 8, 2.0), np.zeros((10, 9), complex))
 
 
-def test_round_trip_three_bumps(plancherel_kappa):
+def test_round_trip_three_bumps():
     for name, fn in BUMPS.items():
         f = SampledField.from_function(fn)
         g = inverse(forward(f))
-        assert rel_l2(f, g) < 2e-2, name
+        assert rel_l2(f, g) < 1e-4, name
+
+
+@pytest.mark.parametrize("shape", [(120, 192), (160, 256)])
+def test_round_trip_at_exact_kappa(shape):
+    grid = GridSpec(*shape)
+    for name, fn in BUMPS.items():
+        f = SampledField.from_function(fn, grid)
+        assert rel_l2(f, inverse(forward(f))) < 1e-4, name
 
 
 @pytest.mark.parametrize("step", [0.025, 0.05, 0.1])
-def test_round_trip_on_the_grids_own_lambda_step(plancherel_kappa, step):
+def test_round_trip_on_the_grids_own_lambda_step(step):
     f = SampledField.from_function(BUMPS["offcenter"])
     g = inverse(forward(f, lambda_step=step))
     assert rel_l2(f, g) < 2e-2
@@ -162,7 +186,7 @@ def test_kernel_term_count_does_not_depend_on_lambda_step(monkeypatch):
         np.testing.assert_array_equal(c, counts[0])
 
 
-def test_linearity(plancherel_kappa):
+def test_linearity():
     rng = np.random.default_rng(3)
     a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     f1 = SampledField.from_function(BUMPS["radial"])
@@ -202,7 +226,7 @@ def test_support_overflow_guard():
         forward(SampledField.from_function(wide))
 
 
-def test_spectral_truncation_guard(plancherel_kappa):
+def test_spectral_truncation_guard():
     spiky = lambda z: np.exp(-6.0 * disk_distance(z) ** 2)
     with pytest.raises(SpectralTruncation):
         inverse(forward(SampledField.from_function(spiky)))
@@ -214,13 +238,12 @@ def test_spherical_transform_requires_radial():
         spherical_transform(f, np.array([1.0]))
 
 
-def test_plancherel_isometry(plancherel_kappa):
+def test_plancherel_isometry():
     lams = np.arange(0.0, 8.0001, 0.05)
     for a in (1.25, 1.7, 2.2):
         f = SampledField.from_function(lambda z: np.exp(-a * disk_distance(z) ** 2))
         ft = spherical_transform(f, lams)
-        assert plancherel_spectral(ft, lams) / f.norm2() == pytest.approx(1.0,
-                                                                          abs=2e-2)
+        assert plancherel_spectral(ft, lams) / f.norm2() == pytest.approx(1.0, abs=1e-6)
 
 
 # --- horocycle integrals ---------------------------------------------------

@@ -8,7 +8,9 @@ import oracles
 from horowave import waves
 from horowave.errors import QuadratureUnderResolved, SpectralSingularity
 from horowave.geometry import BoundaryPoint, DiskPoint
+from horowave.transform import GridSpec, calibrate_plancherel_kappa
 from horowave.waves import (
+    PLANCHEREL_KAPPA,
     harish_chandra_c,
     helgason_wave,
     plancherel_density,
@@ -192,7 +194,7 @@ def test_c_function_singular_at_zero():
         harish_chandra_c(0.0)
 
 
-def test_plancherel_density_shape(plancherel_kappa):
+def test_plancherel_density_shape():
     lams = np.linspace(-3, 3, 13)
     dens = plancherel_density(lams)
     np.testing.assert_allclose(dens, dens[::-1], atol=1e-15)  # even
@@ -200,5 +202,9 @@ def test_plancherel_density_shape(plancherel_kappa):
     assert np.all(dens >= 0)
 
 
-def test_kappa_calibrates_to_inverse_two_pi(plancherel_kappa):
-    assert plancherel_kappa == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-3)
+def test_kappa_calibrates_to_inverse_two_pi():
+    # the round-trip fit lands on the exact constant to O(dt^4)
+    kappa = 1.0 / (2.0 * math.pi)
+    assert calibrate_plancherel_kappa() == pytest.approx(kappa, rel=1e-7)
+    assert calibrate_plancherel_kappa(GridSpec(100, 256)) == pytest.approx(kappa, rel=1e-6)
+    assert PLANCHEREL_KAPPA == kappa
