@@ -13,6 +13,7 @@ and writes no file), 2 bad configuration, 3 IO error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -33,7 +34,7 @@ from .transform import (
     inverse,
     lemma_check,
 )
-from .waves import PLANCHEREL_KAPPA, helgason_wave_array, spherical, spherical_radial
+from .waves import PLANCHEREL_KAPPA, RHO, spherical, spherical_radial
 
 __all__ = ["main"]
 
@@ -305,7 +306,7 @@ def cmd_wave(args) -> int:
     lam = _number(args, "lambda")
     b0 = BoundaryPoint(_number(args, "b0", default=0.0))
     grid = _grid_from(args)
-    values = helgason_wave_array(lam, b0.theta, grid.z)
+    values = np.exp((1j * lam + RHO) * grid.busemann(b0.theta))
     footer = {"command": "wave", "lambda": lam, "b0": b0.theta,
               "grid": f"{grid.n_r}x{grid.n_theta}", "radius": grid.R,
               "quadrature_error_estimate": 0.0}  # closed-form evaluation
@@ -450,7 +451,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--resolution", help="quadrature resolution override")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="horowave",
         description="Waves on the hyperbolic disk from horocycle superpositions")

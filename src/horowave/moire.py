@@ -159,46 +159,105 @@ def moire_integral(lam: float, b0: BoundaryPoint, x: DiskPoint,
     integral. The target is the Helgason wave at x; agreement is expected
     only up to the taper's oscillation band (see ``convergence_study``).
     """
-    line = _line_integrals_multi([lam], b0, _center_under(b0, x), taper,
-                                 tol=1e-8, n_start=512, max_halvings=12)[0]
-    approx = complex(kappa_h() * plancherel_density(lam) * line)
+    return _moire_reports(lam, b0, x, [taper])[0]
+
+
+def _moire_reports(lam: float, b0: BoundaryPoint, x: DiskPoint,
+                   tapers: list[TaperSpec]) -> list[MoireReport]:
+    """``moire_integral`` at each taper, every line integral reading one phi table.
+
+    The table covers the distances of the widest taper's support, which
+    bound those of every narrower one (see ``_line_integrals_multi``).
+    """
+    xc = _center_under(b0, x)
+    table = _line_table([lam], b0, xc, max(t.support_radius for t in tapers))
+    scale = kappa_h() * plancherel_density(lam)
     target = helgason_wave(lam, b0, x)
-    return MoireReport(lam, b0, x, approx, target, abs(approx - target), taper)
+    reports = []
+    for taper in tapers:
+        line = _line_integrals_multi([lam], b0, xc, taper, tol=1e-8, n_start=512,
+                                     max_halvings=12, table=table)[0]
+        approx = complex(scale * line)
+        reports.append(MoireReport(lam, b0, x, approx, target, abs(approx - target), taper))
+    return reports
+
+
+def _horocycle_distances(b0: BoundaryPoint, x: DiskPoint):
+    """s -> d(y(s), x) at arc lengths s of the zero horocycle ``xi(b0, 0)``."""
+    xz = np.asarray(x.z)
+    return lambda s: distance_array(horocycle_points_array(b0.theta, 0.0, s), xz)
+
+
+def _line_table(lams, b0: BoundaryPoint, x: DiskPoint, S: float) -> tuple[np.ndarray, float]:
+    """(coefficients, D): the phi table for line integrals over [-S, S], D = max d(y(+-S), x)."""
+    dmax = float(np.max(_horocycle_distances(b0, x)(np.array([-S, S]))))
+    return _phi_table(lams, dmax), dmax
 
 
 def _line_integrals_multi(lams, b0: BoundaryPoint, x: DiskPoint,
                           taper: TaperSpec, tol: float = 1e-7,
-                          n_start: int = 2048, max_halvings: int = 8) -> np.ndarray:
+                          n_start: int = 2048, max_halvings: int = 8,
+                          table: tuple[np.ndarray, float] | None = None) -> np.ndarray:
     """Tapered integrals of phi_lambda(d(y(s), x)) along ``xi(b0, 0)`` for a list of lambda.
 
     Shared-grid trapezoid from n_start intervals refined by interval
     halving; each refinement reuses the previous sum and only evaluates
-    the new midpoints. phi is read from one Chebyshev table per call
+    the new midpoints. phi is read from one Chebyshev table
     (``_phi_table``) on [0, D], D the larger of the endpoint distances
     d(y(+-S), x): in half-plane coordinates with b0 at infinity and
     (beta, a) the horocycle coordinates of x,
     cosh d(y(s), x) = 1 + ((s - a)^2 + (1 - e^beta)^2) / (2 e^beta) grows
-    with |s - a|, so D bounds the distance at every node.
+    with |s - a|, so D bounds the distance at every node. ``table`` is a
+    ``_line_table`` of the same lams over a support at least as wide, for
+    callers that share one; by default the call builds its own. Each
+    level's new nodes cost one product of the (K x L) coefficients with
+    the rows T_k(u) (``_cheb_sum``).
 
     The taper is centered at s = 0, not under x: ``moire_weak`` runs at
     different points of the same horocycle then probe genuinely different
     tapered quadratures that must all converge to the same windowed target.
     """
     S = taper.support_radius
-    xz = np.asarray(x.z)
-
-    def dist(s: np.ndarray) -> np.ndarray:
-        return distance_array(horocycle_points_array(b0.theta, 0.0, s), xz)
-
-    dmax = float(np.max(dist(np.array([-S, S]))))
-    coef = _phi_table(lams, dmax)
+    dist = _horocycle_distances(b0, x)
+    coef, dmax = _line_table(lams, b0, x, S) if table is None else table
 
     def values(s: np.ndarray) -> np.ndarray:
         u = dist(s) / dmax
-        return taper(s)[None, :] * chebval(2.0 * u * u - 1.0, coef)
+        return taper(s)[None, :] * _cheb_sum(coef, 2.0 * u * u - 1.0)
 
     return _trapezoid_halving(values, -S, S, n_start, tol, max_halvings,
                               "horocycle line integrals")
+
+
+# values of the rows T_k(u) that ``_cheb_sum`` holds at once
+_CHEB_BLOCK = 1 << 18
+
+
+def _cheb_sum(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_k coef[k, l] T_k(u) of shape (L, len(u)), for 1-D u in [-1, 1].
+
+    ``chebval(u, coef)`` as one product per block of nodes: the rows T_k(u)
+    come from the three-term recurrence, at most _CHEB_BLOCK values at a
+    time, and are contracted with the coefficients in einsum's own loop.
+    Against the Clenshaw sum this does a K x L x nodes product instead of
+    K passes over an L x nodes array; as a two-thread OpenBLAS product it
+    stalled after idle gaps (see ``transform._real_matmul``).
+    """
+    K = coef.shape[0]
+    out = np.empty((coef.shape[1], len(u)))
+    step = max(1, _CHEB_BLOCK // K)
+    for lo in range(0, len(u), step):
+        w = u[lo:lo + step]
+        T = np.empty((K, len(w)))
+        T[0] = 1.0
+        if K > 1:
+            T[1] = w
+        w2 = 2.0 * w
+        for k in range(2, K):
+            np.multiply(w2, T[k - 1], out=T[k])
+            T[k] -= T[k - 2]
+        out[:, lo:lo + step] = np.einsum("kl,kn->ln", coef, T)
+    return out
 
 
 def _weak_pair(window: LambdaWindow, b0: BoundaryPoint, x: DiskPoint,
@@ -238,7 +297,7 @@ def convergence_study(lam: float, b0: BoundaryPoint, x: DiskPoint,
     sigmas = [float(s) for s in sigmas]
     if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
         raise ValueError("sigmas must be strictly increasing")
-    reports = [moire_integral(lam, b0, x, TaperSpec(kind, s)) for s in sigmas]
+    reports = _moire_reports(lam, b0, x, [TaperSpec(kind, s) for s in sigmas])
     tail = [r.approx for r in reports[-3:]]
     osc = max(abs(a - b) for a in tail for b in tail)
     divergent = any(abs(r.approx) > 10.0 * abs(r.target) for r in reports)
@@ -289,19 +348,22 @@ def _phi_table(lams, dmax: float) -> np.ndarray:
     an end point, where a table on [0, dmax] was off by up to 1e-14 near
     d = 0 (this one: 5e-16). The extension's odd coefficients vanish, and
     T_2k(x) = T_k(2x^2 - 1) turns its even ones into a table in u of half
-    the length, so each Clenshaw sum takes half the steps. The coefficients
-    are the DCT of the values at first-kind Chebyshev points; the node
-    count doubles from 32 until the top quarter of the extension's
-    coefficients is below 1e-14 for every lambda.
+    the length, so each sum takes half the steps. The n first-kind
+    Chebyshev points pair up as x <-> -x, so phi is evaluated only at the
+    n/2 positive ones: with N = n/2, the even coefficients c_2k are
+    DCT-II_N of those values over N, c_0 halved. The node count n doubles
+    from 32 until the top quarter of the even coefficients is below 1e-14
+    for every lambda.
     """
     n = 32
     while n <= _PHI_TABLE_MAX_NODES:
-        x = np.cos(np.pi * (np.arange(n) + 0.5) / n)
-        coef = dct(spherical_radial_profile(lams, dmax * np.abs(x)), type=2).T / n
+        N = n // 2
+        x = np.cos(np.pi * (np.arange(N) + 0.5) / n)
+        coef = dct(spherical_radial_profile(lams, dmax * x), type=2).T / N
         coef[0] *= 0.5
-        tail = float(np.max(np.abs(coef[-n // 4:])))
+        tail = float(np.max(np.abs(coef[-N // 4:])))
         if tail < _PHI_TABLE_TAIL:
-            return coef[::2]
+            return coef
         n *= 2
     raise QuadratureUnderResolved(
         f"Chebyshev table of phi_lambda, |lambda| <= {np.max(np.abs(lams)):g}, on "

@@ -112,6 +112,20 @@ class GridSpec:
         r = np.tanh(self.radii_t / 2.0)
         return r[:, None] * np.exp(1j * self.angles[None, :])
 
+    def busemann(self, theta: float) -> np.ndarray:
+        """Busemann bracket toward e^{i theta} at every node, from its (t, angle).
+
+        At z = tanh(t/2) e^{i a} the bracket is -log(e^{-t} + 2 sinh t s^2),
+        s = sin((a - theta)/2), taken here as -t - log(s^2 + e^{-2t} (1 - s^2)).
+        Unlike ``busemann_array`` on ``z``, it keeps its digits where |z|
+        rounds to 1 (t above about 37), and sinh t cannot overflow. At an
+        angle equal to theta, e^{-2t} underflows past t = 372 and the
+        bracket comes out +inf.
+        """
+        t = self.radii_t[:, None]
+        s2 = np.sin(0.5 * (self.angles[None, :] - theta)) ** 2
+        return -t - np.log(s2 + np.exp(-2.0 * t) * (1.0 - s2))
+
 
 DEFAULT_GRID = GridSpec()
 

@@ -6,6 +6,7 @@ under test.
 """
 import mpmath
 import numpy as np
+from scipy.fft import dct
 from scipy.integrate import quad
 from scipy.special import j0
 
@@ -179,3 +180,34 @@ def direct_forward_at(f, lams: np.ndarray, theta: float) -> np.ndarray:
     B = busemann_array(f.grid.z, theta)
     g = f.values * f.weights
     return np.array([np.sum(np.exp((-1j * lam + 0.5) * B) * g) for lam in lams])
+
+
+def phi_table_full_nodes(lams, dmax: float) -> np.ndarray:
+    """``moire._phi_table`` from the values at all n first-kind Chebyshev points.
+
+    The DCT of the even extension x -> phi_lambda(dmax |x|) at every node,
+    both signs of x, keeping the even coefficients; the node count doubles
+    from 32 until the top quarter of all the extension's coefficients,
+    even and odd, is below 1e-14.
+    """
+    n = 32
+    while n <= 4096:
+        x = np.cos(np.pi * (np.arange(n) + 0.5) / n)
+        coef = dct(spherical_radial_profile(lams, dmax * np.abs(x)), type=2).T / n
+        coef[0] *= 0.5
+        if np.max(np.abs(coef[-n // 4:])) < 1e-14:
+            return coef[::2]
+        n *= 2
+    raise RuntimeError("full-node phi table did not settle with 4096 nodes")
+
+
+def wave_polar(lam: float, beta: float, t: float, a: float) -> complex:
+    """e_{lambda, e^{i beta}} at z = tanh(t/2) e^{i a}, in mpmath at 40 digits.
+
+    The Busemann bracket there is -log(cosh t - sinh t cos(a - beta)), with
+    t, a and beta taken as exact.
+    """
+    with mpmath.workdps(40):
+        t, phi = mpmath.mpf(t), mpmath.mpf(a) - mpmath.mpf(beta)
+        B = -mpmath.log(mpmath.cosh(t) - mpmath.sinh(t) * mpmath.cos(phi))
+        return complex(mpmath.exp(mpmath.mpc(0.5, lam) * B))

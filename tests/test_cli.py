@@ -2,6 +2,7 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from horowave import cli
 from horowave.cli import _field_csv
+from horowave.transform import GridSpec
 
 CLI = [sys.executable, "-m", "horowave.cli"]
 
@@ -127,11 +130,55 @@ def test_euclid_odd_resolution(tmp_path):
 
 
 def test_non_finite_field_exits_1_and_writes_nothing(tmp_path):
-    # at R = 40 |z| = tanh(t/2) rounds to 1 and the wave is nan there
-    res = run("wave", "--lambda", "2", "--radius", "40", "--out", str(tmp_path / "w.csv"))
+    # at R = 1500 the wave's modulus e^{B/2} reaches e^{748}, past the float range
+    res = run("wave", "--lambda", "2", "--radius", "1500", "--out", str(tmp_path / "w.csv"))
     assert res.returncode == 1
     assert "non-finite" in res.stderr and "Traceback" not in res.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def test_wave_where_z_rounds_to_1_is_finite_and_right(tmp_path):
+    # at R = 38 |z| = tanh(t/2) rounds to 1 on the outer rows; the wave is
+    # taken from (t, angle) there, without a warning
+    out = tmp_path / "w.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["wave", "--lambda", "2", "--b0", "0.3", "--radius", "38",
+                         "--out", str(out)]) == 0
+    _, rows, _ = read_field(out)
+    grid = GridSpec(R=38.0)
+    v = (rows[:, 2] + 1j * rows[:, 3]).reshape(grid.n_r, grid.n_theta)
+    assert np.all(np.any(v != 0, axis=1))
+    values = np.exp((2j + 0.5) * grid.busemann(0.3))
+    idx = np.random.default_rng(7).choice(v.size, 40, replace=False)
+    t = np.repeat(grid.radii_t, grid.n_theta)[idx]
+    a = np.tile(grid.angles, grid.n_r)[idx]
+    exact = np.array([oracles.wave_polar(2.0, 0.3, *ta) for ta in zip(t, a)])
+    assert np.max(np.abs(values.ravel()[idx] / exact - 1.0)) < 1e-12
+    assert np.max(np.abs(v.ravel()[idx] / exact - 1.0)) < 1e-11  # %.12g
+
+
+def test_one_process_renders_each_field_twice_with_the_same_bytes(tmp_path, kappa_h):
+    runs = {
+        "wave": ["wave", "--lambda", "2", "--grid", "20x16"],
+        "spherical": ["spherical", "--lambda", "1", "--grid", "12x16"],
+        "moire": ["moire", "--lambda", "1", "--centers", "2", "--grid", "16x16",
+                  "--radius", "1.8"],
+        "transform": ["transform", "--grid", "40x32"],
+        "euclid": ["euclid", "--centers", "3", "--grid", "9x9"],
+    }
+    order = list(runs) + ["euclid", "moire", "wave", "transform", "spherical"]
+    outputs = {}
+    for i, name in enumerate(order):
+        out = tmp_path / f"{name}{i}.csv"
+        assert cli.main(runs[name] + ["--out", str(out)]) == 0
+        files = sorted(tmp_path.glob(f"{name}{i}.*"))
+        outputs.setdefault(name, []).append([p.read_bytes() for p in files])
+    assert all(first == second for first, second in outputs.values())
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["wave", "--lambda", "2", "--no-such-option", "1"])
+    assert exc.value.code == 2
+    assert cli.main(["wave", "--lambda", "2", "--grid", "banana", "--out", "x.csv"]) == 2
 
 
 def test_transform_where_z_rounds_to_1_exits_1(tmp_path):

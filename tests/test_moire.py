@@ -185,6 +185,52 @@ def test_phi_table_in_even_variable_matches_radial_kernel(lam, dmax):
     assert np.max(np.abs(got[:, 0] - 1.0)) < 1e-14
 
 
+FIT_LAMBDAS = np.linspace(0.5, 4.0, 81)
+
+
+@pytest.mark.parametrize("lams", [[0.0], [0.5], [4.0], [8.0], FIT_LAMBDAS,
+                                  [0.0, 0.7, 2.2, 4.0]],
+                         ids=["0", "0.5", "4", "8", "fit", "mixed"])
+def test_phi_table_on_half_nodes_matches_full_node_table(lams):
+    for dmax in (0.5, 3.0, 6.4, 11.3, 25.0):
+        got = _phi_table(lams, dmax)
+        expect = oracles.phi_table_full_nodes(lams, dmax)
+        assert got.shape == expect.shape
+        assert np.max(np.abs(got - expect)) <= 1e-15
+
+
+@pytest.mark.parametrize("K", [1, 2, 7, 128])
+@pytest.mark.parametrize("block", [moire._CHEB_BLOCK, 1000])
+def test_cheb_sum_matches_chebval(monkeypatch, K, block):
+    monkeypatch.setattr(moire, "_CHEB_BLOCK", block)
+    coef = _phi_table(FIT_LAMBDAS, 11.3)[:K]
+    u = np.concatenate([[-1.0, 1.0], np.random.default_rng(2).uniform(-1.0, 1.0, 5001)])
+    got = moire._cheb_sum(coef, u)
+    assert got.shape == (len(FIT_LAMBDAS), len(u))
+    assert np.max(np.abs(got - chebval(u, coef))) <= 1e-14
+
+
+def test_convergence_study_shares_one_table_across_widths(kappa_h):
+    x = DiskPoint(0.3 - 0.2j)
+    for lam in (0.7, 2.0, 3.9):
+        shared = [r.approx for r in convergence_study(lam, B0, x, [4.0, 8.0, 12.0])]
+        own = [moire_integral(lam, B0, x, TaperSpec("gaussian", s)).approx
+               for s in (4.0, 8.0, 12.0)]
+        assert np.max(np.abs(np.subtract(shared, own))) <= 1e-13 * np.max(np.abs(own))
+
+
+def test_kappa_h_fit_evaluates_half_nodes_once_per_level(monkeypatch):
+    sizes = []
+
+    def counting(lams, d):
+        sizes.append(np.size(d))
+        return spherical_radial_profile(lams, d)
+
+    monkeypatch.setattr(moire, "spherical_radial_profile", counting)
+    moire.kappa_h.__wrapped__()
+    assert sizes == [16, 32, 64, 128]
+
+
 def test_phi_table_that_does_not_settle_raises(monkeypatch):
     monkeypatch.setattr(moire, "_PHI_TABLE_MAX_NODES", 32)
     with pytest.raises(QuadratureUnderResolved):
