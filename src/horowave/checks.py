@@ -136,7 +136,7 @@ def suite_waves() -> list[CheckResult]:
         ratio = (1.0 / abs(c) ** 2) / (lam * math.tanh(math.pi * lam))
         worst_ratio = max(worst_ratio, abs(ratio / math.pi - 1.0))
     out.append(_check("c-function conjugation symmetry", worst_sym, 1e-6))
-    out.append(_check("|c|^-2 proportional to lam tanh(pi lam)", worst_ratio, 1e-2))
+    out.append(_check("|c|^-2 proportional to lam tanh(pi lam)", worst_ratio, 1e-8))
 
     worst = 0.0
     for lam in (0.5, 1.0, 2.0, 4.0):
@@ -231,6 +231,12 @@ def suite_moire(full: bool = False) -> list[CheckResult]:
             out.append(_check(f"weak moire error at sigma 12 [{tag}]", e12, 3e-2))
             out.append(CheckResult(f"weak moire sigma monotone [{tag}]", e12 < e4,
                                    f"sigma12 {e12:.3e} < sigma4 {e4:.3e}"))
+
+    # a window negligible at lo and hi: lhs / rhs - 1 = pi / kappa_H,fit - 1
+    # falls as O(sigma^-2), to 8.5e-6 at width 96
+    clean = moire.LambdaWindow(2.5, 0.45, lo=0.1, hi=6.0)
+    lhs, rhs = moire.moire_weak(clean, b0, DiskPoint(0j), TaperSpec("gaussian", 96.0))
+    out.append(_check("horocycle constant equals pi", abs(lhs / rhs - 1.0), 2e-5))
 
     worst = 0.0
     for xz in (0.3 + 0.2j, -0.25 + 0.4j):

@@ -14,17 +14,17 @@ pointwise tapered estimator (oscillation band reported, not asserted);
 acceptance-grade claim.
 
 The superposition includes the Plancherel density as a lambda weight; this
-is what makes a single frozen constant kappa_H work across the whole
-spectral range (the bare tapered horocycle integral of phi_lambda carries
-an extra 1/(lambda tanh(pi lambda)) factor in its weak limit). kappa_H is
-fitted once at (lambda, x, b0) = (1.5, 0, 1) and frozen; its agreement at
-every other parameter choice is a test, not a fit.
+is what makes a single constant kappa_H work across the whole spectral
+range (the bare tapered horocycle integral of phi_lambda carries an extra
+1/(lambda tanh(pi lambda)) factor in its weak limit). With kappa = 1/(2 pi)
+the Abel transform of phi_lambda gives kappa_H = pi exactly (Helgason,
+Groups and Geometric Analysis, ch. IV); ``validate`` checks a windowed
+estimate of it against pi.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
@@ -55,6 +55,7 @@ from .waves import (
 )
 
 __all__ = [
+    "HOROCYCLE_KAPPA",
     "LambdaWindow",
     "MoireReport",
     "DEFAULT_TAPER",
@@ -115,21 +116,15 @@ class MoireReport:
     divergent: bool = False
 
 
-# --- the single fitted measure constant ----------------------------------
+# --- the horocycle measure constant ---------------------------------------
 
-@cache
+# kappa_H between arc length on a horocycle and the Haar measure of N
+HOROCYCLE_KAPPA = math.pi
+
+
 def kappa_h() -> float:
-    """The horocycle-measure normalization (empirically ~ pi), fitted on first use.
-
-    The fit taper is much wider than any acceptance run. The fitted value
-    moves with the taper width (relative to pi: -8.48e-3 at width 12,
-    -2.53e-3 at 24, +2.37e-4 at 48) and then levels off near +6e-5
-    (+8.3e-5 at 96, +6.4e-5 at 192, +6.6e-5 at 384, +4.9e-5 at 768, not
-    monotone), so a wider taper does not make it exact.
-    """
-    lhs, rhs = _weak_pair(LambdaWindow(1.5), BoundaryPoint(0.0), DiskPoint(0j),
-                          TaperSpec("gaussian", 48.0))
-    return float((rhs / lhs).real)
+    """The horocycle-measure normalization kappa_H: exactly pi (``HOROCYCLE_KAPPA``)."""
+    return HOROCYCLE_KAPPA
 
 
 # --- estimators -----------------------------------------------------------
@@ -171,7 +166,7 @@ def _moire_reports(lam: float, b0: BoundaryPoint, x: DiskPoint,
     """
     xc = _center_under(b0, x)
     table = _line_table([lam], b0, xc, max(t.support_radius for t in tapers))
-    scale = kappa_h() * plancherel_density(lam)
+    scale = HOROCYCLE_KAPPA * plancherel_density(lam)
     target = helgason_wave(lam, b0, x)
     reports = []
     for taper in tapers:
@@ -260,20 +255,6 @@ def _cheb_sum(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _weak_pair(window: LambdaWindow, b0: BoundaryPoint, x: DiskPoint,
-               taper: TaperSpec) -> tuple[complex, complex]:
-    """Window averages of the tapered superposition without kappa_H, and of the wave."""
-    lams = np.linspace(window.lo, window.hi, 81)
-    chi = window(lams)
-    if not np.any(chi):
-        return 0j, 0j
-    line = _line_integrals_multi(lams, b0, x, taper)
-    lhs = np.trapezoid(chi * plancherel_density(lams) * line, lams)
-    beta = busemann(x, b0)
-    rhs = np.trapezoid(chi * np.exp((1j * lams + RHO) * beta), lams)
-    return complex(lhs), complex(rhs)
-
-
 def moire_weak(window: LambdaWindow, b0: BoundaryPoint, x: DiskPoint,
                taper: TaperSpec = DEFAULT_TAPER) -> tuple[complex, complex]:
     """Lambda-windowed estimator: (window average of approx, of target).
@@ -281,9 +262,15 @@ def moire_weak(window: LambdaWindow, b0: BoundaryPoint, x: DiskPoint,
     The smoothing in lambda kills the taper's non-decaying oscillatory
     residual, so lhs approaches rhs as the taper widens.
     """
-    lhs, rhs = _weak_pair(window, b0, x, taper)
-    # a zero window gives lhs = 0 and needs no kappa_H fit
-    return (kappa_h() * lhs if lhs else lhs), rhs
+    lams = np.linspace(window.lo, window.hi, 81)
+    chi = window(lams)
+    if not np.any(chi):
+        return 0j, 0j
+    line = _line_integrals_multi(lams, b0, x, taper)
+    lhs = HOROCYCLE_KAPPA * np.trapezoid(chi * plancherel_density(lams) * line, lams)
+    beta = busemann(x, b0)
+    rhs = np.trapezoid(chi * np.exp((1j * lams + RHO) * beta), lams)
+    return complex(lhs), complex(rhs)
 
 
 def convergence_study(lam: float, b0: BoundaryPoint, x: DiskPoint,

@@ -119,12 +119,15 @@ class GridSpec:
         s = sin((a - theta)/2), taken here as -t - log(s^2 + e^{-2t} (1 - s^2)).
         Unlike ``busemann_array`` on ``z``, it keeps its digits where |z|
         rounds to 1 (t above about 37), and sinh t cannot overflow. At an
-        angle equal to theta, e^{-2t} underflows past t = 372 and the
-        bracket comes out +inf.
+        angle equal to theta (s = 0) the bracket is t, and it is taken as t:
+        e^{-2t} loses digits past t = 354 and underflows past 372. At s != 0
+        such an e^{-2t} is below 1e-17 s^2 unless theta lies within 1e-145 of
+        a grid angle.
         """
         t = self.radii_t[:, None]
         s2 = np.sin(0.5 * (self.angles[None, :] - theta)) ** 2
-        return -t - np.log(s2 + np.exp(-2.0 * t) * (1.0 - s2))
+        with np.errstate(divide="ignore"):  # log 0 at s = 0 past t = 372, not taken
+            return np.where(s2 > 0.0, -t - np.log(s2 + np.exp(-2.0 * t) * (1.0 - s2)), t)
 
 
 DEFAULT_GRID = GridSpec()

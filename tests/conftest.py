@@ -1,8 +1,7 @@
-"""Shared fixtures: the one-time kappa_H fit and common test fields."""
+"""Shared test set-up: the CLI subprocesses' import path and disk helpers."""
 import os
 
 import numpy as np
-import pytest
 
 import horowave
 
@@ -12,13 +11,6 @@ import horowave
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [os.path.dirname(os.path.dirname(horowave.__file__)),
                   os.environ.get("PYTHONPATH")]))
-
-
-@pytest.fixture(scope="session")
-def kappa_h():
-    """Trigger the one-time horocycle-measure fit and return kappa_H."""
-    from horowave.moire import kappa_h
-    return kappa_h()
 
 
 def disk_distance(z):

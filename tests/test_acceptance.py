@@ -109,7 +109,7 @@ def test_criterion_6_lemma_and_coarea():
     report(6, "horocycle-Dirac lemma (1%) and coarea profile", ok, detail)
 
 
-def test_criterion_7_main_result(kappa_h):
+def test_criterion_7_main_result():
     zero = Horocycle(B0, 0.0)
     points = (X0, horocycle_point(zero, 1.2), horocycle_point(zero, -2.5))
     windows = (LambdaWindow(1.3), LambdaWindow(2.2), LambdaWindow(3.2))

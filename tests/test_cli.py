@@ -158,7 +158,20 @@ def test_wave_where_z_rounds_to_1_is_finite_and_right(tmp_path):
     assert np.max(np.abs(v.ravel()[idx] / exact - 1.0)) < 1e-11  # %.12g
 
 
-def test_one_process_renders_each_field_twice_with_the_same_bytes(tmp_path, kappa_h):
+def test_wave_past_the_underflow_of_exp_minus_2t_is_finite_and_right(tmp_path):
+    # at the nodes whose angle is b0 the bracket is t, where e^{-2t} loses
+    # digits past t = 354 and underflows past 372
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["wave", "--lambda", "2", "--radius", "400", "--grid", "50x64",
+                         "--out", str(tmp_path / "w.csv")]) == 0
+    grid = GridSpec(50, 64, 400.0)
+    B = grid.busemann(0.0)[:, 0]
+    exact = np.array([float(oracles.busemann_polar(0.0, t, 0.0)) for t in grid.radii_t])
+    assert np.max(np.abs(B / exact - 1.0)) < 1e-12
+
+
+def test_one_process_renders_each_field_twice_with_the_same_bytes(tmp_path):
     runs = {
         "wave": ["wave", "--lambda", "2", "--grid", "20x16"],
         "spherical": ["spherical", "--lambda", "1", "--grid", "12x16"],

@@ -69,7 +69,7 @@ def test_lambda_window_support():
 
 # --- pointwise tapered estimator ---------------------------------------------
 
-def test_moire_integral_origin_target(kappa_h):
+def test_moire_integral_origin_target():
     report = moire_integral(1.5, B0, X0)
     assert report.target == 1.0
     assert report.abs_error == abs(report.approx - report.target)
@@ -77,14 +77,14 @@ def test_moire_integral_origin_target(kappa_h):
     assert abs(report.approx - 1.0) < 0.2
 
 
-def test_moire_integral_n_invariance(kappa_h):
+def test_moire_integral_n_invariance():
     r0 = moire_integral(1.5, B0, X0)
     r1 = moire_integral(1.5, B0, horocycle_point(ZERO_HOROCYCLE, 1.2))
     assert r1.target == pytest.approx(1.0, abs=1e-12)
     assert abs(r1.approx - r0.approx) < 1e-6
 
 
-def test_moire_integral_target_closed_form(kappa_h):
+def test_moire_integral_target_closed_form():
     report = moire_integral(1.5, B0, DiskPoint(0.4 + 0j))
     B = math.log(0.84 / 0.36)
     expect = math.sqrt(0.84 / 0.36) * complex(math.cos(1.5 * B), math.sin(1.5 * B))
@@ -94,12 +94,12 @@ def test_moire_integral_target_closed_form(kappa_h):
 
 # --- weak (lambda-windowed) estimator ----------------------------------------
 
-def test_moire_weak_zero_window(kappa_h):
+def test_moire_weak_zero_window():
     lhs, rhs = moire_weak(LambdaWindow(2.2, scale=0.0), B0, X0)
     assert lhs == 0 and rhs == 0
 
 
-def test_moire_weak_accuracy_and_monotonicity(kappa_h):
+def test_moire_weak_accuracy_and_monotonicity():
     win = LambdaWindow(2.2)
     lhs12, rhs = moire_weak(win, B0, X0, TaperSpec("gaussian", 12.0))
     lhs4, _ = moire_weak(win, B0, X0, TaperSpec("gaussian", 4.0))
@@ -116,7 +116,7 @@ def test_convergence_study_rejects_unsorted():
         convergence_study(1.5, B0, X0, [8.0, 4.0, 12.0])
 
 
-def test_convergence_study_reports(kappa_h):
+def test_convergence_study_reports():
     reports = convergence_study(1.5, B0, X0, [4.0, 6.0, 8.0, 10.0, 12.0])
     assert len(reports) == 5
     assert all(not r.divergent for r in reports)
@@ -129,7 +129,7 @@ def test_convergence_study_reports(kappa_h):
     assert all(np.isfinite(r.approx) for r in reports)
 
 
-def test_convergence_study_lambda_zero_edge(kappa_h):
+def test_convergence_study_lambda_zero_edge():
     # lambda = 0 is the degenerate edge: allowed, flagged only on blow-up.
     reports = convergence_study(0.0, B0, X0, [4.0, 8.0])
     assert all(np.isfinite(r.approx) for r in reports)
@@ -210,7 +210,7 @@ def test_cheb_sum_matches_chebval(monkeypatch, K, block):
     assert np.max(np.abs(got - chebval(u, coef))) <= 1e-14
 
 
-def test_convergence_study_shares_one_table_across_widths(kappa_h):
+def test_convergence_study_shares_one_table_across_widths():
     x = DiskPoint(0.3 - 0.2j)
     for lam in (0.7, 2.0, 3.9):
         shared = [r.approx for r in convergence_study(lam, B0, x, [4.0, 8.0, 12.0])]
@@ -219,7 +219,7 @@ def test_convergence_study_shares_one_table_across_widths(kappa_h):
         assert np.max(np.abs(np.subtract(shared, own))) <= 1e-13 * np.max(np.abs(own))
 
 
-def test_kappa_h_fit_evaluates_half_nodes_once_per_level(monkeypatch):
+def test_weak_estimator_evaluates_half_nodes_once_per_level(monkeypatch):
     sizes = []
 
     def counting(lams, d):
@@ -227,7 +227,7 @@ def test_kappa_h_fit_evaluates_half_nodes_once_per_level(monkeypatch):
         return spherical_radial_profile(lams, d)
 
     monkeypatch.setattr(moire, "spherical_radial_profile", counting)
-    moire.kappa_h.__wrapped__()
+    moire_weak(LambdaWindow(1.5), B0, X0, TaperSpec("gaussian", 48.0))
     assert sizes == [16, 32, 64, 128]
 
 
@@ -270,7 +270,7 @@ def test_moire_sum_resemblance_trend():
     assert corr60 > corr5
 
 
-# --- reduction identity and the fitted constant ---------------------------------
+# --- reduction identity and the measure constant ---------------------------------
 
 def test_reduction_identity_two_paths():
     for xz in (0.3 + 0.2j, -0.25 + 0.4j, 0.26 - 0.44j):
@@ -278,8 +278,17 @@ def test_reduction_identity_two_paths():
         assert abs(a - b) < 1e-8
 
 
-def test_kappa_h_value_and_freeze(kappa_h):
-    # empirically the measure constant is pi (ratio of arc length to N-Haar)
-    assert kappa_h == pytest.approx(math.pi, rel=2e-3)
-    from horowave.moire import kappa_h as get
-    assert get() == kappa_h  # frozen: identical on every call
+def test_kappa_h_is_pi():
+    assert moire.kappa_h() == math.pi
+
+
+def test_clean_window_estimate_of_kappa_h_converges_to_pi():
+    # the window is negligible at lo and hi, so lhs / rhs = pi / kappa_H,fit
+    # tends to 1 as O(sigma^-2)
+    win = LambdaWindow(2.5, 0.45, lo=0.1, hi=6.0)
+    errs = []
+    for width, tol in ((48.0, 3e-5), (96.0, 1.2e-5), (192.0, 3e-6)):
+        lhs, rhs = moire_weak(win, B0, X0, TaperSpec("gaussian", width))
+        errs.append(abs(lhs / rhs - 1.0))
+        assert errs[-1] <= tol
+    assert errs[0] > errs[1] > errs[2]

@@ -181,6 +181,13 @@ def test_c_function_conjugation_symmetry():
         assert abs(harish_chandra_c(-lam) - np.conj(harish_chandra_c(lam))) < 1e-6
 
 
+def test_c_function_matches_closed_form():
+    for lam in np.arange(1, 9) / 2.0:
+        exact = oracles.harish_chandra_c(lam)
+        assert abs(harish_chandra_c(lam) / exact - 1.0) <= 1e-9
+        assert abs(harish_chandra_c(-lam) / np.conj(exact) - 1.0) <= 1e-9
+
+
 def test_c_function_modulus_law():
     # |c(lam)|^-2 is proportional to lam tanh(pi lam); the constant is pi.
     for lam in (0.5, 1.0, 2.0, 4.0):
