@@ -167,15 +167,14 @@ _LEMMA_FUNCS = {
 }
 
 
-def suite_hft(kappa_scale: float = 1.0) -> list[CheckResult]:
+def suite_hft() -> list[CheckResult]:
     out = []
-    kappa = kappa_scale * PLANCHEREL_KAPPA
     out.append(_check("kappa fit equals 1/(2 pi)",
                       abs(calibrate_plancherel_kappa() / PLANCHEREL_KAPPA - 1.0), 1e-6))
 
     for name, fn in _BUMPS.items():
         f = SampledField.from_function(fn)
-        g = inverse(forward(f), kappa=kappa)
+        g = inverse(forward(f), kappa=PLANCHEREL_KAPPA)
         err = math.sqrt(float(np.sum(f.weights * np.abs(g.values - f.values) ** 2))
                         / f.norm2())
         out.append(_check(f"round trip {name} bump", err, 2e-2))
@@ -184,7 +183,7 @@ def suite_hft(kappa_scale: float = 1.0) -> list[CheckResult]:
     for a in (1.25, 1.7, 2.2):
         f = SampledField.from_function(gaussian_bump(a))
         ft = spherical_transform(f, lams)
-        ratio = plancherel_spectral(ft, lams, kappa=kappa) / f.norm2()
+        ratio = plancherel_spectral(ft, lams, kappa=PLANCHEREL_KAPPA) / f.norm2()
         out.append(_check(f"Plancherel isometry (width {a})", abs(ratio - 1.0), 2e-2))
 
     b0, x0 = BoundaryPoint(0.0), DiskPoint(0j)
@@ -290,15 +289,12 @@ SUITES = {
 }
 
 
-def run_suites(names=None, kappa_scale: float = 1.0):
-    """Run the requested suites; returns (results, all_ok)."""
-    names = list(SUITES) if not names else list(names)
+def run_suites(names=None):
+    """Run the requested suites, all by default; returns (results, all_ok).
+
+    An unknown name raises KeyError.
+    """
     results = []
-    for name in names:
-        if name not in SUITES:
-            raise KeyError(name)
-        if name == "hft":
-            results.extend(suite_hft(kappa_scale=kappa_scale))
-        else:
-            results.extend(SUITES[name]())
+    for name in names or SUITES:
+        results.extend(SUITES[name]())
     return results, all(r.ok for r in results)

@@ -51,28 +51,25 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return n_r, n_theta
 
 
-def _parse_taper(text: str) -> TaperSpec:
-    try:
-        kind, width = text.split(":")
-        spec = TaperSpec(kind, float(width))
-    except ValueError as exc:
-        raise ConfigError("taper", f"expected kind:width, got {text!r} ({exc})")
-    return spec
-
-
-def _parse_complex(text: str) -> complex:
+def _parse_complex(text: str) -> DiskPoint:
     try:
         re, im = (float(p) for p in text.split(","))
+        return DiskPoint(complex(re, im))
     except ValueError:
-        raise ConfigError("x", f"expected re,im pair, got {text!r}")
-    return complex(re, im)
+        raise ConfigError("x", f"expected a disk point re,im with |x| < 1, got {text!r}")
 
 
 def _parse_floats(text: str) -> list[float]:
+    """Taper widths: finite, positive and strictly increasing."""
     try:
-        return [float(p) for p in text.split(",") if p]
+        widths = [float(p) for p in text.split(",") if p]
     except ValueError:
-        raise ConfigError("sigmas", f"expected comma-separated reals, got {text!r}")
+        widths = []
+    if not (widths and all(0 < w < math.inf for w in widths)
+            and all(a < b for a, b in zip(widths, widths[1:]))):
+        raise ConfigError("sigmas", "expected finite positive widths in increasing order, "
+                                    f"got {text!r}")
+    return widths
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -90,16 +87,13 @@ def _load_config_file(path: str) -> dict[str, str]:
 
 
 def _merge_config(args: argparse.Namespace) -> None:
-    """Fill argparse Nones from the optional key=value config file."""
-    if not getattr(args, "config", None):
+    """Fill argparse Nones from the config file, whose keys are the subcommand's flags."""
+    if not args.config:
         return
-    file_values = _load_config_file(args.config)
-    for key, val in file_values.items():
-        attr = key.replace("-", "_")
-        if attr == "lambda":
-            attr = "lam"
-        if not hasattr(args, attr):
+    for key, val in _load_config_file(args.config).items():
+        if key.replace("_", "-") not in _COMMANDS[args.command][1]:
             raise ConfigError(key, "unknown configuration key")
+        attr = key.replace("-", "_")
         if getattr(args, attr) is None:
             setattr(args, attr, val)
 
@@ -111,7 +105,7 @@ def _number(args, name: str, kind=float, default=None):
     when there is none; text that ``kind`` cannot parse, nan and inf are a
     ConfigError.
     """
-    raw = getattr(args, "lam" if name == "lambda" else name.replace("-", "_"))
+    raw = getattr(args, name.replace("-", "_"))
     if raw is None:
         if default is None:
             raise ConfigError(name, "missing required parameter")
@@ -337,14 +331,18 @@ def cmd_spherical(args) -> int:
 def cmd_moire(args) -> int:
     lam = _number(args, "lambda")
     b0 = BoundaryPoint(_number(args, "b0", default=0.0))
-    x = DiskPoint(_parse_complex(args.x)) if args.x else DiskPoint(0j)
+    x = _parse_complex(args.x) if args.x else DiskPoint(0j)
     grid = _quadrature_grid_from(args)
     n = _number(args, "centers", int, default=5)
     if n < 1:
         raise ConfigError("centers", "must be a positive integer")
     spacing = _positive("spacing", _number(args, "spacing", default=0.35))
     sigmas = _parse_floats(args.sigmas) if args.sigmas else [4.0, 8.0, 12.0]
-    kind = (_parse_taper(args.taper).kind if args.taper else "gaussian")
+    kind = args.taper or "gaussian"
+    try:
+        TaperSpec(kind)
+    except ValueError as exc:
+        raise ConfigError("taper", f"{exc}; the widths come from --sigmas")
 
     field = moire.moire_sum_discrete(lam, b0, n, spacing, grid)
     footer = {"command": "moire", "lambda": lam, "b0": b0.theta, "centers": n,
@@ -383,7 +381,7 @@ def cmd_transform(args) -> int:
 
 def cmd_lemma(args) -> int:
     b0 = BoundaryPoint(_number(args, "b0", default=0.0))
-    x = DiskPoint(_parse_complex(args.x)) if args.x else DiskPoint(0j)
+    x = _parse_complex(args.x) if args.x else DiskPoint(0j)
     lhs, rhs = lemma_check(gaussian_bump(1.25), b0, x)
     rel = abs(lhs - rhs) / abs(rhs) if rhs != 0 else abs(lhs)
     print(f"lhs={lhs.real:.9f}{lhs.imag:+.9f}j")
@@ -425,9 +423,8 @@ def cmd_euclid(args) -> int:
 
 def cmd_validate(args) -> int:
     names = args.suite.split(",") if args.suite else None
-    kappa_scale = _number(args, "kappa-scale", default=1.0)
     try:
-        results, all_ok = checks.run_suites(names, kappa_scale=kappa_scale)
+        results, all_ok = checks.run_suites(names)
     except KeyError as exc:
         raise ConfigError("suite", f"unknown suite {exc.args[0]!r}")
     width = max(len(r.name) for r in results)
@@ -439,16 +436,34 @@ def cmd_validate(args) -> int:
 
 # --- argument parsing --------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lambda", dest="lam", help="spectral parameter")
-    p.add_argument("--b0", help="boundary direction angle in radians")
-    p.add_argument("--x", help="disk point as re,im")
-    p.add_argument("--grid", help="grid size NxM")
-    p.add_argument("--radius", help="geodesic truncation radius R")
-    p.add_argument("--taper", help="taper as kind:width")
-    p.add_argument("--out", help="output file path")
-    p.add_argument("--config", help="key=value configuration file")
-    p.add_argument("--resolution", help="quadrature resolution override")
+# subcommand: its function, the flags it reads besides --config, and whether
+# it must have --out (it writes a field)
+_COMMANDS = {
+    "wave": (cmd_wave, ("lambda", "b0", "grid", "radius", "out"), True),
+    "spherical": (cmd_spherical, ("lambda", "grid", "radius", "resolution", "out"), True),
+    "moire": (cmd_moire, ("lambda", "b0", "x", "grid", "radius", "centers", "spacing",
+                          "sigmas", "taper", "out"), True),
+    "transform": (cmd_transform, ("grid", "radius", "bump-width", "out"), True),
+    "lemma": (cmd_lemma, ("b0", "x", "out"), False),
+    "euclid": (cmd_euclid, ("lambda", "centers", "spacing", "grid", "resolution", "out"), True),
+    "validate": (cmd_validate, ("suite",), False),
+}
+
+_HELP = {
+    "lambda": "spectral parameter",
+    "b0": "boundary direction angle in radians",
+    "x": "disk point as re,im",
+    "grid": "grid size NxM",
+    "radius": "geodesic truncation radius R",
+    "resolution": "quadrature resolution",
+    "centers": "number of centers",
+    "spacing": "spacing of the centers",
+    "sigmas": "taper widths, increasing, comma-separated",
+    "taper": "taper kind: gaussian, cosine or hard",
+    "bump-width": "width of the Gaussian test bump",
+    "suite": "comma-separated validation suites",
+    "out": "output file path",
+}
 
 
 @functools.cache
@@ -458,34 +473,22 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="horowave",
         description="Waves on the hyperbolic disk from horocycle superpositions")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, fn, extra in (
-        ("wave", cmd_wave, ()),
-        ("spherical", cmd_spherical, ()),
-        ("moire", cmd_moire, ("centers", "spacing", "sigmas")),
-        ("transform", cmd_transform, ("bump-width",)),
-        ("lemma", cmd_lemma, ()),
-        ("euclid", cmd_euclid, ("centers", "spacing")),
-        ("validate", cmd_validate, ("suite", "kappa-scale")),
-    ):
+    for name, (_, flags, _) in _COMMANDS.items():
         p = sub.add_parser(name)
-        _add_common(p)
-        for flag in extra:
-            p.add_argument(f"--{flag}")
-        p.set_defaults(func=fn)
+        for flag in flags:
+            p.add_argument(f"--{flag}", help=_HELP[flag])
+        p.add_argument("--config", help="key=value configuration file")
     return parser
-
-
-_NEEDS_OUT = {"wave", "spherical", "moire", "transform", "euclid"}
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _merge_config(args)
-        if args.command in _NEEDS_OUT and not args.out:
+        fn, _, needs_out = _COMMANDS[args.command]
+        if needs_out and not args.out:
             raise ConfigError("out", "missing required parameter")
-        return args.func(args)
+        return fn(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

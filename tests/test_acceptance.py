@@ -72,18 +72,15 @@ def test_criterion_3_spherical_oracle():
 
 def test_criterion_4_c_function():
     worst_sym, worst_ratio = 0.0, 0.0
-    ratios = []
     for lam in np.linspace(0.5, 4.0, 8):
         c = harish_chandra_c(float(lam))
         worst_sym = max(worst_sym, abs(harish_chandra_c(float(-lam)) - np.conj(c)))
-        ratios.append((1.0 / abs(c) ** 2) / (lam * math.tanh(math.pi * lam)))
-    # |c|^-2 = kappa_c * lam * tanh(pi lam) with one constant across lambda
-    kappa_c = float(np.mean(ratios))
-    worst_ratio = max(abs(r / kappa_c - 1.0) for r in ratios)
-    ok = worst_sym <= 1e-6 and worst_ratio <= 1e-2
-    report(4, "c-function symmetry and |c|^-2 = kappa lam tanh(pi lam)", ok,
-           f"symmetry {worst_sym:.1e}, ratio spread {worst_ratio:.1e}, "
-           f"kappa_c {kappa_c:.6f}")
+        ratio = (1.0 / abs(c) ** 2) / (lam * math.tanh(math.pi * lam))
+        worst_ratio = max(worst_ratio, abs(ratio / math.pi - 1.0))
+    # the bound of the validate check "|c|^-2 proportional to lam tanh(pi lam)"
+    ok = worst_sym <= 1e-6 and worst_ratio <= 1e-8
+    report(4, "c-function symmetry and |c|^-2 = pi lam tanh(pi lam)", ok,
+           f"symmetry {worst_sym:.1e}, |ratio/pi - 1| {worst_ratio:.1e}")
 
 
 _HFT_RESULTS = []

@@ -1,5 +1,7 @@
 """Command-line interface: formats, determinism, exit codes, config handling."""
 import math
+import pathlib
+import shlex
 import subprocess
 import sys
 import warnings
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from horowave import cli
+from horowave import checks, cli
 from horowave.cli import _field_csv
 from horowave.transform import GridSpec
 
@@ -342,13 +344,52 @@ def test_spherical_resolution_below_two_is_rejected(tmp_path):
     (("euclid", "--centers", "x"), "centers"),
     (("euclid", "--resolution", "1"), "resolution"),
     (("transform", "--bump-width", "wide"), "bump-width"),
-    (("validate", "--suite", "hypgeo", "--kappa-scale", "big"), "kappa-scale"),
+    (("moire", "--lambda", "2", "--x", "5,5"), "x"),
+    (("moire", "--lambda", "2", "--x", "nan,0"), "x"),
+    (("lemma", "--x", "1.5,0"), "x"),
+    (("moire", "--lambda", "2", "--sigmas", "8,4"), "sigmas"),
+    (("moire", "--lambda", "2", "--sigmas", "0,4"), "sigmas"),
+    (("moire", "--lambda", "2", "--sigmas", "inf"), "sigmas"),
 ])
 def test_bad_numeric_option_is_a_config_error(tmp_path, args, key):
     res = run(*args, "--out", str(tmp_path / "n.csv"))
     assert res.returncode == 2
     assert "configuration error" in res.stderr and f"'{key}'" in res.stderr
     assert "Traceback" not in res.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+# each appends --out, which validate does not read either
+@pytest.mark.parametrize("args", [
+    ("lemma", "--grid", "8x8"),
+    ("lemma", "--radius", "0.5"),
+    ("transform", "--lambda", "3"),
+    ("wave", "--lambda", "2", "--x", "0,0"),
+    ("spherical", "--lambda", "1", "--b0", "1"),
+    ("euclid", "--radius", "2"),
+    ("moire", "--lambda", "2", "--grid", "16x16", "--radius", "1.8", "--resolution", "9"),
+    ("moire", "--lambda", "2", "--grid", "16x16", "--radius", "1.8", "--taper", "gaussian:99"),
+    ("validate", "--suite", "hypgeo"),
+    ("transform", "--config", "run.cfg"),  # a config file holding lambda=2
+], ids=["lemma-grid", "lemma-radius", "transform-lambda", "wave-x", "spherical-b0",
+        "euclid-radius", "moire-resolution", "moire-taper-width", "validate-out",
+        "transform-config-lambda"])
+def test_flag_the_subcommand_does_not_read_exits_2(tmp_path, args):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambda=2\n")
+    res = run(*(str(cfg) if a == "run.cfg" else a for a in args),
+              "--out", str(tmp_path / "o.csv"))
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+def test_readme_cli_examples_parse():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    lines = [l for l in readme.splitlines() if l.startswith("horowave ")]
+    parser = cli._build_parser()
+    commands = {parser.parse_args(shlex.split(l)[1:]).command for l in lines}
+    assert commands == set(cli._COMMANDS)
 
 
 def test_missing_required_parameter():
@@ -386,10 +427,11 @@ def test_validate_suite_filter_runs_fast():
     assert "FAIL" not in res.stdout
 
 
-def test_validate_detects_perturbed_kappa():
-    res = run("validate", "--suite", "hft", "--kappa-scale", "1.1")
-    assert res.returncode == 1
-    assert "FAIL" in res.stdout
+def test_validate_detects_perturbed_kappa(monkeypatch, capsys):
+    monkeypatch.setattr(checks, "PLANCHEREL_KAPPA", 1.1 / (2 * math.pi))
+    assert cli.main(["validate", "--suite", "hft"]) == 1
+    fails = [l for l in capsys.readouterr().out.splitlines() if l.startswith("FAIL")]
+    assert len(fails) > 1  # failed checks and the summary line
 
 
 def test_validate_rejects_unknown_suite():
