@@ -174,7 +174,7 @@ def suite_hft() -> list[CheckResult]:
 
     for name, fn in _BUMPS.items():
         f = SampledField.from_function(fn)
-        g = inverse(forward(f), kappa=PLANCHEREL_KAPPA)
+        g = inverse(forward(f))
         err = math.sqrt(float(np.sum(f.weights * np.abs(g.values - f.values) ** 2))
                         / f.norm2())
         out.append(_check(f"round trip {name} bump", err, 2e-2))
@@ -183,7 +183,7 @@ def suite_hft() -> list[CheckResult]:
     for a in (1.25, 1.7, 2.2):
         f = SampledField.from_function(gaussian_bump(a))
         ft = spherical_transform(f, lams)
-        ratio = plancherel_spectral(ft, lams, kappa=PLANCHEREL_KAPPA) / f.norm2()
+        ratio = plancherel_spectral(ft, lams) / f.norm2()
         out.append(_check(f"Plancherel isometry (width {a})", abs(ratio - 1.0), 2e-2))
 
     b0, x0 = BoundaryPoint(0.0), DiskPoint(0j)
@@ -255,10 +255,6 @@ def suite_euclid() -> list[CheckResult]:
     bw = euclid.bessel_wave_array(1.3, 0j, r.astype(complex))
     dev = float(np.max(np.abs(bw - j0(2 * np.pi * r / 1.3))))
     out.append(_check("bessel_wave matches J0", dev, 1e-10))
-
-    x = np.linspace(0.0, 10.0, 101)
-    out.append(_check("J0 power series self-check",
-                      float(np.max(np.abs(euclid.j0_series(x) - j0(x)))), 1e-10))
 
     lam = 1.0
     xs = np.linspace(2.0, 6.0, 81)

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["PlanePoint", "plane_wave", "bessel_wave", "line_moire",
-           "plane_wave_array", "bessel_wave_array", "line_moire_array",
-           "j0_series"]
+           "plane_wave_array", "bessel_wave_array", "line_moire_array"]
 
 _M_ANGULAR = 256  # trapezoid nodes for the circle average
 
@@ -102,15 +101,3 @@ def line_moire_array(lam: float, n: int, spacing: float, q: np.ndarray,
         sums = np.einsum("pu,pu->p", ey[iy], ex[ix])
     return (sums / m).reshape(q.shape)
 
-
-def j0_series(x: np.ndarray, terms: int = 40) -> np.ndarray:
-    """Reference J0 by its power series; accurate to ~1e-12 for |x| <= 10."""
-    x = np.asarray(x, float)
-    acc = np.zeros_like(x)
-    term = np.ones_like(x)
-    x2 = -0.25 * x * x
-    for k in range(terms):
-        if k > 0:
-            term = term * x2 / (k * k)
-        acc = acc + term
-    return acc

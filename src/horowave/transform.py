@@ -350,9 +350,8 @@ def forward(f: SampledField, lambda_max: float = LAMBDA_MAX,
 
 
 def forward_at(f: SampledField, lams: np.ndarray, b: BoundaryPoint) -> np.ndarray:
-    """Transform values at equally spaced lambda nodes for one boundary direction."""
+    """Transform values at the lambda nodes lams, in any order and spacing, toward b."""
     _check_support(f)
-    _lambda_step(lams)  # raises on a grid that is not equally spaced
     conj_g = np.conj(f.values * f.weights)
     T, s, blocks = _busemann_kernel(busemann_array(f.grid.z, b.theta), lams)
     V = np.zeros(len(s), complex)
@@ -361,10 +360,10 @@ def forward_at(f: SampledField, lams: np.ndarray, b: BoundaryPoint) -> np.ndarra
     return np.conj(np.einsum("ik,k->i", T, s * V))
 
 
-def inverse(F: SpectralField, kappa: float = PLANCHEREL_KAPPA) -> SampledField:
+def inverse(F: SpectralField) -> SampledField:
     """Inversion with Plancherel weight; lambda over [0, Lambda] (see module doc)."""
-    dens0 = plancherel_density(F.lambda_grid, kappa=1.0)
-    energy = dens0 * np.sum(np.abs(F.values) ** 2, axis=1)
+    dens = plancherel_density(F.lambda_grid)
+    energy = dens * np.sum(np.abs(F.values) ** 2, axis=1)
     total = np.sum(energy)
     tail_rows = max(1, len(energy) // 20)
     if total > 0 and np.sum(energy[-tail_rows:]) > 1e-3 * total:
@@ -374,7 +373,6 @@ def inverse(F: SpectralField, kappa: float = PLANCHEREL_KAPPA) -> SampledField:
     grid = F.grid
     if len(F.b_grid) != grid.n_theta or not np.allclose(F.b_grid, grid.angles):
         raise ValueError("b grid must coincide with the spatial angular grid")
-    dens = plancherel_density(F.lambda_grid, kappa=kappa)
     wl = _lambda_weights(F.lambda_grid)
     db = 1.0 / grid.n_theta
     # inverse is linear: fold the lambda rows onto the K kernel rows,
@@ -403,21 +401,25 @@ def spherical_transform(f: SampledField, lams: np.ndarray) -> np.ndarray:
     return phis @ (prof * f.grid.row_weights * f.grid.n_theta)
 
 
-def plancherel_spectral(ftilde: np.ndarray, lams: np.ndarray,
-                        kappa: float = PLANCHEREL_KAPPA) -> float:
+def plancherel_spectral(ftilde: np.ndarray, lams: np.ndarray) -> float:
     """(1/w) int_{-L}^{L} |ftilde|^2 density dlam, by evenness = int_0^L."""
     wl = _lambda_weights(np.asarray(lams, float))
-    return float(np.sum(wl * plancherel_density(lams, kappa=kappa) * np.abs(ftilde) ** 2))
+    return float(np.sum(wl * plancherel_density(lams) * np.abs(ftilde) ** 2))
 
 
-def horocycle_integral(fn: FieldFunction, h: Horocycle, taper: TaperSpec,
-                       tol: float = 1e-8, max_halvings: int = 12,
-                       n_start: int = 513) -> complex:
+# horocycle_integral's trapezoid, read at each call
+_HOROCYCLE_NODES = 513
+_HOROCYCLE_TOL = 1e-8
+_HOROCYCLE_MAX_HALVINGS = 12
+
+
+def horocycle_integral(fn: FieldFunction, h: Horocycle, taper: TaperSpec) -> complex:
     """Tapered line integral of fn along the horocycle, arc-length measure.
 
     fn must accept an ndarray of complex disk coordinates. The uniform
-    trapezoid on n_start nodes is refined by halving its step until the
-    result moves by less than tol; each node is passed to fn once.
+    trapezoid on _HOROCYCLE_NODES nodes is refined by halving its step until
+    the result moves by less than _HOROCYCLE_TOL; each node is passed to fn
+    once. QuadratureUnderResolved after _HOROCYCLE_MAX_HALVINGS halvings.
     """
     S = taper.support_radius
 
@@ -425,41 +427,40 @@ def horocycle_integral(fn: FieldFunction, h: Horocycle, taper: TaperSpec,
         y = horocycle_points_array(h.direction.theta, h.busemann_value, s)
         return taper(s) * np.asarray(fn(y), complex)
 
-    return complex(_trapezoid_halving(values, -S, S, n_start - 1, tol, max_halvings,
-                                      "horocycle integral"))
+    return complex(_trapezoid_halving(values, -S, S, _HOROCYCLE_NODES - 1, _HOROCYCLE_TOL,
+                                      _HOROCYCLE_MAX_HALVINGS, "horocycle integral"))
 
 
 WIDE_TAPER = TaperSpec("gaussian", 20.0)
 
 
 def coarea_profile(psi: FieldFunction, b0: BoundaryPoint, x: DiskPoint,
-                   u_grid: np.ndarray, taper: TaperSpec = WIDE_TAPER) -> np.ndarray:
+                   u_grid: np.ndarray) -> np.ndarray:
     """Level-set profile of psi along the horocycle foliation toward b0.
 
-    Psi(u) = e^{rho u} * integral of psi over the horocycle at Busemann
-    value busemann(x, b0) - u.
+    Psi(u) = e^{rho u} * integral of psi, tapered by WIDE_TAPER, over the
+    horocycle at Busemann value busemann(x, b0) - u.
     """
     beta_x = busemann(x, b0)
     out = np.empty(len(u_grid), complex)
     for i, u in enumerate(np.asarray(u_grid, float)):
-        line = horocycle_integral(psi, Horocycle(b0, beta_x - u), taper)
+        line = horocycle_integral(psi, Horocycle(b0, beta_x - u), WIDE_TAPER)
         out[i] = math.exp(RHO * u) * line
     return out
 
 
-def lemma_check(psi: FieldFunction, b0: BoundaryPoint, x: DiskPoint,
-                grid: GridSpec = DEFAULT_GRID,
-                lambda_max: float = LAMBDA_MAX,
-                lambda_step: float = LAMBDA_STEP) -> tuple[complex, complex]:
+def lemma_check(psi: FieldFunction, b0: BoundaryPoint,
+                x: DiskPoint) -> tuple[complex, complex]:
     """Weak test of the horocycle-Dirac transform identity.
 
     lhs: (1/2pi) int_{-L}^{L} e_{lambda,b0}(x) psi_hat(lambda, b0) dlambda,
-    with psi_hat from the forward transform of the sampled psi.
+    L = LAMBDA_MAX in steps of LAMBDA_STEP, with psi_hat from the forward
+    transform of psi sampled on DEFAULT_GRID.
     rhs: wide-tapered integral of psi over the horocycle through x toward b0.
     The two sides agree when x lies on the zero horocycle of direction b0.
     """
-    f = SampledField.from_function(psi, grid)
-    lams = np.arange(-lambda_max, lambda_max + lambda_step / 2.0, lambda_step)
+    f = SampledField.from_function(psi, DEFAULT_GRID)
+    lams = np.arange(-LAMBDA_MAX, LAMBDA_MAX + LAMBDA_STEP / 2.0, LAMBDA_STEP)
     psi_hat = forward_at(f, lams, b0)
     beta_x = busemann(x, b0)
     wave = np.exp((1j * lams + RHO) * beta_x)
@@ -472,12 +473,13 @@ def calibrate_plancherel_kappa(grid: GridSpec = DEFAULT_GRID) -> float:
     """kappa refitted from a round trip, as a check of PLANCHEREL_KAPPA.
 
     The reference input is the radial Gaussian exp(-1.25 d(0,z)^2), narrow
-    enough to clear the support check at the default R. The fit is the
-    scalar minimizing ||kappa * inverse(forward(f0), 1) - f0||_{L2}.
+    enough to clear the support check at the default R. With
+    g = inverse(forward(f0)), the fit is PLANCHEREL_KAPPA times the scalar
+    a minimizing ||a g - f0||_{L2}, which is 1 for an exact round trip.
     """
     f0 = SampledField.from_function(gaussian_bump(1.25), grid)
-    g1 = inverse(forward(f0), kappa=1.0)
+    g = inverse(forward(f0))
     w = f0.weights
-    num = float(np.sum(w * np.conj(g1.values) * f0.values).real)
-    den = float(np.sum(w * np.abs(g1.values) ** 2))
-    return num / den
+    num = float(np.sum(w * np.conj(g.values) * f0.values).real)
+    den = float(np.sum(w * np.abs(g.values) ** 2))
+    return PLANCHEREL_KAPPA * num / den

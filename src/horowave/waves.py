@@ -301,24 +301,28 @@ def xi_function(d) -> np.ndarray:
     return spherical_radial(0.0, d)
 
 
-def harish_chandra_c(lam: float, t_window: tuple[float, float] = (10.0, 14.0),
-                     n_fit: int = 81) -> complex:
+_C_FIT_WINDOW = (10.0, 14.0)
+_C_FIT_NODES = 81
+
+
+def harish_chandra_c(lam: float) -> complex:
     """c(lambda) from the large-distance asymptotics of phi_lambda.
 
     Least-squares fit of phi_lambda(t) e^{t/2} against
-    c1 e^{i lam t} + c2 e^{-i lam t} on the fit window; returns c1.
+    c1 e^{i lam t} + c2 e^{-i lam t} at _C_FIT_NODES distances t spread
+    evenly over _C_FIT_WINDOW; returns c1.
     """
     if abs(lam) < 1e-8:
         raise SpectralSingularity("c-function extraction is singular at lambda = 0")
-    t = np.linspace(t_window[0], t_window[1], n_fit)
+    t = np.linspace(*_C_FIT_WINDOW, _C_FIT_NODES)
     vals = spherical_radial(lam, t) * np.exp(t / 2.0)
     A = np.stack([np.exp(1j * lam * t), np.exp(-1j * lam * t)], axis=1)
     coef, *_ = np.linalg.lstsq(A, vals.astype(complex), rcond=None)
     return complex(coef[0])
 
 
-def plancherel_density(lam, kappa: float = PLANCHEREL_KAPPA) -> np.ndarray:
-    """kappa * lam * tanh(pi lam); even in lam, vanishing at lam = 0."""
+def plancherel_density(lam) -> np.ndarray:
+    """PLANCHEREL_KAPPA * lam * tanh(pi lam); even in lam, vanishing at lam = 0."""
     lam = np.asarray(lam, float)
-    out = kappa * lam * np.tanh(np.pi * lam)
+    out = PLANCHEREL_KAPPA * lam * np.tanh(np.pi * lam)
     return out if out.shape else out[()]

@@ -1,4 +1,4 @@
-"""Shared test set-up: the CLI subprocesses' import path and disk helpers."""
+"""Shared test set-up: the CLI subprocesses' import path and a disk helper."""
 import os
 
 import numpy as np
@@ -16,8 +16,3 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 def disk_distance(z):
     """Geodesic distance from the origin, vectorized."""
     return 2.0 * np.arctanh(np.abs(z))
-
-
-def mobius_to(z, w):
-    """Disk automorphism sending w to the origin."""
-    return (z - w) / (1.0 - np.conj(w) * z)

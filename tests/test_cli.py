@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from horowave import checks, cli
+from horowave import cli, waves
 from horowave.cli import _field_csv
 from horowave.transform import GridSpec
 
@@ -428,10 +428,14 @@ def test_validate_suite_filter_runs_fast():
 
 
 def test_validate_detects_perturbed_kappa(monkeypatch, capsys):
-    monkeypatch.setattr(checks, "PLANCHEREL_KAPPA", 1.1 / (2 * math.pi))
+    # the constant plancherel_density reads, so inverse and the isometry use it
+    monkeypatch.setattr(waves, "PLANCHEREL_KAPPA", 1.1 / (2 * math.pi))
     assert cli.main(["validate", "--suite", "hft"]) == 1
     fails = [l for l in capsys.readouterr().out.splitlines() if l.startswith("FAIL")]
-    assert len(fails) > 1  # failed checks and the summary line
+    for name in ("kappa fit", "round trip radial", "round trip offcenter",
+                 "round trip two-lobe", "Plancherel isometry (width 1.25)",
+                 "Plancherel isometry (width 1.7)", "Plancherel isometry (width 2.2)"):
+        assert any(name in l for l in fails), name
 
 
 def test_validate_rejects_unknown_suite():

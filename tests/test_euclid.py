@@ -7,7 +7,6 @@ from horowave.euclid import (
     PlanePoint,
     bessel_wave,
     bessel_wave_array,
-    j0_series,
     line_moire,
     line_moire_array,
     plane_wave,
@@ -41,11 +40,6 @@ def test_bessel_wave_center_translation():
 def test_bessel_wave_rejects_bad_wavelength():
     with pytest.raises(ValueError):
         bessel_wave(0.0, PlanePoint(0, 0), PlanePoint(1, 1))
-
-
-def test_j0_series_matches_scipy():
-    x = np.linspace(0.0, 10.0, 101)
-    np.testing.assert_allclose(j0_series(x), oracles.bessel_j0(x), atol=1e-10)
 
 
 def test_line_moire_single_center_reduces_to_bessel():

@@ -6,8 +6,9 @@ import pytest
 from scipy.special import jn_zeros, jv
 
 import oracles
-from conftest import disk_distance, mobius_to
+from conftest import disk_distance
 from horowave import moire, transform
+from horowave.checks import _mobius_to
 from horowave.errors import (
     NotRadial,
     QuadratureUnderResolved,
@@ -36,12 +37,13 @@ from horowave.transform import (
     plancherel_spectral,
     spherical_transform,
 )
+from horowave.waves import PLANCHEREL_KAPPA
 
 BUMPS = {
     "radial": lambda z: np.exp(-1.25 * disk_distance(z) ** 2),
-    "offcenter": lambda z: np.exp(-1.7 * disk_distance(mobius_to(z, 0.25)) ** 2),
-    "two-lobe": lambda z: (np.exp(-1.5 * disk_distance(mobius_to(z, 0.2j)) ** 2)
-                           + 0.5 * np.exp(-2.0 * disk_distance(mobius_to(z, -0.15)) ** 2)),
+    "offcenter": lambda z: np.exp(-1.7 * disk_distance(_mobius_to(z, 0.25)) ** 2),
+    "two-lobe": lambda z: (np.exp(-1.5 * disk_distance(_mobius_to(z, 0.2j)) ** 2)
+                           + 0.5 * np.exp(-2.0 * disk_distance(_mobius_to(z, -0.15)) ** 2)),
 }
 
 
@@ -112,8 +114,14 @@ def test_unequally_spaced_lambda_grid_is_rejected():
     lams = np.array([0.0, 0.05, 0.1, 0.2])
     with pytest.raises(ValueError, match="equally spaced"):
         SpectralField(lams, f.grid.angles, np.zeros((4, f.grid.n_theta), complex))
-    with pytest.raises(ValueError, match="equally spaced"):
-        forward_at(f, lams, BoundaryPoint(0.0))
+
+
+def test_forward_at_takes_unequally_spaced_lambdas():
+    f = SampledField.from_function(BUMPS["offcenter"])
+    lams = np.sort(np.random.default_rng(11).uniform(-8.0, 8.0, 57))
+    ref = oracles.direct_forward_at(f, lams, 0.7)
+    got = forward_at(f, lams, BoundaryPoint(0.7))
+    assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
 
 
 def _rel_max(got: np.ndarray, ref: np.ndarray) -> float:
@@ -142,8 +150,8 @@ def test_transform_matches_direct_exponentials(shape):
             lams = 0.5 + F.lambda_grid
             vals = rng.standard_normal(F.values.shape) + 1j * rng.standard_normal(F.values.shape)
             vals[-1] = 0.0
-        got = inverse(SpectralField(lams, grid.angles, vals, grid), kappa=1.0).values
-        assert _rel_max(got, oracles.direct_inverse(lams, vals, grid, 1.0)) < 1e-13
+        got = inverse(SpectralField(lams, grid.angles, vals, grid)).values
+        assert _rel_max(got, oracles.direct_inverse(lams, vals, grid, PLANCHEREL_KAPPA)) < 1e-13
     lemma_lams = np.arange(-8.0, 8.025, 0.05)
     ref = oracles.direct_forward_at(f, lemma_lams, 0.7)
     for n in (1, 2, 3, 161, 321):
@@ -285,25 +293,30 @@ def test_horocycle_integral_evaluates_each_node_once():
         seen.append(y)
         return np.exp(-8.0 * disk_distance(y) ** 2)
 
-    n_start = 65
-    horocycle_integral(bump, Horocycle(BoundaryPoint(0), 0.0), TaperSpec("gaussian", 4.0),
-                       n_start=n_start)
+    horocycle_integral(bump, Horocycle(BoundaryPoint(0), 0.0), TaperSpec("gaussian", 4.0))
     levels = len(seen) - 1
     assert levels >= 1
     nodes = np.concatenate(seen)
-    assert len(nodes) == (n_start - 1) * 2 ** levels + 1  # the final level's node count
+    assert len(nodes) == 512 * 2 ** levels + 1  # the final level's node count
     assert len(np.unique(nodes)) == len(nodes)
 
 
-@pytest.mark.parametrize("integrate", [
-    lambda: horocycle_integral(lambda y: np.ones(y.shape), Horocycle(BoundaryPoint(0), 0.0),
-                               TaperSpec("gaussian", 2.0), max_halvings=0),
-    lambda: moire._line_integrals_multi(np.array([1.0, 2.0]), BoundaryPoint(0), DiskPoint(0j),
-                                        TaperSpec("gaussian", 2.0), max_halvings=0),
-], ids=["scalar", "vector"])
-def test_halving_budget_exhausted_raises(integrate):
+def _scalar_without_halvings(monkeypatch):
+    monkeypatch.setattr(transform, "_HOROCYCLE_MAX_HALVINGS", 0)
+    horocycle_integral(lambda y: np.ones(y.shape), Horocycle(BoundaryPoint(0), 0.0),
+                       TaperSpec("gaussian", 2.0))
+
+
+def _vector_without_halvings(monkeypatch):
+    moire._line_integrals_multi(np.array([1.0, 2.0]), BoundaryPoint(0), DiskPoint(0j),
+                                TaperSpec("gaussian", 2.0), max_halvings=0)
+
+
+@pytest.mark.parametrize("integrate", [_scalar_without_halvings, _vector_without_halvings],
+                         ids=["scalar", "vector"])
+def test_halving_budget_exhausted_raises(integrate, monkeypatch):
     with pytest.raises(QuadratureUnderResolved):
-        integrate()
+        integrate(monkeypatch)
 
 
 # --- coarea and lemma -------------------------------------------------------
