@@ -215,10 +215,13 @@ def busemann_array(z: np.ndarray, theta: float) -> np.ndarray:
 
 
 def distance_array(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Hyperbolic distance (curvature -1), vectorized."""
-    num = 2.0 * np.abs(z - w) ** 2
-    den = (1.0 - np.abs(z) ** 2) * (1.0 - np.abs(w) ** 2)
-    return np.arccosh(1.0 + num / den)
+    """Hyperbolic distance (curvature -1), vectorized.
+
+    2 asinh(|z - w| / sqrt((1 - |z|^2)(1 - |w|^2))), unlike arccosh(1 + ...), keeps
+    distances below 1e-8; |z|^2 as x^2 + y^2 rounds less than abs(z)^2 near |z| = 1.
+    """
+    den = (1.0 - (z.real ** 2 + z.imag ** 2)) * (1.0 - (w.real ** 2 + w.imag ** 2))
+    return 2.0 * np.arcsinh(np.abs(z - w) / np.sqrt(den))
 
 
 def origin_distance(z: np.ndarray) -> np.ndarray:

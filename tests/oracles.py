@@ -43,6 +43,18 @@ def conical_spherical(lam: float, d: float) -> float:
         return float(mpmath.re(mpmath.legenp(mpmath.mpc(-0.5, lam), 0, z, type=3)))
 
 
+def hyperbolic_distance(z: complex, w: complex) -> float:
+    """d(z, w) = arccosh(1 + 2|z - w|^2 / ((1 - |z|^2)(1 - |w|^2))) in mpmath.
+
+    z and w are taken as exact and the argument is formed at 40 digits, so
+    distances down to 1e-12 keep their digits past the 1 + ... rounding.
+    """
+    with mpmath.workdps(40):
+        z, w = mpmath.mpc(z), mpmath.mpc(w)
+        den = (1 - abs(z) ** 2) * (1 - abs(w) ** 2)
+        return float(mpmath.acosh(1 + 2 * abs(z - w) ** 2 / den))
+
+
 def boundary_moire_sum(lam: float, z: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """(1/n) sum_c phi_lambda(d(z, c)) through the addition formula.
 
@@ -141,38 +153,40 @@ def horocycle_bump_integral(coeff: float, taper_width: float) -> float:
     return val
 
 
-def direct_forward(f, lams: np.ndarray) -> np.ndarray:
-    """Helgason-Fourier transform on the (lams, grid angles) rectangle, one exp per lambda.
+def direct_transforms(f, forward_lams, inverse_args, kappa: float):
+    """Forward rows and inversions from one kernel per distinct lambda, each by its own np.exp.
 
-    Row i is the circular correlation over the angle index of the weighted
-    samples with e_{-lambda_i, 1}, each kernel built by its own np.exp.
+    Each distinct lambda of the lists in forward_lams and inverse_args gets
+    its kernel fft(exp((i lambda + 1/2) B)) along the angle once, and that
+    kernel serves every row and every inversion term at that lambda.
+    Forward: for each lambda grid of forward_lams, row i is the circular
+    correlation over the angle index of f's weighted samples with
+    e_{-lambda_i, 1}. Inverse: for each (lams, values) of inverse_args, the
+    Plancherel-weighted inversion over [lams[0], lams[-1]], trapezoid
+    weights in lambda on the grid's first step and density
+    kappa * lambda * tanh(pi lambda), on f's grid. Returns the list of
+    forward arrays and the list of inverse arrays.
     """
-    B = busemann_array(f.grid.z, 0.0)
-    A = np.fft.fft(f.values * f.grid.row_weights[:, None], axis=1)
-    out = np.empty((len(lams), f.grid.n_theta), complex)
-    for i, lam in enumerate(lams):
-        K = np.fft.fft(np.exp((1j * lam + 0.5) * B), axis=1)
-        out[i] = np.fft.ifft(np.sum(A * np.conj(K), axis=0))
-    return out
-
-
-def direct_inverse(lams: np.ndarray, values: np.ndarray, grid, kappa: float) -> np.ndarray:
-    """Plancherel-weighted inversion over [lams[0], lams[-1]], one exp and IFFT per lambda.
-
-    Trapezoid weights in lambda on the grid's first step, density
-    kappa * lambda * tanh(pi lambda).
-    """
+    grid = f.grid
     B = busemann_array(grid.z, 0.0)
-    h = lams[1] - lams[0] if len(lams) > 1 else 0.0
-    wl = np.full(len(lams), h)
-    wl[[0, -1]] *= 0.5
-    dens = kappa * lams * np.tanh(np.pi * lams)
-    acc = np.zeros((grid.n_r, grid.n_theta), complex)
-    for i, lam in enumerate(lams):
+    A = np.fft.fft(f.values * grid.row_weights[:, None], axis=1)
+    rows = [np.empty((len(lams), grid.n_theta), complex) for lams in forward_lams]
+    terms = []
+    for lams, values in inverse_args:
+        wl = np.full(len(lams), lams[1] - lams[0] if len(lams) > 1 else 0.0)
+        wl[[0, -1]] *= 0.5
+        scale = kappa * lams * np.tanh(np.pi * lams) * wl / grid.n_theta
+        terms.append((lams, scale[:, None] * np.fft.fft(values, axis=1),
+                      np.zeros((grid.n_r, grid.n_theta), complex)))
+    for lam in np.unique(np.concatenate([*forward_lams, *(l for l, _ in inverse_args)])):
         K = np.fft.fft(np.exp((1j * lam + 0.5) * B), axis=1)
-        FF = np.fft.fft(values[i])
-        acc += (dens[i] * wl[i] / grid.n_theta) * np.fft.ifft(K * FF[None, :], axis=1)
-    return acc
+        for lams, out in zip(forward_lams, rows):
+            out[lams == lam] = np.sum(A * np.conj(K), axis=0)
+        for lams, FF, acc in terms:
+            for i in np.flatnonzero(lams == lam):
+                acc += K * FF[i]
+    return ([np.fft.ifft(out, axis=1) for out in rows],
+            [np.fft.ifft(acc, axis=1) for _, _, acc in terms])
 
 
 def direct_forward_at(f, lams: np.ndarray, theta: float) -> np.ndarray:

@@ -96,7 +96,7 @@ def test_criterion_5_transform():
     results = [r for r in hft_results()
                if r.name.startswith(("kappa", "round trip", "Plancherel"))]
     ok, detail = suite_ok(results)
-    report(5, "transform round trips and Plancherel isometry (2%)", ok, detail)
+    report(5, "transform round trips (1e-4) and Plancherel isometry (1e-6)", ok, detail)
 
 
 def test_criterion_6_lemma_and_coarea():

@@ -306,7 +306,7 @@ def test_transform_reports_roundtrip(tmp_path):
     res = run("transform", "--out", str(out))
     assert res.returncode == 0
     _, _, footer = read_field(out)
-    assert float(footer["roundtrip_relative_l2_error"]) < 2e-2
+    assert float(footer["roundtrip_relative_l2_error"]) < 1e-4
 
 
 def test_bad_config_exit_code():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from horowave.geometry import (
     BoundaryPoint,
     DiskPoint,
@@ -191,3 +192,14 @@ def test_array_helpers_match_scalars():
     w = np.array([0.3, -0.2 + 0.1j, 0j])
     expect = [geodesic_distance(DiskPoint(a), DiskPoint(b)) for a, b in zip(z, w)]
     np.testing.assert_allclose(distance_array(z, w), expect, atol=1e-13)
+
+
+@pytest.mark.parametrize("radius, bound", [(0.0, 1e-15), (0.3, 1e-15), (0.999, 1e-13)])
+def test_distance_array_matches_mpmath_down_to_1e_12(radius, bound):
+    rng = np.random.default_rng(11)
+    z = radius * np.exp(2j * np.pi * rng.uniform(size=200))
+    d = np.logspace(-12, 0, 200)
+    r = np.tanh(d / 2) * np.exp(2j * np.pi * rng.uniform(size=200))
+    w = (r + z) / (1 + np.conj(z) * r)  # about d from z
+    ref = np.array([oracles.hyperbolic_distance(a, b) for a, b in zip(z, w)])
+    assert np.max(np.abs(distance_array(z, w) / ref - 1.0)) <= bound

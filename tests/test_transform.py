@@ -106,7 +106,7 @@ def test_round_trip_at_exact_kappa(shape):
 def test_round_trip_on_the_grids_own_lambda_step(step):
     f = SampledField.from_function(BUMPS["offcenter"])
     g = inverse(forward(f, lambda_step=step))
-    assert rel_l2(f, g) < 2e-2
+    assert rel_l2(f, g) < 1e-4
 
 
 def test_unequally_spaced_lambda_grid_is_rejected():
@@ -140,18 +140,24 @@ def test_transform_matches_direct_exponentials(shape):
     grid = GridSpec(*shape)
     f = SampledField.from_function(BUMPS["offcenter"], grid)
     rng = np.random.default_rng(7)
+    fwd, inv = [], []
     for lambda_max, step in ((0.0, 0.05), (0.05, 0.05), (0.1, 0.05), (8.0, 0.05), (8.0, 0.025),
                              (8.0, 0.0125)):
         F = forward(f, lambda_max, step)
-        assert _rel_max(F.values, oracles.direct_forward(f, F.lambda_grid)) < 1e-13
         if len(F.lambda_grid) > 3:
             lams, vals = F.lambda_grid, F.values
         else:  # off lambda = 0, with the last row empty so the truncation check passes
             lams = 0.5 + F.lambda_grid
             vals = rng.standard_normal(F.values.shape) + 1j * rng.standard_normal(F.values.shape)
             vals[-1] = 0.0
-        got = inverse(SpectralField(lams, grid.angles, vals, grid)).values
-        assert _rel_max(got, oracles.direct_inverse(lams, vals, grid, PLANCHEREL_KAPPA)) < 1e-13
+        fwd.append(F)
+        inv.append((lams, vals, inverse(SpectralField(lams, grid.angles, vals, grid)).values))
+    ref_fwd, ref_inv = oracles.direct_transforms(f, [F.lambda_grid for F in fwd],
+                                                 [(l, v) for l, v, _ in inv], PLANCHEREL_KAPPA)
+    for F, ref in zip(fwd, ref_fwd):
+        assert _rel_max(F.values, ref) < 1e-13
+    for (_, _, got), ref in zip(inv, ref_inv):
+        assert _rel_max(got, ref) < 1e-13
     lemma_lams = np.arange(-8.0, 8.025, 0.05)
     ref = oracles.direct_forward_at(f, lemma_lams, 0.7)
     for n in (1, 2, 3, 161, 321):
@@ -344,7 +350,7 @@ def test_coarea_fourier_inversion_chain():
     lams = np.arange(-8.0, 8.0001, 0.05)
     phase = np.exp(1j * lams[:, None] * u[None, :])
     rec = np.trapezoid(np.trapezoid(phase * prof[None, :], u, axis=1), lams) / (2 * math.pi)
-    assert abs(rec - prof[80]) / abs(prof[80]) < 1e-2
+    assert abs(rec - prof[80]) / abs(prof[80]) < 1e-6
 
 
 def test_lemma_check_three_functions():
