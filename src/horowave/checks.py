@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import euclid, moire
+from . import euclid, moire, transform
 from .geometry import (
     BoundaryPoint,
     DiskPoint,
@@ -31,6 +31,7 @@ from .transform import (
     SampledField,
     _bessel_stack,
     _kernel_terms,
+    _relative_l2,
     calibrate_plancherel_kappa,
     coarea_profile,
     forward,
@@ -175,12 +176,10 @@ def suite_hft() -> list[CheckResult]:
 
     for name, fn in _BUMPS.items():
         f = SampledField.from_function(fn)
-        g = inverse(forward(f))
-        err = math.sqrt(float(np.sum(f.weights * np.abs(g.values - f.values) ** 2))
-                        / f.norm2())
-        out.append(_check(f"round trip {name} bump", err, 1e-4))
+        out.append(_check(f"round trip {name} bump", _relative_l2(inverse(forward(f)), f), 1e-4))
 
-    lams = np.arange(0.0, 8.0001, 0.05)
+    step = transform.LAMBDA_STEP
+    lams = np.arange(0.0, transform.LAMBDA_MAX + step / 2.0, step)
     for a in (1.25, 1.7, 2.2):
         f = SampledField.from_function(gaussian_bump(a))
         ft = spherical_transform(f, lams)
@@ -193,37 +192,29 @@ def suite_hft() -> list[CheckResult]:
         out.append(_check(f"lemma weak equality ({name})", abs(lhs - rhs) / abs(rhs), 1e-2))
 
     psi = _LEMMA_FUNCS["radial"]
-    wide = TaperSpec("gaussian", 20.0)
     prof0 = coarea_profile(psi, b0, x0, [0.0])[0]
-    direct = horocycle_integral(psi, horocycle_through(b0, x0), wide)
+    direct = horocycle_integral(psi, horocycle_through(b0, x0), transform.WIDE_TAPER)
     out.append(_check("coarea Psi(0) equals horocycle integral", abs(prof0 - direct), 1e-6))
 
     u = np.linspace(-5.0, 5.0, 161)
     prof = coarea_profile(psi, b0, x0, u)
-    lam_box = np.arange(-8.0, 8.0001, 0.05)
+    lam_box = np.arange(-transform.LAMBDA_MAX, transform.LAMBDA_MAX + step / 2.0, step)
     phase = np.exp(1j * lam_box[:, None] * u[None, :])
     rec = np.trapezoid(np.trapezoid(phase * prof[None, :], u, axis=1), lam_box) / (2 * np.pi)
     out.append(_check("coarea Fourier-inversion chain", abs(rec - prof0) / abs(prof0), 1e-6))
     return out
 
 
-def suite_moire(full: bool = False) -> list[CheckResult]:
+def _weak_moire_checks(centers, points) -> list[CheckResult]:
+    """Per window center and point toward b0 = 1: the ``moire_weak`` error at
+    sigma 12 (``moire.DEFAULT_TAPER``) within 3e-2, and below the one at sigma 4."""
     out = []
     b0 = BoundaryPoint(0.0)
-    zero = Horocycle(b0, 0.0)
-    if full:
-        centers = (1.3, 2.2, 3.2)
-        points = (DiskPoint(0j), horocycle_point(zero, 1.2), horocycle_point(zero, -2.5))
-    else:
-        centers = (2.2,)
-        points = (DiskPoint(0j), horocycle_point(zero, -2.5))
-
-    wide = TaperSpec("gaussian", 12.0)
     narrow = TaperSpec("gaussian", 4.0)
     for c in centers:
         win = moire.LambdaWindow(c)
         for x in points:
-            lhs12, rhs = moire.moire_weak(win, b0, x, wide)
+            lhs12, rhs = moire.moire_weak(win, b0, x, moire.DEFAULT_TAPER)
             lhs4, _ = moire.moire_weak(win, b0, x, narrow)
             e12 = abs(lhs12 - rhs) / abs(rhs)
             e4 = abs(lhs4 - rhs) / abs(rhs)
@@ -231,6 +222,13 @@ def suite_moire(full: bool = False) -> list[CheckResult]:
             out.append(_check(f"weak moire error at sigma 12 [{tag}]", e12, 3e-2))
             out.append(CheckResult(f"weak moire sigma monotone [{tag}]", e12 < e4,
                                    f"sigma12 {e12:.3e} < sigma4 {e4:.3e}"))
+    return out
+
+
+def suite_moire() -> list[CheckResult]:
+    b0 = BoundaryPoint(0.0)
+    zero = Horocycle(b0, 0.0)
+    out = _weak_moire_checks((2.2,), (DiskPoint(0j), horocycle_point(zero, -2.5)))
 
     # a window negligible at lo and hi: lhs / rhs - 1 = pi / kappa_H,fit - 1
     # falls as O(sigma^-2), to 8.5e-6 at width 96

@@ -29,6 +29,7 @@ from .transform import (
     DEFAULT_GRID,
     GridSpec,
     SampledField,
+    _relative_l2,
     forward,
     gaussian_bump,
     inverse,
@@ -368,8 +369,7 @@ def cmd_transform(args) -> int:
     width = _positive("bump-width", _number(args, "bump-width", default=1.25))
     f = SampledField.from_function(gaussian_bump(width), grid)
     g = inverse(forward(f))
-    err = math.sqrt(float(np.sum(f.weights * np.abs(g.values - f.values) ** 2))
-                    / f.norm2())
+    err = _relative_l2(g, f)
     footer = {"command": "transform", "bump_width": width,
               "grid": f"{grid.n_r}x{grid.n_theta}", "radius": grid.R,
               "plancherel_kappa": f"{PLANCHEREL_KAPPA:.12g}",

@@ -39,12 +39,10 @@ from .geometry import (
     DiskPoint,
     act,
     busemann,
-    busemann_array,
     distance_array,
     horocycle_coordinates,
     horocycle_points_array,
     nilpotent_flow,
-    origin_distance,
 )
 from .tapers import TaperSpec
 from .transform import DEFAULT_GRID, GridSpec, SampledField
@@ -380,14 +378,13 @@ def phase_correlation(field: SampledField, lam: float, b0: BoundaryPoint) -> flo
     """Normalized L2 correlation with the wave phase pattern near the origin.
 
     Both the field and the reference e^{i lam busemann(z, b0)} are centered
-    (weighted means removed) over the disk d(0, z) <= 1.5 before the
+    (weighted means removed) over the grid's radial rows t <= 1.5 before the
     correlation is taken.
     """
-    z = field.grid.z
-    mask = origin_distance(z) <= 1.5
-    w = field.weights[mask]
-    f = field.values[mask]
-    g = np.exp(1j * lam * busemann_array(z, b0.theta))[mask]
+    rows = field.grid.radii_t <= 1.5
+    w = field.weights[rows]
+    f = field.values[rows]
+    g = np.exp(1j * lam * field.grid.busemann(b0.theta)[rows])
     f = f - np.sum(w * f) / np.sum(w)
     g = g - np.sum(w * g) / np.sum(w)
     num = abs(np.sum(w * np.conj(g) * f))

@@ -29,7 +29,6 @@ from .geometry import (
     DiskPoint,
     Horocycle,
     busemann,
-    busemann_array,
     horocycle_points_array,
     horocycle_through,
     origin_distance,
@@ -122,7 +121,8 @@ class GridSpec:
         angle equal to theta (s = 0) the bracket is t, and it is taken as t:
         e^{-2t} loses digits past t = 354 and underflows past 372. At s != 0
         such an e^{-2t} is below 1e-17 s^2 unless theta lies within 1e-145 of
-        a grid angle.
+        a grid angle. The kernels of ``forward``, ``inverse`` and ``forward_at``,
+        ``moire.phase_correlation`` and the CLI's ``wave`` take their bracket here.
         """
         t = self.radii_t[:, None]
         s2 = np.sin(0.5 * (self.angles[None, :] - theta)) ** 2
@@ -282,9 +282,7 @@ def _busemann_kernel(B: np.ndarray, lams: np.ndarray):
     lo, hi = (lams.min(), lams.max()) if lams.size else (0.0, 0.0)
     mid, c = 0.5 * (hi + lo), 0.5 * (hi - lo)
     starts = np.arange(0, len(B), max(1, _BLOCK_POINTS // B.shape[-1]))
-    # where |z| rounds to 1, B is not finite and its kernel values are NaN
-    row_max = np.max(np.abs(B), axis=1, where=np.isfinite(B), initial=0.0)
-    terms = _kernel_terms(c * np.maximum.reduceat(row_max, starts))
+    terms = _kernel_terms(c * np.maximum.reduceat(np.max(np.abs(B), axis=1), starts))
     k = np.arange(np.max(terms))
     s = np.where(k, 2.0, 1.0) * np.array([1, 1j, -1, -1j])[k % 4]
     T = chebvander((lams - mid) / c if c else np.zeros_like(lams), len(k) - 1)
@@ -339,7 +337,7 @@ def forward(f: SampledField, lambda_max: float = LAMBDA_MAX,
     grid = f.grid
     lams = np.arange(0.0, lambda_max + lambda_step / 2.0, lambda_step)
     conj_a = np.conj(np.fft.fft(f.values * grid.row_weights[:, None], axis=1))
-    T, s, blocks = _busemann_kernel(busemann_array(grid.z, 0.0), lams)
+    T, s, blocks = _busemann_kernel(grid.busemann(0.0), lams)
     # row k of P: the sum over radii of conj(A) times the FFT of kernel row k;
     # forward correlates with e_{-lambda,1} = conj(e_{lambda,1}), so out = conj(T s P)
     P = np.zeros((len(s), grid.n_theta), complex)
@@ -353,7 +351,7 @@ def forward_at(f: SampledField, lams: np.ndarray, b: BoundaryPoint) -> np.ndarra
     """Transform values at the lambda nodes lams, in any order and spacing, toward b."""
     _check_support(f)
     conj_g = np.conj(f.values * f.weights)
-    T, s, blocks = _busemann_kernel(busemann_array(f.grid.z, b.theta), lams)
+    T, s, blocks = _busemann_kernel(f.grid.busemann(b.theta), lams)
     V = np.zeros(len(s), complex)
     for rows, W in blocks:
         V[:len(W)] += np.einsum("kjl,jl->k", W, conj_g[rows])
@@ -378,7 +376,7 @@ def inverse(F: SpectralField) -> SampledField:
     # inverse is linear: fold the lambda rows onto the K kernel rows,
     # G = s T^T FF, sum the kernel products over those rows, then one IFFT
     FF = np.fft.fft(F.values, axis=1) * (dens * wl * db)[:, None]
-    T, s, blocks = _busemann_kernel(busemann_array(grid.z, 0.0), F.lambda_grid)
+    T, s, blocks = _busemann_kernel(grid.busemann(0.0), F.lambda_grid)
     G = s[:, None] * _real_matmul(T.T, FF)
     acc = np.empty((grid.n_r, grid.n_theta), complex)
     for rows, W in blocks:
@@ -467,6 +465,11 @@ def lemma_check(psi: FieldFunction, b0: BoundaryPoint,
     lhs = complex(np.trapezoid(wave * psi_hat, lams) / (2.0 * np.pi))
     rhs = horocycle_integral(psi, horocycle_through(b0, x), WIDE_TAPER)
     return lhs, rhs
+
+
+def _relative_l2(g: SampledField, f: SampledField) -> float:
+    """||g - f|| / ||f|| in the hyperbolic-area L2 norm of f's grid."""
+    return math.sqrt(float(np.sum(f.weights * np.abs(g.values - f.values) ** 2)) / f.norm2())
 
 
 def calibrate_plancherel_kappa(grid: GridSpec = DEFAULT_GRID) -> float:

@@ -197,8 +197,9 @@ def test_one_process_renders_each_field_twice_with_the_same_bytes(tmp_path):
 
 
 def test_transform_where_z_rounds_to_1_exits_1(tmp_path):
-    # the outer rows' Busemann values are not finite; the kernel expansion
-    # sizes its terms on the finite ones and the field comes out non-finite
+    # the kernels are finite there, but the Gaussian bump is evaluated on z,
+    # whose modulus rounds to 1 on the outer rows, so the input and the field
+    # come out non-finite
     res = run("transform", "--radius", "40", "--grid", "400x64", "--out", str(tmp_path / "t.csv"))
     assert res.returncode == 1
     assert "non-finite" in res.stderr and "Traceback" not in res.stderr

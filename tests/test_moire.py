@@ -27,7 +27,7 @@ from horowave.moire import (
     reduction_paths,
 )
 from horowave.tapers import TaperSpec
-from horowave.transform import GridSpec
+from horowave.transform import GridSpec, SampledField
 from horowave.waves import helgason_wave, spherical_radial, spherical_radial_profile
 
 B0 = BoundaryPoint(0.0)
@@ -264,6 +264,18 @@ def test_moire_sum_validation():
         moire_sum_discrete(2.0, B0, 0, 0.35, SMALL_GRID)
     with pytest.raises(ValueError):
         moire_sum_discrete(2.0, B0, 5, 0.0, SMALL_GRID)
+
+
+@pytest.mark.parametrize("n", [5, 60])
+def test_phase_correlation_is_rotation_invariant(n):
+    # whole radial rows make the disk a union of rows, so rotating the field
+    # and b0 by whole grid steps moves no node across its edge
+    fld = moire_sum_discrete(2.0, B0, n, 0.35, SMALL_GRID)
+    ref = phase_correlation(fld, 2.0, B0)
+    for k in (1, 5, 37):
+        rolled = SampledField(SMALL_GRID, np.roll(fld.values, k, axis=1))
+        got = phase_correlation(rolled, 2.0, BoundaryPoint(2.0 * math.pi * k / 128))
+        assert abs(got - ref) < 1e-12
 
 
 def test_moire_sum_resemblance_trend():

@@ -1,5 +1,7 @@
 """Helgason-Fourier transform, horocycle integrals, coarea, lemma pairing."""
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from scipy.special import jn_zeros, jv
 
 import oracles
 from conftest import disk_distance
-from horowave import moire, transform
+from horowave import cli, geometry, moire, transform
 from horowave.checks import _mobius_to
 from horowave.errors import (
     NotRadial,
@@ -232,6 +234,54 @@ def test_forward_at_matches_forward_grid():
     F = forward(f)
     got = forward_at(f, F.lambda_grid[::20], BoundaryPoint(0.0))
     np.testing.assert_allclose(got, F.values[::20, 0], rtol=1e-10, atol=1e-12)
+
+
+def _profile_past_t_6(grid: GridSpec) -> SampledField:
+    """A field of the nodes' (t, angle) that is exactly 0 past t = 6."""
+    t, a = grid.radii_t[:, None], grid.angles[None, :]
+    return SampledField(grid, np.where(t < 6.0, np.exp(-1.25 * t * t), 0.0)
+                        * (1.0 + 0.3 * np.cos(a - 0.4)))
+
+
+def test_kernels_where_z_rounds_to_1_are_finite():
+    # past t = 37 |z| = tanh(t/2) rounds to 1; the kernels take B from (t, angle),
+    # so rows the field leaves at 0 add nothing, and R = 40 gives what R = 6 does
+    # on the same radial nodes
+    far = _profile_past_t_6(GridSpec(400, 64, 40.0))
+    near = _profile_past_t_6(GridSpec(60, 64, 6.0))
+    np.testing.assert_array_equal(far.values[:60], near.values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        F_far, F_near = forward(far), forward(near)
+        lams = np.arange(-8.0, 8.025, 0.05)
+        at_far = forward_at(far, lams, BoundaryPoint(0.7))
+        at_near = forward_at(near, lams, BoundaryPoint(0.7))
+    assert np.all(np.isfinite(F_far.values)) and np.all(np.isfinite(at_far))
+    assert _rel_max(F_far.values, F_near.values) < 1e-12
+    assert _rel_max(at_far, at_near) < 1e-12
+
+
+def test_polar_grids_never_take_the_cartesian_bracket(monkeypatch, tmp_path):
+    """Every bracket on a grid's nodes comes from ``GridSpec.busemann``.
+
+    ``busemann_array`` is replaced, in every loaded horowave namespace that
+    holds it (as perfbench's tracer wraps names), by a function that raises.
+    """
+    def cartesian(*args):
+        raise AssertionError("busemann_array called on a polar grid")
+
+    original = geometry.busemann_array
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and (name == "horowave" or name.startswith("horowave.")):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, cartesian)
+    f = SampledField.from_function(transform.gaussian_bump(4.0), GridSpec(16, 16, 2.0))
+    inverse(forward(f))
+    forward_at(f, np.arange(-2.0, 2.025, 0.05), BoundaryPoint(0.7))
+    moire.phase_correlation(f, 2.0, BoundaryPoint(0.3))
+    assert cli.main(["wave", "--lambda", "2", "--b0", "0.3", "--grid", "16x16",
+                     "--out", str(tmp_path / "w.csv")]) == 0
 
 
 def test_support_overflow_guard():
