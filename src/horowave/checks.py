@@ -192,6 +192,10 @@ def suite_hft() -> list[CheckResult]:
         out.append(_check(f"lemma weak equality ({name})", abs(lhs - rhs) / abs(rhs), 1e-2))
 
     psi = _LEMMA_FUNCS["radial"]
+    lhs, rhs = lemma_check(psi, b0, DiskPoint(-0.3 + 0j))  # beta = -0.62
+    out.append(_check("lemma weak equality off the zero horocycle",
+                      abs(lhs - rhs) / abs(rhs), 1e-2))
+
     prof0 = coarea_profile(psi, b0, x0, [0.0])[0]
     direct = horocycle_integral(psi, horocycle_through(b0, x0), transform.WIDE_TAPER)
     out.append(_check("coarea Psi(0) equals horocycle integral", abs(prof0 - direct), 1e-6))

@@ -29,6 +29,7 @@ from .transform import (
     DEFAULT_GRID,
     GridSpec,
     SampledField,
+    _HOROCYCLE_TOL,
     _relative_l2,
     forward,
     gaussian_bump,
@@ -349,7 +350,8 @@ def cmd_moire(args) -> int:
     footer = {"command": "moire", "lambda": lam, "b0": b0.theta, "centers": n,
               "spacing": spacing, "grid": f"{grid.n_r}x{grid.n_theta}",
               "radius": grid.R,
-              "quadrature_error_estimate": "1e-8 (tapered line quadrature tolerance)"}
+              "quadrature_error_estimate":
+                  f"{_HOROCYCLE_TOL:g} (tapered line quadrature tolerance)"}
     _emit_field(args.out, grid.z, field.values, footer)
 
     reports = moire.convergence_study(lam, b0, x, sigmas, kind=kind)

@@ -45,10 +45,9 @@ from .geometry import (
     nilpotent_flow,
 )
 from .tapers import TaperSpec
-from .transform import DEFAULT_GRID, GridSpec, SampledField
+from .transform import DEFAULT_GRID, GridSpec, SampledField, _tapered_line
 from .waves import (
     RHO,
-    _trapezoid_halving,
     helgason_wave,
     plancherel_density,
     spherical_radial,
@@ -170,34 +169,30 @@ def _moire_reports(lam: float, b0: BoundaryPoint, x: DiskPoint,
     target = helgason_wave(lam, b0, x)
     reports = []
     for taper in tapers:
-        line = _line_integrals_multi([lam], b0, xc, taper, tol=1e-8, n_start=512,
-                                     max_halvings=12, table=table)[0]
+        line = _line_integrals_multi([lam], b0, xc, taper, table=table)[0]
         approx = complex(scale * line)
         reports.append(MoireReport(lam, b0, x, approx, target, abs(approx - target), taper))
     return reports
 
 
-def _horocycle_distances(b0: BoundaryPoint, x: DiskPoint):
-    """s -> d(y(s), x) at arc lengths s of the zero horocycle ``xi(b0, 0)``."""
-    xz = np.asarray(x.z)
-    return lambda s: distance_array(horocycle_points_array(b0.theta, 0.0, s), xz)
+def _horocycle_distances(b0: BoundaryPoint, x: DiskPoint, s: np.ndarray) -> np.ndarray:
+    """d(y(s), x) at arc lengths s of the zero horocycle ``xi(b0, 0)``."""
+    return distance_array(horocycle_points_array(b0.theta, 0.0, s), np.asarray(x.z))
 
 
 def _line_table(lams, b0: BoundaryPoint, x: DiskPoint, S: float) -> tuple[np.ndarray, float]:
     """(coefficients, D): the phi table for line integrals over [-S, S], D = max d(y(+-S), x)."""
-    dmax = float(np.max(_horocycle_distances(b0, x)(np.array([-S, S]))))
+    dmax = float(np.max(_horocycle_distances(b0, x, np.array([-S, S]))))
     return _phi_table(lams, dmax), dmax
 
 
 def _line_integrals_multi(lams, b0: BoundaryPoint, x: DiskPoint,
-                          taper: TaperSpec, tol: float = 1e-7,
-                          n_start: int = 2048, max_halvings: int = 8,
+                          taper: TaperSpec,
                           table: tuple[np.ndarray, float] | None = None) -> np.ndarray:
     """Tapered integrals of phi_lambda(d(y(s), x)) along ``xi(b0, 0)`` for a list of lambda.
 
-    Shared-grid trapezoid from n_start intervals refined by interval
-    halving; each refinement reuses the previous sum and only evaluates
-    the new midpoints. phi is read from one Chebyshev table
+    Every lambda shares the grid of the tapered line rule
+    (``transform._tapered_line``). phi is read from one Chebyshev table
     (``_phi_table``) on [0, D], D the larger of the endpoint distances
     d(y(+-S), x): in half-plane coordinates with b0 at infinity and
     (beta, a) the horocycle coordinates of x,
@@ -212,16 +207,13 @@ def _line_integrals_multi(lams, b0: BoundaryPoint, x: DiskPoint,
     different points of the same horocycle then probe genuinely different
     tapered quadratures that must all converge to the same windowed target.
     """
-    S = taper.support_radius
-    dist = _horocycle_distances(b0, x)
-    coef, dmax = _line_table(lams, b0, x, S) if table is None else table
+    coef, dmax = _line_table(lams, b0, x, taper.support_radius) if table is None else table
 
     def values(s: np.ndarray) -> np.ndarray:
-        u = dist(s) / dmax
-        return taper(s)[None, :] * _cheb_sum(coef, 2.0 * u * u - 1.0)
+        u = _horocycle_distances(b0, x, s) / dmax
+        return _cheb_sum(coef, 2.0 * u * u - 1.0)
 
-    return _trapezoid_halving(values, -S, S, n_start, tol, max_halvings,
-                              "horocycle line integrals")
+    return _tapered_line(values, taper, "horocycle line integrals")
 
 
 # values of the rows T_k(u) that ``_cheb_sum`` holds at once
@@ -394,29 +386,25 @@ def phase_correlation(field: SampledField, lam: float, b0: BoundaryPoint) -> flo
 
 def reduction_paths(lam: float, b0: BoundaryPoint, x: DiskPoint,
                     taper: TaperSpec = DEFAULT_TAPER) -> tuple[complex, complex]:
-    """Both sides of the change-of-variables reduction, each to 1e-9, independently.
+    """Both sides of the change-of-variables reduction, each by the tapered line rule.
 
     Path A integrates phi_lambda(d(., x)) over the zero horocycle with the
     given taper, reading phi from the Chebyshev table. Path B moves the
     integral to the horocycle through x: with (beta, u0) the horocycle
     coordinates of x,
 
-        A = e^beta * int theta(e^beta (t + u0)) phi_lambda(d(0, y_beta(t))) dt,
+        A = e^beta * int theta(e^beta (t + u0)) phi_lambda(d(0, y_beta(t))) dt
+          = int theta(s) phi_lambda(d(0, y_beta(s e^{-beta} - u0))) ds,
 
-    which path B evaluates on its own quadrature grid with the radial
-    kernel at every node, so the two paths reach phi independently.
+    which path B evaluates in s with the radial kernel at every node, so the
+    two paths reach phi independently.
     """
-    a = _line_integrals_multi([lam], b0, x, taper, tol=1e-9, n_start=512,
-                              max_halvings=12)[0]
-
+    a = _line_integrals_multi([lam], b0, x, taper)[0]
     beta, u0 = horocycle_coordinates(x, b0)
-    eb = math.exp(beta)
-    half = taper.support_radius / eb
 
-    def fn_b(t: np.ndarray) -> np.ndarray:
-        y = horocycle_points_array(b0.theta, beta, t)
-        d = distance_array(y, np.asarray(0j))
-        return eb * taper(eb * (t + u0)) * spherical_radial(lam, d)
+    def on_level(s: np.ndarray) -> np.ndarray:
+        y = horocycle_points_array(b0.theta, beta, s * math.exp(-beta) - u0)
+        return spherical_radial(lam, distance_array(y, np.asarray(0j)))
 
-    b = _trapezoid_halving(fn_b, -u0 - half, -u0 + half, 512, 1e-9, 12, "reduction path B")
+    b = _tapered_line(on_level, taper, "reduction path B")
     return complex(a), complex(b)

@@ -35,7 +35,7 @@ from .geometry import (
 )
 from .tapers import TaperSpec
 from .waves import (PLANCHEREL_KAPPA, RHO, _trapezoid_halving, plancherel_density,
-                    spherical_radial)
+                    spherical_radial_profile)
 
 __all__ = [
     "GridSpec",
@@ -395,7 +395,7 @@ def _radial_profile(f: SampledField) -> np.ndarray:
 def spherical_transform(f: SampledField, lams: np.ndarray) -> np.ndarray:
     """K-invariant transform: 2 pi int f(t) phi_{-lambda}(t) sinh(t) dt, on row_weights."""
     prof = _radial_profile(f)
-    phis = spherical_radial(np.asarray(lams, float)[:, None], f.grid.radii_t[None, :])
+    phis = spherical_radial_profile(lams, f.grid.radii_t)
     return phis @ (prof * f.grid.row_weights * f.grid.n_theta)
 
 
@@ -405,28 +405,35 @@ def plancherel_spectral(ftilde: np.ndarray, lams: np.ndarray) -> float:
     return float(np.sum(wl * plancherel_density(lams) * np.abs(ftilde) ** 2))
 
 
-# horocycle_integral's trapezoid, read at each call
+# the tapered line rule, read at each call: every tapered line integral in the package
 _HOROCYCLE_NODES = 513
-_HOROCYCLE_TOL = 1e-8
+_HOROCYCLE_TOL = 1e-9
 _HOROCYCLE_MAX_HALVINGS = 12
 
 
-def horocycle_integral(fn: FieldFunction, h: Horocycle, taper: TaperSpec) -> complex:
-    """Tapered line integral of fn along the horocycle, arc-length measure.
+def _tapered_line(values: Callable[[np.ndarray], np.ndarray], taper: TaperSpec, what: str):
+    """Trapezoid of taper(s) * values(s) over the taper's support [-S, S].
 
-    fn must accept an ndarray of complex disk coordinates. The uniform
-    trapezoid on _HOROCYCLE_NODES nodes is refined by halving its step until
-    the result moves by less than _HOROCYCLE_TOL; each node is passed to fn
-    once. QuadratureUnderResolved after _HOROCYCLE_MAX_HALVINGS halvings.
+    values maps arc lengths s to values whose last axis runs over s. The
+    uniform trapezoid on _HOROCYCLE_NODES nodes halves its step until the
+    result moves by less than _HOROCYCLE_TOL, evaluating each node once;
+    QuadratureUnderResolved after _HOROCYCLE_MAX_HALVINGS halvings.
     """
     S = taper.support_radius
+    return _trapezoid_halving(lambda s: taper(s) * values(s), -S, S, _HOROCYCLE_NODES - 1,
+                              _HOROCYCLE_TOL, _HOROCYCLE_MAX_HALVINGS, what)
 
+
+def horocycle_integral(fn: FieldFunction, h: Horocycle, taper: TaperSpec) -> complex:
+    """Tapered line integral (``_tapered_line``) of fn along the horocycle, by arc length.
+
+    fn must accept an ndarray of complex disk coordinates.
+    """
     def values(s: np.ndarray) -> np.ndarray:
         y = horocycle_points_array(h.direction.theta, h.busemann_value, s)
-        return taper(s) * np.asarray(fn(y), complex)
+        return np.asarray(fn(y), complex)
 
-    return complex(_trapezoid_halving(values, -S, S, _HOROCYCLE_NODES - 1, _HOROCYCLE_TOL,
-                                      _HOROCYCLE_MAX_HALVINGS, "horocycle integral"))
+    return complex(_tapered_line(values, taper, "horocycle integral"))
 
 
 WIDE_TAPER = TaperSpec("gaussian", 20.0)
@@ -437,14 +444,17 @@ def coarea_profile(psi: FieldFunction, b0: BoundaryPoint, x: DiskPoint,
     """Level-set profile of psi along the horocycle foliation toward b0.
 
     Psi(u) = e^{rho u} * integral of psi, tapered by WIDE_TAPER, over the
-    horocycle at Busemann value busemann(x, b0) - u.
+    horocycle at Busemann value busemann(x, b0) - u; psi takes every
+    level's nodes at once, in an array of shape (len(u_grid), nodes).
     """
     beta_x = busemann(x, b0)
-    out = np.empty(len(u_grid), complex)
-    for i, u in enumerate(np.asarray(u_grid, float)):
-        line = horocycle_integral(psi, Horocycle(b0, beta_x - u), WIDE_TAPER)
-        out[i] = math.exp(RHO * u) * line
-    return out
+    u = np.asarray(u_grid, float)
+
+    def values(s: np.ndarray) -> np.ndarray:
+        y = horocycle_points_array(b0.theta, (beta_x - u)[:, None], s)
+        return np.asarray(psi(y), complex)
+
+    return np.exp(RHO * u) * _tapered_line(values, WIDE_TAPER, "coarea profile")
 
 
 def lemma_check(psi: FieldFunction, b0: BoundaryPoint,
@@ -454,8 +464,10 @@ def lemma_check(psi: FieldFunction, b0: BoundaryPoint,
     lhs: (1/2pi) int_{-L}^{L} e_{lambda,b0}(x) psi_hat(lambda, b0) dlambda,
     L = LAMBDA_MAX in steps of LAMBDA_STEP, with psi_hat from the forward
     transform of psi sampled on DEFAULT_GRID.
-    rhs: wide-tapered integral of psi over the horocycle through x toward b0.
-    The two sides agree when x lies on the zero horocycle of direction b0.
+    rhs: wide-tapered integral of psi over the horocycle through x toward b0,
+    in the Haar measure of N: at Busemann level beta = <x, b0> that is
+    e^{2 rho beta} times arc length, as N moves the half-plane line
+    w = e^beta (s + i) by w -> w + u. The two sides agree at every x.
     """
     f = SampledField.from_function(psi, DEFAULT_GRID)
     lams = np.arange(-LAMBDA_MAX, LAMBDA_MAX + LAMBDA_STEP / 2.0, LAMBDA_STEP)
@@ -463,8 +475,8 @@ def lemma_check(psi: FieldFunction, b0: BoundaryPoint,
     beta_x = busemann(x, b0)
     wave = np.exp((1j * lams + RHO) * beta_x)
     lhs = complex(np.trapezoid(wave * psi_hat, lams) / (2.0 * np.pi))
-    rhs = horocycle_integral(psi, horocycle_through(b0, x), WIDE_TAPER)
-    return lhs, rhs
+    line = horocycle_integral(psi, horocycle_through(b0, x), WIDE_TAPER)
+    return lhs, math.exp(2.0 * RHO * beta_x) * line
 
 
 def _relative_l2(g: SampledField, f: SampledField) -> float:

@@ -84,7 +84,7 @@ def _trapezoid_halving(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: flo
     for _ in range(max_halvings):
         mids = np.linspace(lo + 0.5 * h, hi - 0.5 * h, n)
         T_new = 0.5 * T + 0.5 * h * np.sum(f(mids), axis=-1)
-        change = float(np.max(np.abs(T_new - T)))
+        change = float(np.max(np.abs(T_new - T), initial=0.0))
         if change < tol:
             return T_new
         T, h, n = T_new, 0.5 * h, 2 * n

@@ -357,22 +357,29 @@ def test_horocycle_integral_evaluates_each_node_once():
     assert len(np.unique(nodes)) == len(nodes)
 
 
-def _scalar_without_halvings(monkeypatch):
-    monkeypatch.setattr(transform, "_HOROCYCLE_MAX_HALVINGS", 0)
-    horocycle_integral(lambda y: np.ones(y.shape), Horocycle(BoundaryPoint(0), 0.0),
-                       TaperSpec("gaussian", 2.0))
+# every tapered line integral reads the one rule's budget
+_NARROW = TaperSpec("gaussian", 2.0)
+_LINE_INTEGRALS = {
+    "scalar": lambda: horocycle_integral(lambda y: np.ones(y.shape),
+                                         Horocycle(BoundaryPoint(0), 0.0), _NARROW),
+    "vector": lambda: moire._line_integrals_multi(np.array([1.0, 2.0]), BoundaryPoint(0),
+                                                  DiskPoint(0j), _NARROW),
+    "coarea_profile": lambda: coarea_profile(lambda y: np.ones(y.shape), BoundaryPoint(0),
+                                             DiskPoint(0j), [0.0, 1.0]),
+    "moire_weak": lambda: moire.moire_weak(moire.LambdaWindow(2.2), BoundaryPoint(0),
+                                           DiskPoint(0j), _NARROW),
+    "moire_integral": lambda: moire.moire_integral(1.5, BoundaryPoint(0), DiskPoint(0j),
+                                                   _NARROW),
+    "reduction_paths": lambda: moire.reduction_paths(1.5, BoundaryPoint(0),
+                                                     DiskPoint(0.3 + 0.2j), _NARROW),
+}
 
 
-def _vector_without_halvings(monkeypatch):
-    moire._line_integrals_multi(np.array([1.0, 2.0]), BoundaryPoint(0), DiskPoint(0j),
-                                TaperSpec("gaussian", 2.0), max_halvings=0)
-
-
-@pytest.mark.parametrize("integrate", [_scalar_without_halvings, _vector_without_halvings],
-                         ids=["scalar", "vector"])
+@pytest.mark.parametrize("integrate", _LINE_INTEGRALS.values(), ids=_LINE_INTEGRALS.keys())
 def test_halving_budget_exhausted_raises(integrate, monkeypatch):
+    monkeypatch.setattr(transform, "_HOROCYCLE_MAX_HALVINGS", 0)
     with pytest.raises(QuadratureUnderResolved):
-        integrate(monkeypatch)
+        integrate()
 
 
 # --- coarea and lemma -------------------------------------------------------
@@ -394,6 +401,10 @@ def test_coarea_profile_of_zero_is_zero():
     assert np.max(np.abs(prof)) == 0.0
 
 
+def test_coarea_profile_of_no_levels_is_empty():
+    assert coarea_profile(PSI, B0, X0, []).shape == (0,)
+
+
 def test_coarea_fourier_inversion_chain():
     u = np.linspace(-5.0, 5.0, 161)
     prof = coarea_profile(PSI, B0, X0, u)
@@ -412,6 +423,14 @@ def test_lemma_check_three_functions():
     for name, psi in funcs.items():
         lhs, rhs = lemma_check(psi, B0, X0)
         assert abs(lhs - rhs) / abs(rhs) < 1e-2, name
+
+
+def test_lemma_check_off_the_zero_horocycle():
+    # rhs takes the Haar measure of N, e^{2 rho beta} times arc length at level beta
+    for xz in (0.3, -0.3, 0.2 + 0.3j, 0.5):
+        for name in ("radial", "offcenter"):
+            lhs, rhs = lemma_check(BUMPS[name], B0, DiskPoint(complex(xz)))
+            assert abs(lhs - rhs) / abs(rhs) < 1e-2, (xz, name)
 
 
 def test_lemma_check_zero_function():
