@@ -4,8 +4,10 @@ Field files are UTF-8 CSV with header ``x,y,re,im``, one row per grid
 node, followed by ``#``-prefixed footer comments echoing the effective
 configuration and quadrature error estimates. Alongside every field file
 a binary PGM (P5) quick-look image maps the phase linearly from
-(-pi, pi] to 0..255. All outputs are written atomically (temp + rename)
-and are byte-identical across reruns of the same configuration.
+(-pi, pi] to 0..255; ``transform``'s maps the amplitude instead, gray
+floor(256 |g| / max|g|) clipped to 255, as its round trip is real up to
+round-off. All outputs are written atomically (temp + rename) and are
+byte-identical across reruns of the same configuration.
 
 Exit codes: 0 ok, 1 validation failure (a field holding NaN or inf is one,
 and writes no file), 2 bad configuration, 3 IO error.
@@ -283,17 +285,28 @@ def _field_csv(xy: np.ndarray, values: np.ndarray, footer: dict) -> bytes:
 def _phase_pgm(values: np.ndarray) -> bytes:
     phase = np.angle(values)
     gray = np.clip(np.floor((phase + math.pi) / (2.0 * math.pi) * 256.0), 0, 255)
-    h, w = values.shape
+    return _pgm(gray)
+
+
+def _amplitude_pgm(values: np.ndarray) -> bytes:
+    amp = np.abs(values)
+    gray = np.clip(np.floor(256.0 * amp / (np.max(amp) or 1.0)), 0, 255)
+    return _pgm(gray)
+
+
+def _pgm(gray: np.ndarray) -> bytes:
+    h, w = gray.shape
     return f"P5\n{w} {h}\n255\n".encode() + gray.astype(np.uint8).tobytes()
 
 
-def _emit_field(path: str, xy: np.ndarray, values: np.ndarray, footer: dict) -> None:
+def _emit_field(path: str, xy: np.ndarray, values: np.ndarray, footer: dict,
+                image=_phase_pgm) -> None:
     bad = np.count_nonzero(~np.isfinite(values))
     if bad:
         raise HorowaveError(f"{footer['command']} field has {bad} non-finite values of "
                             f"{values.size}; nothing written")
     _atomic_write(path, _field_csv(xy, values, footer))
-    _atomic_write(os.path.splitext(path)[0] + ".pgm", _phase_pgm(values))
+    _atomic_write(os.path.splitext(path)[0] + ".pgm", image(values))
 
 
 # --- subcommands ------------------------------------------------------------
@@ -377,7 +390,8 @@ def cmd_transform(args) -> int:
               "plancherel_kappa": f"{PLANCHEREL_KAPPA:.12g}",
               "roundtrip_relative_l2_error": f"{err:.3e}",
               "quadrature_error_estimate": f"{err:.3e}"}
-    _emit_field(args.out, grid.z, g.values, footer)
+    # the round trip of a real bump is real up to round-off, whose phase is noise
+    _emit_field(args.out, grid.z, g.values, footer, image=_amplitude_pgm)
     return 0
 
 

@@ -121,8 +121,11 @@ class GridSpec:
         angle equal to theta (s = 0) the bracket is t, and it is taken as t:
         e^{-2t} loses digits past t = 354 and underflows past 372. At s != 0
         such an e^{-2t} is below 1e-17 s^2 unless theta lies within 1e-145 of
-        a grid angle. The kernels of ``forward``, ``inverse`` and ``forward_at``,
-        ``moire.phase_correlation`` and the CLI's ``wave`` take their bracket here.
+        a grid angle. Every polar-grid bracket is taken here: ``forward`` and
+        ``inverse`` read the first n_theta // 2 + 1 columns toward theta = 0
+        (their kernel rows are even in the angle index, ``_even_row_ffts``);
+        ``forward_at``, ``moire.phase_correlation`` and the CLI's ``wave``
+        read every column.
         """
         t = self.radii_t[:, None]
         s2 = np.sin(0.5 * (self.angles[None, :] - theta)) ** 2
@@ -263,7 +266,12 @@ def _kernel_terms(zmax: np.ndarray) -> np.ndarray:
         n *= 2
 
 
-def _busemann_kernel(B: np.ndarray, lams: np.ndarray):
+def _block_rows(n_theta: int) -> int:
+    """Rows of an n_theta-angle grid per block of kernel rows: about _BLOCK_POINTS points."""
+    return max(1, _BLOCK_POINTS // n_theta)
+
+
+def _busemann_kernel(B: np.ndarray, lams: np.ndarray, n_theta: int):
     """The Busemann kernel e^{(i lam + rho) B} of every lambda, as lambda-free rows.
 
     With lam = mid + c x on [min lams, max lams], x in [-1, 1], the
@@ -271,17 +279,18 @@ def _busemann_kernel(B: np.ndarray, lams: np.ndarray):
     e^{(i lam + rho) B} = sum_k T_k(x) s_k J_k(c B) e^{(i mid + rho) B},
     s_k = eps_k i^k with eps_0 = 1 and eps_k = 2. Returns (T, s, blocks):
     T[i, k] = T_k(x_i), of shape (len(lams), K), s of shape (K,), and an
-    iterator over blocks of rows of B yielding (rows, W) with
-    W[k] = J_k(c B[rows]) e^{(i mid + rho) B[rows]}, so the kernel of
-    lams[i] is sum_k T[i, k] s_k W[k]. A block holds about _BLOCK_POINTS
-    grid points and takes as many terms as its own max|c B| needs
-    (_kernel_terms); K is the most any block takes. The counts follow
-    c max|B|, not the number of lambdas.
+    iterator over blocks of rows of B yielding (rows, J, E) with
+    J[k] = J_k(c B[rows]) and E = e^{(i mid + rho) B[rows]}, so the kernel
+    of lams[i] is sum_k T[i, k] s_k J[k] E. B holds the rows of a grid of
+    n_theta angles, or their first columns only. A block holds
+    _block_rows(n_theta) rows and takes as many terms as its own
+    max|c B| needs (_kernel_terms); K is the most any block takes. The
+    counts follow c max|B|, not the number of lambdas.
     """
     lams = np.asarray(lams, float)
     lo, hi = (lams.min(), lams.max()) if lams.size else (0.0, 0.0)
     mid, c = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    starts = np.arange(0, len(B), max(1, _BLOCK_POINTS // B.shape[-1]))
+    starts = np.arange(0, len(B), _block_rows(n_theta))
     terms = _kernel_terms(c * np.maximum.reduceat(np.max(np.abs(B), axis=1), starts))
     k = np.arange(np.max(terms))
     s = np.where(k, 2.0, 1.0) * np.array([1, 1j, -1, -1j])[k % 4]
@@ -290,9 +299,36 @@ def _busemann_kernel(B: np.ndarray, lams: np.ndarray):
     def blocks():
         for a, b, n in zip(starts, [*starts[1:], len(B)], terms):
             Bb = B[a:b]
-            yield slice(a, b), _bessel_stack(c * Bb, n) * np.exp((1j * mid + RHO) * Bb)
+            yield slice(a, b), _bessel_stack(c * Bb, n), np.exp((1j * mid + RHO) * Bb)
 
     return T, s, blocks()
+
+
+def _even_row_ffts(grid: GridSpec, lams: np.ndarray):
+    """``_busemann_kernel`` toward b = 0, with each row's angular FFT in place of the row.
+
+    Returns (T, s, blocks), blocks yielding (rows, FW) with FW[k] the FFT
+    along the angle of J_k(c B[rows]) e^{(i mid + rho) B[rows]}. Toward
+    b = 0 the bracket depends on the angle only through sin^2(theta/2), so
+    each row is even in the angle index: the rows are built at the
+    h = n_theta // 2 + 1 angles theta <= pi, where sin(theta/2) keeps its
+    digits, and mirrored onto the rest. Every block is written into one
+    buffer of shape (K, rows per block, n_theta), and its FFT runs in
+    place, so FW is overwritten by the next block.
+    """
+    n, h = grid.n_theta, grid.n_theta // 2 + 1
+    T, s, blocks = _busemann_kernel(np.ascontiguousarray(grid.busemann(0.0)[:, :h]), lams, n)
+    buf = np.empty((len(s), min(grid.n_r, _block_rows(n)), n), complex)
+
+    def ffts():
+        for rows, J, E in blocks:
+            W = buf[:len(J), :len(E)]
+            np.multiply(J, E, out=W[..., :h])
+            del J, E  # free this block's Bessel stack before the next one is built
+            W[..., h:] = W[..., n - h:0:-1]  # angle index l -> n - l, odd or even n
+            yield rows, np.fft.fft(W, axis=-1, out=W)
+
+    return T, s, ffts()
 
 
 def _real_matmul(T: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -337,12 +373,12 @@ def forward(f: SampledField, lambda_max: float = LAMBDA_MAX,
     grid = f.grid
     lams = np.arange(0.0, lambda_max + lambda_step / 2.0, lambda_step)
     conj_a = np.conj(np.fft.fft(f.values * grid.row_weights[:, None], axis=1))
-    T, s, blocks = _busemann_kernel(grid.busemann(0.0), lams)
+    T, s, blocks = _even_row_ffts(grid, lams)
     # row k of P: the sum over radii of conj(A) times the FFT of kernel row k;
     # forward correlates with e_{-lambda,1} = conj(e_{lambda,1}), so out = conj(T s P)
     P = np.zeros((len(s), grid.n_theta), complex)
-    for rows, W in blocks:
-        P[:len(W)] += np.einsum("jl,kjl->kl", conj_a[rows], np.fft.fft(W, axis=-1))
+    for rows, FW in blocks:
+        P[:len(FW)] += np.einsum("jl,kjl->kl", conj_a[rows], FW)
     out = np.conj(_real_matmul(T, s[:, None] * P))
     return SpectralField(lams, grid.angles, np.fft.ifft(out, axis=1), grid)
 
@@ -351,10 +387,10 @@ def forward_at(f: SampledField, lams: np.ndarray, b: BoundaryPoint) -> np.ndarra
     """Transform values at the lambda nodes lams, in any order and spacing, toward b."""
     _check_support(f)
     conj_g = np.conj(f.values * f.weights)
-    T, s, blocks = _busemann_kernel(f.grid.busemann(b.theta), lams)
+    T, s, blocks = _busemann_kernel(f.grid.busemann(b.theta), lams, f.grid.n_theta)
     V = np.zeros(len(s), complex)
-    for rows, W in blocks:
-        V[:len(W)] += np.einsum("kjl,jl->k", W, conj_g[rows])
+    for rows, J, E in blocks:
+        V[:len(J)] += np.einsum("kjl,jl->k", J * E, conj_g[rows])
     return np.conj(np.einsum("ik,k->i", T, s * V))
 
 
@@ -376,11 +412,11 @@ def inverse(F: SpectralField) -> SampledField:
     # inverse is linear: fold the lambda rows onto the K kernel rows,
     # G = s T^T FF, sum the kernel products over those rows, then one IFFT
     FF = np.fft.fft(F.values, axis=1) * (dens * wl * db)[:, None]
-    T, s, blocks = _busemann_kernel(grid.busemann(0.0), F.lambda_grid)
+    T, s, blocks = _even_row_ffts(grid, F.lambda_grid)
     G = s[:, None] * _real_matmul(T.T, FF)
     acc = np.empty((grid.n_r, grid.n_theta), complex)
-    for rows, W in blocks:
-        acc[rows] = np.einsum("kjl,kl->jl", np.fft.fft(W, axis=-1), G[:len(W)])
+    for rows, FW in blocks:
+        acc[rows] = np.einsum("kjl,kl->jl", FW, G[:len(FW)])
     return SampledField(grid, np.fft.ifft(acc, axis=1))
 
 

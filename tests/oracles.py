@@ -12,7 +12,7 @@ from scipy.special import j0
 
 from horowave.euclid import bessel_wave_array
 from horowave.geometry import busemann_array, distance_array, horocycle_points_array
-from horowave.transform import _tapered_line
+from horowave.transform import _busemann_kernel, _tapered_line
 from horowave.waves import spherical_radial_profile
 
 
@@ -185,6 +185,18 @@ def direct_transforms(f, forward_lams, inverse_args, kappa: float):
                 acc += K * FF[i]
     return ([np.fft.ifft(out, axis=1) for out in rows],
             [np.fft.ifft(acc, axis=1) for _, _, acc in terms])
+
+
+def kernel_row_ffts_full(grid, lams) -> list:
+    """Angular FFTs of the kernel rows of ``forward`` and ``inverse``, built at every angle.
+
+    The Jacobi-Anger rows J_k(c B) e^{(i mid + rho) B} of
+    ``transform._busemann_kernel`` on the whole bracket ``grid.busemann(0.0)``,
+    each block in a new array and transformed by np.fft.fft, without using
+    that the rows are even in the angle index. Returns a list of (rows, FW).
+    """
+    _, _, blocks = _busemann_kernel(grid.busemann(0.0), lams, grid.n_theta)
+    return [(rows, np.fft.fft(J * E, axis=-1)) for rows, J, E in blocks]
 
 
 def direct_forward_at(f, lams: np.ndarray, theta: float) -> np.ndarray:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from horowave import cli, waves
+from horowave import cli, transform, waves
 from horowave.cli import _field_csv
 from horowave.transform import GridSpec
 
@@ -308,6 +308,25 @@ def test_transform_reports_roundtrip(tmp_path):
     assert res.returncode == 0
     _, _, footer = read_field(out)
     assert float(footer["roundtrip_relative_l2_error"]) < 1e-4
+
+
+def test_transform_pgm_maps_amplitude_not_round_off_phase(tmp_path):
+    """The README ``transform`` PGM is gray floor(256 |g| / max|g|), clipped to 255.
+
+    Its round trip g is real up to |im| of about 1.5e-8, so a phase map would
+    show the sign of round-off; -g and conj(g) give the same image.
+    """
+    out = tmp_path / "transform.csv"
+    assert cli.main(["transform", "--bump-width", "1.25", "--out", str(out)]) == 0
+    pgm = out.with_suffix(".pgm").read_bytes()
+    f = transform.SampledField.from_function(transform.gaussian_bump(1.25))
+    g = transform.inverse(transform.forward(f)).values
+    assert cli._amplitude_pgm(g) == pgm
+    assert cli._amplitude_pgm(-g) == pgm
+    assert cli._amplitude_pgm(np.conj(g)) == pgm
+    gray = np.frombuffer(pgm[pgm.index(b"255\n") + 4:], np.uint8).reshape(g.shape)
+    amp = np.abs(g)
+    np.testing.assert_array_equal(gray, np.minimum(np.floor(256 * amp / amp.max()), 255))
 
 
 def test_bad_config_exit_code():
