@@ -59,6 +59,8 @@ class BoundaryPoint:
     theta: float
 
     def __post_init__(self):
+        if not math.isfinite(self.theta):
+            raise ValueError(f"boundary angle must be finite, got {self.theta}")
         object.__setattr__(self, "theta", float(self.theta) % (2.0 * math.pi))
 
     @property

@@ -130,7 +130,7 @@ class GridSpec:
         t = self.radii_t[:, None]
         s2 = np.sin(0.5 * (self.angles[None, :] - theta)) ** 2
         with np.errstate(divide="ignore"):  # log 0 at s = 0 past t = 372, not taken
-            return np.where(s2 > 0.0, -t - np.log(s2 + np.exp(-2.0 * t) * (1.0 - s2)), t)
+            return np.where(s2 == 0.0, t, -t - np.log(s2 + np.exp(-2.0 * t) * (1.0 - s2)))
 
 
 DEFAULT_GRID = GridSpec()
@@ -281,7 +281,9 @@ def _busemann_kernel(B: np.ndarray, lams: np.ndarray, n_theta: int):
     T[i, k] = T_k(x_i), of shape (len(lams), K), s of shape (K,), and an
     iterator over blocks of rows of B yielding (rows, J, E) with
     J[k] = J_k(c B[rows]) and E = e^{(i mid + rho) B[rows]}, so the kernel
-    of lams[i] is sum_k T[i, k] s_k J[k] E. B holds the rows of a grid of
+    of lams[i] is sum_k T[i, k] s_k J[k] E. ``forward`` and ``inverse`` form
+    the products J[k] E (``_even_row_ffts``); ``forward_at`` never does, and
+    contracts J with E times the weighted field. B holds the rows of a grid of
     n_theta angles, or their first columns only. A block holds
     _block_rows(n_theta) rows and takes as many terms as its own
     max|c B| needs (_kernel_terms); K is the most any block takes. The
@@ -386,12 +388,21 @@ def forward(f: SampledField, lambda_max: float = LAMBDA_MAX,
 def forward_at(f: SampledField, lams: np.ndarray, b: BoundaryPoint) -> np.ndarray:
     """Transform values at the lambda nodes lams, in any order and spacing, toward b."""
     _check_support(f)
+    lams = np.asarray(lams, float)
+    if not np.isfinite(lams).all():
+        raise ValueError(f"lambda must be finite, got {lams[~np.isfinite(lams)][0]}")
     conj_g = np.conj(f.values * f.weights)
     T, s, blocks = _busemann_kernel(f.grid.busemann(b.theta), lams, f.grid.n_theta)
-    V = np.zeros(len(s), complex)
+    # V[k] = sum over the block's points p of J_k(c B_p) w_p, w = E conj(g): one real
+    # (K x P) by (P x 2) product, never forming J E. It runs in einsum's own loop, as
+    # _real_matmul does, on w's real and imaginary parts stacked as two contiguous
+    # rows: on the interleaved w.view(float) it took eight times as long.
+    V = np.zeros((len(s), 2))
     for rows, J, E in blocks:
-        V[:len(J)] += np.einsum("kjl,jl->k", J * E, conj_g[rows])
-    return np.conj(np.einsum("ik,k->i", T, s * V))
+        w = (E * conj_g[rows]).ravel()
+        V[:len(J)] += np.einsum("kp,cp->kc", J.reshape(len(J), -1), np.stack((w.real, w.imag)))
+        del J, E, w  # free this block's Bessel stack before the next one is built
+    return np.conj(np.einsum("ik,k->i", T, s * V.view(complex)[:, 0]))
 
 
 def inverse(F: SpectralField) -> SampledField:

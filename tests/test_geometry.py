@@ -50,6 +50,12 @@ def test_boundary_point_angle_normalized():
     assert abs(BoundaryPoint(0.3).b) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_boundary_point_rejects_non_finite_angles(theta):
+    with pytest.raises(ValueError, match="finite"):
+        BoundaryPoint(theta)
+
+
 def test_group_element_determinant_enforced():
     with pytest.raises(ValueError):
         GroupElement(1.5 + 0j, 0j)

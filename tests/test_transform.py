@@ -190,6 +190,38 @@ def test_odd_and_tiny_angle_counts_match_direct_exponentials(n_theta):
     assert _rel_max(got, ref_inv) < 1e-13
 
 
+@pytest.mark.parametrize("n_theta", [1, 2, 3, 33])
+@pytest.mark.parametrize("theta", [0.0, 0.37])  # 0.37 is no grid angle
+def test_forward_at_contraction_matches_direct_exponentials(n_theta, theta):
+    """forward_at sums each Bessel row against E conj(g) as two real rows.
+
+    A one-sided lambda list (mid != 0) gives E a phase, so a slip between
+    the real and imaginary rows shows; the symmetric one has mid = 0.
+    """
+    grid = GridSpec(48, n_theta, 3.0)
+    rng = np.random.default_rng(20)
+    noise = rng.standard_normal((48, n_theta)) + 1j * rng.standard_normal((48, n_theta))
+    f = SampledField(grid, noise * np.exp(-3.0 * grid.radii_t ** 2)[:, None])  # e^-27 at R
+    b = BoundaryPoint(theta)
+    for lams in (np.arange(-8.0, 8.025, 0.05), np.linspace(0.5, 6.0, 40)):
+        ref = oracles.direct_forward_at(f, lams, theta)
+        assert _rel_max(forward_at(f, lams, b), ref) < 1e-13
+        assert _rel_max(forward_at(f, lams[7:8], b), ref[7:8]) < 1e-13
+    assert forward_at(f, [], b).shape == (0,)
+
+
+def test_forward_at_rejects_non_finite_lambdas():
+    f = SampledField.from_function(BUMPS["radial"], GridSpec(40, 32, 4.0))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"finite, got {bad}"):
+            forward_at(f, [1.0, bad, 2.0], BoundaryPoint(0.7))
+
+
+def test_grid_busemann_propagates_a_nan_angle():
+    """A NaN angle gives NaN brackets, not the s = 0 branch's t."""
+    assert np.isnan(GridSpec(40, 32, 4.0).busemann(math.nan)).all()
+
+
 @pytest.mark.parametrize("shape", [(48, 1, 3.0), (48, 2, 3.0), (48, 3, 3.0), (48, 33, 3.0),
                                    (200, 256, 4.0)])
 def test_even_row_ffts_match_the_full_row_build(shape):
@@ -219,6 +251,24 @@ def test_forward_and_inverse_peak_memory():
             tracemalloc.reset_peak()
             call(arg)
             assert tracemalloc.get_traced_memory()[1] - live <= 7.5e6, call.__name__
+    finally:
+        tracemalloc.stop()
+
+
+def test_forward_at_peak_memory():
+    """No K-row kernel block: at 200x256 with 321 lambdas forward_at peaks below 7 MB.
+
+    The peak is numpy's traced allocations above what was live at the call.
+    Forming each block's product J E before the contraction peaked at 8.2 MB.
+    """
+    f = SampledField.from_function(BUMPS["offcenter"], GridSpec(200, 256, 4.0))
+    lams = np.arange(-8.0, 8.025, 0.05)
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        forward_at(f, lams, BoundaryPoint(0.7))
+        assert tracemalloc.get_traced_memory()[1] - live <= 7.0e6
     finally:
         tracemalloc.stop()
 
