@@ -4,6 +4,7 @@ import pathlib
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -206,6 +207,16 @@ def test_transform_where_z_rounds_to_1_exits_1(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_spherical_where_z_rounds_to_1_exits_1(tmp_path):
+    # the boundary-average cross-check sits at the outermost radius, where
+    # tanh(t/2) rounds to 1: one line, no traceback, no file
+    res = run("spherical", "--lambda", "1", "--radius", "40", "--grid", "40x8",
+              "--out", str(tmp_path / "s.csv"))
+    assert res.returncode == 1
+    assert res.stderr.startswith("validation error:") and res.stderr.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 EDGE_VALUES = [0.0, -0.0, 1e-300, 5e-324, 1e300, 1 / 3, 123456789012345.0]
 WAVE_FOOTER = {"command": "wave", "lambda": 2.0, "b0": 0.0, "grid": "200x256",
                "radius": 4.0, "quadrature_error_estimate": 0.0}
@@ -216,7 +227,7 @@ def test_field_writer_matches_per_row_writer_on_wave_preset():
     from horowave.waves import helgason_wave_array
     z = DEFAULT_GRID.z
     values = helgason_wave_array(2.0, 0.0, z)
-    assert _field_csv(z, values, WAVE_FOOTER) == \
+    assert b"".join(_field_csv(z, values, WAVE_FOOTER)) == \
         oracles.field_csv_rows(z, values, WAVE_FOOTER)
 
 
@@ -225,7 +236,7 @@ def test_field_writer_matches_per_row_writer_on_edge_values():
     xy = (v + 1j * v[::-1]).reshape(2, -1)
     for values in (np.roll(v, 3) - 1j * np.roll(v, 5), np.roll(v, 1)):  # complex, real
         values = values.reshape(2, -1)
-        got = _field_csv(xy, values, WAVE_FOOTER)
+        got = b"".join(_field_csv(xy, values, WAVE_FOOTER))
         assert got == oracles.field_csv_rows(xy, values, WAVE_FOOTER)
         assert got.endswith(b"\n# quadrature_error_estimate=0.0\n")
 
@@ -249,7 +260,7 @@ def test_field_writer_matches_per_row_writer_on_ties_and_carries(rows):
     v[:len(edges)] = edges[:4 * rows]
     xy = v[0::4] + 1j * v[1::4]
     for values in (v[2::4] + 1j * v[3::4], v[2::4]):  # complex, real
-        assert _field_csv(xy, values, WAVE_FOOTER) == \
+        assert b"".join(_field_csv(xy, values, WAVE_FOOTER)) == \
             oracles.field_csv_rows(xy, values, WAVE_FOOTER)
 
 
@@ -267,7 +278,7 @@ def test_field_writer_matches_per_row_writer_on_any_finite_values(rows, real):
     cols = np.array(rows)
     xy = cols[:, 0] + 1j * cols[:, 1]
     values = cols[:, 2] if real else cols[:, 2] + 1j * cols[:, 3]
-    assert _field_csv(xy, values, WAVE_FOOTER) == \
+    assert b"".join(_field_csv(xy, values, WAVE_FOOTER)) == \
         oracles.field_csv_rows(xy, values, WAVE_FOOTER)
 
 
@@ -278,6 +289,34 @@ def test_field_writer_rejects_non_finite_values(bad):
         _field_csv(xy, np.array([1.0, complex(0.5, bad)]), WAVE_FOOTER)
     with pytest.raises(ValueError):
         _field_csv(np.array([0.1, bad]), np.ones(2), WAVE_FOOTER)
+
+
+def test_atomic_write_leaves_nothing_when_a_piece_raises(tmp_path):
+    def pieces():
+        yield b"x,y,re,im"
+        raise RuntimeError("a block failed")
+
+    with pytest.raises(RuntimeError):
+        cli._atomic_write(str(tmp_path / "f.csv"), pieces())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_field_output_peak_memory(tmp_path):
+    """Blocks go to the file as they are made: a 200x256 wave peaks below 5 MB.
+
+    The peak is the traced allocations above what was live at the call.
+    Holding the float table, every block's text and their join peaked at
+    9.2 MB.
+    """
+    argv = ["wave", "--lambda", "2", "--out", str(tmp_path / "w.csv")]
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert cli.main(argv) == 0
+        assert tracemalloc.get_traced_memory()[1] - live <= 5.0e6
+    finally:
+        tracemalloc.stop()
 
 
 def test_spherical_rows_are_one_radial_value(tmp_path):
