@@ -351,16 +351,24 @@ def cmd_spherical(args) -> int:
     t = grid.radii_t
     values = np.broadcast_to(spherical_radial(lam, t)[:, None], grid.z.shape).astype(complex)
     # cross-check the radial quadrature against the boundary average at the
-    # outermost radius; reported, not asserted. Where tanh(t/2) rounds to 1
-    # (t above about 37) that point is not in the disk, and no node count
-    # resolves a Poisson kernel of width about e^{-t} anyway
-    r = math.tanh(t[-1] / 2.0)
-    if not r < 1.0:
+    # outermost radius where its M nodes settle; reported, not asserted. The
+    # average's kernel is about e^{-t} wide, so past t of about log M they do
+    # not. Where tanh(t/2) rounds to 1 (t above about 37) the outermost row
+    # is not in the disk, and that is refused
+    if not math.tanh(t[-1] / 2.0) < 1.0:
         raise QuadratureUnderResolved(
             f"spherical cross-check at t={t[-1]:g}: tanh(t/2) rounds to 1, so the "
             f"boundary average cannot be taken there")
-    far = DiskPoint(r + 0j)
-    est = abs(spherical(lam, far, M=M) - spherical_radial(lam, float(t[-1])))
+    for tj in t[::-1].tolist():
+        try:
+            average = spherical(lam, DiskPoint(math.tanh(tj / 2.0) + 0j), M=M)
+        except QuadratureUnderResolved:
+            continue
+        est = abs(average - spherical_radial(lam, tj))
+        break
+    else:
+        raise QuadratureUnderResolved(
+            f"spherical cross-check: the {M}-node boundary average settles at no grid radius")
     footer = {"command": "spherical", "lambda": lam,
               "grid": f"{grid.n_r}x{grid.n_theta}", "radius": grid.R,
               "quadrature_error_estimate": f"{est:.3e}"}

@@ -112,25 +112,37 @@ class GridSpec:
         return r[:, None] * np.exp(1j * self.angles[None, :])
 
     def busemann(self, theta: float) -> np.ndarray:
-        """Busemann bracket toward e^{i theta} at every node, from its (t, angle).
+        """Busemann bracket toward e^{i theta} at every node (``_polar_bracket``).
 
-        At z = tanh(t/2) e^{i a} the bracket is -log(e^{-t} + 2 sinh t s^2),
-        s = sin((a - theta)/2), taken here as -t - log(s^2 + e^{-2t} (1 - s^2)).
-        Unlike ``busemann_array`` on ``z``, it keeps its digits where |z|
-        rounds to 1 (t above about 37), and sinh t cannot overflow. At an
-        angle equal to theta (s = 0) the bracket is t, and it is taken as t:
-        e^{-2t} loses digits past t = 354 and underflows past 372. At s != 0
-        such an e^{-2t} is below 1e-17 s^2 unless theta lies within 1e-145 of
-        a grid angle. Every polar-grid bracket is taken here: ``forward`` and
-        ``inverse`` read the first n_theta // 2 + 1 columns toward theta = 0
-        (their kernel rows are even in the angle index, ``_even_row_ffts``);
         ``forward_at``, ``moire.phase_correlation`` and the CLI's ``wave``
-        read every column.
+        read every column; ``forward`` and ``inverse`` take only the angles
+        they read from ``_polar_bracket`` itself (``_even_row_ffts``).
         """
-        t = self.radii_t[:, None]
-        s2 = np.sin(0.5 * (self.angles[None, :] - theta)) ** 2
-        with np.errstate(divide="ignore"):  # log 0 at s = 0 past t = 372, not taken
-            return np.where(s2 == 0.0, t, -t - np.log(s2 + np.exp(-2.0 * t) * (1.0 - s2)))
+        return _polar_bracket(self.radii_t, self.angles, theta)
+
+
+def _polar_bracket(t: np.ndarray, angles: np.ndarray, theta: float) -> np.ndarray:
+    """Busemann bracket toward e^{i theta} at the nodes tanh(t_j/2) e^{i a_l}, from (t, a).
+
+    At z = tanh(t/2) e^{i a} the bracket is -log(e^{-t} + 2 sinh t s^2),
+    s = sin((a - theta)/2), taken here as -t - log(s^2 + e^{-2t} (1 - s^2)),
+    in one array of shape (len(t), len(angles)). Unlike ``busemann_array``
+    on z, it keeps its digits where |z| rounds to 1 (t above about 37), and
+    sinh t cannot overflow. At an angle equal to theta (s = 0) the bracket
+    is t, and it is taken as t: e^{-2t} loses digits past t = 354 and
+    underflows past 372. At s != 0 such an e^{-2t} is below 1e-17 s^2
+    unless theta lies within 1e-145 of a grid angle.
+    """
+    t = t[:, None]
+    s2 = np.sin(0.5 * (angles - theta)) ** 2
+    B = np.exp(-2.0 * t) * (1.0 - s2)
+    B += s2
+    with np.errstate(divide="ignore"):  # log 0 at s = 0 past t = 372, not taken
+        np.log(B, out=B)
+    B += t
+    np.negative(B, out=B)
+    np.copyto(B, t, where=s2 == 0.0)
+    return B
 
 
 DEFAULT_GRID = GridSpec()
@@ -147,9 +159,16 @@ class SampledField:
         expect = (self.grid.n_r, self.grid.n_theta)
         if self.values.shape != expect:
             raise ValueError(f"values shape {self.values.shape} != grid shape {expect}")
-        area = np.sum(self.grid.row_weights) * self.grid.n_theta
-        exact = 2.0 * np.pi * (math.cosh(self.grid.R) - 1.0)
-        if abs(area - exact) > 1e-3 * exact:
+        # the weights must integrate, within 1e-3, a field that vanishes at R as
+        # _check_support asks of every input: F = cos^2(pi t / 2R), flat at R too,
+        # whose integral over the disk is pi (2 sinh^2(R/2) - (cosh R + 1) / (1 + (pi/R)^2))
+        R = self.grid.R
+        with np.errstate(over="ignore", invalid="ignore"):  # R past 710: nan, and refused
+            F = np.cos(0.5 * np.pi * self.grid.radii_t / R) ** 2
+            area = float(np.sum(self.grid.row_weights * F)) * self.grid.n_theta
+            exact = np.pi * (2.0 * np.sinh(0.5 * R) ** 2
+                             - (np.cosh(R) + 1.0) / (1.0 + (np.pi / R) ** 2))
+        if not abs(area - exact) <= 1e-3 * exact:
             raise ValueError("quadrature weights do not reproduce the hyperbolic area")
 
     @classmethod
@@ -202,9 +221,14 @@ def _lambda_step(lams: np.ndarray) -> float:
     return h
 
 
-_KERNEL_TAIL = 1e-15       # bound on |J_{K-1}| at a block's largest |c B|
+_KERNEL_TAIL = 1e-15       # bound on |J_{K-1}| at a row's largest |c B|
 _KERNEL_MAX_TERMS = 4096
-_BLOCK_POINTS = 4096       # grid points per block of kernel rows
+# float64 values per block's Bessel stack and per chunk of kernel-row FFTs, a complex
+# value counting two: 0.5 MiB. At 200x256 a block of forward's outer rows holds 11 rows
+# of 45 terms at 129 angles, and one chunk of their FFTs 11 of those terms. On a 2-core
+# VM, 0.75 MiB took 0.3-1.2 MB off perfbench spectral's peak RSS and 0.5 MiB 0.9-1.3 MB,
+# at the same op times
+_BLOCK_FLOATS = 65536
 
 
 def _bessel_stack(z: np.ndarray, K: int) -> np.ndarray:
@@ -266,42 +290,46 @@ def _kernel_terms(zmax: np.ndarray) -> np.ndarray:
         n *= 2
 
 
-def _block_rows(n_theta: int) -> int:
-    """Rows of an n_theta-angle grid per block of kernel rows: about _BLOCK_POINTS points."""
-    return max(1, _BLOCK_POINTS // n_theta)
-
-
-def _busemann_kernel(B: np.ndarray, lams: np.ndarray, n_theta: int):
+def _busemann_kernel(t: np.ndarray, angles: np.ndarray, theta: float, lams: np.ndarray):
     """The Busemann kernel e^{(i lam + rho) B} of every lambda, as lambda-free rows.
 
-    With lam = mid + c x on [min lams, max lams], x in [-1, 1], the
-    Jacobi-Anger expansion (DLMF 10.12.1-3) gives
+    B is the bracket toward e^{i theta} at the radii t and the angles
+    ``angles`` (``_polar_bracket``), taken a block of radii at a time. With
+    lam = mid + c x on [min lams, max lams], x in [-1, 1], the Jacobi-Anger
+    expansion (DLMF 10.12.1-3) gives
     e^{(i lam + rho) B} = sum_k T_k(x) s_k J_k(c B) e^{(i mid + rho) B},
     s_k = eps_k i^k with eps_0 = 1 and eps_k = 2. Returns (T, s, blocks):
     T[i, k] = T_k(x_i), of shape (len(lams), K), s of shape (K,), and an
-    iterator over blocks of rows of B yielding (rows, J, E) with
+    iterator over blocks of radii yielding (rows, J, E) with
     J[k] = J_k(c B[rows]) and E = e^{(i mid + rho) B[rows]}, so the kernel
     of lams[i] is sum_k T[i, k] s_k J[k] E. ``forward`` and ``inverse`` form
     the products J[k] E (``_even_row_ffts``); ``forward_at`` never does, and
-    contracts J with E times the weighted field. B holds the rows of a grid of
-    n_theta angles, or their first columns only. A block holds
-    _block_rows(n_theta) rows and takes as many terms as its own
-    max|c B| needs (_kernel_terms); K is the most any block takes. The
-    counts follow c max|B|, not the number of lambdas.
+    contracts J with E times the weighted field. |B| <= t at every angle
+    (with equality at theta and theta + pi), so each radius takes as many
+    terms as c t needs (_kernel_terms), and a block the most of its radii;
+    a block holds as many radii as keep its Bessel stack (its terms times
+    its points) within _BLOCK_FLOATS, and at least one. K is the most any
+    radius takes. The counts follow c max|B|, not the number of lambdas.
     """
     lams = np.asarray(lams, float)
     lo, hi = (lams.min(), lams.max()) if lams.size else (0.0, 0.0)
     mid, c = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    starts = np.arange(0, len(B), _block_rows(n_theta))
-    terms = _kernel_terms(c * np.maximum.reduceat(np.max(np.abs(B), axis=1), starts))
+    row_terms = _kernel_terms(c * t)
+    starts, most = [0], 0
+    for j, n in enumerate(row_terms.tolist()):
+        most = max(most, n)
+        if j > starts[-1] and most * (j + 1 - starts[-1]) * len(angles) > _BLOCK_FLOATS:
+            starts.append(j)
+            most = n
+    terms = np.maximum.reduceat(row_terms, starts)
     k = np.arange(np.max(terms))
     s = np.where(k, 2.0, 1.0) * np.array([1, 1j, -1, -1j])[k % 4]
     T = chebvander((lams - mid) / c if c else np.zeros_like(lams), len(k) - 1)
 
     def blocks():
-        for a, b, n in zip(starts, [*starts[1:], len(B)], terms):
-            Bb = B[a:b]
-            yield slice(a, b), _bessel_stack(c * Bb, n), np.exp((1j * mid + RHO) * Bb)
+        for a, b, n in zip(starts, [*starts[1:], len(t)], terms):
+            B = _polar_bracket(t[a:b], angles, theta)
+            yield slice(a, b), _bessel_stack(c * B, n), np.exp((1j * mid + RHO) * B)
 
     return T, s, blocks()
 
@@ -309,26 +337,34 @@ def _busemann_kernel(B: np.ndarray, lams: np.ndarray, n_theta: int):
 def _even_row_ffts(grid: GridSpec, lams: np.ndarray):
     """``_busemann_kernel`` toward b = 0, with each row's angular FFT in place of the row.
 
-    Returns (T, s, blocks), blocks yielding (rows, FW) with FW[k] the FFT
-    along the angle of J_k(c B[rows]) e^{(i mid + rho) B[rows]}. Toward
-    b = 0 the bracket depends on the angle only through sin^2(theta/2), so
-    each row is even in the angle index: the rows are built at the
-    h = n_theta // 2 + 1 angles theta <= pi, where sin(theta/2) keeps its
-    digits, and mirrored onto the rest. Every block is written into one
-    buffer of shape (K, rows per block, n_theta), and its FFT runs in
-    place, so FW is overwritten by the next block.
+    Returns (T, s, chunks), chunks yielding (rows, ks, FW) with FW[i] the
+    FFT along the angle of J_k(c B[rows]) e^{(i mid + rho) B[rows]} for
+    k = ks.start + i. Toward b = 0 the bracket depends on the angle only
+    through sin^2(theta/2), so each row is even in the angle index: the
+    bracket and the rows are built at the h = n_theta // 2 + 1 angles
+    theta <= pi, where sin(theta/2) keeps its digits, and mirrored onto the
+    rest. A block's K rows are formed, mirrored and transformed a chunk of
+    terms at a time, each chunk within _BLOCK_FLOATS (one term's rows at
+    least), in one buffer that every chunk reuses: FW is overwritten by
+    the next chunk.
     """
     n, h = grid.n_theta, grid.n_theta // 2 + 1
-    T, s, blocks = _busemann_kernel(np.ascontiguousarray(grid.busemann(0.0)[:, :h]), lams, n)
-    buf = np.empty((len(s), min(grid.n_r, _block_rows(n)), n), complex)
+    T, s, blocks = _busemann_kernel(grid.radii_t, grid.angles[:h], 0.0, lams)
 
     def ffts():
+        buf = np.empty(_BLOCK_FLOATS // 2, complex)
         for rows, J, E in blocks:
-            W = buf[:len(J), :len(E)]
-            np.multiply(J, E, out=W[..., :h])
+            per_term = len(E) * n
+            step = max(1, len(buf) // per_term)
+            if step * per_term > len(buf):  # one term's rows past the budget
+                buf = np.empty(per_term, complex)
+            for a in range(0, len(J), step):
+                ks = slice(a, min(a + step, len(J)))
+                W = buf[:(ks.stop - a) * per_term].reshape(-1, len(E), n)
+                np.multiply(J[ks], E, out=W[..., :h])
+                W[..., h:] = W[..., n - h:0:-1]  # angle index l -> n - l, odd or even n
+                yield rows, ks, np.fft.fft(W, axis=-1, out=W)
             del J, E  # free this block's Bessel stack before the next one is built
-            W[..., h:] = W[..., n - h:0:-1]  # angle index l -> n - l, odd or even n
-            yield rows, np.fft.fft(W, axis=-1, out=W)
 
     return T, s, ffts()
 
@@ -374,15 +410,18 @@ def forward(f: SampledField, lambda_max: float = LAMBDA_MAX,
     _check_support(f)
     grid = f.grid
     lams = np.arange(0.0, lambda_max + lambda_step / 2.0, lambda_step)
-    conj_a = np.conj(np.fft.fft(f.values * grid.row_weights[:, None], axis=1))
-    T, s, blocks = _even_row_ffts(grid, lams)
+    conj_a = np.multiply(f.values, grid.row_weights[:, None], dtype=complex)
+    np.conj(np.fft.fft(conj_a, axis=1, out=conj_a), out=conj_a)
+    T, s, chunks = _even_row_ffts(grid, lams)
     # row k of P: the sum over radii of conj(A) times the FFT of kernel row k;
     # forward correlates with e_{-lambda,1} = conj(e_{lambda,1}), so out = conj(T s P)
     P = np.zeros((len(s), grid.n_theta), complex)
-    for rows, FW in blocks:
-        P[:len(FW)] += np.einsum("jl,kjl->kl", conj_a[rows], FW)
-    out = np.conj(_real_matmul(T, s[:, None] * P))
-    return SpectralField(lams, grid.angles, np.fft.ifft(out, axis=1), grid)
+    for rows, ks, FW in chunks:
+        P[ks] += np.einsum("jl,kjl->kl", conj_a[rows], FW)
+    del FW  # a view of the chunk buffer
+    out = _real_matmul(T, s[:, None] * P)
+    np.conj(out, out=out)
+    return SpectralField(lams, grid.angles, np.fft.ifft(out, axis=1, out=out), grid)
 
 
 def forward_at(f: SampledField, lams: np.ndarray, b: BoundaryPoint) -> np.ndarray:
@@ -391,18 +430,27 @@ def forward_at(f: SampledField, lams: np.ndarray, b: BoundaryPoint) -> np.ndarra
     lams = np.asarray(lams, float)
     if not np.isfinite(lams).all():
         raise ValueError(f"lambda must be finite, got {lams[~np.isfinite(lams)][0]}")
-    conj_g = np.conj(f.values * f.weights)
-    T, s, blocks = _busemann_kernel(f.grid.busemann(b.theta), lams, f.grid.n_theta)
-    # V[k] = sum over the block's points p of J_k(c B_p) w_p, w = E conj(g): one real
-    # (K x P) by (P x 2) product, never forming J E. It runs in einsum's own loop, as
-    # _real_matmul does, on w's real and imaginary parts stacked as two contiguous
-    # rows: on the interleaved w.view(float) it took eight times as long.
-    V = np.zeros((len(s), 2))
+    # the value at lam is sum_p e^{(-i lam + rho) B_p} g_p, g the weighted field: with
+    # mu = |lam| that is conj(sum_p e^{(i mu + rho) B_p} conj(g_p)) for lam >= 0 and
+    # sum_p e^{(i mu + rho) B_p} g_p for lam < 0, so one kernel over the |lam| serves
+    # both signs, and a list symmetric about 0 takes the terms of half its width
+    T, s, blocks = _busemann_kernel(f.grid.radii_t, f.grid.angles, b.theta, np.abs(lams))
+    weights = f.grid.row_weights[:, None]
+    # V[k] = sum over the block's points p of J_k(c B_p) (w_p, v_p), w = E conj(g) and
+    # v = E g, formed a block at a time: one real (K x P) by (P x 4) product, never
+    # forming J E. It runs in einsum's own loop, as _real_matmul does, on the real and
+    # imaginary parts of w and v stacked as contiguous rows: on the interleaved
+    # w.view(float) it took eight times as long.
+    V = np.zeros((len(s), 4))
     for rows, J, E in blocks:
-        w = (E * conj_g[rows]).ravel()
-        V[:len(J)] += np.einsum("kp,cp->kc", J.reshape(len(J), -1), np.stack((w.real, w.imag)))
-        del J, E, w  # free this block's Bessel stack before the next one is built
-    return np.conj(np.einsum("ik,k->i", T, s * V.view(complex)[:, 0]))
+        g = np.multiply(f.values[rows], weights[rows], dtype=complex).ravel()
+        E = E.ravel()
+        w, v = E * np.conj(g), E * g
+        V[:len(J)] += np.einsum("kp,cp->kc", J.reshape(len(J), -1),
+                                np.stack((w.real, w.imag, v.real, v.imag)))
+        del J, E, w, v  # free this block's Bessel stack before the next one is built
+    out = np.einsum("ik,kc->ic", T, s[:, None] * V.view(complex))
+    return np.where(lams >= 0.0, np.conj(out[:, 0]), out[:, 1])
 
 
 def inverse(F: SpectralField) -> SampledField:
@@ -422,13 +470,16 @@ def inverse(F: SpectralField) -> SampledField:
     db = 1.0 / grid.n_theta
     # inverse is linear: fold the lambda rows onto the K kernel rows,
     # G = s T^T FF, sum the kernel products over those rows, then one IFFT
-    FF = np.fft.fft(F.values, axis=1) * (dens * wl * db)[:, None]
-    T, s, blocks = _even_row_ffts(grid, F.lambda_grid)
+    FF = np.fft.fft(F.values, axis=1)
+    FF *= (dens * wl * db)[:, None]
+    T, s, chunks = _even_row_ffts(grid, F.lambda_grid)
     G = s[:, None] * _real_matmul(T.T, FF)
-    acc = np.empty((grid.n_r, grid.n_theta), complex)
-    for rows, FW in blocks:
-        acc[rows] = np.einsum("kjl,kl->jl", FW, G[:len(FW)])
-    return SampledField(grid, np.fft.ifft(acc, axis=1))
+    del FF
+    acc = np.zeros((grid.n_r, grid.n_theta), complex)
+    for rows, ks, FW in chunks:
+        acc[rows] += np.einsum("kjl,kl->jl", FW, G[ks])
+    del FW  # a view of the chunk buffer
+    return SampledField(grid, np.fft.ifft(acc, axis=1, out=acc))
 
 
 def _radial_profile(f: SampledField) -> np.ndarray:

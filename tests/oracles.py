@@ -8,11 +8,11 @@ import mpmath
 import numpy as np
 from scipy.fft import dct
 from scipy.integrate import quad
-from scipy.special import j0
+from scipy.special import j0, jv
 
 from horowave.euclid import bessel_wave_array
-from horowave.geometry import busemann_array, distance_array, horocycle_points_array
-from horowave.transform import _busemann_kernel, _tapered_line
+from horowave.geometry import distance_array, horocycle_points_array
+from horowave.transform import _tapered_line
 from horowave.waves import spherical_radial_profile
 
 
@@ -155,8 +155,9 @@ def direct_transforms(f, forward_lams, inverse_args, kappa: float):
     """Forward rows and inversions from one kernel per distinct lambda, each by its own np.exp.
 
     Each distinct lambda of the lists in forward_lams and inverse_args gets
-    its kernel fft(exp((i lambda + 1/2) B)) along the angle once, and that
-    kernel serves every row and every inversion term at that lambda.
+    its kernel fft(exp((i lambda + 1/2) B)) along the angle once, B from
+    ``polar_bracket``, and that kernel serves every row and every inversion
+    term at that lambda.
     Forward: for each lambda grid of forward_lams, row i is the circular
     correlation over the angle index of f's weighted samples with
     e_{-lambda_i, 1}. Inverse: for each (lams, values) of inverse_args, the
@@ -166,7 +167,7 @@ def direct_transforms(f, forward_lams, inverse_args, kappa: float):
     forward arrays and the list of inverse arrays.
     """
     grid = f.grid
-    B = busemann_array(grid.z, 0.0)
+    B = polar_bracket(grid, 0.0)
     A = np.fft.fft(f.values * grid.row_weights[:, None], axis=1)
     rows = [np.empty((len(lams), grid.n_theta), complex) for lams in forward_lams]
     terms = []
@@ -187,21 +188,41 @@ def direct_transforms(f, forward_lams, inverse_args, kappa: float):
             [np.fft.ifft(acc, axis=1) for _, _, acc in terms])
 
 
-def kernel_row_ffts_full(grid, lams) -> list:
-    """Angular FFTs of the kernel rows of ``forward`` and ``inverse``, built at every angle.
+def polar_bracket(grid, beta: float) -> np.ndarray:
+    """Busemann bracket toward e^{i beta} at every node of a polar grid, from (t, angle).
 
-    The Jacobi-Anger rows J_k(c B) e^{(i mid + rho) B} of
-    ``transform._busemann_kernel`` on the whole bracket ``grid.busemann(0.0)``,
-    each block in a new array and transformed by np.fft.fft, without using
-    that the rows are even in the angle index. Returns a list of (rows, FW).
+    -log(cosh t - sinh t cos(a - beta)) at the nominal angles a = 2 pi m / n,
+    m the angle index taken in [-n/2, n/2), so that angles near 2 pi keep
+    their digits as small negative ones, with the argument written as
+    e^{-t} + 2 sinh t sin^2((a - beta)/2), which does not cancel near
+    a = beta. Unlike ``busemann_array`` on the Cartesian nodes, it does not
+    lose the digits of 1 - |z|^2 at large t.
     """
-    _, _, blocks = _busemann_kernel(grid.busemann(0.0), lams, grid.n_theta)
-    return [(rows, np.fft.fft(J * E, axis=-1)) for rows, J, E in blocks]
+    n = grid.n_theta
+    t = grid.radii_t[:, None]
+    half = np.pi * ((np.arange(n) + n // 2) % n - n // 2) / n - 0.5 * beta
+    return -np.log(np.exp(-t) + 2.0 * np.sinh(t) * np.sin(half) ** 2)
+
+
+def kernel_row_ffts_full(grid, lams, rows: slice, K: int) -> np.ndarray:
+    """Angular FFTs of K kernel rows of ``forward`` and ``inverse``, built at every angle.
+
+    The Jacobi-Anger rows J_k(c B) e^{(i mid + rho) B}, k < K, on the radial
+    rows ``rows`` of ``polar_bracket(grid, 0)``, with lambda = mid + c x
+    mapping [min lams, max lams] onto x in [-1, 1] and J_k from scipy's jv,
+    transformed by np.fft.fft without using that the rows are even in the
+    angle index. Returns an array of shape (K, rows, n_theta).
+    """
+    lo, hi = np.min(lams), np.max(lams)
+    mid, c = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    B = polar_bracket(grid, 0.0)[rows]
+    J = jv(np.arange(K)[:, None, None], c * B)
+    return np.fft.fft(J * np.exp((1j * mid + 0.5) * B), axis=-1)
 
 
 def direct_forward_at(f, lams: np.ndarray, theta: float) -> np.ndarray:
     """Transform values toward the boundary angle theta, one exp per lambda."""
-    B = busemann_array(f.grid.z, theta)
+    B = polar_bracket(f.grid, theta)
     g = f.values * f.weights
     return np.array([np.sum(np.exp((-1j * lam + 0.5) * B) * g) for lam in lams])
 

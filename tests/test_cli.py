@@ -217,6 +217,27 @@ def test_spherical_where_z_rounds_to_1_exits_1(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("R", [5, 6, 7, 8, 9, 10, 11, 12])
+def test_spherical_cross_check_past_the_boundary_average_resolution(tmp_path, R):
+    """Past t of about 6 the 4096-node boundary average does not settle at the outermost
+    radius (it exited 1 there); the cross-check moves in to the outermost radius where it does.
+    """
+    out = tmp_path / "s.csv"
+    res = run("spherical", "--lambda", "1", "--grid", "40x8", "--radius", str(R), "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    _, rows, footer = read_field(out)
+    assert np.isfinite(rows).all()
+    assert 0.0 <= float(footer["quadrature_error_estimate"]) < 1e-9
+
+
+def test_spherical_cross_check_that_settles_nowhere_exits_1(tmp_path):
+    res = run("spherical", "--lambda", "1", "--grid", "40x8", "--radius", "8",
+              "--resolution", "2", "--out", str(tmp_path / "s.csv"))
+    assert res.returncode == 1
+    assert res.stderr.startswith("validation error:") and res.stderr.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 EDGE_VALUES = [0.0, -0.0, 1e-300, 5e-324, 1e300, 1 / 3, 123456789012345.0]
 WAVE_FOOTER = {"command": "wave", "lambda": 2.0, "b0": 0.0, "grid": "200x256",
                "radius": 4.0, "quadrature_error_estimate": 0.0}
@@ -319,6 +340,24 @@ def test_field_output_peak_memory(tmp_path):
         tracemalloc.stop()
 
 
+def test_transform_peak_memory(tmp_path):
+    """A 200x256 transform op (field, round trip, CSV and PGM) peaks below 4.5 MB.
+
+    The peak is the traced allocations above what was live at the call; it
+    was 7.80 MB while ``inverse`` held every term of a block's kernel rows
+    in one buffer (4.04 MB now).
+    """
+    argv = ["transform", "--grid", "200x256", "--out", str(tmp_path / "t.csv")]
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert cli.main(argv) == 0
+        assert tracemalloc.get_traced_memory()[1] - live <= 4.5e6
+    finally:
+        tracemalloc.stop()
+
+
 def test_spherical_rows_are_one_radial_value(tmp_path):
     out = tmp_path / "sph.csv"
     res = run("spherical", "--lambda", "2.5", "--grid", "75x128", "--radius", "1.8",
@@ -375,8 +414,8 @@ def test_bad_config_exit_code():
 
 
 @pytest.mark.parametrize("args, code", [
-    (("moire", "--lambda", "2", "--grid", "8x8", "--radius", "1.8"), 2),
-    (("transform", "--grid", "16x16"), 2),
+    (("moire", "--lambda", "2", "--grid", "4x8", "--radius", "1.8"), 2),
+    (("transform", "--grid", "4x16"), 2),
     (("spherical", "--lambda", "1", "--grid", "8x8", "--radius", "1.8"), 0),
 ])
 def test_grid_too_coarse_for_area_weights(tmp_path, args, code):
@@ -384,6 +423,30 @@ def test_grid_too_coarse_for_area_weights(tmp_path, args, code):
     assert res.returncode == code
     if code == 2:
         assert "configuration error" in res.stderr and "'grid'" in res.stderr
+
+
+@pytest.mark.parametrize("args, code", [
+    (("moire", "--lambda", "2", "--grid", "8x8", "--radius", "1.8"), 0),
+    (("transform", "--grid", "8x64"), 1),
+    (("transform", "--grid", "16x16"), 1),
+])
+def test_grids_of_few_radii_pass_the_area_check(tmp_path, args, code):
+    """The area check refused these grids (exit 2) while it integrated F = 1.
+
+    Now they pass it; the transform's coarse round trip then fails its own
+    spectral truncation check, with one line.
+    """
+    res = run(*args, "--out", str(tmp_path / "c.csv"))
+    assert res.returncode == code
+    assert "'grid'" not in res.stderr and "Traceback" not in res.stderr
+    if code:
+        assert res.stderr.startswith("validation error:") and res.stderr.count("\n") == 1
+
+
+def test_radius_past_the_float_range_is_a_config_error(tmp_path):
+    res = run("transform", "--grid", "4000x8", "--radius", "800", "--out", str(tmp_path / "t.csv"))
+    assert res.returncode == 2
+    assert "'grid'" in res.stderr and res.stderr.count("\n") == 1
 
 
 def test_spherical_resolution_below_two_is_rejected(tmp_path):

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import jn_zeros, jv
 
 import oracles
@@ -74,15 +75,44 @@ def test_grids_with_one_or_two_radii():
     one = GridSpec(1, 8, 0.1)
     np.testing.assert_allclose(one.row_weights, [math.sinh(0.05) * 0.1 * math.pi / 4],
                                rtol=1e-15)
-    assert SampledField.zeros(one).values.shape == (1, 8)
-    # two radii take both corrections; the area integrand does not vanish at R, so
-    # the t = R end leaves (dt^2/24) cosh R, 2% of the area, and the check refuses
+    # two radii take both corrections
     two = GridSpec(2, 8, 0.1)
     mid = np.sinh([0.025, 0.075]) * 0.05 * math.pi / 4
     np.testing.assert_allclose(two.row_weights, mid * [1 - 27 / 288, 1 + 1 / 288],
                                rtol=1e-15)
+    # neither integrates a field that vanishes at R (68% and 2% off), so the check refuses
+    for grid in (one, two):
+        with pytest.raises(ValueError, match="hyperbolic area"):
+            SampledField.zeros(grid)
+
+
+@pytest.mark.parametrize("R, first", [(0.1, 5), (1.0, 5), (4.0, 7)])
+def test_area_check_passes_from_a_few_radii_at_any_radius(R, first):
+    """The area check integrates F = cos^2(pi t / 2R), which vanishes at R with its slope.
+
+    Its verdict at n_r = 1..20 is whether the rule's error against scipy's
+    quad of 2 pi int_0^R F sinh t dt is within 1e-3, and every grid from
+    ``first`` radii on passes. With F = 1 the t = R end left
+    (dt^2/24) cosh R, and grids of fewer than about 10 radii failed at any R.
+    """
+    exact = 2.0 * math.pi * quad(lambda t: math.sinh(t) * math.cos(0.5 * math.pi * t / R) ** 2,
+                                 0.0, R, epsabs=0.0, epsrel=1e-13)[0]
+    for n_r in range(1, 21):
+        grid = GridSpec(n_r, 8, R)
+        F = np.cos(0.5 * np.pi * grid.radii_t / R) ** 2
+        err = abs(float(np.sum(grid.row_weights * F)) * 8 - exact) / exact
+        try:
+            SampledField.zeros(grid)
+            passed = True
+        except ValueError:
+            passed = False
+        assert passed == (err <= 1e-3) == (n_r >= first), n_r
+
+
+def test_area_check_refuses_a_radius_past_the_float_range():
+    """Past R = 710 sinh and cosh overflow: the check refuses, it does not raise OverflowError."""
     with pytest.raises(ValueError, match="hyperbolic area"):
-        SampledField.zeros(two)
+        SampledField.zeros(GridSpec(4000, 8, 800.0))
 
 
 def test_sampled_field_shape_guard():
@@ -193,17 +223,21 @@ def test_odd_and_tiny_angle_counts_match_direct_exponentials(n_theta):
 @pytest.mark.parametrize("n_theta", [1, 2, 3, 33])
 @pytest.mark.parametrize("theta", [0.0, 0.37])  # 0.37 is no grid angle
 def test_forward_at_contraction_matches_direct_exponentials(n_theta, theta):
-    """forward_at sums each Bessel row against E conj(g) as two real rows.
+    """forward_at sums each Bessel row against E conj(g) and E g as four real rows.
 
-    A one-sided lambda list (mid != 0) gives E a phase, so a slip between
-    the real and imaginary rows shows; the symmetric one has mid = 0.
+    Its kernel runs over |lambda|: lambda >= 0 reads the E conj(g) rows and
+    lambda < 0 the E g rows, so the symmetric, positive and negative lists
+    each take a side a slip would show on. Over |lambda| every list has
+    mid != 0, which gives E a phase, so a slip between the real and
+    imaginary rows shows too.
     """
     grid = GridSpec(48, n_theta, 3.0)
     rng = np.random.default_rng(20)
     noise = rng.standard_normal((48, n_theta)) + 1j * rng.standard_normal((48, n_theta))
     f = SampledField(grid, noise * np.exp(-3.0 * grid.radii_t ** 2)[:, None])  # e^-27 at R
     b = BoundaryPoint(theta)
-    for lams in (np.arange(-8.0, 8.025, 0.05), np.linspace(0.5, 6.0, 40)):
+    for lams in (np.arange(-8.0, 8.025, 0.05), np.linspace(0.5, 6.0, 40),
+                 -np.linspace(0.5, 6.0, 40)):
         ref = oracles.direct_forward_at(f, lams, theta)
         assert _rel_max(forward_at(f, lams, b), ref) < 1e-13
         assert _rel_max(forward_at(f, lams[7:8], b), ref[7:8]) < 1e-13
@@ -225,52 +259,77 @@ def test_grid_busemann_propagates_a_nan_angle():
 @pytest.mark.parametrize("shape", [(48, 1, 3.0), (48, 2, 3.0), (48, 3, 3.0), (48, 33, 3.0),
                                    (200, 256, 4.0)])
 def test_even_row_ffts_match_the_full_row_build(shape):
+    """Each block's chunks, put together, are its kernel rows' FFTs built at every angle.
+
+    The chunks of a block run over its terms k = 0, 1, ... in order, and
+    each chunk holds at most _BLOCK_FLOATS floats unless one term's rows
+    alone are more; the blocks cover every radial row once.
+    """
     grid = GridSpec(*shape)
     lams = np.arange(0.0, 8.025, 0.05)
-    _, _, blocks = transform._even_row_ffts(grid, lams)
-    got = [(rows, FW.copy()) for rows, FW in blocks]  # each block overwrites the last
-    ref = oracles.kernel_row_ffts_full(grid, lams)
-    assert [rows for rows, _ in got] == [rows for rows, _ in ref]
-    for (_, FW), (_, ref_FW) in zip(got, ref):
-        assert FW.shape == ref_FW.shape
-        assert np.max(np.abs(FW - ref_FW)) <= 1e-14 * np.max(np.abs(ref_FW))
+    _, _, chunks = transform._even_row_ffts(grid, lams)
+    blocks = {}
+    for rows, ks, FW in chunks:  # each chunk overwrites the last
+        assert FW.shape == (ks.stop - ks.start, rows.stop - rows.start, grid.n_theta)
+        assert 2 * FW.size <= transform._BLOCK_FLOATS or len(FW) == 1
+        got = blocks.setdefault((rows.start, rows.stop), [])
+        assert ks.start == sum(len(c) for c in got)
+        got.append(FW.copy())
+    starts = sorted(blocks)
+    assert starts[0][0] == 0 and starts[-1][1] == grid.n_r
+    assert all(a[1] == b[0] for a, b in zip(starts, starts[1:]))
+    for (a, b), got in blocks.items():
+        FW = np.concatenate(got)
+        ref = oracles.kernel_row_ffts_full(grid, lams, slice(a, b), len(FW))
+        assert np.max(np.abs(FW - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-def test_forward_and_inverse_peak_memory():
-    """One reused row buffer per call: at 200x256 each direction peaks below 7.5 MB.
-
-    The peak is numpy's traced allocations above what was live at the call.
-    Building every angle in a new array per block peaked at 8.9 and 9.6 MB.
-    """
-    f = SampledField.from_function(BUMPS["offcenter"], GridSpec(200, 256, 4.0))
-    F = forward(f)
-    tracemalloc.start()
-    try:
-        for call, arg in ((forward, f), (inverse, F)):
-            live = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            call(arg)
-            assert tracemalloc.get_traced_memory()[1] - live <= 7.5e6, call.__name__
-    finally:
-        tracemalloc.stop()
-
-
-def test_forward_at_peak_memory():
-    """No K-row kernel block: at 200x256 with 321 lambdas forward_at peaks below 7 MB.
-
-    The peak is numpy's traced allocations above what was live at the call.
-    Forming each block's product J E before the contraction peaked at 8.2 MB.
-    """
-    f = SampledField.from_function(BUMPS["offcenter"], GridSpec(200, 256, 4.0))
-    lams = np.arange(-8.0, 8.025, 0.05)
+def _traced_peak(call, *args) -> float:
+    """Bytes numpy and Python allocate in call(*args) above what was live at the call."""
     tracemalloc.start()
     try:
         live = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        forward_at(f, lams, BoundaryPoint(0.7))
-        assert tracemalloc.get_traced_memory()[1] - live <= 7.0e6
+        call(*args)
+        return tracemalloc.get_traced_memory()[1] - live
     finally:
         tracemalloc.stop()
+
+
+def test_forward_and_inverse_peak_memory():
+    """One chunk buffer per call: at 200x256 each direction peaks below 3.0 MB.
+
+    The peak is the traced allocations above what was live at the call.
+    The kernel rows of a block are formed and transformed a chunk of terms
+    at a time, and the bracket is taken a block at a time at the
+    n_theta // 2 + 1 angles read; with every term of a block in one buffer
+    and the bracket at every angle, the peaks were 5.65 and 6.32 MB
+    (2.55 MB each now).
+    """
+    f = SampledField.from_function(BUMPS["offcenter"], GridSpec(200, 256, 4.0))
+    F = forward(f)
+    assert _traced_peak(forward, f) <= 3.0e6
+    assert _traced_peak(inverse, F) <= 3.0e6
+
+
+def test_forward_at_peak_memory():
+    """No K-row kernel block: at 200x256 with 321 lambdas forward_at peaks below 1.5 MB.
+
+    The peak is the traced allocations above what was live at the call.
+    Forming each block's product J E before the contraction peaked at
+    8.2 MB, and 4096-point blocks of 67 Bessel rows at 3.8 MB (1.08 MB now).
+    """
+    f = SampledField.from_function(BUMPS["offcenter"], GridSpec(200, 256, 4.0))
+    assert _traced_peak(forward_at, f, np.arange(-8.0, 8.025, 0.05), BoundaryPoint(0.7)) <= 1.5e6
+
+
+def test_lemma_check_peak_memory():
+    """lemma_check samples its field and takes 321 lambdas toward b0 below 2.5 MB.
+
+    With 4096-point blocks of 67 Bessel rows it peaked at 4.62 MB (1.90 MB now).
+    """
+    psi = transform.gaussian_bump(1.25)  # the CLI's lemma field
+    assert _traced_peak(lemma_check, psi, BoundaryPoint(0.3), DiskPoint(0.2 + 0.1j)) <= 2.5e6
 
 
 def test_bessel_stack_matches_scipy():
