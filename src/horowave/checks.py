@@ -218,7 +218,7 @@ def _weak_moire_checks(centers, points) -> list[CheckResult]:
     for c in centers:
         win = moire.LambdaWindow(c)
         for x in points:
-            lhs12, rhs = moire.moire_weak(win, b0, x, moire.DEFAULT_TAPER)
+            lhs12, rhs = moire.moire_weak(win, b0, x)
             lhs4, _ = moire.moire_weak(win, b0, x, narrow)
             e12 = abs(lhs12 - rhs) / abs(rhs)
             e4 = abs(lhs4 - rhs) / abs(rhs)
@@ -236,13 +236,13 @@ def suite_moire() -> list[CheckResult]:
 
     # a window negligible at lo and hi: lhs / rhs - 1 = pi / kappa_H,fit - 1
     # falls as O(sigma^-2), to 8.5e-6 at width 96
-    clean = moire.LambdaWindow(2.5, 0.45, lo=0.1, hi=6.0)
+    clean = moire.LambdaWindow(2.5, lo=0.1, hi=6.0)
     lhs, rhs = moire.moire_weak(clean, b0, DiskPoint(0j), TaperSpec("gaussian", 96.0))
     out.append(_check("horocycle constant equals pi", abs(lhs / rhs - 1.0), 2e-5))
 
     worst = 0.0
     for xz in (0.3 + 0.2j, -0.25 + 0.4j):
-        a, b = moire.reduction_paths(1.5, b0, DiskPoint(xz), TaperSpec("gaussian", 6.0))
+        a, b = moire.reduction_paths(1.5, b0, DiskPoint(xz))
         worst = max(worst, abs(a - b))
     out.append(_check("reduction identity (two code paths)", worst, 1e-8))
 

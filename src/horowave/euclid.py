@@ -51,10 +51,9 @@ def bessel_wave(lam: float, x0: PlanePoint, q: PlanePoint) -> complex:
     return complex(bessel_wave_array(lam, x0.as_complex, np.asarray(q.as_complex)))
 
 
-def bessel_wave_array(lam: float, x0: complex, q: np.ndarray,
-                      m: int = _M_ANGULAR) -> np.ndarray:
-    """Circle average of unit wave vectors: equals J0(2pi |q-x0| / lam)."""
-    u = 2.0 * np.pi * np.arange(m) / m
+def bessel_wave_array(lam: float, x0: complex, q: np.ndarray) -> np.ndarray:
+    """Circle average of unit wave vectors on _M_ANGULAR nodes: equals J0(2pi |q-x0| / lam)."""
+    u = 2.0 * np.pi * np.arange(_M_ANGULAR) / _M_ANGULAR
     k = 2.0 * np.pi / lam
     dq = np.asarray(q) - x0
     phase = k * (np.cos(u) * dq.real[..., None] + np.sin(u) * dq.imag[..., None])
@@ -69,7 +68,7 @@ def line_moire_array(lam: float, n: int, spacing: float, q: np.ndarray,
                      m: int = _M_ANGULAR) -> np.ndarray:
     """Average of n J0 profiles centered on the y-axis, spacing apart.
 
-    Each profile is the m-node circle average of bessel_wave_array; the sum
+    Each profile is an m-node circle average, as in bessel_wave_array; the sum
     over centers ic moves inside that average as the weight
     A(u) = (1/n) sum_c e^{-ik c sin u}. The phase factors as
     e^{ik x cos u} * e^{ik y sin u}, so exponentials are taken only on the

@@ -45,7 +45,7 @@ from .geometry import (
     nilpotent_flow,
 )
 from .tapers import TaperSpec
-from .transform import DEFAULT_GRID, GridSpec, SampledField, _tapered_line
+from .transform import GridSpec, SampledField, _tapered_line
 from .waves import (
     RHO,
     helgason_wave,
@@ -69,31 +69,30 @@ __all__ = [
 ]
 
 DEFAULT_TAPER = TaperSpec("gaussian", 12.0)
+_REDUCTION_TAPER = TaperSpec("gaussian", 6.0)  # both paths of reduction_paths
+_WINDOW_WIDTH = 0.45  # of every LambdaWindow's Gaussian
 
 
 @dataclass(frozen=True)
 class LambdaWindow:
     """Smooth weight on the spectral axis: truncated Gaussian bump.
 
-    Gaussian of the given center/width multiplied by a raised-cosine
-    cutoff vanishing at lo and hi, so the window is compactly supported
-    in (lo, hi) with fast-decaying Fourier tails.
+    Gaussian of the given center and width _WINDOW_WIDTH multiplied by a
+    raised-cosine cutoff vanishing at lo and hi, so the window is compactly
+    supported in (lo, hi) with fast-decaying Fourier tails.
     """
 
     center: float
-    width: float = 0.45
     lo: float = 0.5
     hi: float = 4.0
 
     def __post_init__(self):
         if not (self.lo < self.center < self.hi):
             raise ValueError("window center must lie inside (lo, hi)")
-        if not self.width > 0:
-            raise ValueError("window width must be positive")
 
     def __call__(self, lam: np.ndarray) -> np.ndarray:
         lam = np.asarray(lam, float)
-        bump = np.exp(-0.5 * ((lam - self.center) / self.width) ** 2)
+        bump = np.exp(-0.5 * ((lam - self.center) / _WINDOW_WIDTH) ** 2)
         u = (lam - self.lo) / (self.hi - self.lo)
         cut = np.where((u > 0) & (u < 1), np.sin(np.pi * np.clip(u, 0, 1)) ** 2, 0.0)
         return bump * cut
@@ -121,7 +120,7 @@ HOROCYCLE_KAPPA = math.pi
 
 
 def kappa_h() -> float:
-    """The horocycle-measure normalization kappa_H: exactly pi (``HOROCYCLE_KAPPA``)."""
+    """kappa_H: exactly pi (``HOROCYCLE_KAPPA``). Kept only for perfbench, which calls it."""
     return HOROCYCLE_KAPPA
 
 
@@ -143,17 +142,16 @@ def _center_under(b0: BoundaryPoint, x: DiskPoint) -> DiskPoint:
     return act(nilpotent_flow(b0, -shift), x)
 
 
-def moire_integral(lam: float, b0: BoundaryPoint, x: DiskPoint,
-                   taper: TaperSpec = DEFAULT_TAPER) -> MoireReport:
+def moire_integral(lam: float, b0: BoundaryPoint, x: DiskPoint) -> MoireReport:
     """Pointwise tapered superposition of spherical functions along ``xi(b0, 0)``.
 
     The spherical function centered at y evaluated at x equals
-    phi_lambda(d(y, x)), so the superposition is a single tapered line
-    integral. The target is the Helgason wave at x; agreement is expected
-    only at beta = 0 (see the module doc), and there only up to the taper's
-    oscillation band (see ``convergence_study``).
+    phi_lambda(d(y, x)), so the superposition is a single line integral,
+    tapered by DEFAULT_TAPER. The target is the Helgason wave at x;
+    agreement is expected only at beta = 0 (see the module doc), and there
+    only up to the taper's oscillation band (see ``convergence_study``).
     """
-    return _moire_reports(lam, b0, x, [taper])[0]
+    return _moire_reports(lam, b0, x, [DEFAULT_TAPER])[0]
 
 
 def _moire_reports(lam: float, b0: BoundaryPoint, x: DiskPoint,
@@ -290,7 +288,7 @@ def convergence_study(lam: float, b0: BoundaryPoint, x: DiskPoint,
 
 
 def moire_sum_discrete(lam: float, b0: BoundaryPoint, n: int, spacing: float,
-                       grid: GridSpec = DEFAULT_GRID) -> SampledField:
+                       grid: GridSpec) -> SampledField:
     """Average of n spherical functions centered along ``xi(b0, 0)``.
 
     Centers sit at arc lengths spacing * (i - (n+1)/2), symmetric about
@@ -384,12 +382,11 @@ def phase_correlation(field: SampledField, lam: float, b0: BoundaryPoint) -> flo
     return num / den
 
 
-def reduction_paths(lam: float, b0: BoundaryPoint, x: DiskPoint,
-                    taper: TaperSpec = DEFAULT_TAPER) -> tuple[complex, complex]:
+def reduction_paths(lam: float, b0: BoundaryPoint, x: DiskPoint) -> tuple[complex, complex]:
     """Both sides of the change-of-variables reduction, each by the tapered line rule.
 
     Path A integrates phi_lambda(d(., x)) over the zero horocycle with the
-    given taper, reading phi from the Chebyshev table. Path B moves the
+    taper _REDUCTION_TAPER, reading phi from the Chebyshev table. Path B moves the
     integral to the horocycle through x: with (beta, u0) the horocycle
     coordinates of x,
 
@@ -399,12 +396,12 @@ def reduction_paths(lam: float, b0: BoundaryPoint, x: DiskPoint,
     which path B evaluates in s with the radial kernel at every node, so the
     two paths reach phi independently.
     """
-    a = _line_integrals_multi([lam], b0, x, taper)[0]
+    a = _line_integrals_multi([lam], b0, x, _REDUCTION_TAPER)[0]
     beta, u0 = horocycle_coordinates(x, b0)
 
     def on_level(s: np.ndarray) -> np.ndarray:
         y = horocycle_points_array(b0.theta, beta, s * math.exp(-beta) - u0)
         return spherical_radial(lam, distance_array(y, np.asarray(0j)))
 
-    b = _tapered_line(on_level, taper, "reduction path B")
+    b = _tapered_line(on_level, _REDUCTION_TAPER, "reduction path B")
     return complex(a), complex(b)

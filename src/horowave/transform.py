@@ -195,7 +195,7 @@ class SpectralField:
     lambda_grid: np.ndarray
     b_grid: np.ndarray
     values: np.ndarray
-    grid: GridSpec = DEFAULT_GRID  # spatial grid this field transforms against
+    grid: GridSpec  # spatial grid this field transforms against
 
     def __post_init__(self):
         if self.values.shape != (len(self.lambda_grid), len(self.b_grid)):
@@ -400,16 +400,15 @@ def _lambda_weights(lams: np.ndarray) -> np.ndarray:
     return w
 
 
-def forward(f: SampledField, lambda_max: float = LAMBDA_MAX,
-            lambda_step: float = LAMBDA_STEP) -> SpectralField:
+def forward(f: SampledField) -> SpectralField:
     """Helgason-Fourier transform: integral of e_{-lambda,b} f over the disk.
 
-    Evaluated at every (lambda, b) node; the angle/b structure is circulant,
-    so each lambda row is one FFT convolution.
+    Evaluated at every (lambda, b) node, lambda in [0, LAMBDA_MAX] by LAMBDA_STEP;
+    the angle/b structure is circulant, so each lambda row is one FFT convolution.
     """
     _check_support(f)
     grid = f.grid
-    lams = np.arange(0.0, lambda_max + lambda_step / 2.0, lambda_step)
+    lams = np.arange(0.0, LAMBDA_MAX + LAMBDA_STEP / 2.0, LAMBDA_STEP)
     conj_a = np.multiply(f.values, grid.row_weights[:, None], dtype=complex)
     np.conj(np.fft.fft(conj_a, axis=1, out=conj_a), out=conj_a)
     T, s, chunks = _even_row_ffts(grid, lams)
@@ -582,15 +581,15 @@ def _relative_l2(g: SampledField, f: SampledField) -> float:
     return math.sqrt(float(np.sum(f.weights * np.abs(g.values - f.values) ** 2)) / f.norm2())
 
 
-def calibrate_plancherel_kappa(grid: GridSpec = DEFAULT_GRID) -> float:
-    """kappa refitted from a round trip, as a check of PLANCHEREL_KAPPA.
+def calibrate_plancherel_kappa() -> float:
+    """kappa refitted from a round trip on DEFAULT_GRID, as a check of PLANCHEREL_KAPPA.
 
     The reference input is the radial Gaussian exp(-1.25 d(0,z)^2), narrow
     enough to clear the support check at the default R. With
     g = inverse(forward(f0)), the fit is PLANCHEREL_KAPPA times the scalar
     a minimizing ||a g - f0||_{L2}, which is 1 for an exact round trip.
     """
-    f0 = SampledField.from_function(gaussian_bump(1.25), grid)
+    f0 = SampledField.from_function(gaussian_bump(1.25), DEFAULT_GRID)
     g = inverse(forward(f0))
     w = f0.weights
     num = float(np.sum(w * np.conj(g.values) * f0.values).real)

@@ -47,7 +47,7 @@ class SpectralConvention:
 
     def register_calibrator(self, fn: Callable[[], float]) -> None:
         """Does nothing. perfbench's tracer is its last caller; deleting it waits
-        for a benchmark change (ROADMAP item 4, "The benchmark change")."""
+        for a benchmark change (ROADMAP item 7)."""
 
     @property
     def plancherel_kappa(self) -> float:

@@ -10,7 +10,6 @@ from scipy.fft import dct
 from scipy.integrate import quad
 from scipy.special import j0, jv
 
-from horowave.euclid import bessel_wave_array
 from horowave.geometry import distance_array, horocycle_points_array
 from horowave.transform import _tapered_line
 from horowave.waves import spherical_radial_profile
@@ -110,11 +109,15 @@ def line_integrals_per_node(lams, b0, x, taper) -> np.ndarray:
 
 def line_moire_loop(lam: float, n: int, spacing: float, q: np.ndarray,
                     m: int = 256) -> np.ndarray:
-    """Average of n J0 rings on the y-axis, one circle average per center."""
+    """Average of n J0 rings on the y-axis, one m-node circle average per center."""
     centers = spacing * (np.arange(1, n + 1) - (n + 1) / 2.0)
+    u = 2.0 * np.pi * np.arange(m) / m
+    k = 2.0 * np.pi / lam
     out = np.zeros(np.shape(q), complex)
     for c in centers:
-        out = out + bessel_wave_array(lam, 1j * c, q, m=m)
+        dq = np.asarray(q) - 1j * c
+        phase = k * (np.cos(u) * dq.real[..., None] + np.sin(u) * dq.imag[..., None])
+        out = out + np.mean(np.exp(1j * phase), axis=-1)
     return out / n
 
 

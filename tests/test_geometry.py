@@ -133,6 +133,16 @@ def test_iwasawa_round_trip():
         assert abs(g.beta - h.beta) < 1e-10
 
 
+@pytest.mark.parametrize("t", [10.0, 12.0, 15.0, 20.0, 25.0, 30.0, 35.0])
+def test_long_translations_stay_in_group(t):
+    # |alpha|^2 passes 5000 from t = 10 on: the determinant check is relative
+    g = GroupElement.translation(t)
+    assert iwasawa(g).t == t
+    half = GroupElement.translation(t / 2) @ GroupElement.translation(t / 2)
+    assert abs(half.alpha - g.alpha) <= 1e-15 * abs(g.alpha)
+    assert abs(half.beta - g.beta) <= 1e-15 * abs(g.beta)
+
+
 def test_iwasawa_pure_factors():
     f = iwasawa(GroupElement.translation(0.9))
     assert f.t == pytest.approx(0.9, abs=1e-12)

@@ -94,10 +94,11 @@ def test_moire_integral_target_closed_form():
 
 # --- weak (lambda-windowed) estimator ----------------------------------------
 
-def test_moire_weak_zero_window():
+def test_moire_weak_zero_window(monkeypatch):
     # the 81 lambda nodes are 0.04375 apart, the nearest 0.00625 from 2.2:
-    # every chi value underflows to 0
-    lhs, rhs = moire_weak(LambdaWindow(2.2, width=1e-4), B0, X0)
+    # at width 1e-4 every chi value underflows to 0
+    monkeypatch.setattr(moire, "_WINDOW_WIDTH", 1e-4)
+    lhs, rhs = moire_weak(LambdaWindow(2.2), B0, X0)
     assert lhs == 0 and rhs == 0
 
 
@@ -216,8 +217,7 @@ def test_convergence_study_shares_one_table_across_widths():
     x = DiskPoint(0.3 - 0.2j)
     for lam in (0.7, 2.0, 3.9):
         shared = [r.approx for r in convergence_study(lam, B0, x, [4.0, 8.0, 12.0])]
-        own = [moire_integral(lam, B0, x, TaperSpec("gaussian", s)).approx
-               for s in (4.0, 8.0, 12.0)]
+        own = [convergence_study(lam, B0, x, [s])[0].approx for s in (4.0, 8.0, 12.0)]
         assert np.max(np.abs(np.subtract(shared, own))) <= 1e-13 * np.max(np.abs(own))
 
 
@@ -288,7 +288,7 @@ def test_moire_sum_resemblance_trend():
 
 def test_reduction_identity_two_paths():
     for xz in (0.3 + 0.2j, -0.25 + 0.4j, 0.26 - 0.44j):
-        a, b = reduction_paths(1.5, B0, DiskPoint(xz), TaperSpec("gaussian", 6.0))
+        a, b = reduction_paths(1.5, B0, DiskPoint(xz))
         assert abs(a - b) < 1e-8
 
 
@@ -299,7 +299,7 @@ def test_kappa_h_is_pi():
 def test_clean_window_estimate_of_kappa_h_converges_to_pi():
     # the window is negligible at lo and hi, so lhs / rhs = pi / kappa_H,fit
     # tends to 1 as O(sigma^-2)
-    win = LambdaWindow(2.5, 0.45, lo=0.1, hi=6.0)
+    win = LambdaWindow(2.5, lo=0.1, hi=6.0)
     errs = []
     for width, tol in ((48.0, 3e-5), (96.0, 1.2e-5), (192.0, 3e-6)):
         lhs, rhs = moire_weak(win, B0, X0, TaperSpec("gaussian", width))

@@ -136,9 +136,12 @@ def test_round_trip_at_exact_kappa(shape):
 
 
 @pytest.mark.parametrize("step", [0.025, 0.05, 0.1])
-def test_round_trip_on_the_grids_own_lambda_step(step):
+def test_round_trip_on_the_grids_own_lambda_step(step, monkeypatch):
+    monkeypatch.setattr(transform, "LAMBDA_STEP", step)
     f = SampledField.from_function(BUMPS["offcenter"])
-    g = inverse(forward(f, lambda_step=step))
+    F = forward(f)
+    assert len(F.lambda_grid) == round(8.0 / step) + 1
+    g = inverse(F)
     assert rel_l2(f, g) < 1e-4
 
 
@@ -146,7 +149,7 @@ def test_unequally_spaced_lambda_grid_is_rejected():
     f = SampledField.from_function(BUMPS["radial"])
     lams = np.array([0.0, 0.05, 0.1, 0.2])
     with pytest.raises(ValueError, match="equally spaced"):
-        SpectralField(lams, f.grid.angles, np.zeros((4, f.grid.n_theta), complex))
+        SpectralField(lams, f.grid.angles, np.zeros((4, f.grid.n_theta), complex), f.grid)
 
 
 def test_forward_at_takes_unequally_spaced_lambdas():
@@ -164,7 +167,7 @@ def _rel_max(got: np.ndarray, ref: np.ndarray) -> float:
 
 @pytest.mark.parametrize("shape", [(120, 192, 4.0), (160, 256, 4.0), (200, 256, 4.0),
                                    (240, 512, 6.0)])
-def test_transform_matches_direct_exponentials(shape):
+def test_transform_matches_direct_exponentials(shape, monkeypatch):
     """Jacobi-Anger kernel rows against one np.exp per lambda.
 
     n_lambda in {1, 2, 3, 161, 321, 641}; at R = 6 forward's max|c B| is 24
@@ -174,9 +177,12 @@ def test_transform_matches_direct_exponentials(shape):
     f = SampledField.from_function(BUMPS["offcenter"], grid)
     rng = np.random.default_rng(7)
     fwd, inv = [], []
-    for lambda_max, step in ((0.0, 0.05), (0.05, 0.05), (0.1, 0.05), (8.0, 0.05), (8.0, 0.025),
-                             (8.0, 0.0125)):
-        F = forward(f, lambda_max, step)
+    for lambda_max, step, n_lambda in ((0.0, 0.05, 1), (0.05, 0.05, 2), (0.1, 0.05, 3),
+                                       (8.0, 0.05, 161), (8.0, 0.025, 321), (8.0, 0.0125, 641)):
+        monkeypatch.setattr(transform, "LAMBDA_MAX", lambda_max)
+        monkeypatch.setattr(transform, "LAMBDA_STEP", step)
+        F = forward(f)
+        assert len(F.lambda_grid) == n_lambda
         if len(F.lambda_grid) > 3:
             lams, vals = F.lambda_grid, F.values
         else:  # off lambda = 0, with the last row empty so the truncation check passes
@@ -360,8 +366,9 @@ def test_kernel_term_count_does_not_depend_on_lambda_step(monkeypatch):
     terms = transform._kernel_terms
     monkeypatch.setattr(transform, "_kernel_terms", lambda z: counts.append(terms(z)) or counts[-1])
     f = SampledField.from_function(BUMPS["offcenter"])
-    for step in (0.0125, 0.025, 0.05):
-        forward(f, lambda_step=step)
+    for step, n_lambda in ((0.0125, 641), (0.025, 321), (0.05, 161)):
+        monkeypatch.setattr(transform, "LAMBDA_STEP", step)
+        assert len(forward(f).lambda_grid) == n_lambda
     assert len(counts) == 3
     for c in counts[1:]:
         np.testing.assert_array_equal(c, counts[0])
@@ -533,10 +540,12 @@ _LINE_INTEGRALS = {
                                              DiskPoint(0j), [0.0, 1.0]),
     "moire_weak": lambda: moire.moire_weak(moire.LambdaWindow(2.2), BoundaryPoint(0),
                                            DiskPoint(0j), _NARROW),
-    "moire_integral": lambda: moire.moire_integral(1.5, BoundaryPoint(0), DiskPoint(0j),
-                                                   _NARROW),
+    # moire_integral's one-taper run, at the narrow width
+    "moire_integral": lambda: moire.convergence_study(1.5, BoundaryPoint(0), DiskPoint(0j),
+                                                      [_NARROW.width])[0],
+    # raises at any width with no halvings left
     "reduction_paths": lambda: moire.reduction_paths(1.5, BoundaryPoint(0),
-                                                     DiskPoint(0.3 + 0.2j), _NARROW),
+                                                     DiskPoint(0.3 + 0.2j)),
 }
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from horowave import waves
+from horowave import transform, waves
 from horowave.errors import QuadratureUnderResolved, SpectralSingularity
 from horowave.geometry import BoundaryPoint, DiskPoint
 from horowave.transform import GridSpec, calibrate_plancherel_kappa
@@ -209,9 +209,10 @@ def test_plancherel_density_shape():
     assert np.all(dens >= 0)
 
 
-def test_kappa_calibrates_to_inverse_two_pi():
+def test_kappa_calibrates_to_inverse_two_pi(monkeypatch):
     # the round-trip fit lands on the exact constant to O(dt^4)
     kappa = 1.0 / (2.0 * math.pi)
     assert calibrate_plancherel_kappa() == pytest.approx(kappa, rel=1e-7)
-    assert calibrate_plancherel_kappa(GridSpec(100, 256)) == pytest.approx(kappa, rel=1e-6)
+    monkeypatch.setattr(transform, "DEFAULT_GRID", GridSpec(100, 256))
+    assert calibrate_plancherel_kappa() == pytest.approx(kappa, rel=1e-6)
     assert PLANCHEREL_KAPPA == kappa
