@@ -175,13 +175,13 @@ def suite_hft() -> list[CheckResult]:
                       abs(calibrate_plancherel_kappa() / PLANCHEREL_KAPPA - 1.0), 1e-6))
 
     for name, fn in _BUMPS.items():
-        f = SampledField.from_function(fn)
+        f = SampledField.from_function(fn, transform.DEFAULT_GRID)
         out.append(_check(f"round trip {name} bump", _relative_l2(inverse(forward(f)), f), 1e-4))
 
     step = transform.LAMBDA_STEP
     lams = np.arange(0.0, transform.LAMBDA_MAX + step / 2.0, step)
     for a in (1.25, 1.7, 2.2):
-        f = SampledField.from_function(gaussian_bump(a))
+        f = SampledField.from_function(gaussian_bump(a), transform.DEFAULT_GRID)
         ft = spherical_transform(f, lams)
         ratio = plancherel_spectral(ft, lams) / f.norm2()
         out.append(_check(f"Plancherel isometry (width {a})", abs(ratio - 1.0), 1e-6))

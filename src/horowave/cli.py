@@ -388,7 +388,7 @@ def cmd_moire(args) -> int:
     sigmas = _parse_floats(args.sigmas) if args.sigmas else [4.0, 8.0, 12.0]
     kind = args.taper or "gaussian"
     try:
-        TaperSpec(kind)
+        TaperSpec(kind, sigmas[0])
     except ValueError as exc:
         raise ConfigError("taper", f"{exc}; the widths come from --sigmas")
 

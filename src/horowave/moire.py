@@ -28,7 +28,7 @@ estimate of it against pi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
@@ -100,17 +100,24 @@ class LambdaWindow:
 
 @dataclass
 class MoireReport:
-    """One tapered-superposition run against its Helgason-wave target."""
+    """One tapered-superposition run against its Helgason-wave target.
+
+    ``oscillation_amplitude`` and ``divergent`` describe the whole taper
+    sweep the run belongs to (``convergence_study``).
+    """
 
     lam: float
     b0: BoundaryPoint
     x: DiskPoint
     approx: complex
     target: complex
-    abs_error: float
     taper: TaperSpec
-    oscillation_amplitude: float = 0.0
-    divergent: bool = False
+    oscillation_amplitude: float
+    divergent: bool
+
+    @property
+    def abs_error(self) -> float:
+        return abs(self.approx - self.target)
 
 
 # --- the horocycle measure constant ---------------------------------------
@@ -147,30 +154,12 @@ def moire_integral(lam: float, b0: BoundaryPoint, x: DiskPoint) -> MoireReport:
 
     The spherical function centered at y evaluated at x equals
     phi_lambda(d(y, x)), so the superposition is a single line integral,
-    tapered by DEFAULT_TAPER. The target is the Helgason wave at x;
-    agreement is expected only at beta = 0 (see the module doc), and there
-    only up to the taper's oscillation band (see ``convergence_study``).
+    tapered by DEFAULT_TAPER: the one-width ``convergence_study``. The
+    target is the Helgason wave at x; agreement is expected only at
+    beta = 0 (see the module doc), and there only up to the taper's
+    oscillation band (see ``convergence_study``).
     """
-    return _moire_reports(lam, b0, x, [DEFAULT_TAPER])[0]
-
-
-def _moire_reports(lam: float, b0: BoundaryPoint, x: DiskPoint,
-                   tapers: list[TaperSpec]) -> list[MoireReport]:
-    """``moire_integral`` at each taper, every line integral reading one phi table.
-
-    The table covers the distances of the widest taper's support, which
-    bound those of every narrower one (see ``_line_integrals_multi``).
-    """
-    xc = _center_under(b0, x)
-    table = _line_table([lam], b0, xc, max(t.support_radius for t in tapers))
-    scale = HOROCYCLE_KAPPA * plancherel_density(lam)
-    target = helgason_wave(lam, b0, x)
-    reports = []
-    for taper in tapers:
-        line = _line_integrals_multi([lam], b0, xc, taper, table=table)[0]
-        approx = complex(scale * line)
-        reports.append(MoireReport(lam, b0, x, approx, target, abs(approx - target), taper))
-    return reports
+    return convergence_study(lam, b0, x, [DEFAULT_TAPER.width], DEFAULT_TAPER.kind)[0]
 
 
 def _horocycle_distances(b0: BoundaryPoint, x: DiskPoint, s: np.ndarray) -> np.ndarray:
@@ -178,40 +167,34 @@ def _horocycle_distances(b0: BoundaryPoint, x: DiskPoint, s: np.ndarray) -> np.n
     return distance_array(horocycle_points_array(b0.theta, 0.0, s), np.asarray(x.z))
 
 
-def _line_table(lams, b0: BoundaryPoint, x: DiskPoint, S: float) -> tuple[np.ndarray, float]:
-    """(coefficients, D): the phi table for line integrals over [-S, S], D = max d(y(+-S), x)."""
-    dmax = float(np.max(_horocycle_distances(b0, x, np.array([-S, S]))))
-    return _phi_table(lams, dmax), dmax
-
-
 def _line_integrals_multi(lams, b0: BoundaryPoint, x: DiskPoint,
-                          taper: TaperSpec,
-                          table: tuple[np.ndarray, float] | None = None) -> np.ndarray:
-    """Tapered integrals of phi_lambda(d(y(s), x)) along ``xi(b0, 0)`` for a list of lambda.
+                          tapers: list[TaperSpec]) -> list[np.ndarray]:
+    """Tapered integrals of phi_lambda(d(y(s), x)) along ``xi(b0, 0)``, per taper and lambda.
 
-    Every lambda shares the grid of the tapered line rule
-    (``transform._tapered_line``). phi is read from one Chebyshev table
-    (``_phi_table``) on [0, D], D the larger of the endpoint distances
-    d(y(+-S), x): in half-plane coordinates with b0 at infinity and
+    One array of len(lams) integrals per taper. Every lambda shares the
+    grid of the tapered line rule (``transform._tapered_line``), and every
+    taper one Chebyshev table of phi (``_phi_table``) on [0, D], D the
+    larger of the endpoint distances d(y(+-S), x) at the widest taper's
+    support [-S, S]: in half-plane coordinates with b0 at infinity and
     (beta, a) the horocycle coordinates of x,
     cosh d(y(s), x) = 1 + ((s - a)^2 + (1 - e^beta)^2) / (2 e^beta) grows
-    with |s - a|, so D bounds the distance at every node. ``table`` is a
-    ``_line_table`` of the same lams over a support at least as wide, for
-    callers that share one; by default the call builds its own. Each
-    level's new nodes cost one product of the (K x L) coefficients with
-    the rows T_k(u) (``_cheb_sum``).
+    with |s - a|, so D bounds the distance at every node of every taper.
+    Each level's new nodes cost one product of the (K x L) coefficients
+    with the rows T_k(u) (``_cheb_sum``).
 
     The taper is centered at s = 0, not under x: ``moire_weak`` runs at
     different points of the same horocycle then probe genuinely different
     tapered quadratures that must all converge to the same windowed target.
     """
-    coef, dmax = _line_table(lams, b0, x, taper.support_radius) if table is None else table
+    S = max(t.support_radius for t in tapers)
+    dmax = float(np.max(_horocycle_distances(b0, x, np.array([-S, S]))))
+    coef = _phi_table(lams, dmax)
 
     def values(s: np.ndarray) -> np.ndarray:
         u = _horocycle_distances(b0, x, s) / dmax
         return _cheb_sum(coef, 2.0 * u * u - 1.0)
 
-    return _tapered_line(values, taper, "horocycle line integrals")
+    return [_tapered_line(values, t, "horocycle line integrals") for t in tapers]
 
 
 # values of the rows T_k(u) that ``_cheb_sum`` holds at once
@@ -261,7 +244,7 @@ def moire_weak(window: LambdaWindow, b0: BoundaryPoint, x: DiskPoint,
     chi = window(lams)
     if not np.any(chi):
         return 0j, 0j
-    line = _line_integrals_multi(lams, b0, x, taper)
+    line = _line_integrals_multi(lams, b0, x, [taper])[0]
     lhs = HOROCYCLE_KAPPA * np.trapezoid(chi * plancherel_density(lams) * line, lams)
     beta = busemann(x, b0)
     rhs = np.trapezoid(chi * np.exp((1j * lams + RHO) * beta), lams)
@@ -269,22 +252,29 @@ def moire_weak(window: LambdaWindow, b0: BoundaryPoint, x: DiskPoint,
 
 
 def convergence_study(lam: float, b0: BoundaryPoint, x: DiskPoint,
-                      sigmas, kind: str = "gaussian") -> list[MoireReport]:
+                      sigmas, kind: str) -> list[MoireReport]:
     """Taper-width sweep at fixed lambda; documents the oscillation band.
 
-    ``oscillation_amplitude`` is the diameter of the approx values over the
-    largest three widths; ``divergent`` flags any approx exceeding ten
-    times the target modulus.
+    One report per width, the superposition of ``moire_integral`` with a
+    taper of that kind and width; every width reads one phi table
+    (``_line_integrals_multi``). Every report carries the sweep's
+    ``oscillation_amplitude``, the diameter of the approx values over the
+    largest three widths, and ``divergent``, which flags any approx
+    exceeding ten times the target modulus.
     """
     sigmas = [float(s) for s in sigmas]
     if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
         raise ValueError("sigmas must be strictly increasing")
-    reports = _moire_reports(lam, b0, x, [TaperSpec(kind, s) for s in sigmas])
-    tail = [r.approx for r in reports[-3:]]
+    tapers = [TaperSpec(kind, s) for s in sigmas]
+    lines = _line_integrals_multi([lam], b0, _center_under(b0, x), tapers)
+    scale = HOROCYCLE_KAPPA * plancherel_density(lam)
+    approx = [complex(scale * line[0]) for line in lines]
+    target = helgason_wave(lam, b0, x)
+    tail = approx[-3:]
     osc = max(abs(a - b) for a in tail for b in tail)
-    divergent = any(abs(r.approx) > 10.0 * abs(r.target) for r in reports)
-    return [replace(r, oscillation_amplitude=osc, divergent=divergent)
-            for r in reports]
+    divergent = any(abs(a) > 10.0 * abs(target) for a in approx)
+    return [MoireReport(lam, b0, x, a, target, t, osc, divergent)
+            for a, t in zip(approx, tapers)]
 
 
 def moire_sum_discrete(lam: float, b0: BoundaryPoint, n: int, spacing: float,
@@ -396,7 +386,7 @@ def reduction_paths(lam: float, b0: BoundaryPoint, x: DiskPoint) -> tuple[comple
     which path B evaluates in s with the radial kernel at every node, so the
     two paths reach phi independently.
     """
-    a = _line_integrals_multi([lam], b0, x, _REDUCTION_TAPER)[0]
+    a = _line_integrals_multi([lam], b0, x, [_REDUCTION_TAPER])[0][0]
     beta, u0 = horocycle_coordinates(x, b0)
 
     def on_level(s: np.ndarray) -> np.ndarray:

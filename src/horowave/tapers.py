@@ -18,8 +18,8 @@ class TaperSpec:
     [-width, width]; hard: indicator of [-width, width].
     """
 
-    kind: str = "gaussian"
-    width: float = 8.0
+    kind: str
+    width: float
 
     def __post_init__(self):
         if self.kind not in _KINDS:

@@ -70,9 +70,9 @@ def gaussian_bump(width: float) -> FieldFunction:
 class GridSpec:
     """Polar sampling of the disk: n_r geodesic radii up to R, n_theta angles."""
 
-    n_r: int = 200
-    n_theta: int = 256
-    R: float = 4.0
+    n_r: int
+    n_theta: int
+    R: float
 
     def __post_init__(self):
         if self.n_r < 1 or self.n_theta < 1:
@@ -145,7 +145,7 @@ def _polar_bracket(t: np.ndarray, angles: np.ndarray, theta: float) -> np.ndarra
     return B
 
 
-DEFAULT_GRID = GridSpec()
+DEFAULT_GRID = GridSpec(200, 256, 4.0)
 
 
 @dataclass
@@ -172,11 +172,11 @@ class SampledField:
             raise ValueError("quadrature weights do not reproduce the hyperbolic area")
 
     @classmethod
-    def from_function(cls, fn: FieldFunction, grid: GridSpec = DEFAULT_GRID) -> "SampledField":
+    def from_function(cls, fn: FieldFunction, grid: GridSpec) -> "SampledField":
         return cls(grid, np.asarray(fn(grid.z), complex))
 
     @classmethod
-    def zeros(cls, grid: GridSpec = DEFAULT_GRID) -> "SampledField":
+    def zeros(cls, grid: GridSpec) -> "SampledField":
         return cls(grid, np.zeros((grid.n_r, grid.n_theta), complex))
 
     @property
@@ -190,15 +190,14 @@ class SampledField:
 
 @dataclass
 class SpectralField:
-    """Samples on the (lambda, b) rectangle; b nodes match the spatial angles."""
+    """Samples on the (lambda, b) rectangle; the b nodes are ``grid.angles``."""
 
     lambda_grid: np.ndarray
-    b_grid: np.ndarray
     values: np.ndarray
     grid: GridSpec  # spatial grid this field transforms against
 
     def __post_init__(self):
-        if self.values.shape != (len(self.lambda_grid), len(self.b_grid)):
+        if self.values.shape != (len(self.lambda_grid), self.grid.n_theta):
             raise ValueError("values shape does not match the (lambda, b) grid")
         if len(self.lambda_grid) > 1 and not np.all(np.diff(self.lambda_grid) > 0):
             raise ValueError("lambda grid must be strictly increasing")
@@ -420,7 +419,7 @@ def forward(f: SampledField) -> SpectralField:
     del FW  # a view of the chunk buffer
     out = _real_matmul(T, s[:, None] * P)
     np.conj(out, out=out)
-    return SpectralField(lams, grid.angles, np.fft.ifft(out, axis=1, out=out), grid)
+    return SpectralField(lams, np.fft.ifft(out, axis=1, out=out), grid)
 
 
 def forward_at(f: SampledField, lams: np.ndarray, b: BoundaryPoint) -> np.ndarray:
@@ -460,11 +459,10 @@ def inverse(F: SpectralField) -> SampledField:
     tail_rows = max(1, len(energy) // 20)
     if total > 0 and np.sum(energy[-tail_rows:]) > 1e-3 * total:
         raise SpectralTruncation(
-            "spectral energy has not decayed at the lambda boundary; raise lambda_max"
+            "spectral energy has not decayed at the lambda boundary; forward stops at "
+            f"the fixed band edge transform.LAMBDA_MAX = {LAMBDA_MAX:g}"
         )
     grid = F.grid
-    if len(F.b_grid) != grid.n_theta or not np.allclose(F.b_grid, grid.angles):
-        raise ValueError("b grid must coincide with the spatial angular grid")
     wl = _lambda_weights(F.lambda_grid)
     db = 1.0 / grid.n_theta
     # inverse is linear: fold the lambda rows onto the K kernel rows,

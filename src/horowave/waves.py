@@ -94,7 +94,7 @@ def _trapezoid_halving(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: flo
     )
 
 
-def spherical(lam: float, p: DiskPoint, M: int = 512) -> complex:
+def spherical(lam: float, p: DiskPoint, M: int) -> complex:
     """Boundary average of Helgason waves (periodic trapezoid, M nodes).
 
     Raises QuadratureUnderResolved when the M and M/2 node results differ

@@ -1,0 +1,67 @@
+"""Digest of every ``horowave ...`` command in README.md, each run in-process.
+
+    PYTHONPATH=src python tests/readme_presets.py [README]
+
+Each command runs through ``cli.main`` in a fresh temporary directory. The
+script prints one line per command, with its exit code and the sha256 of its
+stdout and of its stderr, then one line per file the command wrote, with its
+name, sha256 and size. Two trees whose outputs ``diff`` empty write the same
+bytes for every README preset. pytest does not collect this file; its README
+parser, ``readme_commands``, also serves ``test_cli``.
+"""
+import contextlib
+import hashlib
+import io
+import os
+import pathlib
+import shlex
+import sys
+import tempfile
+
+from horowave import cli
+
+README = pathlib.Path(__file__).parents[1] / "README.md"
+
+
+def readme_commands(readme: pathlib.Path = README) -> list[list[str]]:
+    """The arguments after ``horowave`` of each README line that starts with it."""
+    return [shlex.split(line)[1:] for line in readme.read_text().splitlines()
+            if line.startswith("horowave ")]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(args: list[str]) -> list[str]:
+    """The digest lines of one command, run in a temporary directory."""
+    out, err = io.StringIO(), io.StringIO()
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(args)
+        except SystemExit as exc:  # argparse errors
+            code = exc.code
+        finally:
+            os.chdir(home)
+        lines = [f"horowave {shlex.join(args)}: exit {code} "
+                 f"stdout {_sha(out.getvalue().encode())} "
+                 f"stderr {_sha(err.getvalue().encode())}"]
+        for path in sorted(pathlib.Path(tmp).rglob("*")):
+            if path.is_file():
+                data = path.read_bytes()
+                lines.append(f"  {path.relative_to(tmp)} {_sha(data)} {len(data)}")
+    return lines
+
+
+def main(argv: list[str]) -> int:
+    readme = pathlib.Path(argv[0]) if argv else README
+    for args in readme_commands(readme):
+        print("\n".join(run(args)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -96,7 +96,7 @@ def test_criterion_7_main_result():
     results = checks._weak_moire_checks((1.3, 2.2, 3.2), points)
     elapsed = time.monotonic() - t0
     ok, detail = suite_ok(results)
-    osc = convergence_study(1.5, B0, X0, [8.0, 10.0, 12.0])[0].oscillation_amplitude
+    osc = convergence_study(1.5, B0, X0, [8.0, 10.0, 12.0], "gaussian")[0].oscillation_amplitude
     report(7, "main result: weak moire <= 3% at sigma 12, monotone in sigma",
            ok and elapsed <= 300.0,
            f"{detail}, oscillation band {osc:.3f} (reported), {elapsed:.0f}s")

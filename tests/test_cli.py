@@ -1,7 +1,5 @@
 """Command-line interface: formats, determinism, exit codes, config handling."""
 import math
-import pathlib
-import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -13,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import readme_presets
 from horowave import cli, transform, waves
 from horowave.cli import _field_csv
 from horowave.transform import GridSpec
@@ -149,7 +148,7 @@ def test_wave_where_z_rounds_to_1_is_finite_and_right(tmp_path):
         assert cli.main(["wave", "--lambda", "2", "--b0", "0.3", "--radius", "38",
                          "--out", str(out)]) == 0
     _, rows, _ = read_field(out)
-    grid = GridSpec(R=38.0)
+    grid = GridSpec(200, 256, 38.0)
     v = (rows[:, 2] + 1j * rows[:, 3]).reshape(grid.n_r, grid.n_theta)
     assert np.all(np.any(v != 0, axis=1))
     values = np.exp((2j + 0.5) * grid.busemann(0.3))
@@ -397,7 +396,8 @@ def test_transform_pgm_maps_amplitude_not_round_off_phase(tmp_path):
     out = tmp_path / "transform.csv"
     assert cli.main(["transform", "--bump-width", "1.25", "--out", str(out)]) == 0
     pgm = out.with_suffix(".pgm").read_bytes()
-    f = transform.SampledField.from_function(transform.gaussian_bump(1.25))
+    f = transform.SampledField.from_function(transform.gaussian_bump(1.25),
+                                             transform.DEFAULT_GRID)
     g = transform.inverse(transform.forward(f)).values
     assert cli._amplitude_pgm(g) == pgm
     assert cli._amplitude_pgm(-g) == pgm
@@ -507,10 +507,8 @@ def test_flag_the_subcommand_does_not_read_exits_2(tmp_path, args):
 
 
 def test_readme_cli_examples_parse():
-    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
-    lines = [l for l in readme.splitlines() if l.startswith("horowave ")]
     parser = cli._build_parser()
-    commands = {parser.parse_args(shlex.split(l)[1:]).command for l in lines}
+    commands = {parser.parse_args(args).command for args in readme_presets.readme_commands()}
     assert commands == set(cli._COMMANDS)
 
 

@@ -116,11 +116,11 @@ def test_moire_weak_accuracy_and_monotonicity():
 
 def test_convergence_study_rejects_unsorted():
     with pytest.raises(ValueError):
-        convergence_study(1.5, B0, X0, [8.0, 4.0, 12.0])
+        convergence_study(1.5, B0, X0, [8.0, 4.0, 12.0], "gaussian")
 
 
 def test_convergence_study_reports():
-    reports = convergence_study(1.5, B0, X0, [4.0, 6.0, 8.0, 10.0, 12.0])
+    reports = convergence_study(1.5, B0, X0, [4.0, 6.0, 8.0, 10.0, 12.0], "gaussian")
     assert len(reports) == 5
     assert all(not r.divergent for r in reports)
     assert reports[0].oscillation_amplitude > 0
@@ -134,7 +134,7 @@ def test_convergence_study_reports():
 
 def test_convergence_study_lambda_zero_edge():
     # lambda = 0 is the degenerate edge: allowed, flagged only on blow-up.
-    reports = convergence_study(0.0, B0, X0, [4.0, 8.0])
+    reports = convergence_study(0.0, B0, X0, [4.0, 8.0], "gaussian")
     assert all(np.isfinite(r.approx) for r in reports)
 
 
@@ -216,9 +216,12 @@ def test_cheb_sum_matches_chebval(monkeypatch, K, block):
 def test_convergence_study_shares_one_table_across_widths():
     x = DiskPoint(0.3 - 0.2j)
     for lam in (0.7, 2.0, 3.9):
-        shared = [r.approx for r in convergence_study(lam, B0, x, [4.0, 8.0, 12.0])]
-        own = [convergence_study(lam, B0, x, [s])[0].approx for s in (4.0, 8.0, 12.0)]
+        shared = [r.approx for r in convergence_study(lam, B0, x, [4.0, 8.0, 12.0], "gaussian")]
+        own = [convergence_study(lam, B0, x, [s], "gaussian")[0].approx
+               for s in (4.0, 8.0, 12.0)]
         assert np.max(np.abs(np.subtract(shared, own))) <= 1e-13 * np.max(np.abs(own))
+        # moire_integral is the one-width study at DEFAULT_TAPER, report for report
+        assert moire_integral(lam, B0, x) == convergence_study(lam, B0, x, [12.0], "gaussian")[0]
 
 
 def test_weak_estimator_evaluates_half_nodes_once_per_level(monkeypatch):
@@ -247,7 +250,7 @@ def test_line_integrals_match_per_node_kernel(width):
     taper = TaperSpec("gaussian", width)
     for arc in (0.0, 1.2, -2.5):
         x = horocycle_point(ZERO_HOROCYCLE, arc)
-        got = _line_integrals_multi(lams, B0, x, taper)
+        got = _line_integrals_multi(lams, B0, x, [taper])[0]
         expect = oracles.line_integrals_per_node(lams, B0, x, taper)
         assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 

@@ -29,6 +29,7 @@ from horowave.geometry import (
 )
 from horowave.tapers import TaperSpec
 from horowave.transform import (
+    DEFAULT_GRID,
     GridSpec,
     SampledField,
     SpectralField,
@@ -122,12 +123,12 @@ def test_sampled_field_shape_guard():
 
 def test_round_trip_three_bumps():
     for name, fn in BUMPS.items():
-        f = SampledField.from_function(fn)
+        f = SampledField.from_function(fn, DEFAULT_GRID)
         g = inverse(forward(f))
         assert rel_l2(f, g) < 1e-4, name
 
 
-@pytest.mark.parametrize("shape", [(120, 192), (160, 256)])
+@pytest.mark.parametrize("shape", [(120, 192, 4.0), (160, 256, 4.0)])
 def test_round_trip_at_exact_kappa(shape):
     grid = GridSpec(*shape)
     for name, fn in BUMPS.items():
@@ -138,7 +139,7 @@ def test_round_trip_at_exact_kappa(shape):
 @pytest.mark.parametrize("step", [0.025, 0.05, 0.1])
 def test_round_trip_on_the_grids_own_lambda_step(step, monkeypatch):
     monkeypatch.setattr(transform, "LAMBDA_STEP", step)
-    f = SampledField.from_function(BUMPS["offcenter"])
+    f = SampledField.from_function(BUMPS["offcenter"], DEFAULT_GRID)
     F = forward(f)
     assert len(F.lambda_grid) == round(8.0 / step) + 1
     g = inverse(F)
@@ -146,14 +147,23 @@ def test_round_trip_on_the_grids_own_lambda_step(step, monkeypatch):
 
 
 def test_unequally_spaced_lambda_grid_is_rejected():
-    f = SampledField.from_function(BUMPS["radial"])
+    f = SampledField.from_function(BUMPS["radial"], DEFAULT_GRID)
     lams = np.array([0.0, 0.05, 0.1, 0.2])
     with pytest.raises(ValueError, match="equally spaced"):
-        SpectralField(lams, f.grid.angles, np.zeros((4, f.grid.n_theta), complex), f.grid)
+        SpectralField(lams, np.zeros((4, f.grid.n_theta), complex), f.grid)
+
+
+def test_spectral_field_needs_one_column_per_grid_angle():
+    grid = GridSpec(10, 8, 2.0)
+    lams = np.array([0.0, 0.05, 0.1])
+    SpectralField(lams, np.zeros((3, 8), complex), grid)
+    for shape in ((3, 7), (3, 9), (2, 8)):
+        with pytest.raises(ValueError, match="does not match"):
+            SpectralField(lams, np.zeros(shape, complex), grid)
 
 
 def test_forward_at_takes_unequally_spaced_lambdas():
-    f = SampledField.from_function(BUMPS["offcenter"])
+    f = SampledField.from_function(BUMPS["offcenter"], DEFAULT_GRID)
     lams = np.sort(np.random.default_rng(11).uniform(-8.0, 8.0, 57))
     ref = oracles.direct_forward_at(f, lams, 0.7)
     got = forward_at(f, lams, BoundaryPoint(0.7))
@@ -190,7 +200,7 @@ def test_transform_matches_direct_exponentials(shape, monkeypatch):
             vals = rng.standard_normal(F.values.shape) + 1j * rng.standard_normal(F.values.shape)
             vals[-1] = 0.0
         fwd.append(F)
-        inv.append((lams, vals, inverse(SpectralField(lams, grid.angles, vals, grid)).values))
+        inv.append((lams, vals, inverse(SpectralField(lams, vals, grid)).values))
     ref_fwd, ref_inv = oracles.direct_transforms(f, [F.lambda_grid for F in fwd],
                                                  [(l, v) for l, v, _ in inv], PLANCHEREL_KAPPA)
     for F, ref in zip(fwd, ref_fwd):
@@ -219,7 +229,7 @@ def test_odd_and_tiny_angle_counts_match_direct_exponentials(n_theta):
     lams = F.lambda_grid
     vals = ((rng.standard_normal(F.values.shape) + 1j * rng.standard_normal(F.values.shape))
             * np.exp(-0.5 * lams ** 2)[:, None])  # decayed by Lambda: no truncation
-    got = inverse(SpectralField(lams, grid.angles, vals, grid)).values
+    got = inverse(SpectralField(lams, vals, grid)).values
     (ref_fwd,), (ref_inv,) = oracles.direct_transforms(f, [lams], [(lams, vals)],
                                                        PLANCHEREL_KAPPA)
     assert _rel_max(F.values, ref_fwd) < 1e-13
@@ -353,7 +363,7 @@ def test_bessel_stack_matches_scipy():
 
 
 def test_kernel_terms_past_the_cap_raise(monkeypatch):
-    f = SampledField.from_function(BUMPS["offcenter"])
+    f = SampledField.from_function(BUMPS["offcenter"], DEFAULT_GRID)
     monkeypatch.setattr(transform, "_KERNEL_MAX_TERMS", 32)  # max|c B| = 16 needs about 45
     with pytest.raises(QuadratureUnderResolved):
         forward(f)
@@ -365,7 +375,7 @@ def test_kernel_term_count_does_not_depend_on_lambda_step(monkeypatch):
     counts = []
     terms = transform._kernel_terms
     monkeypatch.setattr(transform, "_kernel_terms", lambda z: counts.append(terms(z)) or counts[-1])
-    f = SampledField.from_function(BUMPS["offcenter"])
+    f = SampledField.from_function(BUMPS["offcenter"], DEFAULT_GRID)
     for step, n_lambda in ((0.0125, 641), (0.025, 321), (0.05, 161)):
         monkeypatch.setattr(transform, "LAMBDA_STEP", step)
         assert len(forward(f).lambda_grid) == n_lambda
@@ -377,8 +387,8 @@ def test_kernel_term_count_does_not_depend_on_lambda_step(monkeypatch):
 def test_linearity():
     rng = np.random.default_rng(3)
     a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    f1 = SampledField.from_function(BUMPS["radial"])
-    f2 = SampledField.from_function(BUMPS["offcenter"])
+    f1 = SampledField.from_function(BUMPS["radial"], DEFAULT_GRID)
+    f2 = SampledField.from_function(BUMPS["offcenter"], DEFAULT_GRID)
     combo = SampledField(f1.grid, a * f1.values + b * f2.values)
     F = forward(combo)
     expect = a * forward(f1).values + b * forward(f2).values
@@ -392,8 +402,9 @@ def test_linearity():
 
 def test_rotation_leaves_transform_modulus_invariant():
     phi = 2.0 * math.pi * 32 / 256  # a whole number of angular grid steps
-    f = SampledField.from_function(BUMPS["offcenter"])
-    rot = SampledField.from_function(lambda z: BUMPS["offcenter"](z * np.exp(-1j * phi)))
+    f = SampledField.from_function(BUMPS["offcenter"], DEFAULT_GRID)
+    rot = SampledField.from_function(lambda z: BUMPS["offcenter"](z * np.exp(-1j * phi)),
+                                     DEFAULT_GRID)
     F, R = forward(f), forward(rot)
     # rotation permutes the b-grid; compare sorted moduli per lambda row
     a = np.sort(np.abs(F.values), axis=1)
@@ -402,7 +413,7 @@ def test_rotation_leaves_transform_modulus_invariant():
 
 
 def test_forward_at_matches_forward_grid():
-    f = SampledField.from_function(BUMPS["radial"])
+    f = SampledField.from_function(BUMPS["radial"], DEFAULT_GRID)
     F = forward(f)
     got = forward_at(f, F.lambda_grid[::20], BoundaryPoint(0.0))
     np.testing.assert_allclose(got, F.values[::20, 0], rtol=1e-10, atol=1e-12)
@@ -459,17 +470,17 @@ def test_polar_grids_never_take_the_cartesian_bracket(monkeypatch, tmp_path):
 def test_support_overflow_guard():
     wide = lambda z: np.exp(-0.1 * disk_distance(z) ** 2)
     with pytest.raises(SupportOverflow):
-        forward(SampledField.from_function(wide))
+        forward(SampledField.from_function(wide, DEFAULT_GRID))
 
 
 def test_spectral_truncation_guard():
     spiky = lambda z: np.exp(-6.0 * disk_distance(z) ** 2)
-    with pytest.raises(SpectralTruncation):
-        inverse(forward(SampledField.from_function(spiky)))
+    with pytest.raises(SpectralTruncation, match="transform.LAMBDA_MAX = 8"):
+        inverse(forward(SampledField.from_function(spiky, DEFAULT_GRID)))
 
 
 def test_spherical_transform_requires_radial():
-    f = SampledField.from_function(BUMPS["offcenter"])
+    f = SampledField.from_function(BUMPS["offcenter"], DEFAULT_GRID)
     with pytest.raises(NotRadial):
         spherical_transform(f, np.array([1.0]))
 
@@ -477,7 +488,8 @@ def test_spherical_transform_requires_radial():
 def test_plancherel_isometry():
     lams = np.arange(0.0, 8.0001, 0.05)
     for a in (1.25, 1.7, 2.2):
-        f = SampledField.from_function(lambda z: np.exp(-a * disk_distance(z) ** 2))
+        f = SampledField.from_function(lambda z: np.exp(-a * disk_distance(z) ** 2),
+                                       DEFAULT_GRID)
         ft = spherical_transform(f, lams)
         assert plancherel_spectral(ft, lams) / f.norm2() == pytest.approx(1.0, abs=1e-6)
 
@@ -535,14 +547,14 @@ _LINE_INTEGRALS = {
     "scalar": lambda: horocycle_integral(lambda y: np.ones(y.shape),
                                          Horocycle(BoundaryPoint(0), 0.0), _NARROW),
     "vector": lambda: moire._line_integrals_multi(np.array([1.0, 2.0]), BoundaryPoint(0),
-                                                  DiskPoint(0j), _NARROW),
+                                                  DiskPoint(0j), [_NARROW]),
     "coarea_profile": lambda: coarea_profile(lambda y: np.ones(y.shape), BoundaryPoint(0),
                                              DiskPoint(0j), [0.0, 1.0]),
     "moire_weak": lambda: moire.moire_weak(moire.LambdaWindow(2.2), BoundaryPoint(0),
                                            DiskPoint(0j), _NARROW),
     # moire_integral's one-taper run, at the narrow width
     "moire_integral": lambda: moire.convergence_study(1.5, BoundaryPoint(0), DiskPoint(0j),
-                                                      [_NARROW.width])[0],
+                                                      [_NARROW.width], "gaussian")[0],
     # raises at any width with no halvings left
     "reduction_paths": lambda: moire.reduction_paths(1.5, BoundaryPoint(0),
                                                      DiskPoint(0.3 + 0.2j)),

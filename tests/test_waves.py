@@ -64,7 +64,7 @@ def test_boundary_average_agrees_with_radial_path():
 
 
 def test_spherical_rotation_invariance():
-    vals = [spherical(1.3, DiskPoint(0.6 * np.exp(1j * a))) for a in (0.0, 1.0, 4.4)]
+    vals = [spherical(1.3, DiskPoint(0.6 * np.exp(1j * a)), M=512) for a in (0.0, 1.0, 4.4)]
     assert max(abs(v - vals[0]) for v in vals) < 1e-12
 
 
@@ -213,6 +213,6 @@ def test_kappa_calibrates_to_inverse_two_pi(monkeypatch):
     # the round-trip fit lands on the exact constant to O(dt^4)
     kappa = 1.0 / (2.0 * math.pi)
     assert calibrate_plancherel_kappa() == pytest.approx(kappa, rel=1e-7)
-    monkeypatch.setattr(transform, "DEFAULT_GRID", GridSpec(100, 256))
+    monkeypatch.setattr(transform, "DEFAULT_GRID", GridSpec(100, 256, 4.0))
     assert calibrate_plancherel_kappa() == pytest.approx(kappa, rel=1e-6)
     assert PLANCHEREL_KAPPA == kappa
