@@ -32,6 +32,7 @@ from .transform import (
     GridSpec,
     SampledField,
     _HOROCYCLE_TOL,
+    _even_row_nodes,
     _relative_l2,
     forward,
     gaussian_bump,
@@ -333,10 +334,14 @@ def cmd_wave(args) -> int:
     lam = _number(args, "lambda")
     b0 = BoundaryPoint(_number(args, "b0", default=0.0))
     grid = _grid_from(args)
-    values = np.exp((1j * lam + RHO) * grid.busemann(b0.theta))
+    B = grid.busemann(b0.theta)
+    # closed form: the error is the phase round-off lam B 2^-53 where |B| is largest
+    est = abs(lam) * max(float(B.max()), -float(B.min())) * 2.0 ** -53
+    values = np.exp((1j * lam + RHO) * B)
+    del B  # not held while the field is written
     footer = {"command": "wave", "lambda": lam, "b0": b0.theta,
               "grid": f"{grid.n_r}x{grid.n_theta}", "radius": grid.R,
-              "quadrature_error_estimate": 0.0}  # closed-form evaluation
+              "quadrature_error_estimate": f"{est:.3e}"}
     _emit_field(args.out, grid.z, values, footer)
     return 0
 
@@ -416,13 +421,18 @@ def cmd_transform(args) -> int:
     grid = _quadrature_grid_from(args)
     width = _positive("bump-width", _number(args, "bump-width", default=1.25))
     f = SampledField.from_function(gaussian_bump(width), grid)
-    g = inverse(forward(f))
+    F = forward(f)
+    nodes, _, interp = _even_row_nodes(grid, F.lambda_grid)  # the radii both build rows at
+    g = inverse(F)
+    del F  # not held while the field is written
     err = _relative_l2(g, f)
     footer = {"command": "transform", "bump_width": width,
               "grid": f"{grid.n_r}x{grid.n_theta}", "radius": grid.R,
               "plancherel_kappa": f"{PLANCHEREL_KAPPA:.12g}",
               "roundtrip_relative_l2_error": f"{err:.3e}",
-              "quadrature_error_estimate": f"{err:.3e}"}
+              "quadrature_error_estimate": f"{err:.3e}",
+              "radial_nodes": len(nodes),
+              "kernel_interpolation_error": f"{interp:.3e}"}
     # the round trip of a real bump is real up to round-off, whose phase is noise
     _emit_field(args.out, grid.z, g.values, footer, image=_amplitude_pgm)
     return 0

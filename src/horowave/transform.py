@@ -6,7 +6,12 @@ angles; the quadrature weight per node is sinh(t_j) dt dtheta (hyperbolic
 area, end-corrected at t = 0). The spectral side is a rectangular
 (lambda, b) grid whose angular nodes coincide with the spatial ones, so
 that the Busemann kernel is circulant in (angle - b) and both transform
-directions reduce to FFT convolutions over the angle index.
+directions reduce to FFT convolutions over the angle index. The kernel is
+analytic in the geodesic radius t, so it is built only at Q Chebyshev radii
+on [t_0, t_{n_r - 1}] (65 on grids of R = 4 at the default band), chosen by a
+measured interpolation check (``_radial_nodes``): the weighted field is
+projected onto them and sums there are interpolated back. A grid of at most
+Q radii keeps its own radii.
 
 The inverse integrates lambda over [0, Lambda] with the Plancherel weight
 kappa * lambda * tanh(pi lambda); this equals the (1/w)-weighted integral
@@ -118,23 +123,38 @@ class GridSpec:
         read every column; ``forward`` and ``inverse`` take only the angles
         they read from ``_polar_bracket`` itself (``_even_row_ffts``).
         """
-        return _polar_bracket(self.radii_t, self.angles, theta)
+        return _polar_bracket(self.radii_t, _angle_offsets(self.n_theta, theta, self.n_theta))
 
 
-def _polar_bracket(t: np.ndarray, angles: np.ndarray, theta: float) -> np.ndarray:
-    """Busemann bracket toward e^{i theta} at the nodes tanh(t_j/2) e^{i a_l}, from (t, a).
+def _angle_offsets(n: int, theta: float, count: int) -> np.ndarray:
+    """a_l - theta at the first count of the n grid angles a_l = 2 pi l / n.
 
-    At z = tanh(t/2) e^{i a} the bracket is -log(e^{-t} + 2 sinh t s^2),
-    s = sin((a - theta)/2), taken here as -t - log(s^2 + e^{-2t} (1 - s^2)),
-    in one array of shape (len(t), len(angles)). Unlike ``busemann_array``
-    on z, it keeps its digits where |z| rounds to 1 (t above about 37), and
-    sinh t cannot overflow. At an angle equal to theta (s = 0) the bracket
-    is t, and it is taken as t: e^{-2t} loses digits past t = 354 and
-    underflows past 372. At s != 0 such an e^{-2t} is below 1e-17 s^2
-    unless theta lies within 1e-145 of a grid angle.
+    With k the index of the grid angle nearest theta, a_l - theta is taken as
+    2 pi m / n - (theta - 2 pi k / n), m = l - k wrapped into [-n/2, n/2).
+    So the angles near theta keep their digits wherever theta sits: toward
+    theta = 0 the angles just below 2 pi are the small negative angles they
+    are, where sin((a_l - theta)/2) on the float a_l would cancel near pi.
+    """
+    k = np.rint(theta * n / (2.0 * np.pi))
+    m = (np.arange(count) - k + n // 2) % n - n // 2
+    return 2.0 * np.pi * m / n - (theta - 2.0 * np.pi * k / n)
+
+
+def _polar_bracket(t: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Busemann bracket at the nodes tanh(t_j/2) e^{i a_l}, from t and a_l - theta.
+
+    Toward e^{i theta}, at z = tanh(t/2) e^{i a} the bracket is
+    -log(e^{-t} + 2 sinh t s^2), s = sin((a - theta)/2), taken here as
+    -t - log(s^2 + e^{-2t} (1 - s^2)), in one array of shape
+    (len(t), len(offsets)), offsets from ``_angle_offsets``. Unlike
+    ``busemann_array`` on z, it keeps its digits where |z| rounds to 1 (t
+    above about 37), and sinh t cannot overflow. At an angle equal to theta
+    (s = 0) the bracket is t, and it is taken as t: e^{-2t} loses digits
+    past t = 354 and underflows past 372. At s != 0 such an e^{-2t} is below
+    1e-17 s^2 unless theta lies within 1e-145 of a grid angle.
     """
     t = t[:, None]
-    s2 = np.sin(0.5 * (angles - theta)) ** 2
+    s2 = np.sin(0.5 * offsets) ** 2
     B = np.exp(-2.0 * t) * (1.0 - s2)
     B += s2
     with np.errstate(divide="ignore"):  # log 0 at s = 0 past t = 372, not taken
@@ -222,11 +242,17 @@ def _lambda_step(lams: np.ndarray) -> float:
 
 _KERNEL_TAIL = 1e-15       # bound on |J_{K-1}| at a row's largest |c B|
 _KERNEL_MAX_TERMS = 4096
+# bound on the kernel's interpolation error in t at the midpoints between the radial
+# nodes, relative to each midpoint's largest |kernel| (``_radial_nodes``). The phase
+# round-off of the kernel itself, about lam max|B| 2^-53, sets a floor of 0.7-1.7e-14
+# at lam = 8 and R = 4 to 6, which the check must clear
+_NODE_TOL = 5e-14
+_MAX_RADIAL_NODES = 1025  # past it the grid radii: the check's matrices stay below 9 MB
 # float64 values per block's Bessel stack and per chunk of kernel-row FFTs, a complex
-# value counting two: 0.5 MiB. At 200x256 a block of forward's outer rows holds 11 rows
-# of 45 terms at 129 angles, and one chunk of their FFTs 11 of those terms. On a 2-core
-# VM, 0.75 MiB took 0.3-1.2 MB off perfbench spectral's peak RSS and 0.5 MiB 0.9-1.3 MB,
-# at the same op times
+# value counting two: 0.5 MiB. At 200x256 a block of forward's outer radial nodes holds
+# 11 nodes of 44 terms at 129 angles, and one chunk of their FFTs 11 of those terms. On
+# a 2-core VM, 0.75 MiB took 0.3-1.2 MB off perfbench spectral's peak RSS and 0.5 MiB
+# 0.9-1.3 MB, at the same op times (measured when the rows were built at every radius)
 _BLOCK_FLOATS = 65536
 
 
@@ -270,12 +296,15 @@ def _kernel_terms(zmax: np.ndarray) -> np.ndarray:
 
     Each count K is one more than the first order k > zmax with
     |J_k(zmax)| < _KERNEL_TAIL. Past its turning point J_k(z) grows with
-    |z|, so the bound holds at every |z| <= zmax. The search starts at
-    order ceil(max zmax) + 24 and doubles; QuadratureUnderResolved past
+    |z|, so the bound holds at every |z| <= zmax. The count is about
+    zmax + 12 + 9 zmax^(1/3) (45 at zmax = 16, 1103 at 1000), so the search
+    starts at order z + 10 z^(1/3) + 12, z = max zmax, which one Bessel
+    stack settles, and doubles; QuadratureUnderResolved past
     _KERNEL_MAX_TERMS terms.
     """
     zmax = np.asarray(zmax, float)
-    n = math.ceil(np.max(zmax)) + 24
+    z = float(np.max(zmax))
+    n = math.ceil(z + 10.0 * z ** (1.0 / 3.0)) + 12
     while True:
         n = min(n, _KERNEL_MAX_TERMS)
         j = np.abs(_bessel_stack(zmax, n))
@@ -289,11 +318,69 @@ def _kernel_terms(zmax: np.ndarray) -> np.ndarray:
         n *= 2
 
 
-def _busemann_kernel(t: np.ndarray, angles: np.ndarray, theta: float, lams: np.ndarray):
+def _barycentric(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Matrix taking values at the Chebyshev points nodes = -cos(pi q / (Q - 1)) to the points x.
+
+    The barycentric formula with weights (-1)^q, halved at both ends
+    (J.-P. Berrut and L. N. Trefethen, SIAM Review 46, 2004, eq. 5.4); a
+    point equal to a node takes that node's value.
+    """
+    w = np.where(np.arange(len(nodes)) % 2, -1.0, 1.0)
+    w[[0, -1]] *= 0.5
+    d = x[:, None] - nodes
+    hit = d == 0.0
+    d[hit] = 1.0
+    M = w / d
+    M /= np.sum(M, axis=1, keepdims=True)
+    on_node = hit.any(axis=1)
+    M[on_node] = hit[on_node]
+    return M
+
+
+def _radial_nodes(t: np.ndarray, offsets: np.ndarray, lam: float):
+    """Radii at which to build the kernel rows, and the map from them back to the radii t.
+
+    The kernel e^{(i lam + rho) B(t, a)} is analytic in t on the strip
+    |Im t| < pi/2: its only singularities are the zeros of
+    cosh t - sinh t cos(a - theta), at t = log cot(|a - theta|/2) +- i pi/2.
+    So its Chebyshev interpolant on [t_0, t_{n-1}] converges geometrically
+    (L. N. Trefethen, Approximation Theory and Approximation Practice,
+    Thm 8.2). The node count Q doubles (33, 65, 129, ...) until the
+    interpolant of the kernel at lam, the largest |lambda|, is within
+    _NODE_TOL of it at the midpoints between the nodes, relative to the
+    largest |kernel| at each midpoint, at the angle offsets read
+    (``_angle_offsets``). Returns (nodes, I, err): I of shape (n, Q) takes
+    values at the nodes to the radii t, and err is that midpoint error.
+    Once Q reaches n (or passes _MAX_RADIAL_NODES), the nodes are the radii
+    t themselves, I is None and err is 0.0: nothing is interpolated.
+    """
+    mid, half = 0.5 * (t[-1] + t[0]), 0.5 * (t[-1] - t[0])
+
+    def kernel(x):
+        return np.exp((1j * lam + RHO) * _polar_bracket(mid + half * x, offsets))
+
+    x = -np.cos(np.pi * np.arange(33) / 32)
+    K = kernel(x) if len(x) < len(t) else None
+    while len(x) < len(t) and len(x) <= _MAX_RADIAL_NODES:
+        # the midpoints are the next level's new nodes: each level evaluates only those
+        Q = len(x)
+        xm = -np.cos(np.pi * (np.arange(Q - 1) + 0.5) / (Q - 1))
+        Km = kernel(xm)
+        P = _real_matmul(_barycentric(x, xm), K)
+        P -= Km
+        err = float(np.max(np.max(np.abs(P), axis=1) / np.max(np.abs(Km), axis=1)))
+        if err <= _NODE_TOL:
+            return mid + half * x, _barycentric(x, (t - mid) / half), err
+        between = np.arange(1, Q)
+        x, K = np.insert(x, between, xm), np.insert(K, between, Km, axis=0)
+    return t, None, 0.0
+
+
+def _busemann_kernel(t: np.ndarray, offsets: np.ndarray, lams: np.ndarray):
     """The Busemann kernel e^{(i lam + rho) B} of every lambda, as lambda-free rows.
 
-    B is the bracket toward e^{i theta} at the radii t and the angles
-    ``angles`` (``_polar_bracket``), taken a block of radii at a time. With
+    B is the bracket at the radii t and the angle offsets ``offsets``
+    (``_polar_bracket``), taken a block of radii at a time. With
     lam = mid + c x on [min lams, max lams], x in [-1, 1], the Jacobi-Anger
     expansion (DLMF 10.12.1-3) gives
     e^{(i lam + rho) B} = sum_k T_k(x) s_k J_k(c B) e^{(i mid + rho) B},
@@ -317,7 +404,7 @@ def _busemann_kernel(t: np.ndarray, angles: np.ndarray, theta: float, lams: np.n
     starts, most = [0], 0
     for j, n in enumerate(row_terms.tolist()):
         most = max(most, n)
-        if j > starts[-1] and most * (j + 1 - starts[-1]) * len(angles) > _BLOCK_FLOATS:
+        if j > starts[-1] and most * (j + 1 - starts[-1]) * len(offsets) > _BLOCK_FLOATS:
             starts.append(j)
             most = n
     terms = np.maximum.reduceat(row_terms, starts)
@@ -327,18 +414,19 @@ def _busemann_kernel(t: np.ndarray, angles: np.ndarray, theta: float, lams: np.n
 
     def blocks():
         for a, b, n in zip(starts, [*starts[1:], len(t)], terms):
-            B = _polar_bracket(t[a:b], angles, theta)
+            B = _polar_bracket(t[a:b], offsets)
             yield slice(a, b), _bessel_stack(c * B, n), np.exp((1j * mid + RHO) * B)
 
     return T, s, blocks()
 
 
-def _even_row_ffts(grid: GridSpec, lams: np.ndarray):
-    """``_busemann_kernel`` toward b = 0, with each row's angular FFT in place of the row.
+def _even_row_ffts(t: np.ndarray, n: int, lams: np.ndarray):
+    """``_busemann_kernel`` toward b = 0 at the radii t and n grid angles, rows as FFTs.
 
     Returns (T, s, chunks), chunks yielding (rows, ks, FW) with FW[i] the
     FFT along the angle of J_k(c B[rows]) e^{(i mid + rho) B[rows]} for
-    k = ks.start + i. Toward b = 0 the bracket depends on the angle only
+    k = ks.start + i. ``forward`` and ``inverse`` take t from
+    ``_even_row_nodes``. Toward b = 0 the bracket depends on the angle only
     through sin^2(theta/2), so each row is even in the angle index: the
     bracket and the rows are built at the h = n_theta // 2 + 1 angles
     theta <= pi, where sin(theta/2) keeps its digits, and mirrored onto the
@@ -347,8 +435,8 @@ def _even_row_ffts(grid: GridSpec, lams: np.ndarray):
     least), in one buffer that every chunk reuses: FW is overwritten by
     the next chunk.
     """
-    n, h = grid.n_theta, grid.n_theta // 2 + 1
-    T, s, blocks = _busemann_kernel(grid.radii_t, grid.angles[:h], 0.0, lams)
+    h = n // 2 + 1
+    T, s, blocks = _busemann_kernel(t, _angle_offsets(n, 0.0, h), lams)
 
     def ffts():
         buf = np.empty(_BLOCK_FLOATS // 2, complex)
@@ -399,18 +487,39 @@ def _lambda_weights(lams: np.ndarray) -> np.ndarray:
     return w
 
 
+def _even_row_nodes(grid: GridSpec, lams: np.ndarray):
+    """``_radial_nodes`` of ``forward`` and ``inverse``: toward b = 0 at the angles <= pi."""
+    offsets = _angle_offsets(grid.n_theta, 0.0, grid.n_theta // 2 + 1)
+    return _radial_nodes(grid.radii_t, offsets, float(np.max(np.abs(lams))))
+
+
+def _weighted_rows(f: SampledField, I) -> np.ndarray:
+    """The weighted field w_j f_j at the grid radii, or (I^T diag w) f at the nodes of I.
+
+    Folding the row weights into I projects f without forming the weighted
+    field on the grid.
+    """
+    w = f.grid.row_weights
+    if I is None:
+        return np.multiply(f.values, w[:, None], dtype=complex)
+    return _real_matmul(I.T * w, np.ascontiguousarray(f.values, dtype=complex))
+
+
 def forward(f: SampledField) -> SpectralField:
     """Helgason-Fourier transform: integral of e_{-lambda,b} f over the disk.
 
     Evaluated at every (lambda, b) node, lambda in [0, LAMBDA_MAX] by LAMBDA_STEP;
     the angle/b structure is circulant, so each lambda row is one FFT convolution.
+    The kernel rows are built at the radial nodes (``_even_row_nodes``), onto
+    which the weighted field is projected first.
     """
     _check_support(f)
     grid = f.grid
     lams = np.arange(0.0, LAMBDA_MAX + LAMBDA_STEP / 2.0, LAMBDA_STEP)
-    conj_a = np.multiply(f.values, grid.row_weights[:, None], dtype=complex)
+    t, I, _ = _even_row_nodes(grid, lams)
+    conj_a = _weighted_rows(f, I)
     np.conj(np.fft.fft(conj_a, axis=1, out=conj_a), out=conj_a)
-    T, s, chunks = _even_row_ffts(grid, lams)
+    T, s, chunks = _even_row_ffts(t, grid.n_theta, lams)
     # row k of P: the sum over radii of conj(A) times the FFT of kernel row k;
     # forward correlates with e_{-lambda,1} = conj(e_{lambda,1}), so out = conj(T s P)
     P = np.zeros((len(s), grid.n_theta), complex)
@@ -431,9 +540,13 @@ def forward_at(f: SampledField, lams: np.ndarray, b: BoundaryPoint) -> np.ndarra
     # the value at lam is sum_p e^{(-i lam + rho) B_p} g_p, g the weighted field: with
     # mu = |lam| that is conj(sum_p e^{(i mu + rho) B_p} conj(g_p)) for lam >= 0 and
     # sum_p e^{(i mu + rho) B_p} g_p for lam < 0, so one kernel over the |lam| serves
-    # both signs, and a list symmetric about 0 takes the terms of half its width
-    T, s, blocks = _busemann_kernel(f.grid.radii_t, f.grid.angles, b.theta, np.abs(lams))
-    weights = f.grid.row_weights[:, None]
+    # both signs, and a list symmetric about 0 takes the terms of half its width. The
+    # kernel is built at the radial nodes, and g projected onto them (``_radial_nodes``)
+    mu = np.abs(lams)
+    offsets = _angle_offsets(f.grid.n_theta, b.theta, f.grid.n_theta)
+    t, I, _ = _radial_nodes(f.grid.radii_t, offsets, float(np.max(mu, initial=0.0)))
+    weighted = _weighted_rows(f, I)
+    T, s, blocks = _busemann_kernel(t, offsets, mu)
     # V[k] = sum over the block's points p of J_k(c B_p) (w_p, v_p), w = E conj(g) and
     # v = E g, formed a block at a time: one real (K x P) by (P x 4) product, never
     # forming J E. It runs in einsum's own loop, as _real_matmul does, on the real and
@@ -441,7 +554,7 @@ def forward_at(f: SampledField, lams: np.ndarray, b: BoundaryPoint) -> np.ndarra
     # w.view(float) it took eight times as long.
     V = np.zeros((len(s), 4))
     for rows, J, E in blocks:
-        g = np.multiply(f.values[rows], weights[rows], dtype=complex).ravel()
+        g = weighted[rows].ravel()
         E = E.ravel()
         w, v = E * np.conj(g), E * g
         V[:len(J)] += np.einsum("kp,cp->kc", J.reshape(len(J), -1),
@@ -452,7 +565,11 @@ def forward_at(f: SampledField, lams: np.ndarray, b: BoundaryPoint) -> np.ndarra
 
 
 def inverse(F: SpectralField) -> SampledField:
-    """Inversion with Plancherel weight; lambda over [0, Lambda] (see module doc)."""
+    """Inversion with Plancherel weight; lambda over [0, Lambda] (see module doc).
+
+    The kernel rows are built at the radial nodes (``_even_row_nodes``), and
+    the sum there is interpolated back to the grid radii before the IFFT.
+    """
     dens = plancherel_density(F.lambda_grid)
     energy = dens * np.sum(np.abs(F.values) ** 2, axis=1)
     total = np.sum(energy)
@@ -469,13 +586,16 @@ def inverse(F: SpectralField) -> SampledField:
     # G = s T^T FF, sum the kernel products over those rows, then one IFFT
     FF = np.fft.fft(F.values, axis=1)
     FF *= (dens * wl * db)[:, None]
-    T, s, chunks = _even_row_ffts(grid, F.lambda_grid)
+    t, I, _ = _even_row_nodes(grid, F.lambda_grid)
+    T, s, chunks = _even_row_ffts(t, grid.n_theta, F.lambda_grid)
     G = s[:, None] * _real_matmul(T.T, FF)
     del FF
-    acc = np.zeros((grid.n_r, grid.n_theta), complex)
+    acc = np.zeros((len(t), grid.n_theta), complex)
     for rows, ks, FW in chunks:
         acc[rows] += np.einsum("kjl,kl->jl", FW, G[ks])
     del FW  # a view of the chunk buffer
+    if I is not None:
+        acc = _real_matmul(I, acc)
     return SampledField(grid, np.fft.ifft(acc, axis=1, out=acc))
 
 

@@ -191,7 +191,7 @@ def direct_transforms(f, forward_lams, inverse_args, kappa: float):
             [np.fft.ifft(acc, axis=1) for _, _, acc in terms])
 
 
-def polar_bracket(grid, beta: float) -> np.ndarray:
+def polar_bracket(grid, beta: float, t=None) -> np.ndarray:
     """Busemann bracket toward e^{i beta} at every node of a polar grid, from (t, angle).
 
     -log(cosh t - sinh t cos(a - beta)) at the nominal angles a = 2 pi m / n,
@@ -199,26 +199,26 @@ def polar_bracket(grid, beta: float) -> np.ndarray:
     their digits as small negative ones, with the argument written as
     e^{-t} + 2 sinh t sin^2((a - beta)/2), which does not cancel near
     a = beta. Unlike ``busemann_array`` on the Cartesian nodes, it does not
-    lose the digits of 1 - |z|^2 at large t.
+    lose the digits of 1 - |z|^2 at large t. The radii are the grid's, or t.
     """
     n = grid.n_theta
-    t = grid.radii_t[:, None]
+    t = (grid.radii_t if t is None else np.asarray(t))[:, None]
     half = np.pi * ((np.arange(n) + n // 2) % n - n // 2) / n - 0.5 * beta
     return -np.log(np.exp(-t) + 2.0 * np.sinh(t) * np.sin(half) ** 2)
 
 
-def kernel_row_ffts_full(grid, lams, rows: slice, K: int) -> np.ndarray:
+def kernel_row_ffts_full(grid, t, lams, K: int) -> np.ndarray:
     """Angular FFTs of K kernel rows of ``forward`` and ``inverse``, built at every angle.
 
-    The Jacobi-Anger rows J_k(c B) e^{(i mid + rho) B}, k < K, on the radial
-    rows ``rows`` of ``polar_bracket(grid, 0)``, with lambda = mid + c x
+    The Jacobi-Anger rows J_k(c B) e^{(i mid + rho) B}, k < K, at the radii
+    t and every angle of ``polar_bracket(grid, 0, t)``, with lambda = mid + c x
     mapping [min lams, max lams] onto x in [-1, 1] and J_k from scipy's jv,
     transformed by np.fft.fft without using that the rows are even in the
-    angle index. Returns an array of shape (K, rows, n_theta).
+    angle index. Returns an array of shape (K, len(t), n_theta).
     """
     lo, hi = np.min(lams), np.max(lams)
     mid, c = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    B = polar_bracket(grid, 0.0)[rows]
+    B = polar_bracket(grid, 0.0, t)
     J = jv(np.arange(K)[:, None, None], c * B)
     return np.fft.fft(J * np.exp((1j * mid + 0.5) * B), axis=-1)
 

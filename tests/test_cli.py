@@ -46,7 +46,10 @@ def test_wave_field_contract(tmp_path):
     assert header == "x,y,re,im"
     assert rows.shape == (200 * 256, 4)
     assert footer["command"] == "wave"
-    assert "quadrature_error_estimate" in footer
+    # the measured phase round-off |lambda| max|B| 2^-53 of the closed form
+    B = GridSpec(200, 256, 4.0).busemann(0.0)
+    est = 2.0 * np.max(np.abs(B)) * 2.0 ** -53
+    assert footer["quadrature_error_estimate"] == f"{est:.3e}"
     pgm = (tmp_path / "wave.pgm").read_bytes()
     assert pgm.startswith(b"P5\n256 200\n255\n")
     assert len(pgm) == len(b"P5\n256 200\n255\n") + 200 * 256
@@ -385,6 +388,17 @@ def test_transform_reports_roundtrip(tmp_path):
     assert res.returncode == 0
     _, _, footer = read_field(out)
     assert float(footer["roundtrip_relative_l2_error"]) < 1e-4
+    # the radial nodes of forward and inverse and their measured interpolation error
+    assert footer["radial_nodes"] == "65"
+    assert 0.0 < float(footer["kernel_interpolation_error"]) <= transform._NODE_TOL
+
+
+def test_transform_on_a_grid_of_few_radii_reports_the_grid_radii(tmp_path):
+    out = tmp_path / "tr.csv"
+    assert run("transform", "--grid", "40x32", "--out", str(out)).returncode == 0
+    _, _, footer = read_field(out)
+    assert footer["radial_nodes"] == "40"
+    assert footer["kernel_interpolation_error"] == "0.000e+00"
 
 
 def test_transform_pgm_maps_amplitude_not_round_off_phase(tmp_path):

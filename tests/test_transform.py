@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -214,6 +215,89 @@ def test_transform_matches_direct_exponentials(shape, monkeypatch):
         assert np.max(np.abs(got - ref[:n])) < 1e-13 * np.max(np.abs(ref))
 
 
+def _weight_at_every_radius(grid: GridSpec, seed: int) -> SampledField:
+    """Random complex values times cos^8(pi t / 2R) e^{-t}: no radius is left out."""
+    rng = np.random.default_rng(seed)
+    shape = (grid.n_r, grid.n_theta)
+    t = grid.radii_t[:, None]
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return SampledField(grid, noise * np.cos(0.5 * np.pi * t / grid.R) ** 8 * np.exp(-t))
+
+
+@pytest.mark.parametrize("shape", [(200, 256, 4.0), (200, 128, 6.0), (200, 3, 4.0)])
+def test_radial_nodes_match_direct_exponentials_at_every_radius(shape):
+    """The kernel rows at the radial nodes, against one np.exp per lambda at every grid radius.
+
+    The bumps of ``test_transform_matches_direct_exponentials`` vanish at
+    the outer radii, where an under-resolved interpolant in t would show;
+    this field and these spectral rows do not. With 65 nodes at R = 6
+    (error 4e-10 of the kernel at the midpoints) forward and forward_at are
+    off by 7e-11 to 1e-10, and inverse by 2e-12. Three angles take the odd
+    mirror of the even rows with the projection.
+    """
+    grid = GridSpec(*shape)
+    f = _weight_at_every_radius(grid, 23)
+    assert len(transform._even_row_nodes(grid, [transform.LAMBDA_MAX])[0]) < grid.n_r
+    F = forward(f)
+    lams = F.lambda_grid
+    rng = np.random.default_rng(29)
+    vals = ((rng.standard_normal(F.values.shape) + 1j * rng.standard_normal(F.values.shape))
+            * np.cos(0.5 * np.pi * lams / transform.LAMBDA_MAX)[:, None] ** 2)
+    got = inverse(SpectralField(lams, vals, grid)).values
+    (ref_fwd,), (ref_inv,) = oracles.direct_transforms(f, [lams], [(lams, vals)],
+                                                       PLANCHEREL_KAPPA)
+    assert _rel_max(F.values, ref_fwd) < 1e-13
+    assert _rel_max(got, ref_inv) < 1e-13
+    lemma_lams = np.arange(-8.0, 8.025, 0.05)
+    for theta in (0.0, 0.7):
+        ref = oracles.direct_forward_at(f, lemma_lams, theta)
+        assert _rel_max(forward_at(f, lemma_lams, BoundaryPoint(theta)), ref) < 1e-13
+
+
+def test_radial_node_choice():
+    """65 nodes on R = 4 grids, more at R = 6, and the grid radii once the count reaches n_r."""
+    lams = np.arange(0.0, 8.025, 0.05)
+    for shape in ((120, 192, 4.0), (160, 256, 4.0), (200, 256, 4.0)):  # perfbench's grids
+        grid = GridSpec(*shape)
+        t, I, err = transform._even_row_nodes(grid, lams)
+        assert len(t) == 65 and I.shape == (grid.n_r, 65)
+        assert 0.0 < err <= transform._NODE_TOL
+        assert t[0] == pytest.approx(grid.radii_t[0]) and t[-1] == pytest.approx(grid.radii_t[-1])
+        # I interpolates: it reproduces a polynomial of degree 64 in t at the grid radii
+        x = (grid.radii_t - 2.0) / 2.0
+        np.testing.assert_allclose(I @ np.cos(64 * np.arccos((t - 2.0) / 2.0)),
+                                   np.cos(64 * np.arccos(np.clip(x, -1, 1))), atol=1e-12)
+        offsets = transform._angle_offsets(grid.n_theta, 0.7, grid.n_theta)
+        assert len(transform._radial_nodes(grid.radii_t, offsets, 8.0)[0]) == 65
+    t, _, err = transform._even_row_nodes(GridSpec(240, 512, 6.0), lams)
+    assert len(t) == 129 and err <= transform._NODE_TOL
+    for shape in ((33, 64, 4.0), (40, 32, 4.0), (65, 64, 4.0), (48, 1, 3.0)):
+        grid = GridSpec(*shape)
+        t, I, err = transform._even_row_nodes(grid, lams)
+        assert np.array_equal(t, grid.radii_t)
+        assert I is None and err == 0.0
+
+
+def test_grid_busemann_keeps_its_digits_below_2pi():
+    """Toward b = 0 the last angles of the grid are taken as the small negative angles they are.
+
+    On the float angles fl(2 pi l / n) just below 2 pi, sin((a - 0)/2) sits
+    near sin(pi) and cancels: the bracket was off by up to 9e-14 at R = 6.
+    The reference is the mpmath bracket at the nominal angle 2 pi l / n. Its
+    absolute error near t = 0, where -t - log(...) takes the log of a number
+    near 1, is one rounding of 1, 2^-53; elsewhere it is within 2e-15 t.
+    """
+    grid = GridSpec(240, 512, 6.0)
+    B = grid.busemann(0.0)
+    t = grid.radii_t
+    for l in range(grid.n_theta - 8, grid.n_theta):
+        with mpmath.workdps(40):
+            a = 2 * mpmath.pi * l / grid.n_theta
+        for j in range(0, grid.n_r, 7):
+            ref = float(oracles.busemann_polar(0.0, float(t[j]), a))
+            assert abs(B[j, l] - ref) <= 2e-15 * t[j] + 2.0 ** -53, (j, l)
+
+
 @pytest.mark.parametrize("n_theta", [1, 2, 3, 33])
 def test_odd_and_tiny_angle_counts_match_direct_exponentials(n_theta):
     """forward and inverse build their rows at n_theta // 2 + 1 angles and mirror them.
@@ -283,7 +367,7 @@ def test_even_row_ffts_match_the_full_row_build(shape):
     """
     grid = GridSpec(*shape)
     lams = np.arange(0.0, 8.025, 0.05)
-    _, _, chunks = transform._even_row_ffts(grid, lams)
+    _, _, chunks = transform._even_row_ffts(grid.radii_t, grid.n_theta, lams)
     blocks = {}
     for rows, ks, FW in chunks:  # each chunk overwrites the last
         assert FW.shape == (ks.stop - ks.start, rows.stop - rows.start, grid.n_theta)
@@ -296,7 +380,7 @@ def test_even_row_ffts_match_the_full_row_build(shape):
     assert all(a[1] == b[0] for a, b in zip(starts, starts[1:]))
     for (a, b), got in blocks.items():
         FW = np.concatenate(got)
-        ref = oracles.kernel_row_ffts_full(grid, lams, slice(a, b), len(FW))
+        ref = oracles.kernel_row_ffts_full(grid, grid.radii_t[a:b], lams, len(FW))
         assert np.max(np.abs(FW - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
