@@ -10,7 +10,9 @@ round-off. All outputs are written atomically (temp + rename) and are
 byte-identical across reruns of the same configuration.
 
 Exit codes: 0 ok, 1 validation failure (a field holding NaN or inf is one,
-and writes no file), 2 bad configuration, 3 IO error.
+and writes no file; so are a ``wave`` phase round-off past _WAVE_PHASE_TOL
+and ``lemma`` sides apart by more than _LEMMA_TOL), 2 bad configuration,
+3 IO error.
 """
 from __future__ import annotations
 
@@ -25,14 +27,13 @@ import numpy as np
 
 from . import checks, euclid, moire
 from .errors import ConfigError, HorowaveError, QuadratureUnderResolved
-from .geometry import BoundaryPoint, DiskPoint
+from .geometry import BoundaryPoint, DiskPoint, distance_array
 from .tapers import TaperSpec
 from .transform import (
     DEFAULT_GRID,
     GridSpec,
     SampledField,
-    _HOROCYCLE_TOL,
-    _even_row_nodes,
+    _radial_nodes,
     _relative_l2,
     forward,
     gaussian_bump,
@@ -330,6 +331,12 @@ def _emit_field(path: str, xy: np.ndarray, values: np.ndarray, footer: dict,
 
 # --- subcommands ------------------------------------------------------------
 
+# the largest phase round-off |lambda| max|B| 2^-53 a ``wave`` field may carry
+_WAVE_PHASE_TOL = 1e-9
+# |lhs - rhs| bound of ``cmd_lemma``, relative to the larger of |lhs| and |rhs|
+_LEMMA_TOL = 1e-2
+
+
 def cmd_wave(args) -> int:
     lam = _number(args, "lambda")
     b0 = BoundaryPoint(_number(args, "b0", default=0.0))
@@ -337,6 +344,9 @@ def cmd_wave(args) -> int:
     B = grid.busemann(b0.theta)
     # closed form: the error is the phase round-off lam B 2^-53 where |B| is largest
     est = abs(lam) * max(float(B.max()), -float(B.min())) * 2.0 ** -53
+    if not est <= _WAVE_PHASE_TOL:
+        raise HorowaveError(f"wave phase round-off |lambda| max|B| 2^-53 = {est:.3e} exceeds "
+                            f"{_WAVE_PHASE_TOL:g}; nothing written")
     values = np.exp((1j * lam + RHO) * B)
     del B  # not held while the field is written
     footer = {"command": "wave", "lambda": lam, "b0": b0.theta,
@@ -398,11 +408,17 @@ def cmd_moire(args) -> int:
         raise ConfigError("taper", f"{exc}; the widths come from --sigmas")
 
     field = moire.moire_sum_discrete(lam, b0, n, spacing, grid)
+    # the field sums a Chebyshev table of phi; at up to 16 fixed nodes, spread over the
+    # flattened grid, it is checked against the mean of phi at each distance to a center
+    z = grid.z.ravel()
+    sample = np.linspace(0, z.size - 1, min(16, z.size)).astype(np.intp)
+    d = distance_array(z[sample, None], moire._sum_centers(b0, n, spacing)[None, :])
+    direct = np.mean(spherical_radial(lam, d), axis=1)
+    est = float(np.max(np.abs(field.values.ravel()[sample] - direct)))
     footer = {"command": "moire", "lambda": lam, "b0": b0.theta, "centers": n,
               "spacing": spacing, "grid": f"{grid.n_r}x{grid.n_theta}",
               "radius": grid.R,
-              "quadrature_error_estimate":
-                  f"{_HOROCYCLE_TOL:g} (tapered line quadrature tolerance)"}
+              "quadrature_error_estimate": f"{est:.3e}"}
     _emit_field(args.out, grid.z, field.values, footer)
 
     reports = moire.convergence_study(lam, b0, x, sigmas, kind=kind)
@@ -422,7 +438,8 @@ def cmd_transform(args) -> int:
     width = _positive("bump-width", _number(args, "bump-width", default=1.25))
     f = SampledField.from_function(gaussian_bump(width), grid)
     F = forward(f)
-    nodes, _, interp = _even_row_nodes(grid, F.lambda_grid)  # the radii both build rows at
+    # the radii both build rows at
+    nodes, _, interp = _radial_nodes(grid.radii_t, float(F.lambda_grid[-1]))
     g = inverse(F)
     del F  # not held while the field is written
     err = _relative_l2(g, f)
@@ -446,6 +463,11 @@ def cmd_lemma(args) -> int:
     print(f"lhs={lhs.real:.9f}{lhs.imag:+.9f}j")
     print(f"rhs={rhs.real:.9f}{rhs.imag:+.9f}j")
     print(f"relative_error={rel:.3e}")
+    # the scale is 0 only when both sides are, and a NaN side fails
+    diff, scale = abs(lhs - rhs), max(abs(lhs), abs(rhs))
+    if not diff <= _LEMMA_TOL * scale:
+        raise HorowaveError(f"lemma |lhs - rhs| = {diff:.3e} exceeds {_LEMMA_TOL:g} of "
+                            f"max(|lhs|, |rhs|) = {scale:.3e}; nothing written")
     if args.out:
         body = ("quantity,re,im\n"
                 f"lhs,{lhs.real:.12g},{lhs.imag:.12g}\n"

@@ -292,8 +292,7 @@ def moire_sum_discrete(lam: float, b0: BoundaryPoint, n: int, spacing: float,
         raise ValueError("moire_sum_discrete requires n >= 1")
     if spacing <= 0:
         raise ValueError("moire_sum_discrete requires spacing > 0")
-    s_i = spacing * (np.arange(1, n + 1) - (n + 1) / 2.0)
-    centers = horocycle_points_array(b0.theta, 0.0, s_i)
+    centers = _sum_centers(b0, n, spacing)
     dmax = grid.R + float(np.max(distance_array(centers, np.asarray(0j))))
     coef = _phi_table([lam], dmax)[:, 0]
     z = grid.z
@@ -302,6 +301,11 @@ def moire_sum_discrete(lam: float, b0: BoundaryPoint, n: int, spacing: float,
         x = distance_array(z, np.asarray(c)) / dmax
         acc += chebval(2.0 * x * x - 1.0, coef)
     return SampledField(grid, (acc / n).astype(complex))
+
+
+def _sum_centers(b0: BoundaryPoint, n: int, spacing: float) -> np.ndarray:
+    """The n centers of ``moire_sum_discrete`` on ``xi(b0, 0)``, as complex disk points."""
+    return horocycle_points_array(b0.theta, 0.0, spacing * (np.arange(1, n + 1) - (n + 1) / 2.0))
 
 
 _PHI_TABLE_MAX_NODES = 4096

@@ -9,9 +9,9 @@ that the Busemann kernel is circulant in (angle - b) and both transform
 directions reduce to FFT convolutions over the angle index. The kernel is
 analytic in the geodesic radius t, so it is built only at Q Chebyshev radii
 on [t_0, t_{n_r - 1}] (65 on grids of R = 4 at the default band), chosen by a
-measured interpolation check (``_radial_nodes``): the weighted field is
-projected onto them and sums there are interpolated back. A grid of at most
-Q radii keeps its own radii.
+measured check of the radii and the band edge alone (``_radial_nodes``): the
+weighted field is projected onto them and sums there are interpolated back.
+A grid of at most Q radii keeps its own radii.
 
 The inverse integrates lambda over [0, Lambda] with the Plancherel weight
 kappa * lambda * tanh(pi lambda); this equals the (1/w)-weighted integral
@@ -247,6 +247,7 @@ _KERNEL_MAX_TERMS = 4096
 # round-off of the kernel itself, about lam max|B| 2^-53, sets a floor of 0.7-1.7e-14
 # at lam = 8 and R = 4 to 6, which the check must clear
 _NODE_TOL = 5e-14
+_NODE_CHECK_OFFSETS = _angle_offsets(256, 0.0, 129)  # what it reads: 0 to pi of 256 angles
 _MAX_RADIAL_NODES = 1025  # past it the grid radii: the check's matrices stay below 9 MB
 # float64 values per block's Bessel stack and per chunk of kernel-row FFTs, a complex
 # value counting two: 0.5 MiB. At 200x256 a block of forward's outer radial nodes holds
@@ -337,7 +338,7 @@ def _barycentric(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     return M
 
 
-def _radial_nodes(t: np.ndarray, offsets: np.ndarray, lam: float):
+def _radial_nodes(t: np.ndarray, lam: float):
     """Radii at which to build the kernel rows, and the map from them back to the radii t.
 
     The kernel e^{(i lam + rho) B(t, a)} is analytic in t on the strip
@@ -348,16 +349,17 @@ def _radial_nodes(t: np.ndarray, offsets: np.ndarray, lam: float):
     Thm 8.2). The node count Q doubles (33, 65, 129, ...) until the
     interpolant of the kernel at lam, the largest |lambda|, is within
     _NODE_TOL of it at the midpoints between the nodes, relative to the
-    largest |kernel| at each midpoint, at the angle offsets read
-    (``_angle_offsets``). Returns (nodes, I, err): I of shape (n, Q) takes
-    values at the nodes to the radii t, and err is that midpoint error.
-    Once Q reaches n (or passes _MAX_RADIAL_NODES), the nodes are the radii
-    t themselves, I is None and err is 0.0: nothing is interpolated.
+    largest |kernel| at each midpoint, at _NODE_CHECK_OFFSETS: the strip is
+    the same at every angle, so these nodes serve every grid and every b.
+    Returns (nodes, I, err): I of shape (n, Q) takes values at the nodes to
+    the radii t, and err is that midpoint error. Once Q reaches n (or
+    passes _MAX_RADIAL_NODES), the nodes are the radii t themselves, I is
+    None and err is 0.0: nothing is interpolated.
     """
     mid, half = 0.5 * (t[-1] + t[0]), 0.5 * (t[-1] - t[0])
 
     def kernel(x):
-        return np.exp((1j * lam + RHO) * _polar_bracket(mid + half * x, offsets))
+        return np.exp((1j * lam + RHO) * _polar_bracket(mid + half * x, _NODE_CHECK_OFFSETS))
 
     x = -np.cos(np.pi * np.arange(33) / 32)
     K = kernel(x) if len(x) < len(t) else None
@@ -426,7 +428,7 @@ def _even_row_ffts(t: np.ndarray, n: int, lams: np.ndarray):
     Returns (T, s, chunks), chunks yielding (rows, ks, FW) with FW[i] the
     FFT along the angle of J_k(c B[rows]) e^{(i mid + rho) B[rows]} for
     k = ks.start + i. ``forward`` and ``inverse`` take t from
-    ``_even_row_nodes``. Toward b = 0 the bracket depends on the angle only
+    ``_radial_nodes``. Toward b = 0 the bracket depends on the angle only
     through sin^2(theta/2), so each row is even in the angle index: the
     bracket and the rows are built at the h = n_theta // 2 + 1 angles
     theta <= pi, where sin(theta/2) keeps its digits, and mirrored onto the
@@ -487,12 +489,6 @@ def _lambda_weights(lams: np.ndarray) -> np.ndarray:
     return w
 
 
-def _even_row_nodes(grid: GridSpec, lams: np.ndarray):
-    """``_radial_nodes`` of ``forward`` and ``inverse``: toward b = 0 at the angles <= pi."""
-    offsets = _angle_offsets(grid.n_theta, 0.0, grid.n_theta // 2 + 1)
-    return _radial_nodes(grid.radii_t, offsets, float(np.max(np.abs(lams))))
-
-
 def _weighted_rows(f: SampledField, I) -> np.ndarray:
     """The weighted field w_j f_j at the grid radii, or (I^T diag w) f at the nodes of I.
 
@@ -510,13 +506,13 @@ def forward(f: SampledField) -> SpectralField:
 
     Evaluated at every (lambda, b) node, lambda in [0, LAMBDA_MAX] by LAMBDA_STEP;
     the angle/b structure is circulant, so each lambda row is one FFT convolution.
-    The kernel rows are built at the radial nodes (``_even_row_nodes``), onto
+    The kernel rows are built at the radial nodes (``_radial_nodes``), onto
     which the weighted field is projected first.
     """
     _check_support(f)
     grid = f.grid
     lams = np.arange(0.0, LAMBDA_MAX + LAMBDA_STEP / 2.0, LAMBDA_STEP)
-    t, I, _ = _even_row_nodes(grid, lams)
+    t, I, _ = _radial_nodes(grid.radii_t, float(lams[-1]))
     conj_a = _weighted_rows(f, I)
     np.conj(np.fft.fft(conj_a, axis=1, out=conj_a), out=conj_a)
     T, s, chunks = _even_row_ffts(t, grid.n_theta, lams)
@@ -544,7 +540,7 @@ def forward_at(f: SampledField, lams: np.ndarray, b: BoundaryPoint) -> np.ndarra
     # kernel is built at the radial nodes, and g projected onto them (``_radial_nodes``)
     mu = np.abs(lams)
     offsets = _angle_offsets(f.grid.n_theta, b.theta, f.grid.n_theta)
-    t, I, _ = _radial_nodes(f.grid.radii_t, offsets, float(np.max(mu, initial=0.0)))
+    t, I, _ = _radial_nodes(f.grid.radii_t, float(np.max(mu, initial=0.0)))
     weighted = _weighted_rows(f, I)
     T, s, blocks = _busemann_kernel(t, offsets, mu)
     # V[k] = sum over the block's points p of J_k(c B_p) (w_p, v_p), w = E conj(g) and
@@ -567,7 +563,7 @@ def forward_at(f: SampledField, lams: np.ndarray, b: BoundaryPoint) -> np.ndarra
 def inverse(F: SpectralField) -> SampledField:
     """Inversion with Plancherel weight; lambda over [0, Lambda] (see module doc).
 
-    The kernel rows are built at the radial nodes (``_even_row_nodes``), and
+    The kernel rows are built at the radial nodes (``_radial_nodes``), and
     the sum there is interpolated back to the grid radii before the IFFT.
     """
     dens = plancherel_density(F.lambda_grid)
@@ -586,7 +582,7 @@ def inverse(F: SpectralField) -> SampledField:
     # G = s T^T FF, sum the kernel products over those rows, then one IFFT
     FF = np.fft.fft(F.values, axis=1)
     FF *= (dens * wl * db)[:, None]
-    t, I, _ = _even_row_nodes(grid, F.lambda_grid)
+    t, I, _ = _radial_nodes(grid.radii_t, float(np.max(np.abs(F.lambda_grid))))
     T, s, chunks = _even_row_ffts(t, grid.n_theta, F.lambda_grid)
     G = s[:, None] * _real_matmul(T.T, FF)
     del FF

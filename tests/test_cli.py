@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 import readme_presets
-from horowave import cli, transform, waves
+from horowave import cli, moire, transform, waves
 from horowave.cli import _field_csv
 from horowave.transform import GridSpec
 
@@ -380,6 +380,56 @@ def test_lemma_prints_agreement():
     assert res.returncode == 0
     rel = float(res.stdout.strip().splitlines()[-1].split("=")[1])
     assert rel < 1e-2
+
+
+@pytest.mark.parametrize("x, code", [("0.9,0", 0), ("0.95,0", 1), ("0.999,0", 1)])
+def test_lemma_exits_1_when_its_sides_disagree(tmp_path, capsys, x, code):
+    """Exit 1 when |lhs - rhs| > 1e-2 max(|lhs|, |rhs|): the three lines, one stderr line, no file.
+
+    The scaled error is 1.2e-3 at 0.9, 0.134 at 0.95 and 1.0 at 0.999.
+    """
+    out = tmp_path / "lemma.csv"
+    assert cli.main(["lemma", "--b0", "0", "--x", x, "--out", str(out)]) == code
+    res = capsys.readouterr()
+    assert [l.split("=")[0] for l in res.out.splitlines()] == ["lhs", "rhs", "relative_error"]
+    if code:
+        assert res.err.startswith("validation error: lemma") and res.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert res.err == "" and out.exists()
+
+
+@pytest.mark.parametrize("lam, code", [("1e6", 0), ("1e7", 1), ("1e300", 1)])
+def test_wave_exits_1_past_its_phase_round_off_bound(tmp_path, capsys, lam, code):
+    """Exit 1, writing nothing, once |lambda| max|B| 2^-53 exceeds 1e-9 (4.4e-9 at 1e7)."""
+    out = tmp_path / "w.csv"
+    assert cli.main(["wave", "--lambda", lam, "--grid", "20x16", "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("validation error: wave phase") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+    else:
+        _, _, footer = read_field(out)
+        assert float(footer["quadrature_error_estimate"]) <= cli._WAVE_PHASE_TOL
+
+
+def test_moire_footer_measures_the_center_sum(tmp_path, monkeypatch):
+    """The footer is the field's largest error at sampled nodes against phi summed directly."""
+    args = ["moire", "--lambda", "2", "--centers", "5", "--grid", "60x64", "--radius", "1.8",
+            "--sigmas", "4,6,8"]
+    assert cli.main(args + ["--out", str(tmp_path / "a.csv")]) == 0
+    _, _, footer = read_field(tmp_path / "a.csv")
+    assert 0.0 <= float(footer["quadrature_error_estimate"]) < 1e-13
+    exact_sum = moire.moire_sum_discrete
+
+    def off_by_1e6(*a):
+        f = exact_sum(*a)
+        return transform.SampledField(f.grid, f.values + 1e-6)
+
+    monkeypatch.setattr(moire, "moire_sum_discrete", off_by_1e6)
+    assert cli.main(args + ["--out", str(tmp_path / "b.csv")]) == 0
+    _, _, footer = read_field(tmp_path / "b.csv")
+    assert float(footer["quadrature_error_estimate"]) == pytest.approx(1e-6, rel=1e-6)
 
 
 def test_transform_reports_roundtrip(tmp_path):

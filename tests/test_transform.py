@@ -43,7 +43,7 @@ from horowave.transform import (
     plancherel_spectral,
     spherical_transform,
 )
-from horowave.waves import PLANCHEREL_KAPPA
+from horowave.waves import PLANCHEREL_KAPPA, RHO
 
 BUMPS = {
     "radial": lambda z: np.exp(-1.25 * disk_distance(z) ** 2),
@@ -224,8 +224,10 @@ def _weight_at_every_radius(grid: GridSpec, seed: int) -> SampledField:
     return SampledField(grid, noise * np.cos(0.5 * np.pi * t / grid.R) ** 8 * np.exp(-t))
 
 
-@pytest.mark.parametrize("shape", [(200, 256, 4.0), (200, 128, 6.0), (200, 3, 4.0)])
-def test_radial_nodes_match_direct_exponentials_at_every_radius(shape):
+@pytest.mark.parametrize("shape, lambda_max", [((200, 256, 4.0), 8.0), ((200, 128, 6.0), 8.0),
+                                               ((200, 3, 4.0), 8.0), ((200, 3, 4.0), 2.0)],
+                         ids=["shape0", "shape1", "shape2", "shape2-lambda2"])
+def test_radial_nodes_match_direct_exponentials_at_every_radius(shape, lambda_max, monkeypatch):
     """The kernel rows at the radial nodes, against one np.exp per lambda at every grid radius.
 
     The bumps of ``test_transform_matches_direct_exponentials`` vanish at
@@ -233,11 +235,13 @@ def test_radial_nodes_match_direct_exponentials_at_every_radius(shape):
     this field and these spectral rows do not. With 65 nodes at R = 6
     (error 4e-10 of the kernel at the midpoints) forward and forward_at are
     off by 7e-11 to 1e-10, and inverse by 2e-12. Three angles take the odd
-    mirror of the even rows with the projection.
+    mirror of the even rows with the projection; at LAMBDA_MAX = 2 they
+    take 65 nodes, where a check at only their own angles took 33.
     """
+    monkeypatch.setattr(transform, "LAMBDA_MAX", lambda_max)
     grid = GridSpec(*shape)
     f = _weight_at_every_radius(grid, 23)
-    assert len(transform._even_row_nodes(grid, [transform.LAMBDA_MAX])[0]) < grid.n_r
+    assert len(transform._radial_nodes(grid.radii_t, transform.LAMBDA_MAX)[0]) < grid.n_r
     F = forward(f)
     lams = F.lambda_grid
     rng = np.random.default_rng(29)
@@ -256,10 +260,9 @@ def test_radial_nodes_match_direct_exponentials_at_every_radius(shape):
 
 def test_radial_node_choice():
     """65 nodes on R = 4 grids, more at R = 6, and the grid radii once the count reaches n_r."""
-    lams = np.arange(0.0, 8.025, 0.05)
     for shape in ((120, 192, 4.0), (160, 256, 4.0), (200, 256, 4.0)):  # perfbench's grids
         grid = GridSpec(*shape)
-        t, I, err = transform._even_row_nodes(grid, lams)
+        t, I, err = transform._radial_nodes(grid.radii_t, 8.0)
         assert len(t) == 65 and I.shape == (grid.n_r, 65)
         assert 0.0 < err <= transform._NODE_TOL
         assert t[0] == pytest.approx(grid.radii_t[0]) and t[-1] == pytest.approx(grid.radii_t[-1])
@@ -267,15 +270,47 @@ def test_radial_node_choice():
         x = (grid.radii_t - 2.0) / 2.0
         np.testing.assert_allclose(I @ np.cos(64 * np.arccos((t - 2.0) / 2.0)),
                                    np.cos(64 * np.arccos(np.clip(x, -1, 1))), atol=1e-12)
-        offsets = transform._angle_offsets(grid.n_theta, 0.7, grid.n_theta)
-        assert len(transform._radial_nodes(grid.radii_t, offsets, 8.0)[0]) == 65
-    t, _, err = transform._even_row_nodes(GridSpec(240, 512, 6.0), lams)
-    assert len(t) == 129 and err <= transform._NODE_TOL
-    for shape in ((33, 64, 4.0), (40, 32, 4.0), (65, 64, 4.0), (48, 1, 3.0)):
+    for shape in ((200, 128, 6.0), (240, 512, 6.0), (300, 64, 6.0)):
+        t, _, err = transform._radial_nodes(GridSpec(*shape).radii_t, 8.0)
+        assert len(t) == 129 and err <= transform._NODE_TOL
+    for shape in ((33, 64, 4.0), (40, 32, 4.0), (65, 64, 4.0), (48, 1, 3.0), (40, 32, 40.0),
+                  (400, 64, 40.0)):
         grid = GridSpec(*shape)
-        t, I, err = transform._even_row_nodes(grid, lams)
+        t, I, err = transform._radial_nodes(grid.radii_t, 8.0)
         assert np.array_equal(t, grid.radii_t)
         assert I is None and err == 0.0
+
+
+@pytest.mark.parametrize("shape", [(120, 192, 4.0), (160, 256, 4.0), (200, 256, 4.0),
+                                   (200, 128, 6.0), (240, 512, 6.0), (300, 64, 6.0),
+                                   (200, 1, 4.0), (200, 3, 4.0)])
+def test_radial_nodes_hold_toward_every_direction(shape):
+    """The one node rule reads b = 0 only; its nodes hold at the offsets toward any b.
+
+    The kernel's strip of analyticity in t is the same at every angle, so
+    the nodes chosen at _NODE_CHECK_OFFSETS interpolate e^{(i lam + rho) B}
+    within _NODE_TOL at the midpoints of each b's own offsets: 8 directions
+    and 8 more half a grid step off them, at the band edge 8 and at 2, where
+    a check at only the grid's own angles toward b = 0 took 33 nodes on 200x1
+    and 200x3 and some b needs 65.
+    """
+    grid = GridSpec(*shape)
+    steps = 2.0 * np.pi * np.arange(8) / 8
+    for lam in (2.0, 8.0):
+        t, I, _ = transform._radial_nodes(grid.radii_t, lam)
+        Q = len(t)
+        assert I is not None
+        mid, half = 0.5 * (t[-1] + t[0]), 0.5 * (t[-1] - t[0])
+        x = -np.cos(np.pi * np.arange(Q) / (Q - 1))
+        np.testing.assert_allclose(mid + half * x, t, rtol=0, atol=1e-14 * grid.R)
+        xm = -np.cos(np.pi * (np.arange(Q - 1) + 0.5) / (Q - 1))
+        M = transform._barycentric(x, xm)
+        for theta in np.concatenate([steps, steps + np.pi / grid.n_theta]):
+            offsets = transform._angle_offsets(grid.n_theta, theta, grid.n_theta)
+            K = np.exp((1j * lam + RHO) * transform._polar_bracket(t, offsets))
+            Km = np.exp((1j * lam + RHO) * transform._polar_bracket(mid + half * xm, offsets))
+            err = np.max(np.abs(M @ K - Km), axis=1) / np.max(np.abs(Km), axis=1)
+            assert np.max(err) <= transform._NODE_TOL, (lam, theta)
 
 
 def test_grid_busemann_keeps_its_digits_below_2pi():
