@@ -10,9 +10,10 @@ round-off. All outputs are written atomically (temp + rename) and are
 byte-identical across reruns of the same configuration.
 
 Exit codes: 0 ok, 1 validation failure (a field holding NaN or inf is one,
-and writes no file; so are a ``wave`` phase round-off past _WAVE_PHASE_TOL
-and ``lemma`` sides apart by more than _LEMMA_TOL), 2 bad configuration,
-3 IO error.
+and writes no file; so are a ``wave`` phase round-off past _WAVE_PHASE_TOL,
+``lemma`` sides apart by more than _LEMMA_TOL, a ``transform`` bump of L2
+norm 0 on its grid, and ``moire`` centers or taper supports that round
+onto the boundary circle), 2 bad configuration, 3 IO error.
 """
 from __future__ import annotations
 
@@ -415,12 +416,7 @@ def cmd_moire(args) -> int:
     d = distance_array(z[sample, None], moire._sum_centers(b0, n, spacing)[None, :])
     direct = np.mean(spherical_radial(lam, d), axis=1)
     est = float(np.max(np.abs(field.values.ravel()[sample] - direct)))
-    footer = {"command": "moire", "lambda": lam, "b0": b0.theta, "centers": n,
-              "spacing": spacing, "grid": f"{grid.n_r}x{grid.n_theta}",
-              "radius": grid.R,
-              "quadrature_error_estimate": f"{est:.3e}"}
-    _emit_field(args.out, grid.z, field.values, footer)
-
+    # the report is made before any file is written, so a study that fails writes none
     reports = moire.convergence_study(lam, b0, x, sigmas, kind=kind)
     lines = ["sigma,approx_re,approx_im,target_re,target_im,abs_error"]
     for r in reports:
@@ -428,6 +424,11 @@ def cmd_moire(args) -> int:
                      f"{r.target.real:.12g},{r.target.imag:.12g},{r.abs_error:.12g}")
     lines.append(f"# oscillation_amplitude={reports[-1].oscillation_amplitude:.12g}")
     lines.append(f"# divergent={reports[-1].divergent}")
+    footer = {"command": "moire", "lambda": lam, "b0": b0.theta, "centers": n,
+              "spacing": spacing, "grid": f"{grid.n_r}x{grid.n_theta}",
+              "radius": grid.R,
+              "quadrature_error_estimate": f"{est:.3e}"}
+    _emit_field(args.out, grid.z, field.values, footer)
     report_path = os.path.splitext(args.out)[0] + ".report.csv"
     _atomic_write(report_path, [("\n".join(lines) + "\n").encode()])
     return 0
@@ -437,6 +438,10 @@ def cmd_transform(args) -> int:
     grid = _quadrature_grid_from(args)
     width = _positive("bump-width", _number(args, "bump-width", default=1.25))
     f = SampledField.from_function(gaussian_bump(width), grid)
+    # the round trip's error is relative to this norm (a non-finite one is refused on output)
+    if f.norm2() == 0.0:
+        raise HorowaveError(f"transform: the bump sampled on the {grid.n_r}x{grid.n_theta} grid "
+                            f"of radius {grid.R:g} has L2 norm 0; nothing written")
     F = forward(f)
     # the radii both build rows at
     nodes, _, interp = _radial_nodes(grid.radii_t, float(F.lambda_grid[-1]))

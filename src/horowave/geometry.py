@@ -221,14 +221,18 @@ def distance_array(z: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     2 asinh(|z - w| / sqrt((1 - |z|^2)(1 - |w|^2))), unlike arccosh(1 + ...), keeps
     distances below 1e-8; |z|^2 as x^2 + y^2 rounds less than abs(z)^2 near |z| = 1.
+    A point whose modulus rounds to 1 is at distance inf, and one past it at
+    nan, without a warning: callers check what they need finite.
     """
     den = (1.0 - (z.real ** 2 + z.imag ** 2)) * (1.0 - (w.real ** 2 + w.imag ** 2))
-    return 2.0 * np.arcsinh(np.abs(z - w) / np.sqrt(den))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 2.0 * np.arcsinh(np.abs(z - w) / np.sqrt(den))
 
 
 def origin_distance(z: np.ndarray) -> np.ndarray:
-    """Hyperbolic distance d(0, z) = 2 artanh|z|, vectorized."""
-    return 2.0 * np.arctanh(np.abs(z))
+    """Hyperbolic distance d(0, z) = 2 artanh|z|, vectorized; inf and nan as in ``distance_array``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 2.0 * np.arctanh(np.abs(z))
 
 
 def horocycle_points_array(theta: float, beta: float, s: np.ndarray) -> np.ndarray:

@@ -167,20 +167,21 @@ def _horocycle_distances(b0: BoundaryPoint, x: DiskPoint, s: np.ndarray) -> np.n
     return distance_array(horocycle_points_array(b0.theta, 0.0, s), np.asarray(x.z))
 
 
-def _line_integrals_multi(lams, b0: BoundaryPoint, x: DiskPoint,
-                          tapers: list[TaperSpec]) -> list[np.ndarray]:
-    """Tapered integrals of phi_lambda(d(y(s), x)) along ``xi(b0, 0)``, per taper and lambda.
+def _line_integrals(lams, weights, b0: BoundaryPoint, x: DiskPoint,
+                    tapers: list[TaperSpec]) -> list[complex]:
+    """Tapered integrals of sum_i weights[i] phi_{lams[i]}(d(y(s), x)) along ``xi(b0, 0)``.
 
-    One array of len(lams) integrals per taper. Every lambda shares the
-    grid of the tapered line rule (``transform._tapered_line``), and every
-    taper one Chebyshev table of phi (``_phi_table``) on [0, D], D the
-    larger of the endpoint distances d(y(+-S), x) at the widest taper's
-    support [-S, S]: in half-plane coordinates with b0 at infinity and
-    (beta, a) the horocycle coordinates of x,
+    One integral per taper, of the one integrand: the weights are linear,
+    so they are applied to the Chebyshev table of phi (``_phi_table``)
+    before any sum, and each level's new nodes of the tapered line rule
+    (``transform._tapered_line``) cost one ``chebval`` of one column. The
+    table covers [0, D], D the larger of the endpoint distances d(y(+-S), x)
+    at the widest taper's support [-S, S]: in half-plane coordinates with b0
+    at infinity and (beta, a) the horocycle coordinates of x,
     cosh d(y(s), x) = 1 + ((s - a)^2 + (1 - e^beta)^2) / (2 e^beta) grows
     with |s - a|, so D bounds the distance at every node of every taper.
-    Each level's new nodes cost one product of the (K x L) coefficients
-    with the rows T_k(u) (``_cheb_sum``).
+    Raises QuadratureUnderResolved where y(+-S) rounds onto the boundary
+    circle, so that D is not finite.
 
     The taper is centered at s = 0, not under x: ``moire_weak`` runs at
     different points of the same horocycle then probe genuinely different
@@ -188,44 +189,16 @@ def _line_integrals_multi(lams, b0: BoundaryPoint, x: DiskPoint,
     """
     S = max(t.support_radius for t in tapers)
     dmax = float(np.max(_horocycle_distances(b0, x, np.array([-S, S]))))
-    coef = _phi_table(lams, dmax)
+    if not math.isfinite(dmax):
+        raise QuadratureUnderResolved(
+            f"horocycle points at arc length +-{S:.4g} round onto the boundary circle")
+    coef = _phi_table(lams, dmax) @ np.asarray(weights, float)
 
     def values(s: np.ndarray) -> np.ndarray:
         u = _horocycle_distances(b0, x, s) / dmax
-        return _cheb_sum(coef, 2.0 * u * u - 1.0)
+        return chebval(2.0 * u * u - 1.0, coef)
 
-    return [_tapered_line(values, t, "horocycle line integrals") for t in tapers]
-
-
-# values of the rows T_k(u) that ``_cheb_sum`` holds at once
-_CHEB_BLOCK = 1 << 18
-
-
-def _cheb_sum(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """sum_k coef[k, l] T_k(u) of shape (L, len(u)), for 1-D u in [-1, 1].
-
-    ``chebval(u, coef)`` as one product per block of nodes: the rows T_k(u)
-    come from the three-term recurrence, at most _CHEB_BLOCK values at a
-    time, and are contracted with the coefficients in einsum's own loop.
-    Against the Clenshaw sum this does a K x L x nodes product instead of
-    K passes over an L x nodes array; as a two-thread OpenBLAS product it
-    stalled after idle gaps (see ``transform._real_matmul``).
-    """
-    K = coef.shape[0]
-    out = np.empty((coef.shape[1], len(u)))
-    step = max(1, _CHEB_BLOCK // K)
-    for lo in range(0, len(u), step):
-        w = u[lo:lo + step]
-        T = np.empty((K, len(w)))
-        T[0] = 1.0
-        if K > 1:
-            T[1] = w
-        w2 = 2.0 * w
-        for k in range(2, K):
-            np.multiply(w2, T[k - 1], out=T[k])
-            T[k] -= T[k - 2]
-        out[:, lo:lo + step] = np.einsum("kl,kn->ln", coef, T)
-    return out
+    return [complex(_tapered_line(values, t, "horocycle line integrals")) for t in tapers]
 
 
 def moire_weak(window: LambdaWindow, b0: BoundaryPoint, x: DiskPoint,
@@ -240,12 +213,13 @@ def moire_weak(window: LambdaWindow, b0: BoundaryPoint, x: DiskPoint,
     (beta = 0.847) |lhs - rhs| / |rhs| is 0.954 while its error against the
     windowed standing wave is 2.2e-2.
     """
-    lams = np.linspace(window.lo, window.hi, 81)
+    lams, step = np.linspace(window.lo, window.hi, 81, retstep=True)
     chi = window(lams)
     if not np.any(chi):
         return 0j, 0j
-    line = _line_integrals_multi(lams, b0, x, [taper])[0]
-    lhs = HOROCYCLE_KAPPA * np.trapezoid(chi * plancherel_density(lams) * line, lams)
+    weights = step * chi * plancherel_density(lams)
+    weights[[0, -1]] *= 0.5  # the trapezoid's end weights
+    lhs = HOROCYCLE_KAPPA * _line_integrals(lams, weights, b0, x, [taper])[0]
     beta = busemann(x, b0)
     rhs = np.trapezoid(chi * np.exp((1j * lams + RHO) * beta), lams)
     return complex(lhs), complex(rhs)
@@ -257,7 +231,7 @@ def convergence_study(lam: float, b0: BoundaryPoint, x: DiskPoint,
 
     One report per width, the superposition of ``moire_integral`` with a
     taper of that kind and width; every width reads one phi table
-    (``_line_integrals_multi``). Every report carries the sweep's
+    (``_line_integrals``). Every report carries the sweep's
     ``oscillation_amplitude``, the diameter of the approx values over the
     largest three widths, and ``divergent``, which flags any approx
     exceeding ten times the target modulus.
@@ -266,9 +240,9 @@ def convergence_study(lam: float, b0: BoundaryPoint, x: DiskPoint,
     if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
         raise ValueError("sigmas must be strictly increasing")
     tapers = [TaperSpec(kind, s) for s in sigmas]
-    lines = _line_integrals_multi([lam], b0, _center_under(b0, x), tapers)
+    lines = _line_integrals([lam], [1.0], b0, _center_under(b0, x), tapers)
     scale = HOROCYCLE_KAPPA * plancherel_density(lam)
-    approx = [complex(scale * line[0]) for line in lines]
+    approx = [complex(scale * line) for line in lines]
     target = helgason_wave(lam, b0, x)
     tail = approx[-3:]
     osc = max(abs(a - b) for a in tail for b in tail)
@@ -286,7 +260,8 @@ def moire_sum_discrete(lam: float, b0: BoundaryPoint, n: int, spacing: float,
     phi_lambda is tabulated once per call (``_phi_table``) for distances
     up to D = R + max_c d(0, c), which bounds every grid-to-center distance
     by the triangle inequality; each center then costs one table sum over
-    the grid.
+    the grid. Raises QuadratureUnderResolved where a center rounds onto the
+    boundary circle, so that D is not finite.
     """
     if n < 1:
         raise ValueError("moire_sum_discrete requires n >= 1")
@@ -294,6 +269,9 @@ def moire_sum_discrete(lam: float, b0: BoundaryPoint, n: int, spacing: float,
         raise ValueError("moire_sum_discrete requires spacing > 0")
     centers = _sum_centers(b0, n, spacing)
     dmax = grid.R + float(np.max(distance_array(centers, np.asarray(0j))))
+    if not math.isfinite(dmax):
+        raise QuadratureUnderResolved(
+            f"centers at arc length +-{spacing * (n - 1) / 2:.4g} round onto the boundary circle")
     coef = _phi_table([lam], dmax)[:, 0]
     z = grid.z
     acc = np.zeros(z.shape)
@@ -390,7 +368,7 @@ def reduction_paths(lam: float, b0: BoundaryPoint, x: DiskPoint) -> tuple[comple
     which path B evaluates in s with the radial kernel at every node, so the
     two paths reach phi independently.
     """
-    a = _line_integrals_multi([lam], b0, x, [_REDUCTION_TAPER])[0][0]
+    a = _line_integrals([lam], [1.0], b0, x, [_REDUCTION_TAPER])[0]
     beta, u0 = horocycle_coordinates(x, b0)
 
     def on_level(s: np.ndarray) -> np.ndarray:

@@ -183,11 +183,12 @@ class SampledField:
         # _check_support asks of every input: F = cos^2(pi t / 2R), flat at R too,
         # whose integral over the disk is pi (2 sinh^2(R/2) - (cosh R + 1) / (1 + (pi/R)^2))
         R = self.grid.R
-        with np.errstate(over="ignore", invalid="ignore"):  # R past 710: nan, and refused
+        # R past 710: nan, and refused; (pi/R)^2 is inf below R = 1e-154
+        with np.errstate(over="ignore", invalid="ignore"):
             F = np.cos(0.5 * np.pi * self.grid.radii_t / R) ** 2
             area = float(np.sum(self.grid.row_weights * F)) * self.grid.n_theta
             exact = np.pi * (2.0 * np.sinh(0.5 * R) ** 2
-                             - (np.cosh(R) + 1.0) / (1.0 + (np.pi / R) ** 2))
+                             - (np.cosh(R) + 1.0) / (1.0 + np.float64(np.pi / R) ** 2))
         if not abs(area - exact) <= 1e-3 * exact:
             raise ValueError("quadrature weights do not reproduce the hyperbolic area")
 

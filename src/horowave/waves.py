@@ -213,7 +213,7 @@ def _first_rung(key: np.ndarray) -> np.ndarray:
     if np.any(need > _MAX_NODES):
         j = int(np.argmax(key))
         raise QuadratureUnderResolved(
-            f"radial rule at lambda*d = {key[j]:.4g} needs about {need[j]:.0f} nodes, "
+            f"radial rule at lambda*d = {key[j]:.4g} needs about {need[j]:.3g} nodes, "
             f"more than {_MAX_NODES}")
     return np.exp2(np.ceil(np.log2(np.maximum(need, _MIN_NODES)))).astype(int)
 
@@ -235,7 +235,8 @@ def _radial(lam: np.ndarray, d: np.ndarray) -> np.ndarray:
         raise ValueError("spherical function distances must be finite and >= 0")
     if not np.all(np.isfinite(lam)):
         raise ValueError("spherical function lambdas must be finite")
-    x = (lam * lam + 0.25) * (d * d)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf past the float range, nan at d = 0
+        x = (lam * lam + 0.25) * (d * d)
     series = x < 1e-16
     n = _first_rung(np.max(np.abs(lam), axis=0, initial=0.0) * d)
     out = np.empty(x.shape)

@@ -91,20 +91,26 @@ def kernel_moire_sum(lam: float, z: np.ndarray, centers: np.ndarray) -> np.ndarr
     return acc / len(centers)
 
 
-def line_integrals_per_node(lams, b0, x, taper) -> np.ndarray:
-    """Tapered integrals of phi_lambda(d(y(s), x)) along the zero horocycle of b0.
+def line_integrals_per_node(lams, b0, x, taper, weights) -> list[float]:
+    """Tapered integrals of sum_i w[i] phi_{lams[i]}(d(y(s), x)) along the zero horocycle.
 
-    The same tapered line rule as ``moire._line_integrals_multi``
-    (``transform._tapered_line``), but with the radial kernel called at
-    every node of every level instead of a Chebyshev table of phi.
+    One integral per row w of the 2-D weights, each by the same tapered
+    line rule as ``moire._line_integrals`` (``transform._tapered_line``),
+    but with the radial kernel called at every node of every level instead
+    of a Chebyshev table of phi. The rows share each level's kernel values.
     """
     xz = np.asarray(x.z)
+    profiles = {}
 
-    def values(s):
-        d = distance_array(horocycle_points_array(b0.theta, 0.0, s), xz)
-        return spherical_radial_profile(lams, d)
+    def profile(s):
+        key = (s[0], len(s))
+        if key not in profiles:
+            d = distance_array(horocycle_points_array(b0.theta, 0.0, s), xz)
+            profiles[key] = spherical_radial_profile(lams, d)
+        return profiles[key]
 
-    return _tapered_line(values, taper, "per-node horocycle line integrals")
+    return [_tapered_line(lambda s: w @ profile(s), taper, "per-node horocycle line integrals")
+            for w in np.asarray(weights, float)]
 
 
 def line_moire_loop(lam: float, n: int, spacing: float, q: np.ndarray,

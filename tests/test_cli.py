@@ -219,6 +219,29 @@ def test_spherical_where_z_rounds_to_1_exits_1(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+# flag values at the edges of each subcommand's range, each refused with one line
+_EDGE_RUNS = {
+    "moire-unsettled": ["moire", "--lambda", "2", "--sigmas", "4,1e6", "--grid", "8x8"],
+    "moire-sigma-1e300": ["moire", "--lambda", "2", "--sigmas", "1e300", "--grid", "8x8"],
+    "moire-spacing-1e300": ["moire", "--lambda", "2", "--spacing", "1e300", "--grid", "8x8"],
+    "spherical-lambda-1e300": ["spherical", "--lambda", "1e300"],
+    "moire-lambda-1e300": ["moire", "--lambda", "1e300", "--grid", "8x8"],
+    "transform-radius-40": ["transform", "--radius", "40", "--grid", "400x64"],
+    "transform-radius-1e-300": ["transform", "--radius", "1e-300", "--grid", "8x8"],
+    "transform-bump-width-1e300": ["transform", "--bump-width", "1e300", "--grid", "8x8"],
+    "lemma-x-near-boundary": ["lemma", "--x", "0.9999999999999,0"],
+}
+
+
+@pytest.mark.parametrize("args", _EDGE_RUNS.values(), ids=_EDGE_RUNS.keys())
+def test_edge_runs_exit_with_one_line_and_no_file(tmp_path, args):
+    res = run(*args, "--out", str(tmp_path / "o.csv"))
+    assert res.returncode in (1, 2)
+    assert res.stderr.startswith(("validation error:", "configuration error:"))
+    assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("R", [5, 6, 7, 8, 9, 10, 11, 12])
 def test_spherical_cross_check_past_the_boundary_average_resolution(tmp_path, R):
     """Past t of about 6 the 4096-node boundary average does not settle at the outermost

@@ -17,7 +17,7 @@ from horowave import moire
 from horowave.errors import QuadratureUnderResolved
 from horowave.moire import (
     LambdaWindow,
-    _line_integrals_multi,
+    _line_integrals,
     _phi_table,
     convergence_study,
     moire_integral,
@@ -202,17 +202,6 @@ def test_phi_table_on_half_nodes_matches_full_node_table(lams):
         assert np.max(np.abs(got - expect)) <= 1e-15
 
 
-@pytest.mark.parametrize("K", [1, 2, 7, 128])
-@pytest.mark.parametrize("block", [moire._CHEB_BLOCK, 1000])
-def test_cheb_sum_matches_chebval(monkeypatch, K, block):
-    monkeypatch.setattr(moire, "_CHEB_BLOCK", block)
-    coef = _phi_table(FIT_LAMBDAS, 11.3)[:K]
-    u = np.concatenate([[-1.0, 1.0], np.random.default_rng(2).uniform(-1.0, 1.0, 5001)])
-    got = moire._cheb_sum(coef, u)
-    assert got.shape == (len(FIT_LAMBDAS), len(u))
-    assert np.max(np.abs(got - chebval(u, coef))) <= 1e-14
-
-
 def test_convergence_study_shares_one_table_across_widths():
     x = DiskPoint(0.3 - 0.2j)
     for lam in (0.7, 2.0, 3.9):
@@ -248,11 +237,15 @@ def test_phi_table_that_does_not_settle_raises(monkeypatch):
 def test_line_integrals_match_per_node_kernel(width):
     lams = np.linspace(0.5, 4.0, 81)
     taper = TaperSpec("gaussian", width)
+    # one random weight vector, and one-hot vectors at three lambda
+    weights = np.vstack([np.random.default_rng(5).uniform(-1.0, 1.0, len(lams)),
+                         np.eye(len(lams))[[0, 40, 80]]])
     for arc in (0.0, 1.2, -2.5):
         x = horocycle_point(ZERO_HOROCYCLE, arc)
-        got = _line_integrals_multi(lams, B0, x, [taper])[0]
-        expect = oracles.line_integrals_per_node(lams, B0, x, taper)
-        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+        expect = oracles.line_integrals_per_node(lams, B0, x, taper, weights)
+        for w, e in zip(weights, expect):
+            got = _line_integrals(lams, w, B0, x, [taper])[0]
+            assert abs(got - e) <= 1e-13 * abs(e)
 
 
 def test_moire_sum_mirror_symmetry():
