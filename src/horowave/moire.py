@@ -45,7 +45,7 @@ from .geometry import (
     nilpotent_flow,
 )
 from .tapers import TaperSpec
-from .transform import GridSpec, SampledField, _tapered_line
+from .transform import GridSpec, SampledField, _chebyshev_levels, _tapered_line
 from .waves import (
     RHO,
     helgason_wave,
@@ -286,7 +286,7 @@ def _sum_centers(b0: BoundaryPoint, n: int, spacing: float) -> np.ndarray:
     return horocycle_points_array(b0.theta, 0.0, spacing * (np.arange(1, n + 1) - (n + 1) / 2.0))
 
 
-_PHI_TABLE_MAX_NODES = 4096
+_PHI_TABLE_MAX_NODES = 4096  # the largest degree in d/dmax, twice that in u
 _PHI_TABLE_TAIL = 1e-14
 
 
@@ -297,43 +297,32 @@ def _phi_table(lams, dmax: float) -> np.ndarray:
     (K, len(lams)), so ``chebval(u, coef)`` evaluates every lambda at once
     and returns shape (len(lams),) + u.shape.
 
-    phi_lambda is even in d, so the table interpolates its even extension
-    x -> phi_lambda(dmax * |x|): d = 0 then sits mid-interval instead of at
-    an end point, where a table on [0, dmax] was off by up to 1e-14 near
-    d = 0 (this one: 5e-16). The extension's odd coefficients vanish, and
-    T_2k(x) = T_k(2x^2 - 1) turns its even ones into a table in u of half
-    the length, so each sum takes half the steps. The n first-kind
-    Chebyshev points pair up as x <-> -x, so phi is evaluated only at the
-    n/2 positive ones: with N = n/2, the even coefficients c_2k are
-    DCT-II_N of those values over N, c_0 halved, the DCT taken by one numpy
-    FFT (``_dct2``). The node count n doubles from 32 until the top quarter
-    of the even coefficients is below 1e-14 for every lambda.
+    phi_lambda is even in d, so a table in u has half the terms of one in
+    d/dmax. phi is taken at the Chebyshev points u = cos a_j of
+    ``_chebyshev_levels``, at d = dmax cos(a_j / 2), which keeps its digits
+    near d = 0 (u = -1), and the coefficients are their DCT-I: one rfft of
+    the mirrored values, over n, with c_0 and c_n halved. n doubles from 16
+    until the top quarter of the coefficients is below _PHI_TABLE_TAIL for
+    every lambda; the trailing rows whose column-max |c_k| sum to at most
+    _PHI_TABLE_TAIL are then dropped, which moves no value by more than
+    that (J. L. Aurentz and L. N. Trefethen, ACM TOMS 43, 2017).
     """
-    n = 32
-    while n <= _PHI_TABLE_MAX_NODES:
-        N = n // 2
-        x = np.cos(np.pi * (np.arange(N) + 0.5) / n)
-        coef = _dct2(spherical_radial_profile(lams, dmax * x)).T / N
-        coef[0] *= 0.5
-        tail = float(np.max(np.abs(coef[-N // 4:])))
+    def phi(a):
+        return spherical_radial_profile(lams, dmax * np.cos(0.5 * a)).T
+
+    tail = math.inf
+    for a, values in _chebyshev_levels(phi, 16, _PHI_TABLE_MAX_NODES // 2):
+        n = len(a) - 1
+        coef = np.fft.rfft(np.concatenate([values, values[-2:0:-1]]), axis=0).real / n
+        coef[[0, -1]] *= 0.5
+        tail = float(np.max(np.abs(coef[-n // 4:])))
         if tail < _PHI_TABLE_TAIL:
-            return coef
-        n *= 2
+            kept = np.cumsum(np.max(np.abs(coef[::-1]), axis=1))[::-1] > _PHI_TABLE_TAIL
+            return coef[:np.count_nonzero(kept)]
     raise QuadratureUnderResolved(
         f"Chebyshev table of phi_lambda, |lambda| <= {np.max(np.abs(lams)):g}, on "
-        f"[0, {dmax:g}] did not settle below {_PHI_TABLE_TAIL:g} with "
-        f"{_PHI_TABLE_MAX_NODES} nodes (last tail {tail:.2e})")
-
-
-def _dct2(y: np.ndarray) -> np.ndarray:
-    """DCT-II along the last axis, 2 sum_n y_n cos(pi k (2n + 1) / 2N), by one FFT.
-
-    It is 2 Re(V_k e^{-i pi k / 2N}), V the FFT of y_0, y_2, ..., then the
-    odd samples backwards (J. Makhoul, IEEE Trans. ASSP 28, 1980).
-    """
-    N = y.shape[-1]
-    V = np.fft.fft(np.concatenate([y[..., ::2], y[..., 1::2][..., ::-1]], axis=-1))
-    return 2.0 * (V * np.exp(-0.5j * np.pi * np.arange(N) / N)).real
+        f"[0, {dmax:g}] did not settle below {_PHI_TABLE_TAIL:g} at degree "
+        f"{_PHI_TABLE_MAX_NODES} in d/{dmax:g} (last tail {tail:.2e})")
 
 
 def phase_correlation(field: SampledField, lam: float, b0: BoundaryPoint) -> float:

@@ -339,6 +339,24 @@ def _barycentric(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     return M
 
 
+def _chebyshev_levels(f, n: int, max_n: int):
+    """Yield (a, f(a)) at the angles a_j = pi j / n, j = 0..n, for n, 2n, ... <= max_n.
+
+    Each level's even angles are the last level's, so f, which maps angles
+    to values along its first axis, is called only at the new odd ones; the
+    callers form their Chebyshev points cos a_j from the angles.
+    """
+    values = None
+    while n <= max_n:
+        a = np.pi * np.arange(n + 1) / n
+        if values is None:
+            values = f(a)
+        else:
+            values = np.insert(values, range(1, n // 2 + 1), f(a[1::2]), axis=0)
+        yield a, values
+        n *= 2
+
+
 def _radial_nodes(t: np.ndarray, lam: float):
     """Radii at which to build the kernel rows, and the map from them back to the radii t.
 
@@ -347,7 +365,7 @@ def _radial_nodes(t: np.ndarray, lam: float):
     cosh t - sinh t cos(a - theta), at t = log cot(|a - theta|/2) +- i pi/2.
     So its Chebyshev interpolant on [t_0, t_{n-1}] converges geometrically
     (L. N. Trefethen, Approximation Theory and Approximation Practice,
-    Thm 8.2). The node count Q doubles (33, 65, 129, ...) until the
+    Thm 8.2). Q doubles (33, 65, 129, ..., ``_chebyshev_levels``) until the
     interpolant of the kernel at lam, the largest |lambda|, is within
     _NODE_TOL of it at the midpoints between the nodes, relative to the
     largest |kernel| at each midpoint, at _NODE_CHECK_OFFSETS: the strip is
@@ -359,23 +377,16 @@ def _radial_nodes(t: np.ndarray, lam: float):
     """
     mid, half = 0.5 * (t[-1] + t[0]), 0.5 * (t[-1] - t[0])
 
-    def kernel(x):
-        return np.exp((1j * lam + RHO) * _polar_bracket(mid + half * x, _NODE_CHECK_OFFSETS))
+    def kernel(a):
+        return np.exp((1j * lam + RHO) * _polar_bracket(mid - half * np.cos(a), _NODE_CHECK_OFFSETS))
 
-    x = -np.cos(np.pi * np.arange(33) / 32)
-    K = kernel(x) if len(x) < len(t) else None
-    while len(x) < len(t) and len(x) <= _MAX_RADIAL_NODES:
-        # the midpoints are the next level's new nodes: each level evaluates only those
-        Q = len(x)
-        xm = -np.cos(np.pi * (np.arange(Q - 1) + 0.5) / (Q - 1))
-        Km = kernel(xm)
-        P = _real_matmul(_barycentric(x, xm), K)
-        P -= Km
+    max_n = min(2 * len(t) - 4, 2 * _MAX_RADIAL_NODES - 2)  # Q < len(t), Q <= _MAX_RADIAL_NODES
+    for a, K in _chebyshev_levels(kernel, 64, max_n):
+        x, Km = -np.cos(a[::2]), K[1::2]
+        P = _real_matmul(_barycentric(x, -np.cos(a[1::2])), K[::2]) - Km
         err = float(np.max(np.max(np.abs(P), axis=1) / np.max(np.abs(Km), axis=1)))
         if err <= _NODE_TOL:
             return mid + half * x, _barycentric(x, (t - mid) / half), err
-        between = np.arange(1, Q)
-        x, K = np.insert(x, between, xm), np.insert(K, between, Km, axis=0)
     return t, None, 0.0
 
 

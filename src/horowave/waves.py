@@ -226,17 +226,17 @@ def _radial(lam: np.ndarray, d: np.ndarray) -> np.ndarray:
     on that distance and its lambdas only, so blocking cannot change a
     value. Where x = (lambda^2 + 1/4) d^2 < 1e-16 (only d < 2e-8 qualify),
     the series 1 - x/4 replaces the rule: its dropped O(x^2) term is below
-    1e-32, d = 0 gives exactly 1, and the rule's squared nodes underflow
-    below d ~ 1e-250. Raises ValueError on a negative or non-finite
-    distance or a non-finite lambda, and QuadratureUnderResolved when a
-    distance would need more than _MAX_NODES nodes.
+    1e-32, d = 0 gives exactly 1 (x = 0 there at any lambda), and the
+    rule's squared nodes underflow below d ~ 1e-250. Raises ValueError on
+    a negative or non-finite distance or a non-finite lambda, and
+    QuadratureUnderResolved when a distance needs over _MAX_NODES nodes.
     """
     if not np.all(np.isfinite(d) & (d >= 0.0)):
         raise ValueError("spherical function distances must be finite and >= 0")
     if not np.all(np.isfinite(lam)):
         raise ValueError("spherical function lambdas must be finite")
-    with np.errstate(over="ignore", invalid="ignore"):  # inf past the float range, nan at d = 0
-        x = (lam * lam + 0.25) * (d * d)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf past the float range, nan as inf * 0
+        x = np.where(d == 0.0, 0.0, (lam * lam + 0.25) * (d * d))
     series = x < 1e-16
     n = _first_rung(np.max(np.abs(lam), axis=0, initial=0.0) * d)
     out = np.empty(x.shape)

@@ -237,22 +237,27 @@ def direct_forward_at(f, lams: np.ndarray, theta: float) -> np.ndarray:
 
 
 def phi_table_full_nodes(lams, dmax: float) -> np.ndarray:
-    """``moire._phi_table`` from the values at all n first-kind Chebyshev points.
+    """``moire._phi_table`` from the values at all n + 1 Chebyshev points in u, in one call.
 
-    The DCT of the even extension x -> phi_lambda(dmax |x|) at every node,
-    both signs of x, keeping the even coefficients; the node count doubles
-    from 32 until the top quarter of all the extension's coefficients,
-    even and odd, is below 1e-14.
+    scipy's DCT-I of phi_lambda at d = dmax cos(pi j / 2n), j = 0..n, the
+    points u = cos(pi j / n) of u = 2 (d/dmax)^2 - 1, evaluated afresh at
+    every level; n doubles from 16 until the top quarter of the
+    coefficients is below 1e-14, and the trailing rows whose column-max
+    |c_k| sum to at most 1e-14 are dropped.
     """
-    n = 32
-    while n <= 4096:
-        x = np.cos(np.pi * (np.arange(n) + 0.5) / n)
-        coef = dct(spherical_radial_profile(lams, dmax * np.abs(x)), type=2).T / n
-        coef[0] *= 0.5
+    n = 16
+    while n <= 2048:
+        d = dmax * np.cos(np.pi * np.arange(n + 1) / (2 * n))
+        coef = dct(spherical_radial_profile(lams, d), type=1).T / n
+        coef[[0, -1]] *= 0.5
         if np.max(np.abs(coef[-n // 4:])) < 1e-14:
-            return coef[::2]
+            colmax = np.max(np.abs(coef), axis=1)
+            keep = len(coef)
+            while np.sum(colmax[keep - 1:]) <= 1e-14:
+                keep -= 1
+            return coef[:keep]
         n *= 2
-    raise RuntimeError("full-node phi table did not settle with 4096 nodes")
+    raise RuntimeError("full-node phi table did not settle at degree 2048 in u")
 
 
 def harish_chandra_c(lam: float) -> complex:

@@ -176,8 +176,12 @@ def test_moire_sum_matches_kernel_sum_far_out(lam):
     assert np.max(np.abs(got - oracles.kernel_moire_sum(lam, z, centers))) < 1e-12
 
 
+FIT_LAMBDAS = np.linspace(0.5, 4.0, 81)
+
+
 @pytest.mark.parametrize("lam, dmax", [(0.5, 3.0), (2.0, 4.3), (4.0, 12.0),
-                                       ((0.0, 0.7, 2.2, 4.0), 9.5)])
+                                       ((0.0, 0.7, 2.2, 4.0), 9.5), (7.5, 8.0),
+                                       (FIT_LAMBDAS, 20.0)])
 def test_phi_table_in_even_variable_matches_radial_kernel(lam, dmax):
     lams = np.atleast_1d(lam)
     coef = _phi_table(lams, dmax)
@@ -186,9 +190,6 @@ def test_phi_table_in_even_variable_matches_radial_kernel(lam, dmax):
     got = chebval(2.0 * (d / dmax) ** 2 - 1.0, coef)
     assert np.max(np.abs(got - spherical_radial_profile(lams, d))) < 1e-13
     assert np.max(np.abs(got[:, 0] - 1.0)) < 1e-14
-
-
-FIT_LAMBDAS = np.linspace(0.5, 4.0, 81)
 
 
 @pytest.mark.parametrize("lams", [[0.0], [0.5], [4.0], [8.0], FIT_LAMBDAS,
@@ -214,6 +215,7 @@ def test_convergence_study_shares_one_table_across_widths():
 
 
 def test_weak_estimator_evaluates_half_nodes_once_per_level(monkeypatch):
+    # all 17 points of the first level, then only each level's new half
     sizes = []
 
     def counting(lams, d):
@@ -222,7 +224,7 @@ def test_weak_estimator_evaluates_half_nodes_once_per_level(monkeypatch):
 
     monkeypatch.setattr(moire, "spherical_radial_profile", counting)
     moire_weak(LambdaWindow(1.5), B0, X0, TaperSpec("gaussian", 48.0))
-    assert sizes == [16, 32, 64, 128]
+    assert sizes == [17, 16, 32, 64]
 
 
 def test_phi_table_that_does_not_settle_raises(monkeypatch):

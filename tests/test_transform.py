@@ -258,6 +258,29 @@ def test_radial_nodes_match_direct_exponentials_at_every_radius(shape, lambda_ma
         assert _rel_max(forward_at(f, lemma_lams, BoundaryPoint(theta)), ref) < 1e-13
 
 
+def test_chebyshev_levels_evaluate_each_angle_once():
+    """Each level's even angles are the last level's, and f sees only the new ones."""
+    seen = []
+
+    def f(a):
+        seen.append(a.copy())
+        return np.stack([np.cos(3.0 * a), a], axis=1)  # a value, and its angle
+
+    last = None
+    levels = list(transform._chebyshev_levels(f, 4, 32))
+    for a, values in levels:
+        n = len(a) - 1
+        np.testing.assert_array_equal(a, np.pi * np.arange(n + 1) / n)
+        if last is not None:
+            assert np.array_equal(a[::2], last)
+        np.testing.assert_array_equal(values[:, 1], a)
+        np.testing.assert_array_equal(values[:, 0], np.cos(3.0 * a))
+        last = a
+    assert [len(a) - 1 for a, _ in levels] == [4, 8, 16, 32]
+    assert [len(a) for a in seen] == [5, 4, 8, 16]
+    assert list(transform._chebyshev_levels(f, 64, 32)) == [] and len(seen) == 4
+
+
 def test_radial_node_choice():
     """65 nodes on R = 4 grids, more at R = 6, and the grid radii once the count reaches n_r."""
     for shape in ((120, 192, 4.0), (160, 256, 4.0), (200, 256, 4.0)):  # perfbench's grids

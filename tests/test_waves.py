@@ -1,5 +1,6 @@
 """Helgason waves, spherical functions, c-function, Plancherel density."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,15 @@ def test_radial_paths_where_the_quadrature_underflows(lam):
         expect = oracles.conical_spherical(lam, d)
         assert abs(spherical_radial(lam, d) - expect) < 1e-14
         assert abs(spherical_radial_profile([lam], [d])[0, 0] - expect) < 1e-14
+
+
+@pytest.mark.parametrize("lam", [1e160, 1e300, -1e300])
+def test_spherical_function_is_one_at_the_center_for_every_finite_lambda(lam):
+    # lambda^2 overflows here; phi_lambda(0) = 1 all the same, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert spherical_radial(lam, 0.0) == 1.0
+        assert spherical_radial_profile([lam], [0.0])[0, 0] == 1.0
 
 
 def _one_block(rows, d, key):
