@@ -34,14 +34,14 @@ from .transform import (
     DEFAULT_GRID,
     GridSpec,
     SampledField,
-    _radial_nodes,
     _relative_l2,
     forward,
     gaussian_bump,
     inverse,
     lemma_check,
 )
-from .waves import PLANCHEREL_KAPPA, RHO, spherical, spherical_radial
+from .waves import (PLANCHEREL_KAPPA, RHO, _WAVE_PHASE_TOL, _wave_phase_error, spherical,
+                    spherical_radial)
 
 __all__ = ["main"]
 
@@ -332,8 +332,6 @@ def _emit_field(path: str, xy: np.ndarray, values: np.ndarray, footer: dict,
 
 # --- subcommands ------------------------------------------------------------
 
-# the largest phase round-off |lambda| max|B| 2^-53 a ``wave`` field may carry
-_WAVE_PHASE_TOL = 1e-9
 # |lhs - rhs| bound of ``cmd_lemma``, relative to the larger of |lhs| and |rhs|
 _LEMMA_TOL = 1e-2
 
@@ -344,10 +342,10 @@ def cmd_wave(args) -> int:
     grid = _grid_from(args)
     B = grid.busemann(b0.theta)
     # closed form: the error is the phase round-off lam B 2^-53 where |B| is largest
-    est = abs(lam) * max(float(B.max()), -float(B.min())) * 2.0 ** -53
-    if not est <= _WAVE_PHASE_TOL:
-        raise HorowaveError(f"wave phase round-off |lambda| max|B| 2^-53 = {est:.3e} exceeds "
-                            f"{_WAVE_PHASE_TOL:g}; nothing written")
+    try:
+        est = _wave_phase_error(lam, B)
+    except HorowaveError as exc:
+        raise HorowaveError(f"{exc}; nothing written") from None
     values = np.exp((1j * lam + RHO) * B)
     del B  # not held while the field is written
     footer = {"command": "wave", "lambda": lam, "b0": b0.theta,
@@ -443,8 +441,8 @@ def cmd_transform(args) -> int:
         raise HorowaveError(f"transform: the bump sampled on the {grid.n_r}x{grid.n_theta} grid "
                             f"of radius {grid.R:g} has L2 norm 0; nothing written")
     F = forward(f)
-    # the radii both build rows at
-    nodes, _, interp = _radial_nodes(grid.radii_t, float(F.lambda_grid[-1]))
+    # the radii both build rows at, which forward hands on to inverse
+    nodes, _, interp = F._radial[2]
     g = inverse(F)
     del F  # not held while the field is written
     err = _relative_l2(g, f)

@@ -22,7 +22,7 @@ is even in lambda. kappa is the exact 1/(2 pi) (``waves.PLANCHEREL_KAPPA``);
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -216,6 +216,9 @@ class SpectralField:
     lambda_grid: np.ndarray
     values: np.ndarray
     grid: GridSpec  # spatial grid this field transforms against
+    # (grid, lambda grid, _radial_nodes' (nodes, I, err)) that ``forward`` built its rows
+    # with, for ``inverse``; None on a field built by hand
+    _radial: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.values.shape != (len(self.lambda_grid), self.grid.n_theta):
@@ -256,6 +259,9 @@ _MAX_RADIAL_NODES = 1025  # past it the grid radii: the check's matrices stay be
 # a 2-core VM, 0.75 MiB took 0.3-1.2 MB off perfbench spectral's peak RSS and 0.5 MiB
 # 0.9-1.3 MB, at the same op times (measured when the rows were built at every radius)
 _BLOCK_FLOATS = 65536
+# multiply-adds per BLAS call (``_real_matmul``): OpenBLAS runs a dgemm of at most
+# 65536 x GEMM_MULTITHREAD_THRESHOLD (4) of them on one thread
+_BLAS_BLOCK = 1 << 18
 
 
 def _bessel_stack(z: np.ndarray, K: int) -> np.ndarray:
@@ -471,13 +477,29 @@ def _even_row_ffts(t: np.ndarray, n: int, lams: np.ndarray):
 
 
 def _real_matmul(T: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """T @ X for a real T and a C-contiguous complex X, in einsum's own loop.
+    """T @ X for a real T and an X, real or complex, whose rows are contiguous, in BLAS blocks.
 
-    As an OpenBLAS product with two threads, the (161 x 45) @ (45 x 512)
-    shape of ``forward`` took a median of 14-15 ms right after other work,
-    against 0.3 ms with one thread and 1.5 ms here.
+    A complex X is taken as its real view, two columns per value. The
+    product is one ``np.matmul`` per block of at most _BLAS_BLOCK
+    multiply-adds, each written into its part of one output array: blocks
+    of columns of X, and of rows of T too where m k alone passes
+    _BLAS_BLOCK (k is not split; here it is at most a grid's radii, a term
+    count or a block's points). OpenBLAS runs a product of that size on one
+    thread. The four products of a 200x256 round trip, with two OpenBLAS
+    threads and other work between calls, took 8.5 / 8.8 / 11.3 ms
+    (median / p90 / max of 400) in einsum's own loop, 0.75 / 0.81 / 107 ms
+    as one BLAS call each, and 1.8 / 1.9 / 2.8 ms in blocks, at a process
+    CPU/wall of 1.0.
     """
-    return np.einsum("ik,kl->il", T, X.view(float)).view(complex)
+    Xf = X.view(float) if np.iscomplexobj(X) else X
+    (m, k), n = T.shape, Xf.shape[1]
+    out = np.empty((m, n))
+    rows = max(1, min(m, _BLAS_BLOCK // k))
+    cols = max(1, _BLAS_BLOCK // (rows * k))
+    for i in range(0, m, rows):
+        for j in range(0, n, cols):
+            np.matmul(T[i:i + rows], Xf[:, j:j + cols], out=out[i:i + rows, j:j + cols])
+    return out.view(complex) if Xf is not X else out
 
 
 def _check_support(f: SampledField) -> None:
@@ -524,7 +546,8 @@ def forward(f: SampledField) -> SpectralField:
     _check_support(f)
     grid = f.grid
     lams = np.arange(0.0, LAMBDA_MAX + LAMBDA_STEP / 2.0, LAMBDA_STEP)
-    t, I, _ = _radial_nodes(grid.radii_t, float(lams[-1]))
+    radial = _radial_nodes(grid.radii_t, float(lams[-1]))
+    t, I, _ = radial
     conj_a = _weighted_rows(f, I)
     np.conj(np.fft.fft(conj_a, axis=1, out=conj_a), out=conj_a)
     T, s, chunks = _even_row_ffts(t, grid.n_theta, lams)
@@ -536,7 +559,9 @@ def forward(f: SampledField) -> SpectralField:
     del FW  # a view of the chunk buffer
     out = _real_matmul(T, s[:, None] * P)
     np.conj(out, out=out)
-    return SpectralField(lams, np.fft.ifft(out, axis=1, out=out), grid)
+    F = SpectralField(lams, np.fft.ifft(out, axis=1, out=out), grid)
+    F._radial = (grid, lams.copy(), radial)
+    return F
 
 
 def forward_at(f: SampledField, lams: np.ndarray, b: BoundaryPoint) -> np.ndarray:
@@ -557,18 +582,17 @@ def forward_at(f: SampledField, lams: np.ndarray, b: BoundaryPoint) -> np.ndarra
     T, s, blocks = _busemann_kernel(t, offsets, mu)
     # V[k] = sum over the block's points p of J_k(c B_p) (w_p, v_p), w = E conj(g) and
     # v = E g, formed a block at a time: one real (K x P) by (P x 4) product, never
-    # forming J E. It runs in einsum's own loop, as _real_matmul does, on the real and
-    # imaginary parts of w and v stacked as contiguous rows: on the interleaved
-    # w.view(float) it took eight times as long.
+    # forming J E, on the real and imaginary parts of w and v as the columns of a
+    # (P x 4) array
     V = np.zeros((len(s), 4))
     for rows, J, E in blocks:
         g = weighted[rows].ravel()
         E = E.ravel()
         w, v = E * np.conj(g), E * g
-        V[:len(J)] += np.einsum("kp,cp->kc", J.reshape(len(J), -1),
-                                np.stack((w.real, w.imag, v.real, v.imag)))
+        V[:len(J)] += _real_matmul(J.reshape(len(J), -1),
+                                   np.stack((w.real, w.imag, v.real, v.imag), axis=1))
         del J, E, w, v  # free this block's Bessel stack before the next one is built
-    out = np.einsum("ik,kc->ic", T, s[:, None] * V.view(complex))
+    out = _real_matmul(T, s[:, None] * V.view(complex))
     return np.where(lams >= 0.0, np.conj(out[:, 0]), out[:, 1])
 
 
@@ -577,6 +601,8 @@ def inverse(F: SpectralField) -> SampledField:
 
     The kernel rows are built at the radial nodes (``_radial_nodes``), and
     the sum there is interpolated back to the grid radii before the IFFT.
+    A field from ``forward`` hands on its nodes, used while its grid and
+    lambda grid are the ones they were chosen for.
     """
     dens = plancherel_density(F.lambda_grid)
     energy = dens * np.sum(np.abs(F.values) ** 2, axis=1)
@@ -594,7 +620,7 @@ def inverse(F: SpectralField) -> SampledField:
     # G = s T^T FF, sum the kernel products over those rows, then one IFFT
     FF = np.fft.fft(F.values, axis=1)
     FF *= (dens * wl * db)[:, None]
-    t, I, _ = _radial_nodes(grid.radii_t, float(np.max(np.abs(F.lambda_grid))))
+    t, I, _ = _nodes_of(F)
     T, s, chunks = _even_row_ffts(t, grid.n_theta, F.lambda_grid)
     G = s[:, None] * _real_matmul(T.T, FF)
     del FF
@@ -605,6 +631,15 @@ def inverse(F: SpectralField) -> SampledField:
     if I is not None:
         acc = _real_matmul(I, acc)
     return SampledField(grid, np.fft.ifft(acc, axis=1, out=acc))
+
+
+def _nodes_of(F: SpectralField):
+    """``_radial_nodes`` of F's grid radii and band edge, from ``forward`` where they still hold."""
+    if F._radial is not None:
+        grid, lams, radial = F._radial
+        if grid == F.grid and np.array_equal(lams, F.lambda_grid):
+            return radial
+    return _radial_nodes(F.grid.radii_t, float(np.max(np.abs(F.lambda_grid))))
 
 
 def _radial_profile(f: SampledField) -> np.ndarray:
@@ -619,7 +654,7 @@ def spherical_transform(f: SampledField, lams: np.ndarray) -> np.ndarray:
     """K-invariant transform: 2 pi int f(t) phi_{-lambda}(t) sinh(t) dt, on row_weights."""
     prof = _radial_profile(f)
     phis = spherical_radial_profile(lams, f.grid.radii_t)
-    return phis @ (prof * f.grid.row_weights * f.grid.n_theta)
+    return _real_matmul(phis, (prof * f.grid.row_weights * f.grid.n_theta)[:, None])[:, 0]
 
 
 def plancherel_spectral(ftilde: np.ndarray, lams: np.ndarray) -> float:

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import QuadratureUnderResolved, SpectralSingularity
+from .errors import HorowaveError, QuadratureUnderResolved, SpectralSingularity
 from .geometry import BoundaryPoint, DiskPoint, busemann_array
 
 __all__ = [
@@ -57,13 +57,36 @@ class SpectralConvention:
 CONVENTION = SpectralConvention()
 
 
+# the largest phase round-off |lambda| max|B| 2^-53 a Helgason wave may carry
+_WAVE_PHASE_TOL = 1e-9
+
+
+def _wave_phase_error(lam: float, B: np.ndarray) -> float:
+    """Phase round-off |lam| max|B| 2^-53 of e^{(i lam + rho) B}, B the Busemann brackets.
+
+    Raises HorowaveError when it passes _WAVE_PHASE_TOL or is nan.
+    """
+    est = abs(lam) * float(np.max(np.abs(B), initial=0.0)) * 2.0 ** -53
+    if not est <= _WAVE_PHASE_TOL:
+        raise HorowaveError(f"wave phase round-off |lambda| max|B| 2^-53 = {est:.3e} exceeds "
+                            f"{_WAVE_PHASE_TOL:g}")
+    return est
+
+
 def helgason_wave(lam: float, b: BoundaryPoint, p: DiskPoint) -> complex:
-    """Non-Euclidean plane wave exp((i lam + rho) * busemann(p, b))."""
+    """Non-Euclidean plane wave exp((i lam + rho) * busemann(p, b)) (``helgason_wave_array``)."""
     return complex(helgason_wave_array(lam, b.theta, np.asarray(p.z)))
 
 
 def helgason_wave_array(lam: float, theta: float, z: np.ndarray) -> np.ndarray:
-    return np.exp((1j * lam + RHO) * busemann_array(z, theta))
+    """exp((i lam + rho) B) at the points z, B their brackets toward e^{i theta}.
+
+    Raises HorowaveError where the phase round-off passes _WAVE_PHASE_TOL
+    (``_wave_phase_error``).
+    """
+    B = busemann_array(z, theta)
+    _wave_phase_error(lam, B)
+    return np.exp((1j * lam + RHO) * B)
 
 
 def _trapezoid_halving(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,

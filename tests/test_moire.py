@@ -192,6 +192,22 @@ def test_phi_table_in_even_variable_matches_radial_kernel(lam, dmax):
     assert np.max(np.abs(got[:, 0] - 1.0)) < 1e-14
 
 
+@pytest.mark.parametrize("dmax", [20.0, 25.0])
+def test_phi_table_at_large_lambda_d_matches_mpmath(dmax):
+    """lambda = 8 out to lambda d = 200, against mpmath's conical function.
+
+    The table's error peaks near d = 0.02, where 2001 even d in [0, dmax]
+    read 1.7e-13 (dmax 20) and 2.6e-13 (dmax 25); these 20 seeded d read
+    8.5e-14 and 1.9e-13. The radial rule agrees with mpmath there within
+    5e-16, so the error is the table's.
+    """
+    coef = _phi_table(np.array([8.0]), dmax)
+    d = np.concatenate([[0.0, dmax], np.random.default_rng(7).uniform(0.0, dmax, 20)])
+    got = chebval(2.0 * (d / dmax) ** 2 - 1.0, coef)[0]
+    ref = np.array([oracles.conical_spherical(8.0, x) for x in d])
+    assert np.max(np.abs(got - ref)) < 3e-13
+
+
 @pytest.mark.parametrize("lams", [[0.0], [0.5], [4.0], [8.0], FIT_LAMBDAS,
                                   [0.0, 0.7, 2.2, 4.0]],
                          ids=["0", "0.5", "4", "8", "fit", "mixed"])

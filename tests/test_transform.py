@@ -163,6 +163,107 @@ def test_spectral_field_needs_one_column_per_grid_angle():
             SpectralField(lams, np.zeros(shape, complex), grid)
 
 
+def _counted_radial_nodes(monkeypatch) -> list:
+    """Patch transform._radial_nodes to record the band edge of each call."""
+    calls, radial_nodes = [], transform._radial_nodes
+    monkeypatch.setattr(transform, "_radial_nodes",
+                        lambda t, lam: calls.append(lam) or radial_nodes(t, lam))
+    return calls
+
+
+def test_one_radial_node_check_per_round_trip_and_transform_run(monkeypatch, tmp_path):
+    calls = _counted_radial_nodes(monkeypatch)
+    f = SampledField.from_function(BUMPS["offcenter"], GridSpec(120, 96, 4.0))
+    inverse(forward(f))
+    assert calls == [8.0]
+    calls.clear()
+    out = tmp_path / "t.csv"
+    assert cli.main(["transform", "--grid", "120x96", "--out", str(out)]) == 0
+    assert calls == [8.0]
+    footer = dict(l[2:].split("=", 1) for l in out.read_text().splitlines() if l.startswith("# "))
+    nodes, _, err = transform._radial_nodes(GridSpec(120, 96, 4.0).radii_t, 8.0)
+    assert footer["radial_nodes"] == str(len(nodes))
+    assert footer["kernel_interpolation_error"] == f"{err:.3e}"
+
+
+def test_inverse_takes_the_handed_on_nodes_only_while_they_hold():
+    """A field built by hand, or whose grid or lambda grid changed, takes its own nodes.
+
+    Twice forward's lambda grid needs the 120 grid radii where forward took
+    65 nodes, so nodes handed on past such a change would give other values.
+    """
+    grid = GridSpec(120, 192, 4.0)
+    f = SampledField.from_function(BUMPS["offcenter"], grid)
+    F = forward(f)
+    g = inverse(F)
+    assert rel_l2(f, g) < 1e-4
+    assert np.array_equal(inverse(SpectralField(F.lambda_grid, F.values, grid)).values, g.values)
+    wide = 2.0 * F.lambda_grid
+    assert len(transform._radial_nodes(grid.radii_t, wide[-1])[0]) != len(F._radial[2][0])
+    expect = inverse(SpectralField(wide, F.values, grid)).values
+    F.lambda_grid = wide
+    assert np.array_equal(inverse(F).values, expect)
+    F = forward(f)
+    F.lambda_grid *= 2.0  # in place: the handed-on copy no longer matches
+    assert np.array_equal(inverse(F).values, expect)
+    F = forward(f)
+    F.grid = GridSpec(120, 192, 3.0)
+    assert np.array_equal(inverse(F).values,
+                          inverse(SpectralField(F.lambda_grid, F.values, F.grid)).values)
+
+
+def test_spectral_field_repr_and_equality_ignore_the_handed_on_nodes():
+    F = forward(SampledField.from_function(BUMPS["radial"], GridSpec(40, 32, 4.0)))
+    hand = SpectralField(F.lambda_grid, F.values, F.grid)
+    assert F._radial is not None and hand._radial is None
+    assert repr(F) == repr(hand) and "_radial" not in repr(F)
+    assert F == hand
+
+
+def _exact_product(T: np.ndarray, X: np.ndarray):
+    """T @ X in extended precision in numpy's own loop, and the largest entry of |T| @ |X|."""
+    T, Xf = T.astype(np.longdouble), (X.view(float) if np.iscomplexobj(X) else X)
+    return np.matmul(T, Xf.astype(np.longdouble)), float(np.max(np.abs(T) @ np.abs(Xf)))
+
+
+# (rows, inner, columns of X, dtype of X): at 40 x 50 a block holds 131 float columns, at
+# 600 x 500 each block 524 rows of one column; k = 300000 is past any block, and not split
+@pytest.mark.parametrize("m, k, n, dtype", [
+    (40, 50, 1, float), (40, 50, 130, float), (40, 50, 131, float), (40, 50, 132, float),
+    (40, 50, 263, float), (40, 50, 1, complex), (40, 50, 65, complex), (40, 50, 66, complex),
+    (40, 50, 67, complex), (40, 50, 131, complex), (600, 500, 3, complex), (1, 300000, 2, float),
+])
+def test_real_matmul_matches_the_exact_product(m, k, n, dtype):
+    rng = np.random.default_rng(m + k + n)
+    T = rng.standard_normal((m, k))
+    X = rng.standard_normal((k, n * (2 if dtype is complex else 1))).view(dtype)
+    got = transform._real_matmul(T, X)
+    assert got.shape == (m, n) and got.dtype == dtype
+    ref, scale = _exact_product(T, X)
+    # and a transposed T, as inverse's T^T, takes the same blocks
+    for got in (got, transform._real_matmul(np.ascontiguousarray(T.T).T, X)):
+        gotf = got.view(float) if dtype is complex else got
+        assert np.max(np.abs(gotf - ref)) <= 1e-15 * scale
+
+
+def test_every_real_product_stays_within_one_thread(monkeypatch):
+    """Each np.matmul call of the spectral ops holds at most 2^18 multiply-adds."""
+    sizes, matmul = [], np.matmul
+
+    def recorder(a, b, **kw):
+        sizes.append(a.shape[0] * a.shape[1] * b.shape[1])
+        return matmul(a, b, **kw)
+
+    monkeypatch.setattr(np, "matmul", recorder)
+    f = SampledField.from_function(BUMPS["offcenter"], DEFAULT_GRID)
+    inverse(forward(f))
+    forward_at(f, np.arange(-8.0, 8.025, 0.05), BoundaryPoint(0.7))
+    spherical_transform(SampledField.from_function(BUMPS["radial"], DEFAULT_GRID),
+                        np.linspace(0.5, 4.0, 8))
+    transform._real_matmul(np.ones((600, 500)), np.ones((500, 3), complex))
+    assert len(sizes) > 100 and max(sizes) <= 2 ** 18
+
+
 def test_forward_at_takes_unequally_spaced_lambdas():
     f = SampledField.from_function(BUMPS["offcenter"], DEFAULT_GRID)
     lams = np.sort(np.random.default_rng(11).uniform(-8.0, 8.0, 57))

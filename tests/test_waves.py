@@ -7,13 +7,14 @@ import pytest
 
 import oracles
 from horowave import transform, waves
-from horowave.errors import QuadratureUnderResolved, SpectralSingularity
-from horowave.geometry import BoundaryPoint, DiskPoint
+from horowave.errors import HorowaveError, QuadratureUnderResolved, SpectralSingularity
+from horowave.geometry import BoundaryPoint, DiskPoint, busemann_array
 from horowave.transform import GridSpec, calibrate_plancherel_kappa
 from horowave.waves import (
     PLANCHEREL_KAPPA,
     harish_chandra_c,
     helgason_wave,
+    helgason_wave_array,
     plancherel_density,
     spherical,
     spherical_radial,
@@ -43,6 +44,22 @@ def test_helgason_wave_closed_form_on_axis():
     expect = math.exp(0.5 * B) * complex(math.cos(lam * B), math.sin(lam * B))
     got = helgason_wave(lam, BoundaryPoint(0.0), DiskPoint(r + 0j))
     assert abs(got - expect) < 1e-13
+
+
+def test_helgason_wave_raises_past_its_phase_round_off():
+    """|lambda| max|B| 2^-53 above 1e-9 raises, as the ``wave`` command exits 1.
+
+    At lambda = 2 both names return the bare exponential, bit for bit; at
+    1e10 the bracket 0.43 of p = 0.4 toward e^{0.7 i} gives 4.7e-7.
+    """
+    b, p = BoundaryPoint(0.7), DiskPoint(0.4 + 0j)
+    z = GridSpec(20, 16, 4.0).z
+    assert helgason_wave(2.0, b, p) == complex(np.exp((2j + 0.5) * busemann_array(p.z, 0.7)))
+    assert np.array_equal(helgason_wave_array(2.0, 0.7, z),
+                          np.exp((2j + 0.5) * busemann_array(z, 0.7)))
+    for call in (lambda: helgason_wave(1e10, b, p), lambda: helgason_wave_array(1e10, 0.7, z)):
+        with pytest.raises(HorowaveError, match="wave phase round-off"):
+            call()
 
 
 def test_spherical_matches_frozen_oracle_values():
