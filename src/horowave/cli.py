@@ -487,17 +487,15 @@ def cmd_euclid(args) -> int:
         raise ConfigError("centers", "must be a positive integer")
     spacing = _positive("spacing", _number(args, "spacing", default=0.5))
     n_x, n_y = _parse_grid(args.grid) if args.grid else (81, 81)
-    xs = np.linspace(2.0, 6.0, n_x)
-    ys = np.linspace(-2.0, 2.0, n_y)
-    Q = xs[None, :] + 1j * ys[:, None]
+    Q = np.linspace(2.0, 6.0, n_x)[None, :] + 1j * np.linspace(-2.0, 2.0, n_y)[:, None]
     m = _number(args, "resolution", int, default=256)
     if m < 2:
         raise ConfigError("resolution", "must be at least 2")
     # the mean of J0 rings is real, and with an even m so is the m-node rule
     # (its nodes pair up as conjugates); the imaginary part is round-off
     values = euclid.line_moire_array(lam, n, spacing, Q, m=m).real
-    est = float(np.max(np.abs(values - euclid.line_moire_array(lam, n, spacing, Q,
-                                                               m=m // 2).real)))
+    # closed form: the farthest ring reaches a grid corner from an end center
+    est = euclid._aliasing_bound(lam, n, spacing, Q[::n_y - 1, ::n_x - 1], m)
     footer = {"command": "euclid", "lambda": lam, "centers": n, "spacing": spacing,
               "grid": f"{n_x}x{n_y}", "resolution": m,
               "quadrature_error_estimate": f"{est:.3e}"}

@@ -1,13 +1,9 @@
 """Euclidean baseline: plane waves, J0 ring profiles, discrete line moire.
 
 Sanity model for the hyperbolic construction: a row of equally spaced J0
-profiles along a line superposes into something close to a plane wave
-propagating orthogonally to the line.
-
-The angular integrand carries the imaginary unit, exp(i (2pi/lam) u.(q-x0)),
-so that the ring profile is the genuine Bessel function J0; the real
-exponential variant diverges from the J0 description. Normalization is
-1/(2pi) on the circle so the profile is 1 at its center.
+profiles along a line superposes into nearly a plane wave propagating
+orthogonally to the line. A ring profile is the mean of exp(i (2pi/lam) u.(q-x0))
+over unit vectors u, the Bessel function J0 (1 at its center).
 """
 from __future__ import annotations
 
@@ -52,12 +48,8 @@ def bessel_wave(lam: float, x0: PlanePoint, q: PlanePoint) -> complex:
 
 
 def bessel_wave_array(lam: float, x0: complex, q: np.ndarray) -> np.ndarray:
-    """Circle average of unit wave vectors on _M_ANGULAR nodes: equals J0(2pi |q-x0| / lam)."""
-    u = 2.0 * np.pi * np.arange(_M_ANGULAR) / _M_ANGULAR
-    k = 2.0 * np.pi / lam
-    dq = np.asarray(q) - x0
-    phase = k * (np.cos(u) * dq.real[..., None] + np.sin(u) * dq.imag[..., None])
-    return np.mean(np.exp(1j * phase), axis=-1)
+    """J0(2pi |q-x0| / lam): the circle average of ``line_moire_array`` with one center."""
+    return line_moire_array(lam, 1, 1.0, np.asarray(q) - x0)
 
 
 def line_moire(lam: float, n: int, spacing: float, q: PlanePoint) -> complex:
@@ -68,15 +60,14 @@ def line_moire_array(lam: float, n: int, spacing: float, q: np.ndarray,
                      m: int = _M_ANGULAR) -> np.ndarray:
     """Average of n J0 profiles centered on the y-axis, spacing apart.
 
-    Each profile is an m-node circle average, as in bessel_wave_array; the sum
-    over centers ic moves inside that average as the weight
-    A(u) = (1/n) sum_c e^{-ik c sin u}. The phase factors as
-    e^{ik x cos u} * e^{ik y sin u}, so exponentials are taken only on the
-    distinct x and the distinct y coordinates of q (A folds into the y
-    factor), and each point costs m products: O(m (n_x + n_y + n + |q|))
+    Each profile is an m-node circle average; the sum over centers ic moves
+    inside that average as the weight A(u) = (1/n) sum_c e^{-ik c sin u}. The
+    phase factors as e^{ik x cos u} * e^{ik y sin u}, so exponentials are taken
+    only on the distinct x and the distinct y coordinates of q (A folds into the
+    y factor), and each point costs m products: O(m (n_x + n_y + n + |q|))
     instead of O(m |q|) exponentials, a saving on tensor grids. There the
-    products are summed once per grid node from the two factor tables,
-    without gathering a copy of them per point.
+    products are summed once per grid node from the two factor tables, without
+    gathering a copy of them per point.
     """
     if n < 1:
         raise ValueError("line_moire requires n >= 1")
@@ -100,3 +91,21 @@ def line_moire_array(lam: float, n: int, spacing: float, q: np.ndarray,
         sums = np.einsum("pu,pu->p", ey[iy], ex[ix])
     return (sums / m).reshape(q.shape)
 
+
+def _aliasing_bound(lam: float, n: int, spacing: float, q: np.ndarray, m: int) -> float:
+    """Bound on ``line_moire_array``'s error at q; on a grid its corners suffice.
+
+    Each ring's rule errs by 2 sum_{j>=1} i^{jm} J_{jm}(kr) cos(jm alpha) (Trefethen
+    and Weideman, SIAM Review 56, 2014). While m > x = k r_max, r_max the farthest
+    end center from q, that is at most 2 K_m(x) (``_kapteyn``), above a phase
+    round-off floor x 2^-53; else 2, as the rule and J0 have modulus <= 1.
+    """
+    ends = 0.5j * spacing * (n - 1) * np.array([-1.0, 1.0])
+    x = 2.0 * np.pi / lam * float(np.max(np.abs(np.ravel(q)[:, None] - ends)))
+    return max(2.0 * _kapteyn(m, x), x * 2.0 ** -53) if x < m else 2.0
+
+
+def _kapteyn(m: int, x: float) -> float:
+    """Kapteyn's bound (z e^s / (1+s))^m >= |J_m(x)|, z = x/m <= 1, s = sqrt(1-z^2) (DLMF 10.14)."""
+    s = (1.0 - (x / m) ** 2) ** 0.5
+    return float(x / m * np.exp(s) / (1.0 + s)) ** m

@@ -57,19 +57,21 @@ class SpectralConvention:
 CONVENTION = SpectralConvention()
 
 
-# the largest phase round-off |lambda| max|B| 2^-53 a Helgason wave may carry
+# the largest phase round-off |lambda| (max|B| + 4) 2^-53 a Helgason wave may carry
 _WAVE_PHASE_TOL = 1e-9
 
 
 def _wave_phase_error(lam: float, B: np.ndarray) -> float:
-    """Phase round-off |lam| max|B| 2^-53 of e^{(i lam + rho) B}, B the Busemann brackets.
+    """Phase round-off |lam| (max|B| + 4) 2^-53 of e^{(i lam + rho) B}, B the Busemann brackets.
 
+    The 4 covers the brackets' absolute round-off near B = 0: ``busemann_array``
+    returns up to 4 2^-53 at z = 0, ``_polar_bracket`` about 2 2^-53 at small t.
     Raises HorowaveError when it passes _WAVE_PHASE_TOL or is nan.
     """
-    est = abs(lam) * float(np.max(np.abs(B), initial=0.0)) * 2.0 ** -53
+    est = abs(lam) * (float(np.max(np.abs(B), initial=0.0)) + 4.0) * 2.0 ** -53
     if not est <= _WAVE_PHASE_TOL:
-        raise HorowaveError(f"wave phase round-off |lambda| max|B| 2^-53 = {est:.3e} exceeds "
-                            f"{_WAVE_PHASE_TOL:g}")
+        raise HorowaveError(f"wave phase round-off |lambda| (max|B| + 4) 2^-53 = {est:.3e} "
+                            f"exceeds {_WAVE_PHASE_TOL:g}")
     return est
 
 

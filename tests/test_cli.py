@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 import oracles
 import readme_presets
-from horowave import cli, moire, transform, waves
+from horowave import cli, euclid, moire, transform, waves
 from horowave.cli import _field_csv
+from horowave.euclid import line_moire_array
 from horowave.transform import GridSpec
 
 CLI = [sys.executable, "-m", "horowave.cli"]
@@ -46,9 +47,9 @@ def test_wave_field_contract(tmp_path):
     assert header == "x,y,re,im"
     assert rows.shape == (200 * 256, 4)
     assert footer["command"] == "wave"
-    # the measured phase round-off |lambda| max|B| 2^-53 of the closed form
+    # the phase round-off |lambda| (max|B| + 4) 2^-53 of the closed form
     B = GridSpec(200, 256, 4.0).busemann(0.0)
-    est = 2.0 * np.max(np.abs(B)) * 2.0 ** -53
+    est = 2.0 * (np.max(np.abs(B)) + 4.0) * 2.0 ** -53
     assert footer["quadrature_error_estimate"] == f"{est:.3e}"
     pgm = (tmp_path / "wave.pgm").read_bytes()
     assert pgm.startswith(b"P5\n256 200\n255\n")
@@ -130,8 +131,58 @@ def test_euclid_odd_resolution(tmp_path):
     ref = oracles.line_moire_loop(1.0, 7, 0.5, Q, m=97).real
     assert np.max(np.abs(rows[:, 2] - ref.ravel())) < 1e-12
     assert np.all(rows[:, 3] == 0.0)
-    est = np.max(np.abs(ref - oracles.line_moire_loop(1.0, 7, 0.5, Q, m=48).real))
+    est = euclid_bound(1.0, 7, 0.5, Q, 97)
     assert float(footer["quadrature_error_estimate"]) == pytest.approx(est, rel=1e-3)
+
+
+def euclid_bound(lam, n, spacing, Q, m):
+    """max(2 K_m(x), x 2^-53) while x = k r_max < m, else 2; r_max over every node and center.
+
+    K_m(x) = exp(m (log z + s - log(1 + s))), z = x/m, s = sqrt(1 - z^2), is
+    Kapteyn's bound on |J_m(x)|.
+    """
+    centers = spacing * (np.arange(1, n + 1) - (n + 1) / 2.0)
+    x = 2.0 * np.pi / lam * np.max(np.abs(Q.ravel()[:, None] - 1j * centers))
+    if not x < m:
+        return 2.0
+    z = x / m
+    s = math.sqrt(1.0 - z * z)
+    return max(2.0 * math.exp(m * (math.log(z) + s - math.log1p(s))), x * 2.0 ** -53)
+
+
+@pytest.mark.parametrize("lam, n, grid, m", [
+    (0.5, 60, (81, 81), 256), (0.6, 60, (81, 81), 256), (1.0, 60, (81, 81), 256),
+    (4.0, 60, (81, 81), 256), (0.5, 1, (81, 81), 256), (1.0, 7, (33, 21), 97)])
+def test_euclid_computes_its_field_once_and_its_footer_bounds_the_error(
+        tmp_path, monkeypatch, lam, n, grid, m):
+    """One m-node pass; the footer is the closed-form aliasing bound, and it is
+    no smaller than the field's error against a 4096-node rule."""
+    fields = []
+
+    def spy(*args, **kw):
+        fields.append(line_moire_array(*args, **kw))
+        return fields[-1]
+
+    monkeypatch.setattr(euclid, "line_moire_array", spy)
+    out = tmp_path / "eu.csv"
+    assert cli.main(["euclid", "--lambda", str(lam), "--centers", str(n), "--spacing", "0.5",
+                     "--grid", "%dx%d" % grid, "--resolution", str(m), "--out", str(out)]) == 0
+    assert len(fields) == 1
+    _, _, footer = read_field(out)
+    Q = np.linspace(2.0, 6.0, grid[0])[None, :] + 1j * np.linspace(-2.0, 2.0, grid[1])[:, None]
+    est = float(footer["quadrature_error_estimate"])
+    assert est == pytest.approx(euclid_bound(lam, n, 0.5, Q, m), rel=1e-3)
+    ref = line_moire_array(lam, n, 0.5, Q, m=4096).real
+    assert est >= np.max(np.abs(fields[0].real - ref))
+
+
+@pytest.mark.parametrize("lam", ["0.4", "1e-9"])
+def test_euclid_footer_is_2_where_the_rule_cannot_resolve_the_rings(tmp_path, lam):
+    """At m <= k r_max the footer is 2, which bounds any two means of unit-modulus terms."""
+    out = tmp_path / "eu.csv"
+    assert cli.main(["euclid", "--lambda", lam, "--centers", "60", "--grid", "9x9",
+                     "--out", str(out)]) == 0
+    assert read_field(out)[2]["quadrature_error_estimate"] == "2.000e+00"
 
 
 def test_non_finite_field_exits_1_and_writes_nothing(tmp_path):
@@ -424,7 +475,7 @@ def test_lemma_exits_1_when_its_sides_disagree(tmp_path, capsys, x, code):
 
 @pytest.mark.parametrize("lam, code", [("1e6", 0), ("1e7", 1), ("1e300", 1)])
 def test_wave_exits_1_past_its_phase_round_off_bound(tmp_path, capsys, lam, code):
-    """Exit 1, writing nothing, once |lambda| max|B| 2^-53 exceeds 1e-9 (4.4e-9 at 1e7)."""
+    """Exit 1, writing nothing, once |lambda| (max|B| + 4) 2^-53 exceeds 1e-9 (8.9e-9 at 1e7)."""
     out = tmp_path / "w.csv"
     assert cli.main(["wave", "--lambda", lam, "--grid", "20x16", "--out", str(out)]) == code
     err = capsys.readouterr().err
@@ -434,6 +485,15 @@ def test_wave_exits_1_past_its_phase_round_off_bound(tmp_path, capsys, lam, code
     else:
         _, _, footer = read_field(out)
         assert float(footer["quadrature_error_estimate"]) <= cli._WAVE_PHASE_TOL
+
+
+def test_wave_near_the_origin_counts_the_brackets_absolute_round_off(tmp_path, capsys):
+    """At R = 0.04, max|B| is 0.04 but the bracket errs by up to 4 2^-53 where
+    it is near 0: at lambda = 1e7 the estimate is 4.5e-9 and the run exits 1."""
+    out = tmp_path / "w.csv"
+    assert cli.main(["wave", "--lambda", "1e7", "--radius", "0.04", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("validation error: wave phase")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_moire_footer_measures_the_center_sum(tmp_path, monkeypatch):

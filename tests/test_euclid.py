@@ -1,9 +1,11 @@
 """Euclidean baseline: Bessel ring profiles and the line moire."""
 import numpy as np
 import pytest
+from scipy.special import jv
 
 import oracles
 from horowave.euclid import (
+    _kapteyn,
     PlanePoint,
     bessel_wave,
     bessel_wave_array,
@@ -90,3 +92,13 @@ def test_line_moire_approaches_plane_wave():
         scale = np.vdot(lm, pw) / np.vdot(lm, lm)
         dists.append(float(np.sqrt(np.mean(np.abs(scale * lm - pw) ** 2))))
     assert dists[0] >= dists[1] >= dists[2]
+
+
+@pytest.mark.parametrize("m", [2, 3, 16, 97, 256, 1024])
+def test_kapteyn_bounds_the_aliased_bessel_terms(m):
+    """K_m(x) >= |J_m(x)| for x < m, and it covers the whole aliasing series
+    sum_{j>=1} |J_{jm}(x)| that the m-node circle average errs by."""
+    x = np.linspace(0.0, m, 513)[:-1]
+    K = np.array([_kapteyn(m, v) for v in x])
+    assert np.all(K >= np.abs(jv(m, x)))
+    assert np.all(K >= sum(np.abs(jv(j * m, x)) for j in range(1, 6)))

@@ -62,6 +62,14 @@ def test_helgason_wave_raises_past_its_phase_round_off():
             call()
 
 
+def test_helgason_wave_at_the_origin_raises_on_the_brackets_round_off():
+    """The bracket at z = 0 is 0, but toward e^{0.7 i} it computes as 2 2^-53:
+    at lambda = 1e10 a phase error of 2.2e-6, so the call raises."""
+    assert busemann_array(np.asarray(0j), 0.7) != 0.0
+    with pytest.raises(HorowaveError, match="wave phase round-off"):
+        helgason_wave(1e10, BoundaryPoint(0.7), DiskPoint(0j))
+
+
 def test_spherical_matches_frozen_oracle_values():
     for (lam, d), expect in FROZEN_PHI.items():
         assert spherical_radial(lam, d) == pytest.approx(expect, abs=1e-12)
