@@ -34,6 +34,7 @@ from .transform import (
     DEFAULT_GRID,
     GridSpec,
     SampledField,
+    _radial_nodes,
     _relative_l2,
     forward,
     gaussian_bump,
@@ -441,8 +442,8 @@ def cmd_transform(args) -> int:
         raise HorowaveError(f"transform: the bump sampled on the {grid.n_r}x{grid.n_theta} grid "
                             f"of radius {grid.R:g} has L2 norm 0; nothing written")
     F = forward(f)
-    # the radii both build rows at, which forward hands on to inverse
-    nodes, _, interp = F._radial[2]
+    # the radii forward and inverse build rows at; the node check behind them runs once
+    nodes, _, interp = _radial_nodes(grid.radii_t, float(F.lambda_grid[-1]))
     g = inverse(F)
     del F  # not held while the field is written
     err = _relative_l2(g, f)

@@ -42,8 +42,6 @@ def plane_wave_array(p: tuple[float, float], q: np.ndarray) -> np.ndarray:
 
 
 def bessel_wave(lam: float, x0: PlanePoint, q: PlanePoint) -> complex:
-    if lam <= 0:
-        raise ValueError("bessel_wave requires lam > 0")
     return complex(bessel_wave_array(lam, x0.as_complex, np.asarray(q.as_complex)))
 
 
@@ -69,6 +67,8 @@ def line_moire_array(lam: float, n: int, spacing: float, q: np.ndarray,
     products are summed once per grid node from the two factor tables, without
     gathering a copy of them per point.
     """
+    if not (np.isfinite(lam) and lam > 0):
+        raise ValueError(f"line_moire requires a finite wavelength lam > 0, got {lam}")
     if n < 1:
         raise ValueError("line_moire requires n >= 1")
     if spacing <= 0:

@@ -21,8 +21,9 @@ is even in lambda. kappa is the exact 1/(2 pi) (``waves.PLANCHEREL_KAPPA``);
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -216,9 +217,6 @@ class SpectralField:
     lambda_grid: np.ndarray
     values: np.ndarray
     grid: GridSpec  # spatial grid this field transforms against
-    # (grid, lambda grid, _radial_nodes' (nodes, I, err)) that ``forward`` built its rows
-    # with, for ``inverse``; None on a field built by hand
-    _radial: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.values.shape != (len(self.lambda_grid), self.grid.n_theta):
@@ -305,25 +303,21 @@ def _kernel_terms(zmax: np.ndarray) -> np.ndarray:
     Each count K is one more than the first order k > zmax with
     |J_k(zmax)| < _KERNEL_TAIL. Past its turning point J_k(z) grows with
     |z|, so the bound holds at every |z| <= zmax. The count is about
-    zmax + 12 + 9 zmax^(1/3) (45 at zmax = 16, 1103 at 1000), so the search
-    starts at order z + 10 z^(1/3) + 12, z = max zmax, which one Bessel
-    stack settles, and doubles; QuadratureUnderResolved past
-    _KERNEL_MAX_TERMS terms.
+    zmax + 12 + 9 zmax^(1/3) (45 at zmax = 16, 1103 at 1000), so one Bessel
+    stack of z + 10 z^(1/3) + 12 orders, z = max zmax, settles it (with six
+    orders to spare up to z = 3930); past about z = 3924 that reaches
+    _KERNEL_MAX_TERMS, and a count it does not settle is QuadratureUnderResolved.
     """
     zmax = np.asarray(zmax, float)
     z = float(np.max(zmax))
-    n = math.ceil(z + 10.0 * z ** (1.0 / 3.0)) + 12
-    while True:
-        n = min(n, _KERNEL_MAX_TERMS)
-        j = np.abs(_bessel_stack(zmax, n))
-        settled = (j < _KERNEL_TAIL) & (np.arange(n)[:, None] > zmax)
-        if settled.any(axis=0).all():
-            return settled.argmax(axis=0) + 1
-        if n == _KERNEL_MAX_TERMS:
-            raise QuadratureUnderResolved(
-                f"Jacobi-Anger expansion at |c B| = {np.max(zmax):g} did not settle below "
-                f"{_KERNEL_TAIL:g} with {n} terms (last |J_{n - 1}| = {np.max(j[-1]):.2e})")
-        n *= 2
+    n = min(math.ceil(z + 10.0 * z ** (1.0 / 3.0)) + 12, _KERNEL_MAX_TERMS)
+    j = np.abs(_bessel_stack(zmax, n))
+    settled = (j < _KERNEL_TAIL) & (np.arange(n)[:, None] > zmax)
+    if not settled.any(axis=0).all():
+        raise QuadratureUnderResolved(
+            f"Jacobi-Anger expansion at |c B| = {z:g} did not settle below "
+            f"{_KERNEL_TAIL:g} with {n} terms (last |J_{n - 1}| = {np.max(j[-1]):.2e})")
+    return settled.argmax(axis=0) + 1
 
 
 def _barycentric(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -363,37 +357,51 @@ def _chebyshev_levels(f, n: int, max_n: int):
         n *= 2
 
 
-def _radial_nodes(t: np.ndarray, lam: float):
-    """Radii at which to build the kernel rows, and the map from them back to the radii t.
+@functools.lru_cache(maxsize=32)
+def _node_check(t0: float, t1: float, n: int, lam: float):
+    """Chebyshev points x in [-1, 1] for the kernel rows on [t0, t1], n radii, band edge lam.
 
     The kernel e^{(i lam + rho) B(t, a)} is analytic in t on the strip
     |Im t| < pi/2: its only singularities are the zeros of
     cosh t - sinh t cos(a - theta), at t = log cot(|a - theta|/2) +- i pi/2.
-    So its Chebyshev interpolant on [t_0, t_{n-1}] converges geometrically
+    So its Chebyshev interpolant on [t0, t1] converges geometrically
     (L. N. Trefethen, Approximation Theory and Approximation Practice,
     Thm 8.2). Q doubles (33, 65, 129, ..., ``_chebyshev_levels``) until the
     interpolant of the kernel at lam, the largest |lambda|, is within
     _NODE_TOL of it at the midpoints between the nodes, relative to the
     largest |kernel| at each midpoint, at _NODE_CHECK_OFFSETS: the strip is
     the same at every angle, so these nodes serve every grid and every b.
-    Returns (nodes, I, err): I of shape (n, Q) takes values at the nodes to
-    the radii t, and err is that midpoint error. Once Q reaches n (or
-    passes _MAX_RADIAL_NODES), the nodes are the radii t themselves, I is
-    None and err is 0.0: nothing is interpolated.
+    Returns (x, err), x read-only and err that midpoint error, or (None, 0.0)
+    once Q reaches n (or passes _MAX_RADIAL_NODES); made once per radii and lam.
     """
-    mid, half = 0.5 * (t[-1] + t[0]), 0.5 * (t[-1] - t[0])
+    mid, half = 0.5 * (t1 + t0), 0.5 * (t1 - t0)
 
     def kernel(a):
         return np.exp((1j * lam + RHO) * _polar_bracket(mid - half * np.cos(a), _NODE_CHECK_OFFSETS))
 
-    max_n = min(2 * len(t) - 4, 2 * _MAX_RADIAL_NODES - 2)  # Q < len(t), Q <= _MAX_RADIAL_NODES
+    max_n = min(2 * n - 4, 2 * _MAX_RADIAL_NODES - 2)  # Q < n, Q <= _MAX_RADIAL_NODES
     for a, K in _chebyshev_levels(kernel, 64, max_n):
         x, Km = -np.cos(a[::2]), K[1::2]
         P = _real_matmul(_barycentric(x, -np.cos(a[1::2])), K[::2]) - Km
         err = float(np.max(np.max(np.abs(P), axis=1) / np.max(np.abs(Km), axis=1)))
         if err <= _NODE_TOL:
-            return mid + half * x, _barycentric(x, (t - mid) / half), err
-    return t, None, 0.0
+            x.setflags(write=False)
+            return x, err
+    return None, 0.0
+
+
+def _radial_nodes(t: np.ndarray, lam: float):
+    """Radii at which to build the kernel rows, and the map from them back to the radii t.
+
+    Returns (nodes, I, err): ``_node_check``'s nodes on [t_0, t_{n-1}] and
+    midpoint error, and I of shape (n, Q) taking values at the nodes to the
+    radii t; (t, None, 0.0) where the grid keeps its radii.
+    """
+    x, err = _node_check(float(t[0]), float(t[-1]), len(t), float(lam))
+    if x is None:
+        return t, None, 0.0
+    mid, half = 0.5 * (t[-1] + t[0]), 0.5 * (t[-1] - t[0])
+    return mid + half * x, _barycentric(x, (t - mid) / half), err
 
 
 def _busemann_kernel(t: np.ndarray, offsets: np.ndarray, lams: np.ndarray):
@@ -546,8 +554,7 @@ def forward(f: SampledField) -> SpectralField:
     _check_support(f)
     grid = f.grid
     lams = np.arange(0.0, LAMBDA_MAX + LAMBDA_STEP / 2.0, LAMBDA_STEP)
-    radial = _radial_nodes(grid.radii_t, float(lams[-1]))
-    t, I, _ = radial
+    t, I, _ = _radial_nodes(grid.radii_t, float(lams[-1]))
     conj_a = _weighted_rows(f, I)
     np.conj(np.fft.fft(conj_a, axis=1, out=conj_a), out=conj_a)
     T, s, chunks = _even_row_ffts(t, grid.n_theta, lams)
@@ -559,9 +566,7 @@ def forward(f: SampledField) -> SpectralField:
     del FW  # a view of the chunk buffer
     out = _real_matmul(T, s[:, None] * P)
     np.conj(out, out=out)
-    F = SpectralField(lams, np.fft.ifft(out, axis=1, out=out), grid)
-    F._radial = (grid, lams.copy(), radial)
-    return F
+    return SpectralField(lams, np.fft.ifft(out, axis=1, out=out), grid)
 
 
 def forward_at(f: SampledField, lams: np.ndarray, b: BoundaryPoint) -> np.ndarray:
@@ -601,8 +606,6 @@ def inverse(F: SpectralField) -> SampledField:
 
     The kernel rows are built at the radial nodes (``_radial_nodes``), and
     the sum there is interpolated back to the grid radii before the IFFT.
-    A field from ``forward`` hands on its nodes, used while its grid and
-    lambda grid are the ones they were chosen for.
     """
     dens = plancherel_density(F.lambda_grid)
     energy = dens * np.sum(np.abs(F.values) ** 2, axis=1)
@@ -620,7 +623,7 @@ def inverse(F: SpectralField) -> SampledField:
     # G = s T^T FF, sum the kernel products over those rows, then one IFFT
     FF = np.fft.fft(F.values, axis=1)
     FF *= (dens * wl * db)[:, None]
-    t, I, _ = _nodes_of(F)
+    t, I, _ = _radial_nodes(grid.radii_t, float(np.max(np.abs(F.lambda_grid))))
     T, s, chunks = _even_row_ffts(t, grid.n_theta, F.lambda_grid)
     G = s[:, None] * _real_matmul(T.T, FF)
     del FF
@@ -631,15 +634,6 @@ def inverse(F: SpectralField) -> SampledField:
     if I is not None:
         acc = _real_matmul(I, acc)
     return SampledField(grid, np.fft.ifft(acc, axis=1, out=acc))
-
-
-def _nodes_of(F: SpectralField):
-    """``_radial_nodes`` of F's grid radii and band edge, from ``forward`` where they still hold."""
-    if F._radial is not None:
-        grid, lams, radial = F._radial
-        if grid == F.grid and np.array_equal(lams, F.lambda_grid):
-            return radial
-    return _radial_nodes(F.grid.radii_t, float(np.max(np.abs(F.lambda_grid))))
 
 
 def _radial_profile(f: SampledField) -> np.ndarray:

@@ -40,14 +40,22 @@ def test_bessel_wave_center_translation():
 
 
 def test_bessel_wave_rejects_bad_wavelength():
-    with pytest.raises(ValueError):
-        bessel_wave(0.0, PlanePoint(0, 0), PlanePoint(1, 1))
+    """Every entry point refuses a wavelength that is not finite and positive."""
+    q = np.array([1.0 + 0.5j, 3.2 - 1.1j])
+    calls = (lambda lam: line_moire_array(lam, 3, 0.5, q),
+             lambda lam: line_moire(lam, 3, 0.5, PlanePoint(1, 1)),
+             lambda lam: bessel_wave_array(lam, 0j, q),
+             lambda lam: bessel_wave(lam, PlanePoint(0, 0), PlanePoint(1, 1)))
+    for lam in (0.0, np.nan, np.inf, -1.0):
+        for call in calls:
+            with pytest.raises(ValueError, match="wavelength"):
+                call(lam)
 
 
 def test_line_moire_single_center_reduces_to_bessel():
     q = np.array([1.0 + 0.5j, 3.2 - 1.1j])
     np.testing.assert_allclose(line_moire_array(1.0, 1, 0.4, q),
-                               bessel_wave_array(1.0, 0j, q), atol=1e-15)
+                               oracles.bessel_j0(2 * np.pi * np.abs(q) / 1.0), rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("lam", [0.5, 4.0])

@@ -163,34 +163,30 @@ def test_spectral_field_needs_one_column_per_grid_angle():
             SpectralField(lams, np.zeros(shape, complex), grid)
 
 
-def _counted_radial_nodes(monkeypatch) -> list:
-    """Patch transform._radial_nodes to record the band edge of each call."""
-    calls, radial_nodes = [], transform._radial_nodes
-    monkeypatch.setattr(transform, "_radial_nodes",
-                        lambda t, lam: calls.append(lam) or radial_nodes(t, lam))
-    return calls
-
-
-def test_one_radial_node_check_per_round_trip_and_transform_run(monkeypatch, tmp_path):
-    calls = _counted_radial_nodes(monkeypatch)
+def test_one_radial_node_check_per_round_trip_and_transform_run(tmp_path):
+    """One node check per radii and band edge: each is a miss of _node_check's cache."""
+    checks = transform._node_check
+    checks.cache_clear()
     f = SampledField.from_function(BUMPS["offcenter"], GridSpec(120, 96, 4.0))
     inverse(forward(f))
-    assert calls == [8.0]
-    calls.clear()
+    assert checks.cache_info().misses == 1
     out = tmp_path / "t.csv"
-    assert cli.main(["transform", "--grid", "120x96", "--out", str(out)]) == 0
-    assert calls == [8.0]
+    assert cli.main(["transform", "--grid", "100x96", "--out", str(out)]) == 0
+    assert checks.cache_info().misses == 2
     footer = dict(l[2:].split("=", 1) for l in out.read_text().splitlines() if l.startswith("# "))
-    nodes, _, err = transform._radial_nodes(GridSpec(120, 96, 4.0).radii_t, 8.0)
+    nodes, _, err = transform._radial_nodes(GridSpec(100, 96, 4.0).radii_t, 8.0)
     assert footer["radial_nodes"] == str(len(nodes))
     assert footer["kernel_interpolation_error"] == f"{err:.3e}"
+    for b0, x in ((0.0, 0j), (0.7, 0.2j), (2.0, -0.3), (4.0, 0.1 + 0.1j), (5.5, 0.4)):
+        lemma_check(BUMPS["radial"], BoundaryPoint(b0), DiskPoint(x))
+    assert checks.cache_info().misses == 3
 
 
-def test_inverse_takes_the_handed_on_nodes_only_while_they_hold():
-    """A field built by hand, or whose grid or lambda grid changed, takes its own nodes.
+def test_inverse_takes_the_nodes_of_its_own_grid_and_band_edge(monkeypatch):
+    """A field built by hand, or whose grid or lambda grid changed, is inverted alike.
 
     Twice forward's lambda grid needs the 120 grid radii where forward took
-    65 nodes, so nodes handed on past such a change would give other values.
+    65 nodes, so the nodes of forward's band edge would give other values.
     """
     grid = GridSpec(120, 192, 4.0)
     f = SampledField.from_function(BUMPS["offcenter"], grid)
@@ -199,25 +195,44 @@ def test_inverse_takes_the_handed_on_nodes_only_while_they_hold():
     assert rel_l2(f, g) < 1e-4
     assert np.array_equal(inverse(SpectralField(F.lambda_grid, F.values, grid)).values, g.values)
     wide = 2.0 * F.lambda_grid
-    assert len(transform._radial_nodes(grid.radii_t, wide[-1])[0]) != len(F._radial[2][0])
+    assert len(transform._radial_nodes(grid.radii_t, wide[-1])[0]) != len(
+        transform._radial_nodes(grid.radii_t, F.lambda_grid[-1])[0])
     expect = inverse(SpectralField(wide, F.values, grid)).values
     F.lambda_grid = wide
     assert np.array_equal(inverse(F).values, expect)
     F = forward(f)
-    F.lambda_grid *= 2.0  # in place: the handed-on copy no longer matches
+    F.lambda_grid *= 2.0  # in place
     assert np.array_equal(inverse(F).values, expect)
     F = forward(f)
     F.grid = GridSpec(120, 192, 3.0)
     assert np.array_equal(inverse(F).values,
                           inverse(SpectralField(F.lambda_grid, F.values, F.grid)).values)
+    # the wide band's inverse is the one built at the grid radii themselves
+    monkeypatch.setattr(transform, "_radial_nodes", lambda t, lam: (t, None, 0.0))
+    assert np.array_equal(inverse(SpectralField(wide, F.values, grid)).values, expect)
 
 
-def test_spectral_field_repr_and_equality_ignore_the_handed_on_nodes():
+def test_spectral_field_from_forward_equals_one_built_by_hand():
     F = forward(SampledField.from_function(BUMPS["radial"], GridSpec(40, 32, 4.0)))
     hand = SpectralField(F.lambda_grid, F.values, F.grid)
-    assert F._radial is not None and hand._radial is None
-    assert repr(F) == repr(hand) and "_radial" not in repr(F)
+    assert repr(F) == repr(hand)
     assert F == hand
+
+
+def test_radial_nodes_written_into_do_not_change_a_later_call():
+    """The node choice is kept per radii and band edge; what a call returns is the caller's."""
+    t = GridSpec(120, 192, 4.0).radii_t
+    nodes, I, err = transform._radial_nodes(t, 8.0)
+    kept = nodes.copy(), I.copy()
+    nodes[:] = 0.0
+    I[:] = 0.0
+    again, I_again, err_again = transform._radial_nodes(t, 8.0)
+    np.testing.assert_array_equal(again, kept[0])
+    np.testing.assert_array_equal(I_again, kept[1])
+    assert err_again == err
+    x, _ = transform._node_check(float(t[0]), float(t[-1]), len(t), 8.0)
+    with pytest.raises(ValueError, match="read-only"):
+        x[0] = 0.0
 
 
 def _exact_product(T: np.ndarray, X: np.ndarray):
@@ -516,31 +531,34 @@ def test_grid_busemann_propagates_a_nan_angle():
 
 
 @pytest.mark.parametrize("shape", [(48, 1, 3.0), (48, 2, 3.0), (48, 3, 3.0), (48, 33, 3.0),
-                                   (200, 256, 4.0)])
+                                   (200, 256, 4.0), (40, 1024, 3.0)])
 def test_even_row_ffts_match_the_full_row_build(shape):
     """Each block's chunks, put together, are its kernel rows' FFTs built at every angle.
 
     The chunks of a block run over its terms k = 0, 1, ... in order, and
     each chunk holds at most _BLOCK_FLOATS floats unless one term's rows
-    alone are more; the blocks cover every radial row once.
+    alone are more; the blocks cover every radial row once. At one lambda
+    (c = 0) each row takes two terms, the J_1 row all zero; on 40 x 1024
+    its one block of 40 rows passes the buffer a term at a time, so the
+    buffer grows.
     """
     grid = GridSpec(*shape)
-    lams = np.arange(0.0, 8.025, 0.05)
-    _, _, chunks = transform._even_row_ffts(grid.radii_t, grid.n_theta, lams)
-    blocks = {}
-    for rows, ks, FW in chunks:  # each chunk overwrites the last
-        assert FW.shape == (ks.stop - ks.start, rows.stop - rows.start, grid.n_theta)
-        assert 2 * FW.size <= transform._BLOCK_FLOATS or len(FW) == 1
-        got = blocks.setdefault((rows.start, rows.stop), [])
-        assert ks.start == sum(len(c) for c in got)
-        got.append(FW.copy())
-    starts = sorted(blocks)
-    assert starts[0][0] == 0 and starts[-1][1] == grid.n_r
-    assert all(a[1] == b[0] for a, b in zip(starts, starts[1:]))
-    for (a, b), got in blocks.items():
-        FW = np.concatenate(got)
-        ref = oracles.kernel_row_ffts_full(grid, grid.radii_t[a:b], lams, len(FW))
-        assert np.max(np.abs(FW - ref)) <= 1e-14 * np.max(np.abs(ref))
+    for lams in (np.arange(0.0, 8.025, 0.05), np.array([2.0])):
+        _, _, chunks = transform._even_row_ffts(grid.radii_t, grid.n_theta, lams)
+        blocks = {}
+        for rows, ks, FW in chunks:  # each chunk overwrites the last
+            assert FW.shape == (ks.stop - ks.start, rows.stop - rows.start, grid.n_theta)
+            assert 2 * FW.size <= transform._BLOCK_FLOATS or len(FW) == 1
+            got = blocks.setdefault((rows.start, rows.stop), [])
+            assert ks.start == sum(len(c) for c in got)
+            got.append(FW.copy())
+        starts = sorted(blocks)
+        assert starts[0][0] == 0 and starts[-1][1] == grid.n_r
+        assert all(a[1] == b[0] for a, b in zip(starts, starts[1:]))
+        for (a, b), got in blocks.items():
+            FW = np.concatenate(got)
+            ref = oracles.kernel_row_ffts_full(grid, grid.radii_t[a:b], lams, len(FW))
+            assert np.max(np.abs(FW - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def _traced_peak(call, *args) -> float:
