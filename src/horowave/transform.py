@@ -209,6 +209,12 @@ class SampledField:
         """Squared L2 norm with respect to hyperbolic area."""
         return float(np.sum(self.weights * np.abs(self.values) ** 2))
 
+    def __eq__(self, other):
+        """The same grid and the same values (``np.array_equal``)."""
+        if not isinstance(other, SampledField):
+            return NotImplemented
+        return self.grid == other.grid and np.array_equal(self.values, other.values)
+
 
 @dataclass
 class SpectralField:
@@ -224,6 +230,13 @@ class SpectralField:
         if len(self.lambda_grid) > 1 and not np.all(np.diff(self.lambda_grid) > 0):
             raise ValueError("lambda grid must be strictly increasing")
         _lambda_step(self.lambda_grid)
+
+    def __eq__(self, other):
+        """The same spatial grid, lambda grid and values (``np.array_equal``)."""
+        if not isinstance(other, SpectralField):
+            return NotImplemented
+        return (self.grid == other.grid and np.array_equal(self.lambda_grid, other.lambda_grid)
+                and np.array_equal(self.values, other.values))
 
 
 def _lambda_step(lams: np.ndarray) -> float:

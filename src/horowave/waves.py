@@ -8,8 +8,8 @@ Mehler-Dirichlet integral
     phi_lambda(d) = (sqrt(2)/pi) * int_0^d cos(lambda t) / sqrt(cosh d - cosh t) dt,
 
 regularized by the substitution t = d - v^2 and evaluated by a Gauss rule
-whose node count follows lambda * d and is checked against the half-size
-rule on every call. The two agree to machine precision at desk scale.
+whose node count an error bound proves enough for 1e-13 Xi(d) at each
+distance. The two agree to machine precision at desk scale.
 """
 from __future__ import annotations
 
@@ -136,19 +136,12 @@ def spherical(lam: float, p: DiskPoint, M: int) -> complex:
 
 # The radial rule: the positive half of the 2n-point Gauss-Legendre rule on
 # [-1, 1], scaled to v in [0, sqrt(d)]. The integrand is even in v, so these n
-# nodes act as an n-point Gauss rule in v^2. n runs up a power-of-two ladder
-# and starts at the smallest rung >= 0.7 |lambda| d + 26: its n/2-node rule
-# then has more nodes than the 1e-13 Xi(d) accuracy needs at every (lambda, d)
-# measured against mpmath (d <= 80, lambda d <= 1280), except at large d with
-# small lambda, where the check below doubles n.
+# nodes act as an n-point Gauss rule in v^2, on the power-of-two rung from
+# _MIN_NODES at or above ``_node_count``; a count past _MAX_NODES raises.
 _MIN_NODES = 32
 _MAX_NODES = 4096
-# Every evaluation compares its n-node and n/2-node sums; a distance whose sums
-# differ by more than max(_RULE_TOL, 8 eps lambda d) Xi(d) doubles its n (the
-# second term is the round-off of cos(lambda (d - v^2))).
 _RULE_TOL = 1e-13
-_EPS = float(np.finfo(float).eps)
-# Distances times nodes (both rules) per block; bounds the temporaries.
+# Distances times nodes per block; bounds the temporaries.
 _BLOCK = 4096 * 400
 
 
@@ -181,10 +174,15 @@ def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def _log1m_exp2(x: np.ndarray) -> np.ndarray:
+    """log(1 - e^{-2x}) for x > 0 without overflow."""
+    return np.log(-np.expm1(-2.0 * np.minimum(x, 700.0)))
+
+
 def _log_sinh(x: np.ndarray) -> np.ndarray:
     """log(sinh x) for x > 0 without overflow."""
     x = np.asarray(x, float)
-    return x + np.log(-np.expm1(-2.0 * np.minimum(x, 700.0))) - math.log(2.0)
+    return x + _log1m_exp2(x) - math.log(2.0)
 
 
 def _log_sinhc(h: np.ndarray) -> np.ndarray:
@@ -213,48 +211,57 @@ def _mehler_dirichlet(d: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return W, d - v * v
 
 
-def _rule_sums(lam: np.ndarray, d: np.ndarray, n: int):
-    """The n-node and n/2-node sums at distances d, and Xi(d) from the n-node weights.
+def _node_count(key: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The n, not rounded, for which the Gauss error bound proves the 2n-point
+    rule within _RULE_TOL Xi(d); key = |lambda| d >= 0 (inf gives inf), d > 0.
 
-    lam has shape (L, len(d)), one lambda per distance in each row, or
-    (L, 1), one lambda per row; both sums have shape (L, len(d)).
+    In x = v/sqrt(d) the rule integrates over [-1, 1] f = (sqrt(2)/pi) sqrt(d)
+    cos(lambda d (1 - w)) q^(-1/2), w = x^2, s = dw/2 = sigma + i tau and
+    q = sinh(d - s) sinh(s)/s. If f is analytic with |f| <= M in the Bernstein
+    ellipse E_r, r = e^rho, it errs by at most (64/15) M r^(2-4n)/(r^2 - 1) (L. N.
+    Trefethen, Approximation Theory and Approximation Practice, Thm 19.3).
+    On E_r, |Im w| <= sinh(2 rho)/2, so |cos| <= e^(key sinh(2 rho)/2), and
+    Re(d - s) >= g = d (1 - sinh^2 rho)/2 > 0 for rho < asinh 1. Where
+    sigma <= 1/2, |tau| <= tau0 = (d/2) tanh(2 rho) cosh(rho) sqrt(sinh^2 rho
+    + 1/d) < pi, and |sinh s|^2 = sinh^2 sigma + sin^2 tau >= |s|^2 sin^2(tau0)/tau0^2
+    gives |q| >= sinh(max(d - 1/2, g)) sin(tau0)/tau0; elsewhere
+    |q| >= sinh(d - sigma) sinh(sigma)/|s| >= 2 sinh(d - h) sinh(h)/(d cosh^2 rho),
+    h = min(1/2, g), so q has no zero in E_r. With Xi(d) >= d/(pi sinh(d/2)),
+    n = (log(64/15/_RULE_TOL) - log(1 - r^-2) + log(M/Xi(d)))/(4 rho), their
+    e^(d/2) cancelled by hand. rho = min(0.85, 1.6/sqrt(d), 3 key^(-1/3)) keeps
+    tau0 <= 3.02 (the zeros s = +-i pi bound rho by about sqrt(pi/d)) and sits
+    near the least n, at sinh(2 rho) = (6L/key)^(1/3), L ~ 36: n grows like
+    key/4 + O(key^(1/3)) and passes 4096 at key ~ 1.6e4 (README: measured counts).
     """
-    sums = np.empty((2, len(lam), len(d)))
-    for k, m in enumerate((n, n // 2)):
-        W, phase = _mehler_dirichlet(d, m)
-        if k == 0:
-            xi = np.sum(W, axis=1)
-        for i, row in enumerate(lam):
-            sums[k, i] = np.sum(W * np.cos(row[:, None] * phase), axis=1)
-    return sums[0], sums[1], xi
-
-
-def _first_rung(key: np.ndarray) -> np.ndarray:
-    """The ladder rung each key = |lambda| d starts on: smallest n >= 0.7 key + 26.
-
-    Raises QuadratureUnderResolved where that exceeds _MAX_NODES.
-    """
-    need = 0.7 * key + 26.0
-    if np.any(need > _MAX_NODES):
-        j = int(np.argmax(key))
-        raise QuadratureUnderResolved(
-            f"radial rule at lambda*d = {key[j]:.4g} needs about {need[j]:.3g} nodes, "
-            f"more than {_MAX_NODES}")
-    return np.exp2(np.ceil(np.log2(np.maximum(need, _MIN_NODES)))).astype(int)
+    rho = np.minimum(np.minimum(0.85, 1.6 / np.sqrt(d)), 3.0 / np.cbrt(np.clip(key, 1e-300, 1e300)))
+    ch2, sh2 = np.cosh(rho) ** 2, np.sinh(rho) ** 2
+    tau0 = 0.5 * np.tanh(2.0 * rho) * np.sqrt(ch2 * d) * np.sqrt(d * sh2 + 1.0)
+    g = 0.5 * d * (1.0 - sh2)
+    h = np.minimum(0.5, g)
+    # log|q| - d from each bound, with sinh x = e^x (1 - e^(-2x))/2
+    tip = (_log1m_exp2(np.maximum(d - 0.5, g)) - np.minimum(0.5, d - g) - math.log(2.0)
+           + np.log(np.sinc(tau0 / np.pi)))
+    body = _log1m_exp2(d - h) - h + _log_sinh(h) - np.log(d * ch2)
+    # log(M/Xi(d)) + log(2)/2 = key sinh(2 rho)/2 + log(1 - e^-d) - (log d + log|q| - d)/2
+    log_m = (0.5 * key * np.sinh(2.0 * rho) + _log1m_exp2(0.5 * d)
+             - 0.5 * (np.log(d) + np.minimum(tip, body)))
+    return (math.log(64.0 / 15.0 / math.sqrt(2.0) / _RULE_TOL)
+            - np.log(-np.expm1(-2.0 * rho)) + log_m) / (4.0 * rho)
 
 
 def _radial(lam: np.ndarray, d: np.ndarray) -> np.ndarray:
     """phi_lambda(d) of shape (L, len(d)) for 1-D distances d.
 
-    lam has shape (L, len(d)) or (L, 1) as in ``_rule_sums``. Each distance
-    starts on the ladder rung of its key max_rows |lambda| d, which depends
-    on that distance and its lambdas only, so blocking cannot change a
-    value. Where x = (lambda^2 + 1/4) d^2 < 1e-16 (only d < 2e-8 qualify),
-    the series 1 - x/4 replaces the rule: its dropped O(x^2) term is below
-    1e-32, d = 0 gives exactly 1 (x = 0 there at any lambda), and the
-    rule's squared nodes underflow below d ~ 1e-250. Raises ValueError on
-    a negative or non-finite distance or a non-finite lambda, and
-    QuadratureUnderResolved when a distance needs over _MAX_NODES nodes.
+    lam has shape (L, len(d)), one lambda per distance in each row, or (L, 1),
+    one lambda per row. Each distance is one Gauss sum on the rung of its key
+    max_rows |lambda| d, which depends on that distance and its lambdas only,
+    so blocking cannot change a value. Where x = (lambda^2 + 1/4) d^2 < 1e-16
+    (only d < 2e-8 qualify), the series 1 - x/4 replaces the rule: its
+    dropped O(x^2) term is below 1e-32, d = 0 gives exactly 1 (x = 0 there
+    at any lambda), and the rule's squared nodes underflow below d ~ 1e-250.
+    Raises ValueError on a negative or non-finite distance or a non-finite
+    lambda, and QuadratureUnderResolved where the count passes _MAX_NODES or
+    at a subnormal d, whose d - v^2 keeps too few digits (|lambda| > 4e299).
     """
     if not np.all(np.isfinite(d) & (d >= 0.0)):
         raise ValueError("spherical function distances must be finite and >= 0")
@@ -263,31 +270,23 @@ def _radial(lam: np.ndarray, d: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # inf past the float range, nan as inf * 0
         x = np.where(d == 0.0, 0.0, (lam * lam + 0.25) * (d * d))
     series = x < 1e-16
-    n = _first_rung(np.max(np.abs(lam), axis=0, initial=0.0) * d)
-    out = np.empty(x.shape)
     todo = np.flatnonzero(~np.all(series, axis=0))
-    while todo.size:
-        failed, worst = [], 0.0
-        for nodes in np.unique(n[todo]).tolist():
-            idx = todo[n[todo] == nodes]
-            step = max(1, _BLOCK // (nodes + nodes // 2))
-            for lo in range(0, len(idx), step):
-                j = idx[lo:lo + step]
-                lam_j = lam if lam.shape[1] == 1 else lam[:, j]
-                fine, coarse, xi = _rule_sums(lam_j, d[j], nodes)
-                change = np.abs(fine - coarse)
-                tol = np.maximum(_RULE_TOL, 8.0 * _EPS * np.abs(lam_j) * d[j]) * xi
-                bad = ~np.all((change <= tol) | series[:, j], axis=0)
-                out[:, j] = fine
-                if np.any(bad):
-                    failed.append(j[bad])
-                    worst = max(worst, float(np.max(change[:, bad] / xi[bad])))
-        todo = np.concatenate(failed) if failed else todo[:0]
-        n[todo] *= 2
-        if np.any(n[todo] > _MAX_NODES):
-            raise QuadratureUnderResolved(
-                f"radial rule did not settle with {_MAX_NODES} nodes at "
-                f"d = {float(np.max(d[todo])):.4g} (last change {worst:.2e} Xi(d))")
+    key, dj = (np.max(np.abs(lam), axis=0, initial=0.0) * d)[todo], d[todo]
+    count = np.where(dj >= np.finfo(float).tiny, _node_count(key, dj), np.inf)
+    if not np.all(count <= _MAX_NODES):
+        j = int(np.argmax(count))
+        raise QuadratureUnderResolved(f"radial rule at lambda*d = {key[j]:.4g}, d = {dj[j]:.4g} "
+                                      f"needs {count[j]:.4g} nodes, more than {_MAX_NODES}")
+    n = np.exp2(np.ceil(np.log2(np.maximum(count, _MIN_NODES)))).astype(int)
+    out = np.empty(x.shape)
+    for nodes in np.unique(n).tolist():
+        idx = todo[n == nodes]
+        step = max(1, _BLOCK // nodes)
+        for lo in range(0, len(idx), step):
+            j = idx[lo:lo + step]
+            W, phase = _mehler_dirichlet(d[j], nodes)
+            for i, row in enumerate(lam if lam.shape[1] == 1 else lam[:, j]):
+                out[i, j] = np.sum(W * np.cos(row[:, None] * phase), axis=1)
     return np.where(series, 1.0 - 0.25 * x, out)
 
 
@@ -295,12 +294,12 @@ def spherical_radial(lam, d) -> np.ndarray:
     """phi_lambda at geodesic distance d from the center; broadcasts.
 
     Equals spherical(lam, tanh(d/2) * e^{i alpha}) for any angle alpha.
-    Each element gets the node count its own |lambda| d asks for, checked
-    against the half-size rule to max(1e-13, 8 eps |lambda| d) Xi(d); the
+    Each element gets the node count an error bound proves enough at its own
+    |lambda| d (``_node_count``), accurate to max(1e-13, 8 eps |lambda| d) Xi(d); the
     cosh difference under the square root is kept in log space, and a
     Taylor series takes over near d = 0. Raises ValueError for a negative
     or non-finite d and QuadratureUnderResolved where the rule would need
-    more than 4096 nodes.
+    more than 4096 nodes (|lambda| d above about 1.6e4).
     """
     lam_b, d_b = np.broadcast_arrays(np.asarray(lam, float), np.asarray(d, float))
     shape = lam_b.shape
@@ -311,11 +310,11 @@ def spherical_radial(lam, d) -> np.ndarray:
 def spherical_radial_profile(lams: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Matrix phi[i, j] = phi_{lams[i]}(d[j]) for 1-D lams and d.
 
-    Same rule and checks as ``spherical_radial``, but the lambda-independent
+    Same rule and bound as ``spherical_radial``, but the lambda-independent
     kernel (weights times the regularized cosh-difference factor) is built
     once per distance and reused for every lambda, which is much faster
     than broadcasting when len(lams) is large. Each distance's node count
-    follows max |lams| * d.
+    is the one its largest |lambda| d needs.
     """
     lams = np.asarray(lams, float).ravel()
     d = np.asarray(d, float).ravel()

@@ -12,7 +12,9 @@ is checked outside its timing. Machine drift then falls on both trees
 alike. Per seed the script prints, for each tree and as the ratio B/A,
 the Harrell-Davis p50 and tail of the op times (``run.harrell_davis``,
 ``run.tail``), ops_per_s, the median time of each op kind and the
-number of failed ops. It exits 1 if an op failed.
+number of failed ops. For a seed of at most ``run.TAIL_BEYOND + 1`` ops
+``run.tail`` is the sample minimum, not a tail, so tail_s and its ratio
+print n/a. It exits 1 if an op failed.
 
 It sizes a change to one layer; it does not replace perfbench's own
 paired runs, each in a fresh process, for a claim. It writes nothing into
@@ -100,7 +102,8 @@ class Worker:
 def _summary(run, outcomes: list[dict]) -> dict:
     times = [o["seconds"] for o in outcomes]
     kinds = sorted({o["kind"] for o in outcomes})
-    out = {"p50_s": run.harrell_davis(sorted(times), 0.5), "tail_s": run.tail(times)[0],
+    tail = run.tail(times)[0] if len(times) > run.TAIL_BEYOND + 1 else None
+    out = {"p50_s": run.harrell_davis(sorted(times), 0.5), "tail_s": tail,
            "ops_per_s": sum(o["ok"] for o in outcomes) / sum(times)}
     for kind in kinds:
         out[f"{kind}_median_s"] = statistics.median(o["seconds"] for o in outcomes
@@ -142,6 +145,9 @@ def main(argv=None) -> int:
             print(f"seed {seed}: {args.workload}, {plans[0]['ops']} ops each")
             print(f"  {'':<22} {'A':>10} {'B':>10} {'B/A':>7}")
             for name in a:
+                if a[name] is None:
+                    print(f"  {name:<22} {'n/a':>10} {'n/a':>10} {'n/a':>7}")
+                    continue
                 ratio = b[name] / a[name] if a[name] else float("nan")
                 print(f"  {name:<22} {a[name]:>10.4g} {b[name]:>10.4g} {ratio:>7.3f}")
             for side, name in ((0, "A"), (1, "B")):

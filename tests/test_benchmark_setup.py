@@ -17,7 +17,8 @@ def test_benchmark_setup_runs(workload):
 
 
 def test_interleave_ops_runs_a_tree_against_itself():
-    """tests/interleave_ops.py on figures at --seconds 1: 4 ops a side, none failed, nothing written."""
+    """tests/interleave_ops.py on figures at --seconds 1: 4 ops a side, none failed, no
+    tail from 4 ops, nothing written."""
     def files():
         return sorted(p for d in ("src", "perfbench") for p in (ROOT / d).rglob("*"))
 
@@ -29,5 +30,6 @@ def test_interleave_ops_runs_a_tree_against_itself():
     assert "seed 1: figures, 4 ops each" in proc.stdout
     rows = {line.split()[0]: line.split()[1:] for line in proc.stdout.splitlines()[4:]}
     assert rows["failed"][:2] == ["0", "0"]
+    assert rows["tail_s"] == ["n/a", "n/a", "n/a"]
     assert {"p50_s", "tail_s", "ops_per_s", "wave_median_s", "euclid_median_s"} <= set(rows)
     assert files() == before

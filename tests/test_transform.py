@@ -219,6 +219,22 @@ def test_spectral_field_from_forward_equals_one_built_by_hand():
     assert F == hand
 
 
+def test_fields_compare_equal_by_value():
+    grid = GridSpec(40, 32, 4.0)
+    f = SampledField.from_function(BUMPS["radial"], grid)
+    assert f == SampledField(f.grid, f.values.copy())
+    changed = f.values.copy()
+    changed[3, 5] += 1e-12
+    assert f != SampledField(grid, changed)
+    assert f != SampledField(GridSpec(40, 32, 4.5), f.values.copy())
+    F = forward(f)
+    assert F == SpectralField(F.lambda_grid.copy(), F.values.copy(), F.grid)
+    changed = F.values.copy()
+    changed[7, 2] += 1.0
+    assert F != SpectralField(F.lambda_grid, changed, F.grid)
+    assert F != SpectralField(F.lambda_grid + 0.5, F.values, F.grid)
+
+
 def test_radial_nodes_written_into_do_not_change_a_later_call():
     """The node choice is kept per radii and band edge; what a call returns is the caller's."""
     t = GridSpec(120, 192, 4.0).radii_t

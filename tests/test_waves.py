@@ -143,14 +143,20 @@ def test_spherical_function_is_one_at_the_center_for_every_finite_lambda(lam):
         assert spherical_radial_profile([lam], [0.0])[0, 0] == 1.0
 
 
+def _rule(rows, d, n):
+    """The n-node radial sums at distances d, one row per row of lambdas."""
+    W, phase = waves._mehler_dirichlet(d, n)
+    return np.stack([np.sum(W * np.cos(row[:, None] * phase), axis=1) for row in rows])
+
+
 def _one_block(rows, d, key):
-    """The radial rule at each distance's first rung, each rung in one block."""
-    n = waves._first_rung(key)
+    """The radial rule on each distance's rung, the power of two from 32 at or
+    above its count, each rung in one block."""
+    n = np.maximum(32, 2 ** np.ceil(np.log2(waves._node_count(key, d)))).astype(int)
     out = np.empty((len(rows), len(d)))
     for nodes in np.unique(n):
         j = n == nodes
-        out[:, j] = waves._rule_sums(rows if rows.shape[1] == 1 else rows[:, j],
-                                     d[j], nodes)[0]
+        out[:, j] = _rule(rows if rows.shape[1] == 1 else rows[:, j], d[j], nodes)
     return out
 
 
@@ -159,7 +165,7 @@ def test_spherical_radial_blocks_match_one_block(monkeypatch):
     d = rng.uniform(0.01, 12.0, 5000)
     lam = rng.uniform(0.0, 8.0, 5000)
     one_block = _one_block(lam[None, :], d, lam * d)[0]
-    # small blocks: 25 distances per block on the 128-node rung
+    # small blocks: 75 distances per block on the 64-node rung
     monkeypatch.setattr(waves, "_BLOCK", 96 * 50)
     np.testing.assert_array_equal(spherical_radial(lam, d), one_block)
 
@@ -189,13 +195,54 @@ def test_radial_paths_raise_where_the_rule_would_need_too_many_nodes():
         spherical_radial_profile([0.5, 1e4], [1.0, 80.0])
 
 
-def test_radial_paths_raise_when_doubling_runs_past_the_ladder(monkeypatch):
-    # at lambda = 0, d = 80 the first rung (32 nodes) fails its check and doubles
+def test_radial_paths_raise_where_the_count_passes_the_cap(monkeypatch):
+    # at lambda = 0, d = 80 the count is 46 nodes, past a cap of 32
+    assert waves._node_count(np.array([0.0]), np.array([80.0]))[0] > 32
     monkeypatch.setattr(waves, "_MAX_NODES", 32)
-    with pytest.raises(QuadratureUnderResolved, match="did not settle"):
+    with pytest.raises(QuadratureUnderResolved, match="more than 32"):
         spherical_radial(0.0, 80.0)
-    with pytest.raises(QuadratureUnderResolved, match="did not settle"):
+    with pytest.raises(QuadratureUnderResolved, match="more than 32"):
         spherical_radial_profile([0.0], [1.0, 80.0])
+
+
+def test_radial_paths_raise_at_a_subnormal_distance_past_the_series():
+    """At d = 1e-316 the rule's d - v^2 keeps about 25 bits: 1 + 2e-9 for phi ~ 1.
+    At d = 1e-307 phi is J_0(lambda d) = 1 - (lambda d)^2/4 to far below 1e-13."""
+    assert spherical_radial(1e302, 1e-307) == pytest.approx(1.0 - 0.25e-10, abs=1e-13)
+    with pytest.raises(QuadratureUnderResolved, match="d = 1e-316 needs inf nodes"):
+        spherical_radial(1e308, 1e-316)
+
+
+_DENSE_D = (1e-6, 1e-3, 0.1, 1.0, 1.8, 5.0, 12.0, 30.0, 80.0)
+_DENSE = ([(d, key) for d in _DENSE_D for key in (0.0, 0.5, 4.0, 40.0, 300.0, 1300.0)]
+          + [(d, key) for d in (3.0, 12.0, 80.0) for key in (4e3, 1.5e4)]
+          + [(1e-6, 4e3), (1.0, 4e3)])
+
+
+def test_radial_rule_count_is_enough_on_a_dense_grid():
+    """At each (d, |lambda| d), phi is within max(1e-13, 8 eps |lambda| d) Xi(d) of
+    mpmath, and the least n that meets that tolerance against the 4096-node
+    rule is at most the count before rounding: the floor(count)-node rule
+    meets it. 4096 nodes are reached at |lambda| d of about 1.6e4; mpmath's
+    series does not converge there below d = 3, so the grid's largest
+    |lambda| d at small d is 4e3."""
+    eps = np.finfo(float).eps
+    for d, key in _DENSE:
+        lam = key / d
+        tol = max(1e-13, 8.0 * eps * key) * oracles.conical_spherical(0.0, d)
+        assert abs(spherical_radial(lam, d) - oracles.conical_spherical(lam, d)) <= tol
+        count = waves._node_count(np.array([key]), np.array([d]))[0]
+        rows, dd = np.array([[lam]]), np.array([d])
+        ref = _rule(rows, dd, 4096)[0, 0]
+        assert abs(_rule(rows, dd, math.floor(count))[0, 0] - ref) <= tol, (d, key)
+
+
+def test_radial_rule_count_is_finite_and_capped_near_its_design_point():
+    d = np.geomspace(1e-300, 1e300, 601)
+    n = waves._node_count(np.zeros_like(d), d)
+    assert np.all(np.isfinite(n) & (n > 0))
+    below, above = waves._node_count(np.array([1.55e4, 1.65e4]), np.array([1.0, 80.0]))
+    assert below <= waves._MAX_NODES < above
 
 
 @pytest.mark.parametrize("d", [-1.0, -1e-300, math.nan, math.inf])
