@@ -360,8 +360,8 @@ def cmd_spherical(args) -> int:
     lam = _number(args, "lambda")
     grid = _grid_from(args)
     M = _number(args, "resolution", int, default=4096)
-    if M < 2:
-        raise ConfigError("resolution", "must be at least 2")
+    if M < 2 or M % 2:
+        raise ConfigError("resolution", f"must be even and at least 2, got {M}")
     # phi is radial: one evaluation per grid radius, the same along each row
     t = grid.radii_t
     values = np.broadcast_to(spherical_radial(lam, t)[:, None], grid.z.shape).astype(complex)
@@ -564,8 +564,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """``--flag -x`` as ``--flag=-x``: every flag takes one value, and argparse reads a
+    token starting with '-' as a value only when it looks like a plain negative number.
+
+    A token starting with '--', and the parser's own '-h', is left for argparse.
+    """
+    out = []
+    for tok in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and tok.startswith("-") and not tok.startswith("--") and tok != "-h"):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         _merge_config(args)
         fn, _, needs_out = _COMMANDS[args.command]

@@ -293,6 +293,96 @@ def test_edge_runs_exit_with_one_line_and_no_file(tmp_path, args):
     assert list(tmp_path.iterdir()) == []
 
 
+# The sweep: each subcommand but validate, from a small base run, with each flag it reads
+# set in turn to each of its edge values (grids at most 16x16 but the thin 4x1024 one)
+_SWEEP_BASE = {"wave": {"lambda": "2", "grid": "8x8"}, "spherical": {"lambda": "1", "grid": "8x8"},
+               "moire": {"lambda": "2", "grid": "16x16"}, "transform": {"grid": "16x16"},
+               "lemma": {}, "euclid": {"grid": "8x8"}}
+_SWEEP_EDGES = {
+    "lambda": ["0", "1e-300", "-2", "1e6", "1e300", "nan"],
+    "b0": ["-1e-3", "-7", "1e300"],
+    "radius": ["1e-300", "0.5", "27", "40", "400", "700"],
+    "grid": ["4x4", "5x7", "4x1024"],
+    # inside, near the circle, on it
+    "x": ["-0.3,-0.2", "-0.9999999,0", "0,0.9999999", "-0.6,0.8", "1,0"],
+    "spacing": ["1e-300", "-0.5", "0", "50", "1e300"],
+    "sigmas": ["1e-300", "0.1", "8,4", "-4"],
+    "taper": ["cosine", "hard", "box"],
+    "bump-width": ["1e-300", "0.01", "-1", "100"],
+    "centers": ["1", "64", "0", "-3"],
+    "resolution": ["2", "3", "-4", "4096"],
+}
+
+
+def _sweep_runs():
+    for command, (_, flags, _) in cli._COMMANDS.items():
+        if command == "validate":
+            continue
+        for flag in flags:
+            for value in _SWEEP_EDGES[flag] if flag != "out" else ():
+                opts = {**_SWEEP_BASE[command], flag: value}
+                yield pytest.param([command, *(a for k, v in opts.items() for a in (f"--{k}", v))],
+                                   id=f"{command}-{flag}-{value}")
+
+
+@pytest.mark.parametrize("argv", _sweep_runs())
+def test_edge_sweep_writes_finite_files_or_refuses_with_one_line(tmp_path, capsys, argv):
+    try:
+        code = cli.main([*argv, "--out", str(tmp_path / "o.csv")])
+    except SystemExit as exc:  # argparse's refusals print a usage line too
+        code = exc.code
+    err = capsys.readouterr().err
+    files = sorted(p.name for p in tmp_path.iterdir())
+    if code != 0:
+        assert code in (1, 2)
+        assert err.startswith(("validation error:", "configuration error:"))
+        assert err.count("\n") == 1 and files == []
+        return
+    assert err == ""
+    assert files == (["o.csv"] if argv[0] == "lemma" else
+                     ["o.csv", "o.pgm", "o.report.csv"] if argv[0] == "moire" else
+                     ["o.csv", "o.pgm"])
+    for name in files:
+        if name.endswith(".csv"):
+            lines = (tmp_path / name).read_text().splitlines()[1:]
+            cells = [c for line in lines if not line.startswith("#") for c in line.split(",")]
+            values = [float(c) for c in cells if c not in ("lhs", "rhs")]
+            values += [float(line.partition("=")[2]) for line in lines
+                       if line.startswith("# quadrature_error_estimate=")]
+            assert values and np.isfinite(values).all(), name
+
+
+# each run gives a flag a value that starts with '-' but is not a plain negative number
+_DASH_VALUE_RUNS = {
+    "lemma-x": ["lemma", "--x", "-0.3,0"],
+    "moire-x": ["moire", "--lambda", "2", "--grid", "16x16", "--x", "-0.2,0.1"],
+    "wave-lambda": ["wave", "--lambda", "-2e0", "--grid", "8x8"],
+    "wave-b0": ["wave", "--lambda", "2", "--b0", "-1e-3", "--grid", "8x8"],
+}
+
+
+@pytest.mark.parametrize("argv", _DASH_VALUE_RUNS.values(), ids=_DASH_VALUE_RUNS.keys())
+def test_a_value_starting_with_a_dash_reads_as_its_flag_equals_form(tmp_path, capsys, argv):
+    joined = [argv[0]] + [f"{k}={v}" for k, v in zip(argv[1::2], argv[2::2])]
+    runs = []
+    for form, args in (("spaced", argv), ("joined", joined)):
+        (tmp_path / form).mkdir()
+        assert cli.main([*args, "--out", str(tmp_path / form / "o.csv")]) == 0
+        runs.append((capsys.readouterr(),
+                     {p.name: p.read_bytes() for p in (tmp_path / form).iterdir()}))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("flags", [["--grid", "8x8", "--lambda"], ["--lambda", "--grid", "8x8"],
+                                   ["--grid", "8x8", "--lambda", "-h"]])
+def test_a_flag_left_with_no_value_exits_2(tmp_path, capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["wave", "--out", str(tmp_path / "o.csv"), *flags])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("R", [5, 6, 7, 8, 9, 10, 11, 12])
 def test_spherical_cross_check_past_the_boundary_average_resolution(tmp_path, R):
     """Past t of about 6 the 4096-node boundary average does not settle at the outermost
@@ -619,6 +709,7 @@ def test_spherical_resolution_below_two_is_rejected(tmp_path):
     (("moire", "--lambda", "2", "--sigmas", "8,4"), "sigmas"),
     (("moire", "--lambda", "2", "--sigmas", "0,4"), "sigmas"),
     (("moire", "--lambda", "2", "--sigmas", "inf"), "sigmas"),
+    (("spherical", "--lambda", "1", "--resolution", "4095"), "resolution"),
 ])
 def test_bad_numeric_option_is_a_config_error(tmp_path, args, key):
     res = run(*args, "--out", str(tmp_path / "n.csv"))

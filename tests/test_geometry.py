@@ -1,4 +1,5 @@
 """Disk geometry: group action, distances, Busemann brackets, horocycles."""
+import cmath
 import math
 
 import numpy as np
@@ -131,6 +132,55 @@ def test_iwasawa_round_trip():
         h = iwasawa(g).recompose()
         assert abs(g.alpha - h.alpha) < 1e-10
         assert abs(g.beta - h.beta) < 1e-10
+
+
+def far_draws(seed, n=300):
+    """n seeded draws of g = k a_t k' with |t| <= 30, two points |z|, |w| <= 0.9 and a b."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        t = rng.uniform(-30.0, 30.0)
+        p1, p2, theta = rng.uniform(0.0, 2.0 * math.pi, 3)
+        g = (GroupElement.rotation(p1).compose(GroupElement.translation(t))
+             .compose(GroupElement.rotation(p2)))
+        z, w = (DiskPoint(r * np.exp(1j * a))
+                for r, a in zip(rng.uniform(0.0, 0.9, 2), rng.uniform(0.0, 2.0 * math.pi, 2)))
+        yield t, g, z, w, BoundaryPoint(theta)
+
+
+def test_iwasawa_round_trip_far_from_the_origin():
+    # the K angle is the phase of alpha + beta, which carries a rounding of a few
+    # (|alpha| + |beta|) 2^-53, so the round trip keeps that many 2^-53 of |alpha| + |beta|
+    # times (|alpha| + |beta|) / |alpha + beta|; the draws put the angles at random, where
+    # that factor stays small (measured: at most 7.6 2^-53 times it over 20000 draws, and
+    # a relative 1.4e-13)
+    for _, g, *_ in far_draws(1):
+        h = iwasawa(g).recompose()
+        scale = abs(g.alpha) + abs(g.beta)
+        bound = 64.0 * 2.0 ** -53 * scale / abs(g.alpha + g.beta)
+        assert max(abs(g.alpha - h.alpha), abs(g.beta - h.beta)) <= bound * scale
+
+
+# g = k a_t k' maps |z| <= 0.9 to 1 - |g.z|^2 >= (1 - |z|) / (1 + |z|) e^{-|t|} >= e^{-|t|} / 19,
+# and g.z carries a few 2^-53 of absolute rounding. So each log of 1 - |g.z|^2, or of
+# |g.z - g.b|^2, in a distance or a Busemann bracket loses about 4 * 19 e^{|t|} 2^-53; the two
+# or three such logs of each check stay below FAR_BOUND e^{|t|} 2^-53 (measured: at most 35
+# and 57 e^{|t|} 2^-53 over 30000 draws)
+FAR_BOUND = 256.0
+
+
+def test_distance_isometry_invariance_far_from_the_origin():
+    for t, g, z, w, _ in far_draws(2):
+        err = abs(geodesic_distance(z, w) - geodesic_distance(act(g, z), act(g, w)))
+        assert err <= FAR_BOUND * math.exp(abs(t)) * 2.0 ** -53
+
+
+def test_busemann_cocycle_far_from_the_origin():
+    # B(g.z, g.b) = B(z, b) + B(g.o, g.b), with g acting on the boundary by the same Mobius map
+    for t, g, z, _, b in far_draws(3):
+        gb = BoundaryPoint(cmath.phase((g.alpha * b.b + g.beta)
+                                       / (g.beta.conjugate() * b.b + g.alpha.conjugate())))
+        err = abs(busemann(act(g, z), gb) - busemann(z, b) - busemann(act(g, DiskPoint(0j)), gb))
+        assert err <= FAR_BOUND * math.exp(abs(t)) * 2.0 ** -53
 
 
 @pytest.mark.parametrize("t", [10.0, 12.0, 15.0, 20.0, 25.0, 30.0, 35.0])

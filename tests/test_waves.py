@@ -100,6 +100,24 @@ def test_spherical_doubling_guard_raises_for_far_points():
         spherical(1.0, far, M=64)
 
 
+@pytest.mark.parametrize("M", [-2, 0, 1, 5, 7, 4095])
+def test_spherical_refuses_an_odd_or_too_small_M(M):
+    # its check is the mean over every other angle, so the M angles must pair up
+    with pytest.raises(ValueError, match="even M"):
+        spherical(1.0, DiskPoint(0.001), M)
+
+
+def test_spherical_check_compares_the_M_and_M_over_2_node_means():
+    # at M = 4 and 6 the change is past 1e-9; the error is that of M/2 nodes, not of M // 2
+    p = DiskPoint(0.5 + 0j)
+    for M in (4, 6):
+        with pytest.raises(QuadratureUnderResolved, match=f"the {M}- and {M // 2}-node means"):
+            spherical(1.0, p, M)
+    theta = 2.0 * np.pi * np.arange(64) / 64
+    f = np.exp((1j + 0.5) * busemann_array(np.asarray(p.z), theta))
+    assert spherical(1.0, p, 64) == complex(np.mean(f))
+
+
 def test_spherical_basic_properties():
     lams = np.linspace(0.0, 4.0, 9)
     ds = np.linspace(0.0, 5.0, 11)
