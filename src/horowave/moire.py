@@ -37,12 +37,9 @@ from .errors import QuadratureUnderResolved
 from .geometry import (
     BoundaryPoint,
     DiskPoint,
-    act,
-    busemann,
     distance_array,
     horocycle_coordinates,
     horocycle_points_array,
-    nilpotent_flow,
 )
 from .tapers import TaperSpec
 from .transform import GridSpec, SampledField, _lambda_weights, _nested_levels, _tapered_line
@@ -133,22 +130,6 @@ def kappa_h() -> float:
 
 # --- estimators -----------------------------------------------------------
 
-def _center_under(b0: BoundaryPoint, x: DiskPoint) -> DiskPoint:
-    """Slide x along its horocycle onto the geodesic axis toward b0.
-
-    The tapered estimators center the taper at the foot of x on the zero
-    horocycle; since the nilpotent flow is an isometry fixing b0 and the
-    wave target depends only on the Busemann level, this makes every
-    estimator exactly N-invariant instead of invariant only up to a taper
-    shift.
-    """
-    beta, u0 = horocycle_coordinates(x, b0)
-    shift = math.exp(beta) * u0
-    if shift == 0.0:
-        return x
-    return act(nilpotent_flow(b0, -shift), x)
-
-
 def moire_integral(lam: float, b0: BoundaryPoint, x: DiskPoint) -> MoireReport:
     """Pointwise tapered superposition of spherical functions along ``xi(b0, 0)``.
 
@@ -162,40 +143,43 @@ def moire_integral(lam: float, b0: BoundaryPoint, x: DiskPoint) -> MoireReport:
     return convergence_study(lam, b0, x, [DEFAULT_TAPER.width], DEFAULT_TAPER.kind)[0]
 
 
-def _horocycle_distances(b0: BoundaryPoint, x: DiskPoint, s: np.ndarray) -> np.ndarray:
-    """d(y(s), x) at arc lengths s of the zero horocycle ``xi(b0, 0)``."""
-    return distance_array(horocycle_points_array(b0.theta, 0.0, s), np.asarray(x.z))
+def _horocycle_distances(beta: float, a: float, s: np.ndarray) -> np.ndarray:
+    """d(y(s), x) at arc lengths s of the zero horocycle, from x's horocycle coordinates.
+
+    In the half-plane with b0 at infinity, y(s) = s + i and x = e^beta (a + i),
+    (beta, a) = ``horocycle_coordinates(x, b0)``, so
+    sinh(d / 2) = |y(s) - x| / (2 e^{beta/2}) with
+    |y(s) - x| = hypot(s - e^beta a, e^beta - 1).
+    """
+    return 2.0 * np.arcsinh(np.hypot(s - math.exp(beta) * a, math.expm1(beta))
+                            / (2.0 * math.exp(0.5 * beta)))
 
 
-def _line_integrals(lams, weights, b0: BoundaryPoint, x: DiskPoint,
+def _line_integrals(lams, weights, beta: float, a: float,
                     tapers: list[TaperSpec]) -> list[complex]:
     """Tapered integrals of sum_i weights[i] phi_{lams[i]}(d(y(s), x)) along ``xi(b0, 0)``.
 
-    One integral per taper, of the one integrand: the weights are linear,
+    x is given by its horocycle coordinates (beta, a) toward b0. One
+    integral per taper, of the one integrand: the weights are linear,
     so they are applied to the Chebyshev table of phi (``_phi_table``)
     before any sum, and each level's new nodes of the tapered line rule
     (``transform._tapered_line``) cost one ``chebval`` of one column. The
     table covers [0, D], D the larger of the endpoint distances d(y(+-S), x)
     at the widest taper's support [-S, S]: in half-plane coordinates with b0
-    at infinity and (beta, a) the horocycle coordinates of x,
-    cosh d(y(s), x) = 1 + ((s - a)^2 + (1 - e^beta)^2) / (2 e^beta) grows
-    with |s - a|, so D bounds the distance at every node of every taper.
-    Raises QuadratureUnderResolved where y(+-S) rounds onto the boundary
-    circle, so that D is not finite.
+    at infinity, cosh d(y(s), x) = 1 + ((s - e^beta a)^2 + (1 - e^beta)^2) / (2 e^beta)
+    grows with |s - e^beta a|, so D bounds the distance at every node of
+    every taper.
 
     The taper is centered at s = 0, not under x: ``moire_weak`` runs at
     different points of the same horocycle then probe genuinely different
     tapered quadratures that must all converge to the same windowed target.
     """
     S = max(t.support_radius for t in tapers)
-    dmax = float(np.max(_horocycle_distances(b0, x, np.array([-S, S]))))
-    if not math.isfinite(dmax):
-        raise QuadratureUnderResolved(
-            f"horocycle points at arc length +-{S:.4g} round onto the boundary circle")
+    dmax = float(np.max(_horocycle_distances(beta, a, np.array([-S, S]))))
     coef = _phi_table(lams, dmax) @ np.asarray(weights, float)
 
     def values(s: np.ndarray) -> np.ndarray:
-        u = _horocycle_distances(b0, x, s) / dmax
+        u = _horocycle_distances(beta, a, s) / dmax
         return chebval(2.0 * u * u - 1.0, coef)
 
     return [complex(_tapered_line(values, t, "horocycle line integrals")) for t in tapers]
@@ -211,16 +195,18 @@ def moire_weak(window: LambdaWindow, b0: BoundaryPoint, x: DiskPoint,
     module doc). That is rhs only at beta = 0. With LambdaWindow(2.2) and
     a Gaussian taper of width 12, lhs is real, and at x = 0.4
     (beta = 0.847) |lhs - rhs| / |rhs| is 0.954 while its error against the
-    windowed standing wave is 2.2e-2.
+    windowed standing wave is 2.2e-2. Both averages take the trapezoid
+    weights of ``transform._lambda_weights``.
     """
     lams = np.linspace(window.lo, window.hi, 81)
     chi = window(lams)
     if not np.any(chi):
         return 0j, 0j
-    weights = _lambda_weights(lams) * chi * plancherel_density(lams)
-    lhs = HOROCYCLE_KAPPA * _line_integrals(lams, weights, b0, x, [taper])[0]
-    beta = busemann(x, b0)
-    rhs = np.trapezoid(chi * np.exp((1j * lams + RHO) * beta), lams)
+    wl = _lambda_weights(lams)
+    beta, a = horocycle_coordinates(x, b0)
+    lhs = HOROCYCLE_KAPPA * _line_integrals(lams, wl * chi * plancherel_density(lams),
+                                            beta, a, [taper])[0]
+    rhs = wl @ (chi * np.exp((1j * lams + RHO) * beta))
     return complex(lhs), complex(rhs)
 
 
@@ -230,7 +216,10 @@ def convergence_study(lam: float, b0: BoundaryPoint, x: DiskPoint,
 
     One report per width, the superposition of ``moire_integral`` with a
     taper of that kind and width; every width reads one phi table
-    (``_line_integrals``). Every report carries the sweep's
+    (``_line_integrals``). The taper is centered under x: the line
+    integrals take x at arc position a = 0 of its horocycle, so they
+    depend on x only through beta = <x, b0>, like the wave target, and the
+    study is N-invariant by construction. Every report carries the sweep's
     ``oscillation_amplitude``, the diameter of the approx values over the
     largest three widths, and ``divergent``, which flags any approx
     exceeding ten times the target modulus.
@@ -239,7 +228,8 @@ def convergence_study(lam: float, b0: BoundaryPoint, x: DiskPoint,
     if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
         raise ValueError("sigmas must be strictly increasing")
     tapers = [TaperSpec(kind, s) for s in sigmas]
-    lines = _line_integrals([lam], [1.0], b0, _center_under(b0, x), tapers)
+    beta, _ = horocycle_coordinates(x, b0)
+    lines = _line_integrals([lam], [1.0], beta, 0.0, tapers)
     scale = HOROCYCLE_KAPPA * plancherel_density(lam)
     approx = [complex(scale * line) for line in lines]
     target = helgason_wave(lam, b0, x)
@@ -356,8 +346,8 @@ def reduction_paths(lam: float, b0: BoundaryPoint, x: DiskPoint) -> tuple[comple
     which path B evaluates in s with the radial kernel at every node, so the
     two paths reach phi independently.
     """
-    a = _line_integrals([lam], [1.0], b0, x, [_REDUCTION_TAPER])[0]
     beta, u0 = horocycle_coordinates(x, b0)
+    a = _line_integrals([lam], [1.0], beta, u0, [_REDUCTION_TAPER])[0]
 
     def on_level(s: np.ndarray) -> np.ndarray:
         y = horocycle_points_array(b0.theta, beta, s * math.exp(-beta) - u0)

@@ -754,7 +754,7 @@ def lemma_check(psi: FieldFunction, b0: BoundaryPoint,
     psi_hat = forward_at(f, lams, b0)
     beta_x = busemann(x, b0)
     wave = np.exp((1j * lams + RHO) * beta_x)
-    lhs = complex(np.trapezoid(wave * psi_hat, lams) / (2.0 * np.pi))
+    lhs = complex(_lambda_weights(lams) @ (wave * psi_hat) / (2.0 * np.pi))
     line = horocycle_integral(psi, horocycle_through(b0, x), WIDE_TAPER)
     return lhs, math.exp(2.0 * RHO * beta_x) * line
 

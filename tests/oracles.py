@@ -91,6 +91,20 @@ def kernel_moire_sum(lam: float, z: np.ndarray, centers: np.ndarray) -> np.ndarr
     return acc / len(centers)
 
 
+def horocycle_distance(theta: float, beta: float, a: float, s: float) -> float:
+    """d(y(s), x) for y(s) = s + i and x = e^beta (a + i) in the half-plane, in mpmath.
+
+    Both points are taken as exact, carried to the disk by the Cayley map
+    that sends e^{i theta} to infinity, and measured there at 50 digits.
+    """
+    with mpmath.workdps(50):
+        b = mpmath.expj(mpmath.mpf(theta))
+        y, x = [b * (w - 1j) / (w + 1j) for w in
+                (mpmath.mpf(s) + 1j, mpmath.exp(mpmath.mpf(beta)) * (mpmath.mpf(a) + 1j))]
+        den = (1 - abs(y) ** 2) * (1 - abs(x) ** 2)
+        return float(2 * mpmath.asinh(abs(y - x) / mpmath.sqrt(den)))
+
+
 def line_integrals_per_node(lams, b0, x, taper, weights) -> list[float]:
     """Tapered integrals of sum_i w[i] phi_{lams[i]}(d(y(s), x)) along the zero horocycle.
 

@@ -274,6 +274,7 @@ def test_spherical_where_z_rounds_to_1_exits_1(tmp_path):
 _EDGE_RUNS = {
     "moire-unsettled": ["moire", "--lambda", "2", "--sigmas", "4,1e6", "--grid", "8x8"],
     "moire-sigma-1e300": ["moire", "--lambda", "2", "--sigmas", "1e300", "--grid", "8x8"],
+    "moire-sigma-1e16": ["moire", "--lambda", "2", "--sigmas", "1e16", "--grid", "8x8"],
     "moire-spacing-1e300": ["moire", "--lambda", "2", "--spacing", "1e300", "--grid", "8x8"],
     "spherical-lambda-1e300": ["spherical", "--lambda", "1e300"],
     "moire-lambda-1e300": ["moire", "--lambda", "1e300", "--grid", "8x8"],

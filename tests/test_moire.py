@@ -10,13 +10,17 @@ from horowave.geometry import (
     BoundaryPoint,
     DiskPoint,
     Horocycle,
+    act,
+    horocycle_coordinates,
     horocycle_point,
     horocycle_points_array,
+    nilpotent_flow,
 )
 from horowave import moire
 from horowave.errors import QuadratureUnderResolved
 from horowave.moire import (
     LambdaWindow,
+    _horocycle_distances,
     _line_integrals,
     _phi_table,
     convergence_study,
@@ -82,6 +86,20 @@ def test_moire_integral_n_invariance():
     r1 = moire_integral(1.5, B0, horocycle_point(ZERO_HOROCYCLE, 1.2))
     assert r1.target == pytest.approx(1.0, abs=1e-12)
     assert abs(r1.approx - r0.approx) < 1e-6
+
+
+def test_convergence_study_is_n_invariant_off_the_zero_horocycle():
+    # the taper is centered under x, so n_u x (same beta, shifted arc) reads the
+    # same line integrals; what is left is the rounding of beta through act
+    b0, x = BoundaryPoint(0.7), DiskPoint(0.6 + 0.5j)
+    assert horocycle_coordinates(x, b0)[0] > 2.0
+    r0 = convergence_study(1.5, b0, x, [4.0, 8.0, 12.0], "gaussian")
+    for u in (1.2, -3.0):
+        r1 = convergence_study(1.5, b0, act(nilpotent_flow(b0, u), x), [4.0, 8.0, 12.0],
+                               "gaussian")
+        for a, b in zip(r0, r1):
+            assert abs(a.approx - b.approx) < 1e-14
+            assert abs(a.target - b.target) < 1e-14
 
 
 def test_moire_integral_target_closed_form():
@@ -189,7 +207,9 @@ def test_phi_table_in_even_variable_matches_radial_kernel(lam, dmax):
     d = np.concatenate([[0.0, dmax], np.random.default_rng(5).uniform(0.0, dmax, 200)])
     got = chebval(2.0 * (d / dmax) ** 2 - 1.0, coef)
     assert np.max(np.abs(got - spherical_radial_profile(lams, d))) < 1e-13
-    assert np.max(np.abs(got[:, 0] - 1.0)) < 1e-14
+    # at d = 0, u = -1 and T_k(-1) = (-1)^k: the exactly rounded alternating sum
+    signs = (-1.0) ** np.arange(len(coef))
+    assert max(abs(math.fsum(signs * c) - 1.0) for c in coef.T) < 1e-14
 
 
 @pytest.mark.parametrize("dmax", [20.0, 25.0])
@@ -251,6 +271,23 @@ def test_phi_table_that_does_not_settle_raises(monkeypatch):
         moire_weak(LambdaWindow(2.2), B0, X0, TaperSpec("gaussian", 4.0))
 
 
+@pytest.mark.parametrize("theta", [0.0, 0.7, 2.0])
+def test_horocycle_distances_match_mpmath(theta):
+    """The closed form in (beta, a) against mpmath's disk distance of the same two points.
+
+    Through float disk coordinates of y(s), the distance lost digits as s grew:
+    5e-15 relative at s = 37, 3e-10 at 1e4 and 2e-6 at 1e6.
+    """
+    b0 = BoundaryPoint(theta)
+    s = np.array([0.0, 1.0, 37.0, 100.0, 1e4, 1e6])
+    for xz in (0j, 0.3 - 0.2j, -0.25 + 0.4j, 0.6 + 0.5j):
+        beta, a = horocycle_coordinates(DiskPoint(xz), b0)
+        got = _horocycle_distances(beta, a, s)
+        for g, si in zip(got, s):
+            ref = oracles.horocycle_distance(b0.theta, beta, a, si)
+            assert abs(g - ref) <= 1e-15 * ref
+
+
 @pytest.mark.parametrize("width", [4.0, 12.0, 48.0])
 def test_line_integrals_match_per_node_kernel(width):
     lams = np.linspace(0.5, 4.0, 81)
@@ -262,7 +299,7 @@ def test_line_integrals_match_per_node_kernel(width):
         x = horocycle_point(ZERO_HOROCYCLE, arc)
         expect = oracles.line_integrals_per_node(lams, B0, x, taper, weights)
         for w, e in zip(weights, expect):
-            got = _line_integrals(lams, w, B0, x, [taper])[0]
+            got = _line_integrals(lams, w, *horocycle_coordinates(x, B0), [taper])[0]
             assert abs(got - e) <= 1e-13 * abs(e)
 
 

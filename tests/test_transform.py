@@ -848,8 +848,9 @@ _NARROW = TaperSpec("gaussian", 2.0)
 _LINE_INTEGRALS = {
     "scalar": lambda: horocycle_integral(lambda y: np.ones(y.shape),
                                          Horocycle(BoundaryPoint(0), 0.0), _NARROW),
+    # x = 0 at horocycle coordinates (beta, a) = (0, 0)
     "vector": lambda: moire._line_integrals(np.array([1.0, 2.0]), np.array([0.5, 0.5]),
-                                            BoundaryPoint(0), DiskPoint(0j), [_NARROW]),
+                                            0.0, 0.0, [_NARROW]),
     "coarea_profile": lambda: coarea_profile(lambda y: np.ones(y.shape), BoundaryPoint(0),
                                              DiskPoint(0j), [0.0, 1.0]),
     "moire_weak": lambda: moire.moire_weak(moire.LambdaWindow(2.2), BoundaryPoint(0),
