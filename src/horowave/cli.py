@@ -13,7 +13,7 @@ Exit codes: 0 ok, 1 validation failure (a field holding NaN or inf is one,
 and writes no file; so are a ``wave`` phase round-off past _WAVE_PHASE_TOL,
 ``lemma`` sides apart by more than _LEMMA_TOL, a ``transform`` bump of L2
 norm 0 on its grid, ``moire`` centers that round onto the boundary circle,
-and a ``moire`` phi table or line integral that does not settle), 2 bad
+and a ``moire`` phi table that does not settle), 2 bad
 configuration, 3 IO error.
 """
 from __future__ import annotations

@@ -10,8 +10,8 @@ from scipy.fft import dct
 from scipy.integrate import quad
 from scipy.special import j0, jv
 
-from horowave.geometry import distance_array, horocycle_points_array
-from horowave.transform import _tapered_line
+from horowave.geometry import distance_array, horocycle_coordinates
+from horowave.moire import _line_rule
 from horowave.waves import spherical_radial_profile
 
 
@@ -108,23 +108,17 @@ def horocycle_distance(theta: float, beta: float, a: float, s: float) -> float:
 def line_integrals_per_node(lams, b0, x, taper, weights) -> list[float]:
     """Tapered integrals of sum_i w[i] phi_{lams[i]}(d(y(s), x)) along the zero horocycle.
 
-    One integral per row w of the 2-D weights, each by the same tapered
-    line rule as ``moire._line_integrals`` (``transform._tapered_line``),
-    but with the radial kernel called at every node of every level instead
-    of a Chebyshev table of phi. The rows share each level's kernel values.
+    One integral per row w of the 2-D weights, each on the nodes and weights
+    of the graded line rule that ``moire._line_integrals`` takes
+    (``moire._line_rule``), but with each node's distance measured on the
+    disk at 50 digits (``horocycle_distance``) and the radial kernel called
+    at every node instead of a Chebyshev table of phi. The rows share the
+    nodes' kernel values.
     """
-    xz = np.asarray(x.z)
-    profiles = {}
-
-    def profile(s):
-        key = (s[0], len(s))
-        if key not in profiles:
-            d = distance_array(horocycle_points_array(b0.theta, 0.0, s), xz)
-            profiles[key] = spherical_radial_profile(lams, d)
-        return profiles[key]
-
-    return [_tapered_line(lambda s: w @ profile(s), taper, "per-node horocycle line integrals")
-            for w in np.asarray(weights, float)]
+    beta, a = horocycle_coordinates(x, b0)
+    s, wt = _line_rule(taper, np.exp(beta) * a, float(np.max(np.abs(lams))))
+    d = np.array([horocycle_distance(b0.theta, beta, a, si) for si in s])
+    return list(np.asarray(weights, float) @ spherical_radial_profile(lams, d) @ wt)
 
 
 def line_moire_loop(lam: float, n: int, spacing: float, q: np.ndarray,

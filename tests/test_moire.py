@@ -1,5 +1,7 @@
 """Tapered horocycle superpositions, weak limits, discrete figure sums."""
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -291,16 +293,43 @@ def test_horocycle_distances_match_mpmath(theta):
 @pytest.mark.parametrize("width", [4.0, 12.0, 48.0])
 def test_line_integrals_match_per_node_kernel(width):
     lams = np.linspace(0.5, 4.0, 81)
-    taper = TaperSpec("gaussian", width)
     # one random weight vector, and one-hot vectors at three lambda
     weights = np.vstack([np.random.default_rng(5).uniform(-1.0, 1.0, len(lams)),
                          np.eye(len(lams))[[0, 40, 80]]])
-    for arc in (0.0, 1.2, -2.5):
-        x = horocycle_point(ZERO_HOROCYCLE, arc)
-        expect = oracles.line_integrals_per_node(lams, B0, x, taper, weights)
-        for w, e in zip(weights, expect):
-            got = _line_integrals(lams, w, *horocycle_coordinates(x, B0), [taper])[0]
-            assert abs(got - e) <= 1e-13 * abs(e)
+    for kind in ("gaussian", "cosine", "hard"):
+        taper = TaperSpec(kind, width)
+        for arc in (0.0, 1.2, -2.5):
+            x = horocycle_point(ZERO_HOROCYCLE, arc)
+            expect = oracles.line_integrals_per_node(lams, B0, x, taper, weights)
+            for w, e in zip(weights, expect):
+                got = _line_integrals(lams, w, *horocycle_coordinates(x, B0), [taper])[0]
+                assert abs(got - e) <= 1e-13 * abs(e)
+
+
+_REFS = pathlib.Path(__file__).parent / "data" / "moire_refs.json"
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "cosine", "hard"])
+def test_line_integrals_match_mpmath_references(kind):
+    """Within 1e-11 of mpmath's line integrals (tests/make_moire_refs.py); the Gaussian's on all of R."""
+    entries = [e for e in json.loads(_REFS.read_text())["entries"] if e["kind"] == kind]
+    assert len(entries) >= 27
+    for e in entries:
+        taper = TaperSpec(kind, e["sigma"])
+        got = _line_integrals([e["lam"]], [1.0], e["beta"], e["a"], [taper])[0]
+        assert abs(got - e["value"]) <= 1e-11, e
+
+
+@pytest.mark.parametrize("width", [4.0, 96.0, 1e16])
+def test_line_rule_integrates_each_taper_to_its_closed_form(width):
+    """sigma sqrt(2 pi) erf(7 / sqrt 2) for the Gaussian cut at 7 sigma, sigma and 2 sigma."""
+    exact = {"gaussian": width * math.sqrt(2.0 * math.pi) * math.erf(7.0 / math.sqrt(2.0)),
+             "cosine": width, "hard": 2.0 * width}
+    for kind, value in exact.items():
+        for c in (0.0, 1.3, -width):
+            s, w = moire._line_rule(TaperSpec(kind, width), c, 2.0)
+            assert len(s) < (1200 if width <= 1e4 else 4096)
+            assert abs(np.sum(w) - value) <= 1e-14 * value
 
 
 def test_moire_sum_mirror_symmetry():

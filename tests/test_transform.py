@@ -843,24 +843,13 @@ def test_horocycle_integral_evaluates_each_node_once():
     assert len(np.unique(nodes)) == len(nodes)
 
 
-# every tapered line integral reads the one rule's budget
+# every tapered line integral of a caller's function reads the one rule's budget
 _NARROW = TaperSpec("gaussian", 2.0)
 _LINE_INTEGRALS = {
     "scalar": lambda: horocycle_integral(lambda y: np.ones(y.shape),
                                          Horocycle(BoundaryPoint(0), 0.0), _NARROW),
-    # x = 0 at horocycle coordinates (beta, a) = (0, 0)
-    "vector": lambda: moire._line_integrals(np.array([1.0, 2.0]), np.array([0.5, 0.5]),
-                                            0.0, 0.0, [_NARROW]),
     "coarea_profile": lambda: coarea_profile(lambda y: np.ones(y.shape), BoundaryPoint(0),
                                              DiskPoint(0j), [0.0, 1.0]),
-    "moire_weak": lambda: moire.moire_weak(moire.LambdaWindow(2.2), BoundaryPoint(0),
-                                           DiskPoint(0j), _NARROW),
-    # moire_integral's one-taper run, at the narrow width
-    "moire_integral": lambda: moire.convergence_study(1.5, BoundaryPoint(0), DiskPoint(0j),
-                                                      [_NARROW.width], "gaussian")[0],
-    # raises at any width with no halvings left
-    "reduction_paths": lambda: moire.reduction_paths(1.5, BoundaryPoint(0),
-                                                     DiskPoint(0.3 + 0.2j)),
 }
 
 
