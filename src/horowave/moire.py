@@ -26,16 +26,15 @@ Groups and Geometric Analysis, ch. IV); ``validate`` checks a windowed
 estimate of it against pi.
 
 Every line integral of phi along the horocycle (``_line_integrals``, and
-both paths of ``reduction_paths``) takes one Gauss-Legendre rule fixed in
-advance (``_line_rule``): 32-node panels that grow geometrically away from
-c = e^beta a, the point of the horocycle nearest x, where
-phi_lambda(d(y(s), x)) peaks. The nodes depend only on the taper's support,
-c and the largest |lambda|; nothing is refined by halving. Against mpmath
-(``tests/data/moire_refs.json``) the rule is within 2.1e-14 on the compact
-tapers, and within 2.3e-12 on the Gaussian, whose cut at 7 sigma is that
-error (``TaperSpec.support_radius``). The halving loop
-``transform._tapered_line`` is left to the integrals of functions that a
-caller passes in.
+both paths of ``reduction_paths``) takes the package's one line rule,
+``transform._line_rule``, fixed in advance: 32-node panels that grow
+geometrically away from c = e^beta a, the point of the horocycle nearest x,
+where phi_lambda(d(y(s), x)) peaks. The nodes depend only on the taper's
+support, c and the largest |lambda|; nothing is refined by halving. Against
+mpmath (``tests/data/moire_refs.json``) the rule is within 2.1e-14 on the
+compact tapers, and within 2.3e-12 on the Gaussian, whose cut at 7 sigma is
+that error (``TaperSpec.support_radius``). Only functions that a caller
+passes in, whose peak is not known, halve its panels (``transform._tapered_line``).
 """
 from __future__ import annotations
 
@@ -54,10 +53,9 @@ from .geometry import (
     horocycle_points_array,
 )
 from .tapers import TaperSpec
-from .transform import GridSpec, SampledField, _lambda_weights, _nested_levels
+from .transform import GridSpec, SampledField, _lambda_weights, _line_rule, _nested_levels
 from .waves import (
     RHO,
-    _gauss_rule,
     helgason_wave,
     plancherel_density,
     spherical_radial,
@@ -166,55 +164,6 @@ def _horocycle_distances(beta: float, a: float, s: np.ndarray) -> np.ndarray:
     """
     return 2.0 * np.arcsinh(np.hypot(s - math.exp(beta) * a, math.expm1(beta))
                             / (2.0 * math.exp(0.5 * beta)))
-
-
-def _line_rule(taper: TaperSpec, c: float, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes s and weights, taper values included, of the graded line rule on [-S, S].
-
-    S is the taper's ``support_radius``, c the arc length of the point of the
-    horocycle nearest x (clipped into [-S, S]) and lam the largest |lambda|.
-    The panel edges are +-S, c and c +- u_j: with f = min(1, 16/lam), u_j
-    runs in steps of f up to g = n f, n = ceil(1 / (2^f - 1)), and then
-    geometrically, g r^k with r = 2^f, until it passes S + |c| (for
-    lam <= 16 that is 0, 1, 2, 4, ...). Each panel takes the 32-node
-    Gauss-Legendre rule. The rule has no loop and no branch on the taper's
-    kind: a compact taper's edges +-S are panel edges, so every panel's
-    integrand is analytic.
-
-    Why this suffices for f(s) = phi_lambda(d(y(s), x)), |lambda| <= lam: in
-    the half-plane with b0 at infinity, cosh d = 1 + ((s - c)^2 + (1 - e^beta)^2)
-    / (2 e^beta), and phi_lambda is analytic in cosh d off (-inf, -1], so f
-    is analytic but at s = c +- i (1 + e^beta), at least 1 from the real
-    axis. A panel at distance u >= g from c is at most (r - 1) u wide, so
-    that point lies outside its Bernstein ellipse of parameter 3 + sqrt 8
-    (for r = 2; larger for r < 2). The phase lambda d moves by at most
-    lam f <= 16 across a panel of the first steps, since |d'(s)| <= 1, and
-    by at most 2 lam log r = 32 log 2 ~ 22 across a geometric one, since
-    |d'(s)| <= 2 / |s - c|: 3.5 wavelengths, which the 32-node rule (exact
-    to degree 63) integrates to rounding (L. N. Trefethen, Approximation
-    Theory and Approximation Practice, Thm 19.3). A Gaussian taper of
-    width sigma sees panels at most S = 7 sigma wide; the rule integrates
-    it alone within 1e-15 relative at every c in [-S, S]. Against 64-node
-    panels, at lam in {0.5, 2, 7.5, 16, 64, 128}, beta in {-3, 0, 0.85,
-    1.95}, a in {0, 0.7}, sigma in {4, 96, 1e4} and every kind, 24-node
-    panels already sit at the same rounding floor (below 1.5e-13 for
-    lam <= 16, 1.1e-12 at 128) and 16-node panels are 5e-11 off at
-    lam = 16: 32 nodes are 4/3 of the least count. For lam <= 16 the rule
-    takes at most 1152 nodes at sigma <= 1e4 and 3648 at sigma = 1e16.
-    """
-    S = taper.support_radius
-    c = min(max(c, -S), S)
-    f = 16.0 / max(16.0, lam)
-    r, far = 2.0 ** f, S + abs(c)
-    n = math.ceil(1.0 / (r - 1.0))
-    k = math.ceil(math.log(far / (n * f), r))
-    u = np.concatenate([f * np.arange(n + 1), n * f * r ** np.arange(1.0, k + 1)])
-    edges = np.unique(np.clip(np.concatenate([c - u, c + u, [-S, S]]), -S, S))
-    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
-    x, w = _gauss_rule(16)  # the positive half of the 32-node rule
-    x, w = np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
-    s = (mid[:, None] + half[:, None] * x).ravel()
-    return s, taper(s) * (half[:, None] * w).ravel()
 
 
 def _line_integrals(lams, weights, beta: float, a: float,

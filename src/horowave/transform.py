@@ -40,7 +40,7 @@ from .geometry import (
     origin_distance,
 )
 from .tapers import TaperSpec
-from .waves import PLANCHEREL_KAPPA, RHO, plancherel_density, spherical_radial_profile
+from .waves import PLANCHEREL_KAPPA, RHO, _gauss_rule, plancherel_density, spherical_radial_profile
 
 __all__ = [
     "GridSpec",
@@ -670,42 +670,87 @@ def plancherel_spectral(ftilde: np.ndarray, lams: np.ndarray) -> float:
     return float(np.sum(wl * plancherel_density(lams) * np.abs(ftilde) ** 2))
 
 
-# the tapered line rule, read at each call: every tapered line integral in the package
-_HOROCYCLE_NODES = 513
+def _line_rule(taper: TaperSpec, c: float, lam: float,
+               halvings: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes s and weights, taper values included, of the graded line rule on [-S, S].
+
+    S is the taper's ``support_radius``, c the arc length of the point of the
+    horocycle nearest x (clipped into [-S, S]) and lam the largest |lambda|.
+    The panel edges are +-S, c and c +- u_j: with f = min(1, 16/lam), u_j
+    runs in steps of f up to g = n f, n = ceil(1 / (2^f - 1)), and then
+    geometrically, g r^k with r = 2^f, until it passes S + |c| (for
+    lam <= 16 that is 0, 1, 2, 4, ...). Each panel, split into 2^halvings
+    equal ones, takes the 32-node Gauss-Legendre rule. The rule has no loop
+    and no branch on the taper's kind: a compact taper's edges +-S are panel
+    edges, so every panel's integrand is analytic.
+
+    Why this suffices for f(s) = phi_lambda(d(y(s), x)), |lambda| <= lam: in
+    the half-plane with b0 at infinity, cosh d = 1 + ((s - c)^2 + (1 - e^beta)^2)
+    / (2 e^beta), and phi_lambda is analytic in cosh d off (-inf, -1], so f
+    is analytic but at s = c +- i (1 + e^beta), at least 1 from the real
+    axis. A panel at distance u >= g from c is at most (r - 1) u wide, so
+    that point lies outside its Bernstein ellipse of parameter 3 + sqrt 8
+    (for r = 2; larger for r < 2). The phase lambda d moves by at most
+    lam f <= 16 across a panel of the first steps, since |d'(s)| <= 1, and
+    by at most 2 lam log r = 32 log 2 ~ 22 across a geometric one, since
+    |d'(s)| <= 2 / |s - c|: 3.5 wavelengths, which the 32-node rule (exact
+    to degree 63) integrates to rounding (L. N. Trefethen, Approximation
+    Theory and Approximation Practice, Thm 19.3). A Gaussian taper of
+    width sigma sees panels at most S = 7 sigma wide; the rule integrates
+    it alone within 1e-15 relative at every c in [-S, S]. Against 64-node
+    panels, at lam in {0.5, 2, 7.5, 16, 64, 128}, beta in {-3, 0, 0.85,
+    1.95}, a in {0, 0.7}, sigma in {4, 96, 1e4} and every kind, 24-node
+    panels already sit at the same rounding floor (below 1.5e-13 for
+    lam <= 16, 1.1e-12 at 128) and 16-node panels are 5e-11 off at
+    lam = 16: 32 nodes are 4/3 of the least count. For lam <= 16 the rule
+    takes at most 1152 nodes at sigma <= 1e4 and 3648 at sigma = 1e16.
+    """
+    S = taper.support_radius
+    c = min(max(c, -S), S)
+    f = 16.0 / max(16.0, lam)
+    r, far = 2.0 ** f, S + abs(c)
+    n = math.ceil(1.0 / (r - 1.0))
+    k = math.ceil(math.log(far / (n * f), r))
+    u = np.concatenate([f * np.arange(n + 1), n * f * r ** np.arange(1.0, k + 1)])
+    edges = np.unique(np.clip(np.concatenate([c - u, c + u, [-S, S]]), -S, S))
+    m = 2 ** halvings  # each panel split into m equal ones
+    edges = np.interp(np.arange((len(edges) - 1) * m + 1) / m, np.arange(len(edges)), edges)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    x, w = _gauss_rule(16)  # the positive half of the 32-node rule
+    x, w = np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
+    s = (mid[:, None] + half[:, None] * x).ravel()
+    return s, taper(s) * (half[:, None] * w).ravel()
+
+
+# the halvings of the line rule for functions that a caller passes in, read at each call
 _HOROCYCLE_TOL = 1e-9
 _HOROCYCLE_MAX_HALVINGS = 12
 
 
 def _tapered_line(values: Callable[[np.ndarray], np.ndarray], taper: TaperSpec, what: str):
-    """Trapezoid of taper(s) * values(s) over the taper's support [-S, S].
+    """Integral of taper(s) * values(s) over the taper's support, on ``_line_rule``.
 
-    values maps arc lengths s to values with s on the last axis. The levels of
-    ``_nested_levels`` from _HOROCYCLE_NODES nodes refine T until it moves by less
-    than _HOROCYCLE_TOL (max-abs); QuadratureUnderResolved after _HOROCYCLE_MAX_HALVINGS halvings.
+    values maps arc lengths s to values with s on the last axis. Its peak is
+    not known, so the rule at c = 0 halves its panels, k = 0, 1, ..., until
+    two levels differ by less than _HOROCYCLE_TOL (max-abs); a level that is
+    not finite, or _HOROCYCLE_MAX_HALVINGS halvings, raise QuadratureUnderResolved.
     """
-    S, n = taper.support_radius, _HOROCYCLE_NODES - 1
-
-    def integrand(q: np.ndarray) -> np.ndarray:
-        s = S * (2.0 * q - 1.0)
-        return np.moveaxis(taper(s) * values(s), -1, 0)
-
-    levels = _nested_levels(integrand, n, n * 2 ** _HOROCYCLE_MAX_HALVINGS)
-    _, y = next(levels)
-    T = 2.0 * S / n * (np.sum(y, axis=0) - 0.5 * (y[0] + y[-1]))
-    change = math.inf
-    for q, y in levels:
-        T_new = 0.5 * T + 2.0 * S / (len(q) - 1) * np.sum(y[1::2], axis=0)
-        change = float(np.max(np.abs(T_new - T), initial=0.0))
+    T = change = math.inf
+    for k in range(_HOROCYCLE_MAX_HALVINGS + 1):
+        s, w = _line_rule(taper, 0.0, 0.0, k)
+        T, last = np.sum(values(s) * w, axis=-1), T
+        if not np.all(np.isfinite(T)):
+            raise QuadratureUnderResolved(f"{what} is not finite on {len(s)} nodes")
+        change = float(np.max(np.abs(T - last), initial=0.0))
         if change < _HOROCYCLE_TOL:
-            return T_new
-        T = T_new
+            return T
     raise QuadratureUnderResolved(
         f"{what} did not settle below {_HOROCYCLE_TOL:g} after {_HOROCYCLE_MAX_HALVINGS} "
         f"halvings (last change {change:.2e})")
 
 
 def horocycle_integral(fn: FieldFunction, h: Horocycle, taper: TaperSpec) -> complex:
-    """Tapered line integral (``_tapered_line``) of fn along the horocycle, by arc length.
+    """Tapered line integral of fn along the horocycle, by arc length (``_tapered_line``).
 
     fn must accept an ndarray of complex disk coordinates.
     """

@@ -155,17 +155,22 @@ def gaussian_taper_mass(width: float) -> float:
     return width * np.sqrt(2.0 * np.pi)
 
 
-def horocycle_bump_integral(coeff: float, taper_width: float) -> float:
-    """Tapered integral of exp(-coeff * d(0, y(s))^2) along the zero horocycle.
+def horocycle_bump_integral(coeff: float, taper_width: float, centre: float = 0.0) -> float:
+    """Tapered integral of exp(-coeff * d(y(centre), y(s))^2) along the zero horocycle.
 
-    Uses the arc-length law cosh d = 1 + s^2/2 and adaptive 1-D quadrature.
+    Uses the arc-length law cosh d = 1 + (s - centre)^2 / 2, that is
+    d = 2 asinh(|s - centre| / 2), and adaptive 1-D quadrature on
+    [-6 taper_width, 6 taper_width], split at centre and centre +- 1, each
+    piece to 1e-13 relative.
     """
     def integrand(s):
-        d = np.arccosh(1.0 + 0.5 * s * s)
+        d = 2.0 * np.arcsinh(0.5 * abs(s - centre))
         return np.exp(-coeff * d * d) * np.exp(-0.5 * (s / taper_width) ** 2)
 
-    val, _ = quad(integrand, -6.0 * taper_width, 6.0 * taper_width, limit=800)
-    return val
+    S = 6.0 * taper_width
+    edges = sorted({-S, S, *np.clip([centre - 1.0, centre, centre + 1.0], -S, S)})
+    return sum(quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=800)[0]
+               for lo, hi in zip(edges, edges[1:]))
 
 
 def direct_transforms(f, forward_lams, inverse_args, kappa: float):

@@ -418,7 +418,7 @@ def test_nested_levels_evaluate_each_fraction_once():
 
 
 def test_adaptive_rules_draw_their_nodes_from_nested_levels(monkeypatch):
-    """The node check, the phi table and the tapered line rule refine through one driver."""
+    """The node check and the phi table refine through one driver; the line rule does not."""
     starts = []
 
     def counting(f, n, max_n):
@@ -435,7 +435,7 @@ def test_adaptive_rules_draw_their_nodes_from_nested_levels(monkeypatch):
     assert starts == [64, 16]
     horocycle_integral(lambda y: np.ones(y.shape), Horocycle(BoundaryPoint(0), 0.0),
                        TaperSpec("gaussian", 2.0))
-    assert starts == [64, 16, transform._HOROCYCLE_NODES - 1]
+    assert starts == [64, 16]  # it halves the panels of _line_rule
 
 
 def test_radial_node_choice():
@@ -829,6 +829,7 @@ def test_horocycle_integral_isometry_invariance():
 
 
 def test_horocycle_integral_evaluates_each_node_once():
+    """Every level's nodes are new, and a smooth bump settles at one halving."""
     seen = []
 
     def bump(y):
@@ -836,11 +837,34 @@ def test_horocycle_integral_evaluates_each_node_once():
         return np.exp(-8.0 * disk_distance(y) ** 2)
 
     horocycle_integral(bump, Horocycle(BoundaryPoint(0), 0.0), TaperSpec("gaussian", 4.0))
-    levels = len(seen) - 1
-    assert levels >= 1
+    assert [len(y) for y in seen] == [len(transform._line_rule(TaperSpec("gaussian", 4.0),
+                                                               0.0, 0.0, k)[0]) for k in (0, 1)]
     nodes = np.concatenate(seen)
-    assert len(nodes) == 512 * 2 ** levels + 1  # the final level's node count
     assert len(np.unique(nodes)) == len(nodes)
+
+
+@pytest.mark.parametrize("centre", [0.0, 10.0, 30.0, 100.0])
+def test_horocycle_integral_of_off_centre_bumps(centre):
+    """exp(-a d(y, y(s0))^2) along the zero horocycle, against quad, the bump off s = 0."""
+    h = Horocycle(BoundaryPoint(0), 0.0)
+    c = np.asarray(horocycle_point(h, centre).z)
+    for a in (1.25, 8.0, 100.0):
+        got = horocycle_integral(lambda y: np.exp(-a * geometry.distance_array(y, c) ** 2),
+                                 h, transform.WIDE_TAPER)
+        assert abs(got - oracles.horocycle_bump_integral(a, 20.0, centre)) < 1e-12, a
+
+
+@pytest.mark.parametrize("width", [0.3, 3.7, 97.3, 3333.3])
+def test_horocycle_integral_of_one_on_compact_tapers(width):
+    """The cosine taper has mass width, the hard one 2 width.
+
+    No width is a dyadic point of a panel of the unclipped rule, so a rule
+    whose panels did not end at the support would not halve onto it.
+    """
+    h = Horocycle(BoundaryPoint(0), 0.0)
+    for kind, mass in (("cosine", width), ("hard", 2.0 * width)):
+        got = horocycle_integral(lambda y: np.ones(y.shape), h, TaperSpec(kind, width))
+        assert got == pytest.approx(mass, rel=1e-14, abs=0.0), kind
 
 
 # every tapered line integral of a caller's function reads the one rule's budget
@@ -858,6 +882,22 @@ def test_halving_budget_exhausted_raises(integrate, monkeypatch):
     monkeypatch.setattr(transform, "_HOROCYCLE_MAX_HALVINGS", 0)
     with pytest.raises(QuadratureUnderResolved):
         integrate()
+
+
+def test_non_finite_line_integrals_raise_at_once():
+    """A NaN integrand is refused on the first level, not after every halving."""
+    calls = []
+
+    def nan(y):
+        calls.append(y.shape)
+        return np.full(y.shape, np.nan)
+
+    with pytest.raises(QuadratureUnderResolved, match="not finite"):
+        horocycle_integral(nan, Horocycle(BoundaryPoint(0), 0.0), _NARROW)
+    assert len(calls) == 1
+    with pytest.raises(QuadratureUnderResolved, match="not finite"):
+        coarea_profile(nan, BoundaryPoint(0), DiskPoint(0j), [0.0, 1.0])
+    assert len(calls) == 2
 
 
 # --- coarea and lemma -------------------------------------------------------
