@@ -33,8 +33,8 @@ where phi_lambda(d(y(s), x)) peaks. The nodes depend only on the taper's
 support, c and the largest |lambda|; nothing is refined by halving. Against
 mpmath (``tests/data/moire_refs.json``) the rule is within 2.1e-14 on the
 compact tapers, and within 2.3e-12 on the Gaussian, whose cut at 7 sigma is
-that error (``TaperSpec.support_radius``). Only functions that a caller
-passes in, whose peak is not known, halve its panels (``transform._tapered_line``).
+that error (``TaperSpec.support_radius``). Functions that a caller passes
+in, whose peak is unknown, cap and halve its panels (``_tapered_line``).
 """
 from __future__ import annotations
 

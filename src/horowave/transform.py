@@ -670,7 +670,7 @@ def plancherel_spectral(ftilde: np.ndarray, lams: np.ndarray) -> float:
     return float(np.sum(wl * plancherel_density(lams) * np.abs(ftilde) ** 2))
 
 
-def _line_rule(taper: TaperSpec, c: float, lam: float,
+def _line_rule(taper: TaperSpec, c: float, lam: float, width: float = math.inf,
                halvings: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Nodes s and weights, taper values included, of the graded line rule on [-S, S].
 
@@ -679,10 +679,11 @@ def _line_rule(taper: TaperSpec, c: float, lam: float,
     The panel edges are +-S, c and c +- u_j: with f = min(1, 16/lam), u_j
     runs in steps of f up to g = n f, n = ceil(1 / (2^f - 1)), and then
     geometrically, g r^k with r = 2^f, until it passes S + |c| (for
-    lam <= 16 that is 0, 1, 2, 4, ...). Each panel, split into 2^halvings
-    equal ones, takes the 32-node Gauss-Legendre rule. The rule has no loop
-    and no branch on the taper's kind: a compact taper's edges +-S are panel
-    edges, so every panel's integrand is analytic.
+    lam <= 16 that is 0, 1, 2, 4, ...). Each panel is split into
+    2^halvings * ceil(its width / width) equal ones (one, by default), and
+    each takes the 32-node Gauss-Legendre rule. The rule has no branch on
+    the taper's kind: a compact taper's edges +-S are panel edges, so every
+    panel's integrand is analytic.
 
     Why this suffices for f(s) = phi_lambda(d(y(s), x)), |lambda| <= lam: in
     the half-plane with b0 at infinity, cosh d = 1 + ((s - c)^2 + (1 - e^beta)^2)
@@ -713,8 +714,9 @@ def _line_rule(taper: TaperSpec, c: float, lam: float,
     k = math.ceil(math.log(far / (n * f), r))
     u = np.concatenate([f * np.arange(n + 1), n * f * r ** np.arange(1.0, k + 1)])
     edges = np.unique(np.clip(np.concatenate([c - u, c + u, [-S, S]]), -S, S))
-    m = 2 ** halvings  # each panel split into m equal ones
-    edges = np.interp(np.arange((len(edges) - 1) * m + 1) / m, np.arange(len(edges)), edges)
+    m = 2 ** halvings * np.maximum(1.0, np.ceil(np.diff(edges) / width))  # into m equal ones
+    q = np.concatenate([j + np.arange(mj) / mj for j, mj in enumerate(m)] + [[len(m)]])
+    edges = np.interp(q, np.arange(len(edges)), edges)
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
     x, w = _gauss_rule(16)  # the positive half of the 32-node rule
     x, w = np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
@@ -724,20 +726,23 @@ def _line_rule(taper: TaperSpec, c: float, lam: float,
 
 # the halvings of the line rule for functions that a caller passes in, read at each call
 _HOROCYCLE_TOL = 1e-9
-_HOROCYCLE_MAX_HALVINGS = 12
+_HOROCYCLE_MAX_HALVINGS = 11
 
 
 def _tapered_line(values: Callable[[np.ndarray], np.ndarray], taper: TaperSpec, what: str):
     """Integral of taper(s) * values(s) over the taper's support, on ``_line_rule``.
 
     values maps arc lengths s to values with s on the last axis. Its peak is
-    not known, so the rule at c = 0 halves its panels, k = 0, 1, ..., until
-    two levels differ by less than _HOROCYCLE_TOL (max-abs); a level that is
-    not finite, or _HOROCYCLE_MAX_HALVINGS halvings, raise QuadratureUnderResolved.
+    not known, so the rule at c = 0 is read with no panel wider than S/16
+    and then with every panel halved, k = 1, 2, ..., until two levels differ
+    by less than _HOROCYCLE_TOL (max-abs); a level that is not finite, or
+    _HOROCYCLE_MAX_HALVINGS halvings, raise QuadratureUnderResolved. Level k
+    leaves no gap wider than 0.0484 S / 16 / 2^k (0.42 / 2^k at WIDE_TAPER);
+    a much narrower feature can go unseen by the first two levels.
     """
     T = change = math.inf
     for k in range(_HOROCYCLE_MAX_HALVINGS + 1):
-        s, w = _line_rule(taper, 0.0, 0.0, k)
+        s, w = _line_rule(taper, 0.0, 0.0, taper.support_radius / 16, k)
         T, last = np.sum(values(s) * w, axis=-1), T
         if not np.all(np.isfinite(T)):
             raise QuadratureUnderResolved(f"{what} is not finite on {len(s)} nodes")

@@ -836,14 +836,36 @@ def test_horocycle_integral_evaluates_each_node_once():
         seen.append(y)
         return np.exp(-8.0 * disk_distance(y) ** 2)
 
-    horocycle_integral(bump, Horocycle(BoundaryPoint(0), 0.0), TaperSpec("gaussian", 4.0))
-    assert [len(y) for y in seen] == [len(transform._line_rule(TaperSpec("gaussian", 4.0),
-                                                               0.0, 0.0, k)[0]) for k in (0, 1)]
+    taper = TaperSpec("gaussian", 4.0)
+    horocycle_integral(bump, Horocycle(BoundaryPoint(0), 0.0), taper)
+    width = taper.support_radius / 16
+    assert [len(y) for y in seen] == [len(transform._line_rule(taper, 0.0, 0.0, width, k)[0])
+                                      for k in (0, 1)]
     nodes = np.concatenate(seen)
     assert len(np.unique(nodes)) == len(nodes)
 
 
-@pytest.mark.parametrize("centre", [0.0, 10.0, 30.0, 100.0])
+@pytest.mark.parametrize("taper", [transform.WIDE_TAPER, TaperSpec("gaussian", 2.0),
+                                   TaperSpec("cosine", 3.7), TaperSpec("hard", 1e4)],
+                         ids=lambda t: f"{t.kind}-{t.width:g}")
+def test_line_levels_leave_no_wide_gap(taper):
+    """The first two levels read [-S, S] with no gap wider than 2S/512 and 2S/1024.
+
+    A caller's function may peak anywhere, so the levels that decide
+    whether it has settled must sample the whole support finely, not only
+    near s = 0 where the graded panels are narrow; and the second level
+    halves every panel of the first, so no stretch reads the same nodes
+    twice and agrees with itself.
+    """
+    S, levels = taper.support_radius, []
+    transform._tapered_line(lambda s: levels.append(s) or np.zeros(s.shape), taper, "zero")
+    assert len(levels) == 2 and len(levels[1]) == 2 * len(levels[0])
+    assert len(np.unique(np.concatenate(levels))) == 3 * len(levels[0])
+    for k, s in enumerate(levels):
+        assert np.max(np.diff(np.concatenate([[-S], s, [S]]))) < 2.0 * S / 2 ** (9 + k)
+
+
+@pytest.mark.parametrize("centre", [0.0, 10.0, 30.0, 99.8, 100.0])
 def test_horocycle_integral_of_off_centre_bumps(centre):
     """exp(-a d(y, y(s0))^2) along the zero horocycle, against quad, the bump off s = 0."""
     h = Horocycle(BoundaryPoint(0), 0.0)
@@ -854,12 +876,28 @@ def test_horocycle_integral_of_off_centre_bumps(centre):
         assert abs(got - oracles.horocycle_bump_integral(a, 20.0, centre)) < 1e-12, a
 
 
+def test_horocycle_integral_of_narrow_bumps_far_out():
+    """exp(-100 d(y, y(s0))^2), about 0.1 wide, at s0 in [2, 8] and [90, 110].
+
+    The level returned is within the rule's tolerance of quad (2.5e-11 at
+    worst), not a reading of two levels that both missed the bump: such a
+    miss is off by 1e-8 or more.
+    """
+    h = Horocycle(BoundaryPoint(0), 0.0)
+    for centre in np.concatenate([np.linspace(2.0, 8.0, 16), np.linspace(90.0, 110.0, 51)]):
+        c = np.asarray(horocycle_point(h, centre).z)
+        got = horocycle_integral(lambda y: np.exp(-100.0 * geometry.distance_array(y, c) ** 2),
+                                 h, transform.WIDE_TAPER)
+        assert (abs(got - oracles.horocycle_bump_integral(100.0, 20.0, centre))
+                < transform._HOROCYCLE_TOL), centre
+
+
 @pytest.mark.parametrize("width", [0.3, 3.7, 97.3, 3333.3])
 def test_horocycle_integral_of_one_on_compact_tapers(width):
     """The cosine taper has mass width, the hard one 2 width.
 
     No width is a dyadic point of a panel of the unclipped rule, so a rule
-    whose panels did not end at the support would not halve onto it.
+    whose panels did not end at the support would not split onto it.
     """
     h = Horocycle(BoundaryPoint(0), 0.0)
     for kind, mass in (("cosine", width), ("hard", 2.0 * width)):
