@@ -277,33 +277,31 @@ _BLAS_BLOCK = 1 << 18
 def _bessel_stack(z: np.ndarray, K: int) -> np.ndarray:
     """J_0(z), ..., J_{K-1}(z), of shape (K,) + z.shape, by Miller's backward recurrence.
 
-    The recurrence runs on the ratios r_k = J_k / J_{k-1} = z / (2k - z r_{k+1})
-    from r = 0 eight orders above K, so tiny |z| cannot overflow it and z = 0
-    gives J_0 = 1; J_0 + 2 sum_k J_2k = 1 sets the scale (its sum is
-    nested into the same pass as t <- r_{2k-1} r_{2k} (1 + t)), and
-    J_k = J_0 r_1 ... r_k. Negative z needs nothing special. A ratio whose
-    denominator rounds to exactly 0, possible where z sits on a zero of
-    J_{k-1}, leaves t non-finite; those columns are taken again at the next
-    float above z. See W. Gautschi, SIAM Review 9 (1967).
+    Three passes: the ratios r_k = J_k / J_{k-1} = z / (2k - z r_{k+1}) from
+    r = 0 eight orders above K, so tiny |z| cannot overflow them; their
+    product J_k = r_1 ... r_k from J_0 = 1; and the scale J_0 + 2 sum_k J_2k = 1,
+    summed to order K - 1 only, as every caller's K is past the tail
+    (_kernel_terms asks |J_{K-1}| < _KERNEL_TAIL, its own stack six orders
+    past the count). Negative z needs nothing special. A denominator that
+    rounds to exactly 0, possible where z sits on a zero of J_{k-1}, leaves
+    the scale non-finite; those columns are taken again at the next float
+    above z. See W. Gautschi, SIAM Review 9 (1967).
     """
     z = np.asarray(z, float)
     J = np.empty((K,) + z.shape)
-    spare = (np.zeros_like(z), np.empty_like(z))  # ratios above order K - 1
-    r, den, t = spare[0], np.empty_like(z), np.zeros_like(z)
+    r, den = np.zeros_like(z), np.empty_like(z)  # r holds the ratios above order K - 1
     with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(K + 8 + K % 2, 0, -1):  # an even start sums whole pairs
+        for k in range(K + 8, 0, -1):
             np.multiply(z, r, out=den)
             np.subtract(2.0 * k, den, out=den)
-            prev, r = r, (J[k] if k < K else spare[k % 2])
+            r = J[k] if k < K else r
             np.divide(z, den, out=r)
-            if k % 2:
-                t += 1.0
-                t *= r
-                t *= prev
-    J[0] = 1.0 / (1.0 + 2.0 * t)
-    for k in range(1, K):  # np.cumprod along axis 0 took ten times as long
-        J[k] *= J[k - 1]
-    bad = ~np.isfinite(t) & np.isfinite(z)
+        J[0] = 1.0
+        for k in range(1, K):  # np.cumprod along axis 0 took ten times as long
+            J[k] *= J[k - 1]
+        scale = 1.0 + 2.0 * np.sum(J[2::2], axis=0)
+        J /= scale
+    bad = ~np.isfinite(scale) & np.isfinite(z)
     if bad.any():
         J[:, bad] = _bessel_stack(np.nextafter(z[bad], np.inf), K)
     return J
@@ -434,30 +432,28 @@ def _busemann_kernel(t: np.ndarray, offsets: np.ndarray, lams: np.ndarray):
     the products J[k] E (``_even_row_ffts``); ``forward_at`` never does, and
     contracts J with E times the weighted field. |B| <= t at every angle
     (with equality at theta and theta + pi), so each radius takes as many
-    terms as c t needs (_kernel_terms), and a block the most of its radii;
-    a block holds as many radii as keep its Bessel stack (its terms times
-    its points) within _BLOCK_FLOATS, and at least one. K is the most any
-    radius takes. The counts follow c max|B|, not the number of lambdas.
+    terms as c t needs (_kernel_terms), and as |J_k(z)| grows with z once
+    k > z, a block and K take their last radius's; a block holds as many
+    radii as keep its Bessel stack (its terms times its points) within
+    _BLOCK_FLOATS, and at least one. The counts follow c max|B|, not lambdas.
     """
     lams = np.asarray(lams, float)
     lo, hi = (lams.min(), lams.max()) if lams.size else (0.0, 0.0)
     mid, c = 0.5 * (hi + lo), 0.5 * (hi - lo)
     row_terms = _kernel_terms(c * t)
-    starts, most = [0], 0
+    starts = [0]
     for j, n in enumerate(row_terms.tolist()):
-        most = max(most, n)
-        if j > starts[-1] and most * (j + 1 - starts[-1]) * len(offsets) > _BLOCK_FLOATS:
+        if j > starts[-1] and n * (j + 1 - starts[-1]) * len(offsets) > _BLOCK_FLOATS:
             starts.append(j)
-            most = n
-    terms = np.maximum.reduceat(row_terms, starts)
-    k = np.arange(np.max(terms))
+    k = np.arange(row_terms[-1])
     s = np.where(k, 2.0, 1.0) * np.array([1, 1j, -1, -1j])[k % 4]
     T = chebvander((lams - mid) / c if c else np.zeros_like(lams), len(k) - 1)
 
     def blocks():
-        for a, b, n in zip(starts, [*starts[1:], len(t)], terms):
+        for a, b in zip(starts, [*starts[1:], len(t)]):
             B = _polar_bracket(t[a:b], offsets)
-            yield slice(a, b), _bessel_stack(c * B, n), np.exp((1j * mid + RHO) * B)
+            yield (slice(a, b), _bessel_stack(c * B, row_terms[b - 1]),
+                   np.exp((1j * mid + RHO) * B))
 
     return T, s, blocks()
 
@@ -524,13 +520,14 @@ def _real_matmul(T: np.ndarray, X: np.ndarray) -> np.ndarray:
     return out.view(complex) if Xf is not X else out
 
 
+def _tail_holds(x: np.ndarray, tol: float) -> bool:
+    """Whether the last max(1, len(x) // 20) entries of x hold more than tol of its sum."""
+    tail = max(1, len(x) // 20)
+    return np.sum(x[-tail:]) > tol * np.sum(x)
+
+
 def _check_support(f: SampledField) -> None:
-    mass = np.sum(np.abs(f.values) * f.weights, axis=1)
-    total = np.sum(mass)
-    if total == 0.0:
-        return
-    tail_rows = max(1, f.grid.n_r // 20)
-    if np.sum(mass[-tail_rows:]) > 1e-6 * total:
+    if _tail_holds(np.sum(np.abs(f.values) * f.weights, axis=1), 1e-6):
         raise SupportOverflow(
             "field mass near the grid boundary exceeds 1e-6 of the total; "
             "increase R or shrink the input's support"
@@ -621,10 +618,7 @@ def inverse(F: SpectralField) -> SampledField:
     the sum there is interpolated back to the grid radii before the IFFT.
     """
     dens = plancherel_density(F.lambda_grid)
-    energy = dens * np.sum(np.abs(F.values) ** 2, axis=1)
-    total = np.sum(energy)
-    tail_rows = max(1, len(energy) // 20)
-    if total > 0 and np.sum(energy[-tail_rows:]) > 1e-3 * total:
+    if _tail_holds(dens * np.sum(np.abs(F.values) ** 2, axis=1), 1e-3):
         raise SpectralTruncation(
             "spectral energy has not decayed at the lambda boundary; forward stops at "
             f"the fixed band edge transform.LAMBDA_MAX = {LAMBDA_MAX:g}"
@@ -735,12 +729,15 @@ def _tapered_line(values: Callable[[np.ndarray], np.ndarray], taper: TaperSpec, 
     values maps arc lengths s to values with s on the last axis. Its peak is
     not known, so the rule at c = 0 is read with no panel wider than S/16
     and then with every panel halved, k = 1, 2, ..., until two levels differ
-    by less than _HOROCYCLE_TOL (max-abs); a level that is not finite, or
-    _HOROCYCLE_MAX_HALVINGS halvings, raise QuadratureUnderResolved. Level k
-    leaves no gap wider than 0.0484 S / 16 / 2^k (0.42 / 2^k at WIDE_TAPER);
-    a much narrower feature can go unseen by the first two levels.
+    by less than _HOROCYCLE_TOL (max-abs). A level that is not finite raises
+    QuadratureUnderResolved, and so does the budget: m integrals at once stop
+    before the level k >= 2 with m 2^k > 2^_HOROCYCLE_MAX_HALVINGS. Every
+    batch compares levels 0 and 1; a batch with m 2 <= 2^_HOROCYCLE_MAX_HALVINGS
+    never holds more values than one integral. Level k leaves no gap wider
+    than 0.0484 S / 16 / 2^k (0.42 / 2^k at WIDE_TAPER); a much narrower
+    feature can go unseen by the first two levels.
     """
-    T = change = math.inf
+    T = math.inf
     for k in range(_HOROCYCLE_MAX_HALVINGS + 1):
         s, w = _line_rule(taper, 0.0, 0.0, taper.support_radius / 16, k)
         T, last = np.sum(values(s) * w, axis=-1), T
@@ -749,9 +746,11 @@ def _tapered_line(values: Callable[[np.ndarray], np.ndarray], taper: TaperSpec, 
         change = float(np.max(np.abs(T - last), initial=0.0))
         if change < _HOROCYCLE_TOL:
             return T
+        if k and np.size(T) * 2 ** (k + 1) > 2 ** _HOROCYCLE_MAX_HALVINGS:
+            break
     raise QuadratureUnderResolved(
-        f"{what} did not settle below {_HOROCYCLE_TOL:g} after {_HOROCYCLE_MAX_HALVINGS} "
-        f"halvings (last change {change:.2e})")
+        f"{what} did not settle below {_HOROCYCLE_TOL:g} after {k} halvings "
+        f"(last change {change:.2e})")
 
 
 def horocycle_integral(fn: FieldFunction, h: Horocycle, taper: TaperSpec) -> complex:

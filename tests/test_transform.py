@@ -664,6 +664,17 @@ def test_bessel_stack_matches_scipy():
     assert np.max(np.abs(got - jv(np.arange(35)[:, None], z0))) <= 2e-15
 
 
+def test_kernel_terms_do_not_decrease():
+    """_busemann_kernel gives each block its last radius's count, so counts must not fall.
+
+    Taken in 60 calls of 500 values: one call on all of them would hold a
+    760 MB Bessel stack.
+    """
+    z = np.linspace(0.0, 3000.0, 30001)
+    counts = np.concatenate([transform._kernel_terms(zc) for zc in np.array_split(z, 60)])
+    assert np.all(np.diff(counts) >= 0)
+
+
 def test_kernel_terms_past_the_cap_raise(monkeypatch):
     f = SampledField.from_function(BUMPS["offcenter"], DEFAULT_GRID)
     monkeypatch.setattr(transform, "_KERNEL_MAX_TERMS", 32)  # max|c B| = 16 needs about 45
@@ -920,6 +931,37 @@ def test_halving_budget_exhausted_raises(integrate, monkeypatch):
     monkeypatch.setattr(transform, "_HOROCYCLE_MAX_HALVINGS", 0)
     with pytest.raises(QuadratureUnderResolved):
         integrate()
+
+
+def test_batch_of_line_integrals_takes_fewer_halvings(monkeypatch):
+    """m integrals at once stop before m 2^k passes 2^_HOROCYCLE_MAX_HALVINGS.
+
+    A step function never settles; 4 levels with a budget of 4 halvings read
+    the levels k = 0, 1 and 2 (4 x 2^2 = 2^4), not all five.
+    """
+    monkeypatch.setattr(transform, "_HOROCYCLE_MAX_HALVINGS", 4)
+    calls = []
+
+    def step(y):
+        calls.append(y.shape)
+        return (np.abs(y) < 0.5).astype(float)
+
+    with pytest.raises(QuadratureUnderResolved, match="after 2 halvings"):
+        coarea_profile(step, BoundaryPoint(0), DiskPoint(0j), [-1.0, -0.3, 0.3, 1.0])
+    assert len(calls) == 3
+
+
+def test_batch_past_the_budget_still_compares_two_levels(monkeypatch):
+    """9 levels with a budget of 4 halvings (9 x 2 > 2^4) still read levels 0 and 1.
+
+    A smooth bump settles there, so the profile equals the one read with
+    the full budget instead of being refused after level 0.
+    """
+    u = np.linspace(-5.0, 5.0, 9)
+    full = coarea_profile(BUMPS["radial"], BoundaryPoint(0.7), DiskPoint(0.3 - 0.2j), u)
+    monkeypatch.setattr(transform, "_HOROCYCLE_MAX_HALVINGS", 4)
+    got = coarea_profile(BUMPS["radial"], BoundaryPoint(0.7), DiskPoint(0.3 - 0.2j), u)
+    assert np.array_equal(got, full)
 
 
 def test_non_finite_line_integrals_raise_at_once():
