@@ -83,6 +83,19 @@ def suite_hypgeo() -> list[CheckResult]:
         worst = max(worst, abs(g.alpha - h.alpha), abs(g.beta - h.beta))
     out.append(_check("iwasawa round trip (1000 elements)", worst, 1e-10))
 
+    # k a_t k' with k' near the identity, where alpha + beta cancels for t < 0;
+    # relative to |alpha| + |beta|, which reaches e^15
+    near = np.random.default_rng(1)
+    worst = 0.0
+    for _ in range(200):
+        g = (GroupElement.rotation(near.uniform(0, 2 * math.pi))
+             .compose(GroupElement.translation(near.uniform(-30.0, 30.0)))
+             .compose(GroupElement.rotation(10.0 ** near.uniform(-12.0, -2.0))))
+        h = iwasawa(g).recompose()
+        err = max(abs(g.alpha - h.alpha), abs(g.beta - h.beta))
+        worst = max(worst, err / (abs(g.alpha) + abs(g.beta)))
+    out.append(_check("iwasawa round trip near cancellation (200 elements)", worst, 1e-8))
+
     worst = 0.0
     for _ in range(200):
         g = _random_group(rng)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,9 @@ __all__ = [
     "horocycle_points_array",
 ]
 
-_RENORM_EVERY = 100  # compositions between SU(1,1) renormalizations
+# |alpha|^2 - |beta|^2 may miss 1 by this much of |alpha|^2 + |beta|^2, as their rounding
+# scales with them (a translation's pass 5000 at t = 10); past it a pair is not in SU(1,1)
+_DET_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -75,11 +77,10 @@ class GroupElement:
 
     alpha: complex
     beta: complex
-    _compositions: int = field(default=0, compare=False)
 
     def __post_init__(self):
-        a2, b2 = abs(self.alpha) ** 2, abs(self.beta) ** 2  # a translation's pass 5000 at t = 10
-        if abs(a2 - b2 - 1.0) > 1e-12 * (a2 + b2):  # relative, as their rounding scales with them
+        a2, b2 = abs(self.alpha) ** 2, abs(self.beta) ** 2
+        if abs(a2 - b2 - 1.0) > _DET_TOL * (a2 + b2):
             raise ValueError(f"not an SU(1,1) element: |alpha|^2 - |beta|^2 = {a2 - b2}")
 
     @staticmethod
@@ -97,16 +98,18 @@ class GroupElement:
         return GroupElement(math.cosh(t / 2), math.sinh(t / 2))
 
     def compose(self, other: "GroupElement") -> "GroupElement":
+        """self . other, divided by sqrt(|a|^2 - |b|^2) where that has drifted past its own
+        rounding (2^-46 of |a|^2 + |b|^2) but not out of the group (``_DET_TOL``)."""
         a = self.alpha * other.alpha + self.beta * other.beta.conjugate()
         b = self.alpha * other.beta + self.beta * other.alpha.conjugate()
-        n = self._compositions + other._compositions + 1
-        if n >= _RENORM_EVERY:
-            norm = math.sqrt(abs(a) ** 2 - abs(b) ** 2)
-            a, b, n = a / norm, b / norm, 0
-        return GroupElement(a, b, n)
+        a2, b2 = abs(a) ** 2, abs(b) ** 2
+        if 2.0 ** -46 * (a2 + b2) < abs(a2 - b2 - 1.0) <= _DET_TOL * (a2 + b2):
+            norm = math.sqrt(a2 - b2)
+            a, b = a / norm, b / norm
+        return GroupElement(a, b)
 
     def inverse(self) -> "GroupElement":
-        return GroupElement(self.alpha.conjugate(), -self.beta, self._compositions)
+        return GroupElement(self.alpha.conjugate(), -self.beta)
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         return self.compose(other)
@@ -121,10 +124,10 @@ class IwasawaFactors:
     s: float
 
     def recompose(self) -> GroupElement:
-        k = GroupElement.rotation(self.k_angle)
-        a = GroupElement.translation(self.t)
-        n = nilpotent_flow(BoundaryPoint(0.0), self.s)
-        return k.compose(a).compose(n)
+        """k a_t n_s = e^{i k_angle/2} (cosh(t/2) + h, sinh(t/2) - h), h = (is/2) e^{t/2}."""
+        k = cmath.exp(0.5j * self.k_angle)
+        h = 0.5j * self.s * math.exp(0.5 * self.t)
+        return GroupElement(k * (math.cosh(0.5 * self.t) + h), k * (math.sinh(0.5 * self.t) - h))
 
 
 @dataclass(frozen=True)
@@ -151,27 +154,22 @@ def busemann(p: DiskPoint, b: BoundaryPoint) -> float:
 
 
 def iwasawa(g: GroupElement) -> IwasawaFactors:
-    """Global K A N factorization of g.
+    """Global K A N factorization of g, read from w = alpha + beta = e^{i k_angle/2} e^{t/2}.
 
-    The K angle is read off from the action on the fixed boundary point
-    b = 1 of both A and N; the remaining upper-triangular-like factor
-    splits algebraically: for h = a_t n_s one has alpha_h + beta_h =
-    e^{t/2} and Im(alpha_h) = (s/2) e^{t/2}.
+    Where |w| < 1 the sum cancels; then w = (1 + 2i Im(beta conj(alpha))) / conj(alpha - beta),
+    which does not cancel, as |alpha + beta| |alpha - beta| >= 1. s = 2 Im(conj(w) alpha) / |w|^2.
+    The stored pair fixes t and k_angle only to about 2^-53 (|alpha| + |beta|) / |alpha + beta|.
     """
     w = g.alpha + g.beta
-    phi = 2.0 * cmath.phase(w)
-    k_inv = GroupElement.rotation(-phi)
-    h = k_inv.compose(g)
-    wt = h.alpha + h.beta  # positive real up to roundoff
-    t = 2.0 * math.log(abs(wt))
-    s = 2.0 * h.alpha.imag * math.exp(-t / 2.0)
-    return IwasawaFactors(phi, t, s)
+    if abs(w) < 1.0:
+        w = (1.0 + 2j * (g.beta * g.alpha.conjugate()).imag) / (g.alpha - g.beta).conjugate()
+    s = 2.0 * (w.conjugate() * g.alpha).imag / abs(w) ** 2
+    return IwasawaFactors(2.0 * cmath.phase(w), 2.0 * math.log(abs(w)), s)
 
 
 def cartan_norm(g: GroupElement) -> float:
-    """|g| = d(o, g.o), the A-part size of the K A K decomposition."""
-    z = g.beta / g.alpha.conjugate()
-    return 2.0 * math.atanh(abs(z))
+    """|g| = d(o, g.o) = 2 asinh|beta|, the A-part size of the K A K decomposition."""
+    return 2.0 * math.asinh(abs(g.beta))
 
 
 def horocycle_through(b: BoundaryPoint, p: DiskPoint) -> Horocycle:

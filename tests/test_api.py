@@ -16,7 +16,6 @@ MODULES = [m.name for m in pkgutil.iter_modules(horowave.__path__)
            if hasattr(importlib.import_module(f"horowave.{m.name}"), "__all__")]
 
 EXPECTED = {
-    ("geometry", "GroupElement", "_compositions"),
     ("moire", "LambdaWindow", "lo"),
     ("moire", "LambdaWindow", "hi"),
     ("moire", "moire_weak", "taper"),

@@ -79,6 +79,31 @@ def test_long_composition_stays_in_group():
     assert abs(det - 1.0) < 1e-12
 
 
+def test_translation_chain_tracks_its_closed_form():
+    # dividing by sqrt(|alpha|^2 - |beta|^2) where that differs from 1 only by its own
+    # rounding would inject the rounding, and it rounds to 0 from t = 60 (measured: at
+    # most 9.3e-15 here)
+    step, acc = GroupElement.translation(0.3), GroupElement.identity()
+    for i in range(1, 230):
+        acc = acc.compose(step)
+        c, s = math.cosh(0.15 * i), math.sinh(0.15 * i)
+        assert max(abs(acc.alpha - c), abs(acc.beta - s)) <= 1e-13 * c
+
+
+def test_long_chains_renormalize_on_drift():
+    # past the rounding of |alpha|^2 - |beta|^2, 2^-46 of |alpha|^2 + |beta|^2, compose
+    # divides the pair back into the group; with no renormalization these chains raise
+    # within 2719-13740 compositions
+    for g in (GroupElement.rotation(0.37) @ GroupElement.translation(0.11),
+              GroupElement.rotation(0.1),
+              GroupElement.rotation(0.2) @ GroupElement.translation(0.2)):
+        acc = GroupElement.identity()
+        for _ in range(20000):
+            acc = acc.compose(g)
+            a2, b2 = abs(acc.alpha) ** 2, abs(acc.beta) ** 2
+            assert abs(a2 - b2 - 1.0) <= 2.0 ** -46 * (a2 + b2)
+
+
 def test_distance_closed_form():
     # d(0, r) = log((1 + r)/(1 - r))
     for r in (0.1, 0.5, 0.9):
@@ -188,9 +213,36 @@ def test_long_translations_stay_in_group(t):
     # |alpha|^2 passes 5000 from t = 10 on: the determinant check is relative
     g = GroupElement.translation(t)
     assert iwasawa(g).t == t
+    # alpha + beta = e^{-t/2} cancels from terms of size e^{t/2}; alpha - beta does not
+    assert abs(iwasawa(GroupElement.translation(-t)).t + t) <= 1e-15 * t
     half = GroupElement.translation(t / 2) @ GroupElement.translation(t / 2)
     assert abs(half.alpha - g.alpha) <= 1e-15 * abs(g.alpha)
     assert abs(half.beta - g.beta) <= 1e-15 * abs(g.beta)
+
+
+def round_trip_error(g):
+    """max |g - iwasawa(g).recompose()| over alpha and beta, relative to |alpha| + |beta|."""
+    h = iwasawa(g).recompose()
+    return max(abs(g.alpha - h.alpha), abs(g.beta - h.beta)) / (abs(g.alpha) + abs(g.beta))
+
+
+def test_iwasawa_round_trip_where_alpha_plus_beta_cancels():
+    g = (GroupElement.rotation(0.3) @ GroupElement.translation(-20.0)
+         @ GroupElement.rotation(1e-8))
+    assert round_trip_error(g) <= 1e-14
+
+
+def test_iwasawa_round_trip_near_cancellation():
+    # g = k a_t k' with k' within 1e-2 of the identity: |alpha + beta| falls toward
+    # e^{-|t|/2} for t < 0, and the stored pair fixes t and the K angle only to about
+    # 2^-53 (|alpha| + |beta|) / |alpha + beta| (measured: at most 1.1e-9 over 3000
+    # draws to |t| = 35)
+    rng = np.random.default_rng(3)
+    for _ in range(1000):
+        t, p1 = rng.uniform(-35.0, 35.0), rng.uniform(0.0, 2.0 * math.pi)
+        g = (GroupElement.rotation(p1) @ GroupElement.translation(t)
+             @ GroupElement.rotation(10.0 ** rng.uniform(-12.0, -2.0)))
+        assert round_trip_error(g) <= 1e-8
 
 
 def test_iwasawa_pure_factors():
@@ -207,6 +259,13 @@ def test_cartan_norm_is_distance_to_translated_origin():
         g = random_group()
         d = geodesic_distance(DiskPoint(0j), act(g, DiskPoint(0j)))
         assert cartan_norm(g) == pytest.approx(d, abs=1e-12)
+
+
+@pytest.mark.parametrize("t", [10.0, 20.0, 30.0, 35.0])
+def test_cartan_norm_at_long_translations(t):
+    # 2 asinh|beta| keeps its digits where |beta / conj(alpha)| rounds toward 1
+    g = GroupElement.rotation(0.4) @ GroupElement.translation(t) @ GroupElement.rotation(1.1)
+    assert abs(cartan_norm(g) - t) <= 1e-15 * t
 
 
 def test_horocycle_arc_length_law():
