@@ -517,9 +517,8 @@ def cmd_validate(args) -> int:
         results, all_ok = checks.run_suites(names)
     except KeyError as exc:
         raise ConfigError("suite", f"unknown suite {exc.args[0]!r}")
-    width = max(len(r.name) for r in results)
-    for r in results:
-        print(f"{'PASS' if r.ok else 'FAIL'}  {r.name:<{width}}  {r.detail}")
+    for r in results:  # a fixed name column, past the longest name: a new check moves no line
+        print(f"{'PASS' if r.ok else 'FAIL'}  {r.name:<56}  {r.detail}")
     print(f"{'PASS' if all_ok else 'FAIL'}  {sum(r.ok for r in results)}/{len(results)} checks")
     return 0 if all_ok else 1
 

@@ -30,11 +30,11 @@ both paths of ``reduction_paths``) takes the package's one line rule,
 ``transform._line_rule``, fixed in advance: 32-node panels that grow
 geometrically away from c = e^beta a, the point of the horocycle nearest x,
 where phi_lambda(d(y(s), x)) peaks. The nodes depend only on the taper's
-support, c and the largest |lambda|; nothing is refined by halving. Against
-mpmath (``tests/data/moire_refs.json``) the rule is within 2.1e-14 on the
-compact tapers, and within 2.3e-12 on the Gaussian, whose cut at 7 sigma is
-that error (``TaperSpec.support_radius``). Functions that a caller passes
-in, whose peak is unknown, cap and halve its panels (``_tapered_line``).
+support, c and the largest |lambda|; nothing is refined. Against mpmath
+(``tests/data/moire_refs.json``) the rule is within 2.1e-14 on the compact
+tapers, and 2.3e-12 on the Gaussian, whose cut at 7 sigma is that error
+(``TaperSpec.support_radius``). Functions that a caller passes in, whose
+peak is unknown, take nested Clenshaw-Curtis levels instead (``_tapered_line``).
 """
 from __future__ import annotations
 

@@ -664,8 +664,7 @@ def plancherel_spectral(ftilde: np.ndarray, lams: np.ndarray) -> float:
     return float(np.sum(wl * plancherel_density(lams) * np.abs(ftilde) ** 2))
 
 
-def _line_rule(taper: TaperSpec, c: float, lam: float, width: float = math.inf,
-               halvings: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def _line_rule(taper: TaperSpec, c: float, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes s and weights, taper values included, of the graded line rule on [-S, S].
 
     S is the taper's ``support_radius``, c the arc length of the point of the
@@ -673,11 +672,9 @@ def _line_rule(taper: TaperSpec, c: float, lam: float, width: float = math.inf,
     The panel edges are +-S, c and c +- u_j: with f = min(1, 16/lam), u_j
     runs in steps of f up to g = n f, n = ceil(1 / (2^f - 1)), and then
     geometrically, g r^k with r = 2^f, until it passes S + |c| (for
-    lam <= 16 that is 0, 1, 2, 4, ...). Each panel is split into
-    2^halvings * ceil(its width / width) equal ones (one, by default), and
-    each takes the 32-node Gauss-Legendre rule. The rule has no branch on
-    the taper's kind: a compact taper's edges +-S are panel edges, so every
-    panel's integrand is analytic.
+    lam <= 16 that is 0, 1, 2, 4, ...). Each panel takes the 32-node Gauss-Legendre
+    rule, with no branch on the taper's kind: a compact taper's edges +-S are
+    panel edges, so every panel's integrand is analytic.
 
     Why this suffices for f(s) = phi_lambda(d(y(s), x)), |lambda| <= lam: in
     the half-plane with b0 at infinity, cosh d = 1 + ((s - c)^2 + (1 - e^beta)^2)
@@ -708,9 +705,6 @@ def _line_rule(taper: TaperSpec, c: float, lam: float, width: float = math.inf,
     k = math.ceil(math.log(far / (n * f), r))
     u = np.concatenate([f * np.arange(n + 1), n * f * r ** np.arange(1.0, k + 1)])
     edges = np.unique(np.clip(np.concatenate([c - u, c + u, [-S, S]]), -S, S))
-    m = 2 ** halvings * np.maximum(1.0, np.ceil(np.diff(edges) / width))  # into m equal ones
-    q = np.concatenate([j + np.arange(mj) / mj for j, mj in enumerate(m)] + [[len(m)]])
-    edges = np.interp(q, np.arange(len(edges)), edges)
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
     x, w = _gauss_rule(16)  # the positive half of the 32-node rule
     x, w = np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
@@ -718,31 +712,49 @@ def _line_rule(taper: TaperSpec, c: float, lam: float, width: float = math.inf,
     return s, taper(s) * (half[:, None] * w).ravel()
 
 
-# the halvings of the line rule for functions that a caller passes in, read at each call
+@functools.cache
+def _cc_weights(n: int) -> np.ndarray:
+    """Weights, summing to 2, of the (n + 1)-point Clenshaw-Curtis rule at cos(pi j / n), n even.
+
+    One inverse FFT of the even T_k's moments 2 / (1 - k^2) (J. Waldvogel, BIT 46, 2006).
+    """
+    w = np.fft.irfft(2.0 / (1.0 - np.arange(0.0, n + 1, 2) ** 2), n)[np.arange(n + 1) % n]
+    w[[0, -1]] *= 0.5
+    w.setflags(write=False)
+    return w
+
+
+# the levels of the line rule for functions that a caller passes in, read at each call
 _HOROCYCLE_TOL = 1e-9
 _HOROCYCLE_MAX_HALVINGS = 11
 
 
 def _tapered_line(values: Callable[[np.ndarray], np.ndarray], taper: TaperSpec, what: str):
-    """Integral of taper(s) * values(s) over the taper's support, on ``_line_rule``.
+    """Integral of taper(s) * values(s) over the taper's support [-S, S].
 
     values maps arc lengths s to values with s on the last axis. Its peak is
-    not known, so the rule at c = 0 is read with no panel wider than S/16
-    and then with every panel halved, k = 1, 2, ..., until two levels differ
-    by less than _HOROCYCLE_TOL (max-abs). A level that is not finite raises
-    QuadratureUnderResolved, and so does the budget: m integrals at once stop
-    before the level k >= 2 with m 2^k > 2^_HOROCYCLE_MAX_HALVINGS. Every
-    batch compares levels 0 and 1; a batch with m 2 <= 2^_HOROCYCLE_MAX_HALVINGS
-    never holds more values than one integral. Level k leaves no gap wider
-    than 0.0484 S / 16 / 2^k (0.42 / 2^k at WIDE_TAPER); a much narrower
-    feature can go unseen by the first two levels.
+    not known, so 64 equal panels are read at 33, 65, 129, ... Clenshaw-Curtis
+    points (``_cc_weights``), the nested fractions of ``_nested_levels``, until
+    two levels differ by less than _HOROCYCLE_TOL (max-abs). A level that is
+    not finite raises QuadratureUnderResolved, and so does the budget: m
+    integrals at once stop before the level k >= 2 with m 2^k >
+    2^_HOROCYCLE_MAX_HALVINGS, but always compare levels 0 and 1. Level k leaves
+    no gap wider than 0.0016 S / 2^k (0.22 / 2^k at WIDE_TAPER); a much
+    narrower feature can go unseen by the first two levels.
     """
-    T = math.inf
-    for k in range(_HOROCYCLE_MAX_HALVINGS + 1):
-        s, w = _line_rule(taper, 0.0, 0.0, taper.support_radius / 16, k)
-        T, last = np.sum(values(s) * w, axis=-1), T
+    S, T = taper.support_radius, math.inf
+
+    def integrand(q: np.ndarray) -> np.ndarray:
+        r = np.fmod(64.0 * q, 1.0)  # q's fraction of its panel; s takes it to the CC point
+        s = S * (2.0 * q - 1.0) + S / 32.0 * (0.5 - 0.5 * np.cos(np.pi * r) - r)
+        return np.ascontiguousarray(np.moveaxis(values(s) * taper(s), -1, 0))
+
+    for k, (q, y) in enumerate(_nested_levels(integrand, 2048, 2048 << _HOROCYCLE_MAX_HALVINGS)):
+        n, w = 32 << k, _cc_weights(32 << k)
+        by_j = np.sum(y[:-1].reshape((64, n) + y.shape[1:]), axis=0)  # point j < n, all panels
+        T, last = S / 64.0 * (w[:-1] @ by_j + w[-1] * np.sum(y[n::n], axis=0)), T
         if not np.all(np.isfinite(T)):
-            raise QuadratureUnderResolved(f"{what} is not finite on {len(s)} nodes")
+            raise QuadratureUnderResolved(f"{what} is not finite on {len(q)} nodes")
         change = float(np.max(np.abs(T - last), initial=0.0))
         if change < _HOROCYCLE_TOL:
             return T

@@ -3,20 +3,30 @@
     PYTHONPATH=src python tests/readme_presets.py [README]
 
 Each command runs through ``cli.main`` in a fresh temporary directory. The
-script prints one line per command, with its exit code and the sha256 of its
-stdout and of its stderr, then one line per file the command wrote, with its
-name, sha256 and size. Two trees whose outputs ``diff`` empty write the same
-bytes for every README preset. pytest does not collect this file; its README
-parser, ``readme_commands``, also serves ``test_cli``.
+script prints a header line with the numpy version and the platform, then
+one line per command, with its exit code and the sha256 of its stdout and
+of its stderr, then one line per file the command wrote, with its name,
+sha256 and size. Two trees whose outputs ``diff`` empty write the same
+bytes for every README preset. ``tests/data/readme_presets.txt`` holds this
+output, which ``test_cli`` compares line by line; a change that moves preset
+bytes rewrites it:
+
+    PYTHONPATH=src python tests/readme_presets.py > tests/data/readme_presets.txt
+
+pytest does not collect this file; its README parser, ``readme_commands``,
+also serves ``test_cli``.
 """
 import contextlib
 import hashlib
 import io
 import os
 import pathlib
+import platform
 import shlex
 import sys
 import tempfile
+
+import numpy as np
 
 from horowave import cli
 
@@ -58,6 +68,8 @@ def run(args: list[str]) -> list[str]:
 
 def main(argv: list[str]) -> int:
     readme = pathlib.Path(argv[0]) if argv else README
+    print(f"# numpy {np.__version__}, Python {platform.python_version()}, "
+          f"{platform.system()} {platform.machine()}")
     for args in readme_commands(readme):
         print("\n".join(run(args)), flush=True)
     return 0

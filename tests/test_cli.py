@@ -1,5 +1,8 @@
 """Command-line interface: formats, determinism, exit codes, config handling."""
+import itertools
 import math
+import pathlib
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -752,6 +755,30 @@ def test_readme_cli_examples_parse():
     parser = cli._build_parser()
     commands = {parser.parse_args(args).command for args in readme_presets.readme_commands()}
     assert commands == set(cli._COMMANDS)
+
+
+def test_readme_presets_write_the_recorded_bytes():
+    """Every README command writes the digests in tests/data/readme_presets.txt.
+
+    A change that moves preset bytes rewrites that file with
+    ``tests/readme_presets.py`` in the same diff. A numpy or platform other
+    than the header's may write other bytes; the mismatch says so, it is not
+    skipped.
+    """
+    path = pathlib.Path(__file__).parent / "data" / "readme_presets.txt"
+    header, *lines = path.read_text().splitlines()
+    blocks = []  # each command's line and the lines of the files it wrote
+    for line in lines:
+        if line.startswith("horowave "):
+            blocks.append([])
+        blocks[-1].append(line)
+    commands = readme_presets.readme_commands()
+    assert len(blocks) == len(commands), f"{path.name} records other commands than README.md"
+    for args, want in zip(commands, blocks):
+        got = readme_presets.run(args)
+        for w, g in itertools.zip_longest(want, got, fillvalue="(none)"):
+            assert g == w, (f"horowave {shlex.join(args)} wrote {g!r}, {path.name} "
+                            f"records {w!r} (taken with {header.lstrip('# ')})")
 
 
 def test_missing_required_parameter():

@@ -418,7 +418,7 @@ def test_nested_levels_evaluate_each_fraction_once():
 
 
 def test_adaptive_rules_draw_their_nodes_from_nested_levels(monkeypatch):
-    """The node check and the phi table refine through one driver; the line rule does not."""
+    """The node check, the phi table and the caller line rule refine through one generator."""
     starts = []
 
     def counting(f, n, max_n):
@@ -435,7 +435,7 @@ def test_adaptive_rules_draw_their_nodes_from_nested_levels(monkeypatch):
     assert starts == [64, 16]
     horocycle_integral(lambda y: np.ones(y.shape), Horocycle(BoundaryPoint(0), 0.0),
                        TaperSpec("gaussian", 2.0))
-    assert starts == [64, 16]  # it halves the panels of _line_rule
+    assert starts == [64, 16, 2048]  # 64 panels of 32 Clenshaw-Curtis intervals
 
 
 def test_radial_node_choice():
@@ -840,7 +840,7 @@ def test_horocycle_integral_isometry_invariance():
 
 
 def test_horocycle_integral_evaluates_each_node_once():
-    """Every level's nodes are new, and a smooth bump settles at one halving."""
+    """Each level evaluates only its new nodes, and a smooth bump settles at one halving."""
     seen = []
 
     def bump(y):
@@ -849,9 +849,7 @@ def test_horocycle_integral_evaluates_each_node_once():
 
     taper = TaperSpec("gaussian", 4.0)
     horocycle_integral(bump, Horocycle(BoundaryPoint(0), 0.0), taper)
-    width = taper.support_radius / 16
-    assert [len(y) for y in seen] == [len(transform._line_rule(taper, 0.0, 0.0, width, k)[0])
-                                      for k in (0, 1)]
+    assert [len(y) for y in seen] == [2049, 2048]
     nodes = np.concatenate(seen)
     assert len(np.unique(nodes)) == len(nodes)
 
@@ -864,16 +862,43 @@ def test_line_levels_leave_no_wide_gap(taper):
 
     A caller's function may peak anywhere, so the levels that decide
     whether it has settled must sample the whole support finely, not only
-    near s = 0 where the graded panels are narrow; and the second level
-    halves every panel of the first, so no stretch reads the same nodes
-    twice and agrees with itself.
+    near s = 0; and the second level puts a new node into every gap of the
+    first, so no stretch reads only old nodes and agrees with itself.
     """
     S, levels = taper.support_radius, []
     transform._tapered_line(lambda s: levels.append(s) or np.zeros(s.shape), taper, "zero")
-    assert len(levels) == 2 and len(levels[1]) == 2 * len(levels[0])
-    assert len(np.unique(np.concatenate(levels))) == 3 * len(levels[0])
-    for k, s in enumerate(levels):
+    assert [len(s) for s in levels] == [2049, 2048]
+    read = np.concatenate(levels)
+    assert len(np.unique(read)) == len(read)
+    for k in (0, 1):
+        s = np.sort(np.concatenate(levels[:k + 1]))
         assert np.max(np.diff(np.concatenate([[-S], s, [S]]))) < 2.0 * S / 2 ** (9 + k)
+    first = np.sort(levels[0])  # its ends are -S and S
+    assert np.array_equal(np.searchsorted(first, np.sort(levels[1])), np.arange(1, 2049))
+
+
+def test_cc_weights_integrate_even_chebyshev_polynomials():
+    """The Clenshaw-Curtis weights sum to 2 and are exact on even T_k, k <= n.
+
+    They come from one FFT of the moments, so the last level's n = 65536
+    weights take well under 50 MB; the n x n cosine sum would take 17 GB.
+    """
+    cheb = np.polynomial.chebyshev
+    for n in (32 << k for k in range(12)):
+        assert abs(np.sum(transform._cc_weights(n)) - 2.0) < 1e-13, n
+    for n in (32, 64, 128, 256, 512):
+        T = cheb.chebvander(np.cos(np.pi * np.arange(n + 1) / n), n)[:, ::2]
+        exact = [np.diff(cheb.chebval([-1.0, 1.0], cheb.chebint(np.eye(n + 1)[k])))[0]
+                 for k in range(0, n + 1, 2)]
+        # chebvander's recurrence, not the weights, sets the 2.3e-14 at n = 512
+        np.testing.assert_allclose(transform._cc_weights(n) @ T, exact, rtol=0, atol=5e-14)
+    transform._cc_weights.cache_clear()
+    tracemalloc.start()
+    try:
+        transform._cc_weights(65536)
+        assert tracemalloc.get_traced_memory()[1] < 50e6
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("centre", [0.0, 10.0, 30.0, 99.8, 100.0])
