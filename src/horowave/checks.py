@@ -31,8 +31,8 @@ from .transform import (
     SampledField,
     _bessel_stack,
     _kernel_terms,
+    _kappa_fit,
     _relative_l2,
-    calibrate_plancherel_kappa,
     coarea_profile,
     forward,
     gaussian_bump,
@@ -184,12 +184,13 @@ _LEMMA_FUNCS = {
 
 def suite_hft() -> list[CheckResult]:
     out = []
-    out.append(_check("kappa fit equals 1/(2 pi)",
-                      abs(calibrate_plancherel_kappa() / PLANCHEREL_KAPPA - 1.0), 1e-6))
-
     for name, fn in _BUMPS.items():
         f = SampledField.from_function(fn, transform.DEFAULT_GRID)
-        out.append(_check(f"round trip {name} bump", _relative_l2(inverse(forward(f)), f), 1e-4))
+        g = inverse(forward(f))
+        if name == "radial":  # the round trip that ``calibrate_plancherel_kappa`` fits
+            out.append(_check("kappa fit equals 1/(2 pi)",
+                              abs(_kappa_fit(f, g) / PLANCHEREL_KAPPA - 1.0), 1e-6))
+        out.append(_check(f"round trip {name} bump", _relative_l2(g, f), 1e-4))
 
     step = transform.LAMBDA_STEP
     lams = np.arange(0.0, transform.LAMBDA_MAX + step / 2.0, step)

@@ -12,8 +12,7 @@ byte-identical across reruns of the same configuration.
 Exit codes: 0 ok, 1 validation failure (a field holding NaN or inf is one,
 and writes no file; so are a ``wave`` phase round-off past _WAVE_PHASE_TOL,
 ``lemma`` sides apart by more than _LEMMA_TOL, a ``transform`` bump of L2
-norm 0 on its grid, ``moire`` centers that round onto the boundary circle,
-and a ``moire`` phi table that does not settle), 2 bad
+norm 0 on its grid, and a ``moire`` phi table that does not settle), 2 bad
 configuration, 3 IO error.
 """
 from __future__ import annotations
@@ -27,9 +26,9 @@ import tempfile
 
 import numpy as np
 
-from . import checks, euclid, moire
+from . import euclid, moire
 from .errors import ConfigError, HorowaveError, QuadratureUnderResolved
-from .geometry import BoundaryPoint, DiskPoint, distance_array
+from .geometry import BoundaryPoint, DiskPoint
 from .tapers import TaperSpec
 from .transform import (
     DEFAULT_GRID,
@@ -202,7 +201,7 @@ _RSTRIP = _words(("%04d" % w).rstrip("0") for w in range(10000))
 _LSTRIP = _words(("%d" % w * (w > 0)).rjust(4, "\0") for w in range(10000))
 # index w + 10000 when more digits follow (in I: when digits precede)
 _INT_MID = np.concatenate([_LSTRIP, _FULL])
-_INT_LOW = np.concatenate([_LSTRIP, _FULL])
+_INT_LOW = _INT_MID.copy()
 _INT_LOW[0] = _words(["0".rjust(4, "\0")])[0]  # I = 0 prints "0"
 _FRAC = np.concatenate([_RSTRIP, _FULL])
 _POINT = _words([("." + ("%03d" % w).rstrip("0")) * (w > 0) for w in range(1000)]
@@ -412,11 +411,11 @@ def cmd_moire(args) -> int:
     field = moire.moire_sum_discrete(lam, b0, n, spacing, grid)
     # the field sums a Chebyshev table of phi; at up to 16 fixed nodes, spread over the
     # flattened grid, it is checked against the mean of phi at each distance to a center
-    z = grid.z.ravel()
-    sample = np.linspace(0, z.size - 1, min(16, z.size)).astype(np.intp)
-    d = distance_array(z[sample, None], moire._sum_centers(b0, n, spacing)[None, :])
-    direct = np.mean(spherical_radial(lam, d), axis=1)
-    est = float(np.max(np.abs(field.values.ravel()[sample] - direct)))
+    values = field.values.ravel()
+    sample = np.linspace(0, values.size - 1, min(16, values.size)).astype(np.intp)
+    w = moire._polar_coordinates(grid, b0.theta).ravel()[sample, None]  # e^beta (a + i)
+    d = moire._horocycle_distances(np.log(w.imag), w.real / w.imag, moire._sum_centers(n, spacing))
+    est = float(np.max(np.abs(values[sample] - np.mean(spherical_radial(lam, d), axis=1))))
     # the report is made before any file is written, so a study that fails writes none
     reports = moire.convergence_study(lam, b0, x, sigmas, kind=kind)
     lines = ["sigma,approx_re,approx_im,target_re,target_im,abs_error"]
@@ -512,6 +511,7 @@ def cmd_euclid(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from . import checks  # here, not at start-up: no other command runs the suites
     names = args.suite.split(",") if args.suite else None
     try:
         results, all_ok = checks.run_suites(names)

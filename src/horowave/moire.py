@@ -25,16 +25,10 @@ the Abel transform of phi_lambda gives kappa_H = pi exactly (Helgason,
 Groups and Geometric Analysis, ch. IV); ``validate`` checks a windowed
 estimate of it against pi.
 
-Every line integral of phi along the horocycle (``_line_integrals``, and
-both paths of ``reduction_paths``) takes the package's one line rule,
-``transform._line_rule``, fixed in advance: 32-node panels that grow
-geometrically away from c = e^beta a, the point of the horocycle nearest x,
-where phi_lambda(d(y(s), x)) peaks. The nodes depend only on the taper's
-support, c and the largest |lambda|; nothing is refined. Against mpmath
-(``tests/data/moire_refs.json``) the rule is within 2.1e-14 on the compact
-tapers, and 2.3e-12 on the Gaussian, whose cut at 7 sigma is that error
-(``TaperSpec.support_radius``). Functions that a caller passes in, whose
-peak is unknown, take nested Clenshaw-Curtis levels instead (``_tapered_line``).
+Every sum of phi along the zero horocycle, a line integral on
+``transform._line_rule`` or a center sum, is ``_phi_sums``. Against mpmath
+(``tests/data/moire_refs.json``) the line integrals are within 2.1e-14 on the
+compact tapers and 2.3e-12 on the Gaussian, whose cut at 7 sigma is that error.
 """
 from __future__ import annotations
 
@@ -42,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebval
 
 from .errors import QuadratureUnderResolved
 from .geometry import (
@@ -53,7 +46,8 @@ from .geometry import (
     horocycle_points_array,
 )
 from .tapers import TaperSpec
-from .transform import GridSpec, SampledField, _lambda_weights, _line_rule, _nested_levels
+from .transform import (GridSpec, SampledField, _angle_offsets, _lambda_weights, _line_rule,
+                        _nested_levels)
 from .waves import (
     RHO,
     helgason_wave,
@@ -144,66 +138,80 @@ def kappa_h() -> float:
 def moire_integral(lam: float, b0: BoundaryPoint, x: DiskPoint) -> MoireReport:
     """Pointwise tapered superposition of spherical functions along ``xi(b0, 0)``.
 
-    The spherical function centered at y evaluated at x equals
-    phi_lambda(d(y, x)), so the superposition is a single line integral,
-    tapered by DEFAULT_TAPER: the one-width ``convergence_study``. The
-    target is the Helgason wave at x; agreement is expected only at
-    beta = 0 (see the module doc), and there only up to the taper's
-    oscillation band (see ``convergence_study``).
+    A single line integral of phi_lambda(d(y, x)), tapered by DEFAULT_TAPER:
+    the one-width ``convergence_study``. Its target, the Helgason wave at x,
+    is met only at beta = 0 (see the module doc), and there only up to the
+    taper's oscillation band.
     """
     return convergence_study(lam, b0, x, [DEFAULT_TAPER.width], DEFAULT_TAPER.kind)[0]
 
 
-def _horocycle_distances(beta: float, a: float, s: np.ndarray) -> np.ndarray:
+def _horocycle_distances(beta, a, s):
     """d(y(s), x) at arc lengths s of the zero horocycle, from x's horocycle coordinates.
 
     In the half-plane with b0 at infinity, y(s) = s + i and x = e^beta (a + i),
-    (beta, a) = ``horocycle_coordinates(x, b0)``, so
-    sinh(d / 2) = |y(s) - x| / (2 e^{beta/2}) with
-    |y(s) - x| = hypot(s - e^beta a, e^beta - 1).
+    (beta, a) = ``horocycle_coordinates(x, b0)``, so sinh(d/2) = |y(s) - x|
+    / (2 e^{beta/2}), |y(s) - x| = hypot(s - e^beta a, e^beta - 1). All broadcast.
     """
-    return 2.0 * np.arcsinh(np.hypot(s - math.exp(beta) * a, math.expm1(beta))
-                            / (2.0 * math.exp(0.5 * beta)))
+    return 2.0 * np.arcsinh(np.hypot(s - np.exp(beta) * a, np.expm1(beta))
+                            / (2.0 * np.exp(0.5 * beta)))
+
+
+def _phi_sums(lams, weights, x: np.ndarray, rules) -> list[np.ndarray]:
+    """sum_j w_j sum_i weights[i] phi_{lams[i]}(d(y(s_j), x)) at every point x, per rule (s, w).
+
+    x is a 1-D array of points e^beta (a + i) and a rule ascending nodes s and
+    weights w, as in ``_horocycle_distances``: d grows with |s - e^beta a|, so
+    D, the largest distance at the end nodes, bounds all. One table on [0, D]
+    (``_phi_table``), contracted with the weights, serves every node; a pass
+    takes ceil(N/P) of a rule's N nodes at the P points.
+    """
+    scale = 0.5 / np.sqrt(x.imag)
+    sinh_half = lambda s: np.abs(s + 1j - x) * scale  # at nodes s (k, 1); abs cannot overflow
+    passes = [[(s[i:i + k, None], w[i:i + k, None]) for i in range(0, len(s), k)]
+              for s, w in rules for k in [-(-len(s) // x.size)]]
+    # the passes holding the end nodes give D, and their values, kept, are summed first
+    with np.errstate(over="ignore"):  # sinh(D/2) is inf past D = 1420, where no table settles
+        ends = {id(s): sinh_half(s) for p in passes for s, _ in p[:1] + p[1:][-1:]}
+    dmax = 2.0 * math.asinh(max(float(np.max(h)) for h in ends.values()))
+    coef = _phi_table(lams, dmax) @ np.asarray(weights, float)
+
+    def pass_sum(s, w):
+        h = ends.pop(id(s)) if id(s) in ends else sinh_half(s)
+        np.arcsinh(h, out=h)  # d/2
+        wc = np.cosh(h)
+        np.divide(w, wc, out=wc)  # w / cosh(d/2)
+        h /= 0.25 * dmax  # 4.0 / dmax would overflow at subnormal D
+        h *= h
+        h -= 2.0  # 2u, u = 2 (d/D)^2 - 1
+        # the table at u by Clenshaw's recurrence, in place: chebval allocates at every term
+        b1, b2, b = np.zeros_like(h), np.zeros_like(h), np.empty_like(h)
+        for c in coef[:0:-1]:
+            np.multiply(h, b1, out=b)
+            b -= b2
+            b += c
+            b1, b2, b = b, b1, b2
+        h *= 0.5 * b1
+        h -= b2
+        h += coef[0]
+        return np.einsum("ij,ij->j", h, wc)
+
+    return [sum(pass_sum(s, w) for s, w in p[-1:] + p[:-1]) for p in passes]
 
 
 def _line_integrals(lams, weights, beta: float, a: float,
                     tapers: list[TaperSpec]) -> list[complex]:
     """Tapered integrals of sum_i weights[i] phi_{lams[i]}(d(y(s), x)) along ``xi(b0, 0)``.
 
-    x is given by its horocycle coordinates (beta, a) toward b0. One
-    integral per taper, of the one integrand: the weights are linear,
-    so they are applied to the Chebyshev table of phi (``_phi_table``)
-    before any sum, and each node of the taper's graded rule
-    (``_line_rule``, at c = e^beta a and the largest |lambda|) costs one
-    ``chebval`` of one column: the integral is the rule's weights times
-    those values. The table is of cosh(d/2) phi (``_phi_table``'s
-    relative form), so its error stays relative to phi's envelope
-    e^{-d/2} while the arc length grows like e^{d/2}: at sigma = 1e16 the
-    plain table of phi is 7e-2 off, this one 6e-13. The integrals are
-    within 2.1e-14 of mpmath's (``tests/data/moire_refs.json``) for the
-    compact tapers and within 2.3e-12 for the Gaussian, whose cut at
-    7 sigma is that error. The table covers [0, D], D the larger of
-    the endpoint distances d(y(+-S), x) at the widest taper's support
-    [-S, S]: in half-plane coordinates with b0 at infinity,
-    cosh d(y(s), x) = 1 + ((s - e^beta a)^2 + (1 - e^beta)^2) / (2 e^beta)
-    grows with |s - e^beta a|, so D bounds the distance at every node of
-    every taper.
-
-    The taper is centered at s = 0, not under x: ``moire_weak`` runs at
-    different points of the same horocycle then probe genuinely different
-    tapered quadratures that must all converge to the same windowed target.
+    x is given by its horocycle coordinates (beta, a) toward b0; each taper
+    takes its rule ``_line_rule`` at c = e^beta a. The taper is centered at
+    s = 0, not under x: ``moire_weak`` runs at different points of the same
+    horocycle then probe genuinely different tapered quadratures that must
+    all converge to the same windowed target.
     """
-    S = max(t.support_radius for t in tapers)
-    dmax = float(np.max(_horocycle_distances(beta, a, np.array([-S, S]))))
-    coef = _phi_table(lams, dmax, relative=True) @ np.asarray(weights, float)
-    c, lam = math.exp(beta) * a, float(np.max(np.abs(lams)))
-    lines = []
-    for t in tapers:
-        s, w = _line_rule(t, c, lam)
-        d = _horocycle_distances(beta, a, s)
-        u = d / dmax
-        lines.append(complex((w / np.cosh(0.5 * d)) @ chebval(2.0 * u * u - 1.0, coef)))
-    return lines
+    x = math.exp(beta) * (a + 1j)
+    rules = [_line_rule(t, x.real, float(np.max(np.abs(lams)))) for t in tapers]
+    return [complex(v[0]) for v in _phi_sums(lams, weights, np.array([x]), rules)]
 
 
 def moire_weak(window: LambdaWindow, b0: BoundaryPoint, x: DiskPoint,
@@ -236,14 +244,12 @@ def convergence_study(lam: float, b0: BoundaryPoint, x: DiskPoint,
     """Taper-width sweep at fixed lambda; documents the oscillation band.
 
     One report per width, the superposition of ``moire_integral`` with a
-    taper of that kind and width; every width reads one phi table
-    (``_line_integrals``). The taper is centered under x: the line
-    integrals take x at arc position a = 0 of its horocycle, so they
-    depend on x only through beta = <x, b0>, like the wave target, and the
-    study is N-invariant by construction. Every report carries the sweep's
-    ``oscillation_amplitude``, the diameter of the approx values over the
-    largest three widths, and ``divergent``, which flags any approx
-    exceeding ten times the target modulus.
+    taper of that kind and width, all from one phi table. The taper is
+    centered under x (arc position a = 0), so the study depends on x only
+    through beta = <x, b0>, like the wave target: it is N-invariant by
+    construction. Every report carries the sweep's ``oscillation_amplitude``,
+    the diameter of the approx values over the largest three widths, and
+    ``divergent``, which flags any approx past ten times the target modulus.
     """
     sigmas = [float(s) for s in sigmas]
     if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
@@ -265,69 +271,61 @@ def moire_sum_discrete(lam: float, b0: BoundaryPoint, n: int, spacing: float,
                        grid: GridSpec) -> SampledField:
     """Average of n spherical functions centered along ``xi(b0, 0)``.
 
-    Centers sit at arc lengths spacing * (i - (n+1)/2), symmetric about
-    the geodesic axis toward b0; this is the finite figure-style sum.
-    phi_lambda is tabulated once per call (``_phi_table``) for distances
-    up to D = R + max_c d(0, c), which bounds every grid-to-center distance
-    by the triangle inequality; each center then costs one table sum over
-    the grid. Raises QuadratureUnderResolved where a center rounds onto the
-    boundary circle, so that D is not finite.
+    Centers sit at arc lengths spacing * (i - (n+1)/2) (``_sum_centers``),
+    symmetric about the geodesic axis toward b0: the finite figure-style
+    sum, ``_phi_sums`` at weights 1/n on ``_polar_coordinates``.
     """
     if n < 1:
         raise ValueError("moire_sum_discrete requires n >= 1")
     if spacing <= 0:
         raise ValueError("moire_sum_discrete requires spacing > 0")
-    centers = _sum_centers(b0, n, spacing)
-    dmax = grid.R + float(np.max(distance_array(centers, np.asarray(0j))))
-    if not math.isfinite(dmax):
-        raise QuadratureUnderResolved(
-            f"centers at arc length +-{spacing * (n - 1) / 2:.4g} round onto the boundary circle")
-    coef = _phi_table([lam], dmax)[:, 0]
-    z = grid.z
-    acc = np.zeros(z.shape)
-    for c in centers:
-        x = distance_array(z, np.asarray(c)) / dmax
-        acc += chebval(2.0 * x * x - 1.0, coef)
-    return SampledField(grid, (acc / n).astype(complex))
+    x = _polar_coordinates(grid, b0.theta)
+    values = _phi_sums([lam], [1.0], x.ravel(), [(_sum_centers(n, spacing), np.full(n, 1 / n))])
+    return SampledField(grid, values[0].reshape(x.shape).astype(complex))
 
 
-def _sum_centers(b0: BoundaryPoint, n: int, spacing: float) -> np.ndarray:
-    """The n centers of ``moire_sum_discrete`` on ``xi(b0, 0)``, as complex disk points."""
-    return horocycle_points_array(b0.theta, 0.0, spacing * (np.arange(1, n + 1) - (n + 1) / 2.0))
+def _sum_centers(n: int, spacing: float) -> np.ndarray:
+    """The arc lengths on ``xi(b0, 0)`` of ``moire_sum_discrete``'s n centers, ascending."""
+    return spacing * (np.arange(1, n + 1) - (n + 1) / 2.0)
+
+
+def _polar_coordinates(grid: GridSpec, theta: float) -> np.ndarray:
+    """x = e^beta (a + i) at the grid nodes, (beta, a) their horocycle coordinates toward theta.
+
+    From t and the angle psi from theta (``transform._angle_offsets``), not from
+    ``GridSpec.z``, which rounds onto the circle past t = 37:
+    e^{-beta} = e^{-t} + 2 sinh t sin^2(psi/2), e^beta a = -e^beta sinh t sin psi.
+    """
+    t = grid.radii_t[:, None]
+    psi = _angle_offsets(grid.n_theta, theta, grid.n_theta)
+    sinh = np.sinh(t)
+    eb = 1.0 / (np.exp(-t) + sinh * (2.0 * np.sin(0.5 * psi) ** 2))
+    return eb * (1j - sinh * np.sin(psi))
 
 
 _PHI_TABLE_MAX_NODES = 4096  # the largest degree in d/dmax, twice that in u
 _PHI_TABLE_TAIL = 1e-14
 
 
-def _phi_table(lams, dmax: float, relative: bool = False) -> np.ndarray:
-    """Chebyshev coefficients of u -> phi_lambda(d) on [-1, 1], u = 2 (d/dmax)^2 - 1.
+def _phi_table(lams, dmax: float) -> np.ndarray:
+    """Chebyshev coefficients of u -> cosh(d/2) phi_lambda(d) on [-1, 1], u = 2 (d/dmax)^2 - 1.
 
-    With relative, of u -> cosh(d/2) phi_lambda(d) instead: that function
-    does not decay with d, so the table's error, divided back by cosh(d/2),
-    stays relative to phi's own envelope e^{-d/2} at every d.
-
-    One column per lambda of the 1-D list lams: the result has shape
-    (K, len(lams)), so ``chebval(u, coef)`` evaluates every lambda at once
-    and returns shape (len(lams),) + u.shape.
-
-    phi_lambda is even in d, so a table in u has half the terms of one in
-    d/dmax. phi is taken at the Chebyshev points u = cos a_j of
-    ``_nested_levels``, a_j = pi q_j, at d = dmax cos(a_j / 2), keeping its digits
-    near d = 0 (u = -1), and the coefficients are their DCT-I: one rfft of
-    the mirrored values, over n, with c_0 and c_n halved. n doubles from 16
-    until the top quarter of the coefficients is below _PHI_TABLE_TAIL for
-    every lambda; the trailing rows whose column-max |c_k| sum to at most
-    _PHI_TABLE_TAIL are then dropped, which moves no value by more than
-    that (J. L. Aurentz and L. N. Trefethen, ACM TOMS 43, 2017).
+    One column per lambda of the 1-D list lams. The function does not decay
+    with d, so the table's error, divided back by cosh(d/2), stays relative
+    to phi's envelope e^{-d/2}; it is even in d, so a table in u has half the
+    terms of one in d/dmax. Its values at the Chebyshev points u = cos(pi q)
+    of ``_nested_levels`` give the coefficients by a DCT-I; n doubles from 16
+    until the top quarter of them is below _PHI_TABLE_TAIL for every lambda,
+    and the trailing rows whose column-max |c_k| sum to at most that are
+    dropped, which moves no value by more than that (J. L. Aurentz and
+    L. N. Trefethen, ACM TOMS 43, 2017).
     """
     def phi(q):
         d = dmax * np.cos(0.5 * np.pi * q)
-        values = spherical_radial_profile(lams, d).T
-        return values * np.cosh(0.5 * d)[:, None] if relative else values
+        return spherical_radial_profile(lams, d).T * np.cosh(0.5 * d)[:, None]
 
-    tail = math.inf
-    for q, values in _nested_levels(phi, 16, _PHI_TABLE_MAX_NODES // 2):
+    tail, top = math.inf, _PHI_TABLE_MAX_NODES // 2 if dmax < math.inf else 0  # no level if inf
+    for q, values in _nested_levels(phi, 16, top):
         n = len(q) - 1
         coef = np.fft.rfft(np.concatenate([values, values[-2:0:-1]]), axis=0).real / n
         coef[[0, -1]] *= 0.5
@@ -363,16 +361,15 @@ def reduction_paths(lam: float, b0: BoundaryPoint, x: DiskPoint) -> tuple[comple
     """Both sides of the change-of-variables reduction, each on the graded line rule.
 
     Path A integrates phi_lambda(d(., x)) over the zero horocycle with the
-    taper _REDUCTION_TAPER, reading phi from the Chebyshev table. Path B moves the
-    integral to the horocycle through x: with (beta, u0) the horocycle
-    coordinates of x,
+    taper _REDUCTION_TAPER (``_line_integrals``). Path B moves the integral
+    to the horocycle through x, (beta, u0) the horocycle coordinates of x:
 
         A = e^beta * int theta(e^beta (t + u0)) phi_lambda(d(0, y_beta(t))) dt
           = int theta(s) phi_lambda(d(0, y_beta(s e^{-beta} - u0))) ds,
 
-    which path B evaluates in s on the nodes of ``_line_rule`` at
-    c = e^beta u0, with the radial kernel at every node and the distances
-    from disk points, so the two paths reach phi and d independently.
+    on the nodes of ``_line_rule`` at c = e^beta u0, with the radial kernel
+    at every node and distances from disk points, so that the two paths
+    reach phi and d independently.
     """
     beta, u0 = horocycle_coordinates(x, b0)
     a = _line_integrals([lam], [1.0], beta, u0, [_REDUCTION_TAPER])[0]

@@ -828,13 +828,14 @@ def _relative_l2(g: SampledField, f: SampledField) -> float:
 def calibrate_plancherel_kappa() -> float:
     """kappa refitted from a round trip on DEFAULT_GRID, as a check of PLANCHEREL_KAPPA.
 
-    The reference input is the radial Gaussian exp(-1.25 d(0,z)^2), narrow
-    enough to clear the support check at the default R. With
-    g = inverse(forward(f0)), the fit is PLANCHEREL_KAPPA times the scalar
-    a minimizing ||a g - f0||_{L2}, which is 1 for an exact round trip.
+    The input exp(-1.25 d(0,z)^2) is narrow enough to clear the default R's support check.
     """
     f0 = SampledField.from_function(gaussian_bump(1.25), DEFAULT_GRID)
-    g = inverse(forward(f0))
+    return _kappa_fit(f0, inverse(forward(f0)))
+
+
+def _kappa_fit(f0: SampledField, g: SampledField) -> float:
+    """PLANCHEREL_KAPPA times the a minimizing ||a g - f0||_{L2}, g = inverse(forward(f0))."""
     w = f0.weights
     num = float(np.sum(w * np.conj(g.values) * f0.values).real)
     den = float(np.sum(w * np.abs(g.values) ** 2))

@@ -105,6 +105,20 @@ def horocycle_distance(theta: float, beta: float, a: float, s: float) -> float:
         return float(2 * mpmath.asinh(abs(y - x) / mpmath.sqrt(den)))
 
 
+def polar_horocycle_coordinates(t: float, psi: float) -> tuple[float, float]:
+    """(e^beta, e^beta a) toward b0 of the point at radius t and angle psi from b0, in mpmath.
+
+    t and psi are taken as exact, and the disk point tanh(t/2) e^{i psi} is
+    carried at 50 digits by the Cayley map w = i (1 + z) / (1 - z), which
+    sends b0 (turned to 1) to infinity: w = e^beta (a + i), so e^beta = Im w
+    and e^beta a = Re w.
+    """
+    with mpmath.workdps(50):
+        z = mpmath.tanh(mpmath.mpf(t) / 2) * mpmath.expj(mpmath.mpf(psi))
+        w = 1j * (1 + z) / (1 - z)
+        return float(w.imag), float(w.real)
+
+
 def line_integrals_per_node(lams, b0, x, taper, weights) -> list[float]:
     """Tapered integrals of sum_i w[i] phi_{lams[i]}(d(y(s), x)) along the zero horocycle.
 
@@ -252,7 +266,7 @@ def direct_forward_at(f, lams: np.ndarray, theta: float) -> np.ndarray:
 def phi_table_full_nodes(lams, dmax: float) -> np.ndarray:
     """``moire._phi_table`` from the values at all n + 1 Chebyshev points in u, in one call.
 
-    scipy's DCT-I of phi_lambda at d = dmax cos(pi j / 2n), j = 0..n, the
+    scipy's DCT-I of cosh(d/2) phi_lambda(d) at d = dmax cos(pi j / 2n), j = 0..n, the
     points u = cos(pi j / n) of u = 2 (d/dmax)^2 - 1, evaluated afresh at
     every level; n doubles from 16 until the top quarter of the
     coefficients is below 1e-14, and the trailing rows whose column-max
@@ -261,7 +275,7 @@ def phi_table_full_nodes(lams, dmax: float) -> np.ndarray:
     n = 16
     while n <= 2048:
         d = dmax * np.cos(np.pi * np.arange(n + 1) / (2 * n))
-        coef = dct(spherical_radial_profile(lams, d), type=1).T / n
+        coef = dct(spherical_radial_profile(lams, d) * np.cosh(0.5 * d), type=1).T / n
         coef[[0, -1]] *= 0.5
         if np.max(np.abs(coef[-n // 4:])) < 1e-14:
             colmax = np.max(np.abs(coef), axis=1)

@@ -295,6 +295,18 @@ def test_edge_runs_exit_with_one_line_and_no_file(tmp_path, args):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_moire_centers_far_out_run_until_the_phi_table_refuses(tmp_path, capsys):
+    """Centers at arc length +-2e8 toward b0 = 0.7 are summed (the disk route refused them:
+    they round onto the circle); at +-2e300 the phi table on [0, D], D = 1386.8, refuses."""
+    out = tmp_path / "o.csv"
+    args = ["moire", "--lambda", "2", "--b0", "0.7", "--grid", "16x16", "--out", str(out)]
+    assert cli.main([*args, "--spacing", "1e8"]) == 0
+    assert float(read_field(out)[2]["quadrature_error_estimate"]) < 1e-13
+    assert cli.main([*args, "--spacing", "1e300"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: Chebyshev table of phi_lambda") and "1386.8" in err
+
+
 # The sweep: each subcommand but validate, from a small base run, with each flag it reads
 # set in turn to each of its edge values (grids at most 16x16 but the thin 4x1024 one)
 _SWEEP_BASE = {"wave": {"lambda": "2", "grid": "8x8"}, "spherical": {"lambda": "1", "grid": "8x8"},
@@ -307,15 +319,16 @@ _SWEEP_EDGES = {
     "grid": ["4x4", "5x7", "4x1024"],
     # inside, near the circle, on it
     "x": ["-0.3,-0.2", "-0.9999999,0", "0,0.9999999", "-0.6,0.8", "1,0"],
-    "spacing": ["1e-300", "-0.5", "0", "50", "1e300"],
-    "sigmas": ["1e-300", "0.1", "8,4", "-4", "4,1e6", "1e5", "1e16"],
+    "spacing": ["1e-300", "-0.5", "0", "50", "1e8", "1e300"],
+    "sigmas": ["5e-324", "1e-300", "0.1", "8,4", "-4", "4,1e6", "1e5", "1e16"],
     "taper": ["cosine", "hard", "box"],
     "bump-width": ["1e-300", "0.01", "-1", "100"],
     "centers": ["1", "64", "0", "-3"],
     "resolution": ["2", "3", "-4", "4096"],
 }
-# edge values that must exit 0: the line rule's count grows only with log(width)
-_SWEEP_MUST_RUN = {"sigmas": {"4,1e6", "1e5", "1e16"}}
+# edge values that must exit 0: the line rule's count grows only with log(width), and
+# distances to the centers come from their arc lengths, however far out
+_SWEEP_MUST_RUN = {"sigmas": {"4,1e6", "1e5", "1e16"}, "spacing": {"1e8"}}
 
 
 def _sweep_runs():

@@ -33,7 +33,7 @@ from horowave.moire import (
     reduction_paths,
 )
 from horowave.tapers import TaperSpec
-from horowave.transform import GridSpec, SampledField
+from horowave.transform import GridSpec, SampledField, _angle_offsets
 from horowave.waves import helgason_wave, spherical_radial, spherical_radial_profile
 
 B0 = BoundaryPoint(0.0)
@@ -196,6 +196,35 @@ def test_moire_sum_matches_kernel_sum_far_out(lam):
     assert np.max(np.abs(got - oracles.kernel_moire_sum(lam, z, centers))) < 1e-12
 
 
+@pytest.mark.parametrize("t", [0.01, 1.0, 10.0, 30.0, 38.0])
+def test_polar_coordinates_match_the_cayley_map(t):
+    """e^beta and e^beta a of the polar nodes, from (t, psi) alone, within 1e-14 relative of
+    mpmath. Past t = 37 the disk point ``GridSpec.z`` rounds onto the circle; they need none."""
+    for n, theta in ((16, 0.0), (16, 0.7), (128, 2.0), (128, 5.9)):
+        x = moire._polar_coordinates(GridSpec(1, n, 2.0 * t), theta)[0]
+        for got_eb, got_eba, psi in zip(x.imag, x.real, _angle_offsets(n, theta, n)):
+            ref_eb, ref_eba = oracles.polar_horocycle_coordinates(t, psi)
+            assert abs(got_eb - ref_eb) <= 1e-14 * ref_eb
+            assert abs(got_eba - ref_eba) <= 1e-14 * abs(ref_eba)
+
+
+@pytest.mark.parametrize("spacing", [0.35, 50.0, 5000.0, 1e8])
+def test_moire_sum_matches_mpmath_at_any_spacing(spacing):
+    """Five centers, at six seeded nodes, against the mean of mpmath's conical function at
+    mpmath's distances. The disk route erred by 3.0e-13 at spacing 5000 and refused 1e8,
+    whose end centers round onto the circle."""
+    lam, b0, n, grid = 2.0, BoundaryPoint(0.7), 5, GridSpec(16, 16, 1.8)
+    values = moire_sum_discrete(lam, b0, n, spacing, grid).values
+    psi = _angle_offsets(grid.n_theta, b0.theta, grid.n_theta)
+    centers = spacing * (np.arange(1, n + 1) - (n + 1) / 2.0)
+    for node in np.random.default_rng(11).choice(values.size, 6, replace=False):
+        j, l = divmod(int(node), grid.n_theta)
+        eb, eba = oracles.polar_horocycle_coordinates(grid.radii_t[j], psi[l])
+        expect = np.mean([oracles.conical_spherical(
+            lam, oracles.horocycle_distance(b0.theta, math.log(eb), eba / eb, s)) for s in centers])
+        assert abs(values[j, l] - expect) <= 2e-14
+
+
 FIT_LAMBDAS = np.linspace(0.5, 4.0, 81)
 
 
@@ -207,7 +236,7 @@ def test_phi_table_in_even_variable_matches_radial_kernel(lam, dmax):
     coef = _phi_table(lams, dmax)
     assert coef.shape[1] == len(lams)
     d = np.concatenate([[0.0, dmax], np.random.default_rng(5).uniform(0.0, dmax, 200)])
-    got = chebval(2.0 * (d / dmax) ** 2 - 1.0, coef)
+    got = chebval(2.0 * (d / dmax) ** 2 - 1.0, coef) / np.cosh(0.5 * d)
     assert np.max(np.abs(got - spherical_radial_profile(lams, d))) < 1e-13
     # at d = 0, u = -1 and T_k(-1) = (-1)^k: the exactly rounded alternating sum
     signs = (-1.0) ** np.arange(len(coef))
@@ -219,13 +248,13 @@ def test_phi_table_at_large_lambda_d_matches_mpmath(dmax):
     """lambda = 8 out to lambda d = 200, against mpmath's conical function.
 
     The table's error peaks near d = 0.02, where 2001 even d in [0, dmax]
-    read 1.7e-13 (dmax 20) and 2.6e-13 (dmax 25); these 20 seeded d read
-    8.5e-14 and 1.9e-13. The radial rule agrees with mpmath there within
+    read 1.7e-13 (dmax 20) and 2.9e-13 (dmax 25); these 20 seeded d read
+    8.9e-14 and 1.7e-13. The radial rule agrees with mpmath there within
     5e-16, so the error is the table's.
     """
     coef = _phi_table(np.array([8.0]), dmax)
     d = np.concatenate([[0.0, dmax], np.random.default_rng(7).uniform(0.0, dmax, 20)])
-    got = chebval(2.0 * (d / dmax) ** 2 - 1.0, coef)[0]
+    got = chebval(2.0 * (d / dmax) ** 2 - 1.0, coef)[0] / np.cosh(0.5 * d)
     ref = np.array([oracles.conical_spherical(8.0, x) for x in d])
     assert np.max(np.abs(got - ref)) < 3e-13
 
