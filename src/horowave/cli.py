@@ -191,26 +191,37 @@ _CSV_BLOCK = 1024
 # tables; a word takes the full table when nonzero digits follow it. The
 # separator comes before its value: "\n" before a row's first column.
 
-def _words(texts) -> np.ndarray:
-    """Each text as one 4-byte word, NUL-padded at the end."""
-    return np.array(list(texts), dtype="S4").view(np.uint32)
+def _writer_tables():
+    """_HEAD, _INT_MID, _INT_LOW, _POINT, _FRAC and _TAIL, from the decimal digits of 0..9999.
+
+    A table is an array of rows of 4 byte codes, 0 for NUL, viewed as words.
+    """
+    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    full = (digits + ord("0")).astype(np.uint8)  # "%04d"
+    nonzero = digits > 0
+    rstrip = full * np.logical_or.accumulate(nonzero[:, ::-1], axis=1)[:, ::-1]
+    lstrip = full * np.logical_or.accumulate(nonzero, axis=1)  # "%d", 0 as NUL
+    int_low = np.concatenate([lstrip, full])
+    int_low[0, 3] = ord("0")  # I = 0 prints "0"
+    # "." and up to 3 digits: the leading "0" of w < 1000 becomes the point, where it is kept
+    point = np.concatenate([rstrip[:1000], full[:1000]])
+    point[:, 0] = np.where(point[:, 0], ord("."), 0)
+    # separator, sign (NUL or "-"), I // 1e8 without leading zeros
+    head = np.tile(lstrip[:100], (4, 1))
+    head[:, 0] = np.repeat([ord("\n"), ord(",")], 200)
+    head[:, 1] = np.tile(np.repeat([0, ord("-")], 100), 2)
+    exponents = full[99:4:-1].copy()  # "e-99" down to "e-05"
+    exponents[:, :2] = [ord("e"), ord("-")]
+    tables = (head, np.concatenate([lstrip, full]), int_low, point,
+              np.concatenate([rstrip, full]), np.concatenate([rstrip, exponents]))
+    return [np.ascontiguousarray(t).view(np.uint32).ravel() for t in tables]
 
 
-_FULL = _words("%04d" % w for w in range(10000))
-_RSTRIP = _words(("%04d" % w).rstrip("0") for w in range(10000))
-_LSTRIP = _words(("%d" % w * (w > 0)).rjust(4, "\0") for w in range(10000))
-# index w + 10000 when more digits follow (in I: when digits precede)
-_INT_MID = np.concatenate([_LSTRIP, _FULL])
-_INT_LOW = _INT_MID.copy()
-_INT_LOW[0] = _words(["0".rjust(4, "\0")])[0]  # I = 0 prints "0"
-_FRAC = np.concatenate([_RSTRIP, _FULL])
-_POINT = _words([("." + ("%03d" % w).rstrip("0")) * (w > 0) for w in range(1000)]
-                + [".%03d" % w for w in range(1000)])
-_HEAD = _words(sep + sign + ("%d" % w * (w > 0)).rjust(2, "\0")
-               for sep in "\n," for sign in "\0-" for w in range(100))
+# index w + 10000 of _INT_MID, _INT_LOW and _FRAC (w + 1000 of _POINT) when more
+# digits follow (in I: when digits precede); _HEAD is 100 words per separator and sign
+_HEAD, _INT_MID, _INT_LOW, _POINT, _FRAC, _TAIL = _writer_tables()
 # _HEAD offset of each value in a block: x starts a row
 _SEP = np.tile(np.array([0, 200, 200, 200], np.uint8), _CSV_BLOCK)
-_TAIL = np.concatenate([_RSTRIP, _words("e%+03d" % x for x in range(-99, -4))])
 _POW10 = np.array([float(10 ** k) for k in range(120)])  # int to float rounds correctly
 # |s - round(s)| bound of s = |v| 10^(11-X) < 1e12: two roundings of 2^-53
 _TIE_MARGIN = 2.5e-4
@@ -347,7 +358,8 @@ def cmd_wave(args) -> int:
         est = _wave_phase_error(lam, B)
     except HorowaveError as exc:
         raise HorowaveError(f"{exc}; nothing written") from None
-    values = np.exp((1j * lam + RHO) * B)
+    with np.errstate(over="ignore"):  # a modulus past the float range: refused below
+        values = np.exp((1j * lam + RHO) * B)
     del B  # not held while the field is written
     footer = {"command": "wave", "lambda": lam, "b0": b0.theta,
               "grid": f"{grid.n_r}x{grid.n_theta}", "radius": grid.R,
@@ -499,10 +511,12 @@ def cmd_euclid(args) -> int:
     if m < 2:
         raise ConfigError("resolution", "must be at least 2")
     # the mean of J0 rings is real, and with an even m so is the m-node rule
-    # (its nodes pair up as conjugates); the imaginary part is round-off
-    values = euclid.line_moire_array(lam, n, spacing, Q, m=m).real
-    # closed form: the farthest ring reaches a grid corner from an end center
-    est = euclid._aliasing_bound(lam, n, spacing, Q[::n_y - 1, ::n_x - 1], m)
+    # (its nodes pair up as conjugates); the imaginary part is round-off. Centers
+    # past the float range make the field NaN, which _emit_field refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = euclid.line_moire_array(lam, n, spacing, Q, m=m).real
+        # closed form: the farthest ring reaches a grid corner from an end center
+        est = euclid._aliasing_bound(lam, n, spacing, Q[::n_y - 1, ::n_x - 1], m)
     footer = {"command": "euclid", "lambda": lam, "centers": n, "spacing": spacing,
               "grid": f"{n_x}x{n_y}", "resolution": m,
               "quadrature_error_estimate": f"{est:.3e}"}
@@ -587,7 +601,11 @@ def _attach_dash_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
+    try:
+        args = _build_parser().parse_args(
+            _attach_dash_values(sys.argv[1:] if argv is None else argv))
+    except SystemExit as exc:  # argparse's own exit: 2 on a refused argv, 0 after -h
+        return exc.code
     try:
         _merge_config(args)
         fn, _, needs_out = _COMMANDS[args.command]

@@ -285,8 +285,12 @@ def moire_sum_discrete(lam: float, b0: BoundaryPoint, n: int, spacing: float,
 
 
 def _sum_centers(n: int, spacing: float) -> np.ndarray:
-    """The arc lengths on ``xi(b0, 0)`` of ``moire_sum_discrete``'s n centers, ascending."""
-    return spacing * (np.arange(1, n + 1) - (n + 1) / 2.0)
+    """The arc lengths on ``xi(b0, 0)`` of ``moire_sum_discrete``'s n centers, ascending.
+
+    Past the float range they are -inf and inf, and the phi table refuses them.
+    """
+    with np.errstate(over="ignore"):
+        return spacing * (np.arange(1, n + 1) - (n + 1) / 2.0)
 
 
 def _polar_coordinates(grid: GridSpec, theta: float) -> np.ndarray:

@@ -145,23 +145,28 @@ def _polar_bracket(t: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
     Toward e^{i theta}, at z = tanh(t/2) e^{i a} the bracket is
     -log(e^{-t} + 2 sinh t s^2), s = sin((a - theta)/2), taken here as
-    -t - log(s^2 + e^{-2t} (1 - s^2)), in one array of shape
-    (len(t), len(offsets)), offsets from ``_angle_offsets``. Unlike
-    ``busemann_array`` on z, it keeps its digits where |z| rounds to 1 (t
-    above about 37), and sinh t cannot overflow. At an angle equal to theta
-    (s = 0) the bracket is t, and it is taken as t: e^{-2t} loses digits
-    past t = 354 and underflows past 372. At s != 0 such an e^{-2t} is below
-    1e-17 s^2 unless theta lies within 1e-145 of a grid angle.
+    t - log1p(s^2 expm1(2t)), in one array of shape (len(t), len(offsets)),
+    offsets from ``_angle_offsets``. The log1p of a positive number keeps
+    its relative digits, so near t = 0 the bracket errs by a few 2^-53 t,
+    where the log of s^2 + e^{-2t} (1 - s^2), a number near 1 there, keeps
+    only 2^-53 absolute (1.6e-13 t at t = 1e-3). Unlike ``busemann_array`` on z,
+    it keeps its digits where |z| rounds to 1 (t above about 37), and at an
+    angle equal to theta (s = 0) it is t exactly. Past t = 354, where e^{2t}
+    nears the float range, it is -t - log(s^2 + e^{-2t} (1 - s^2)), and t
+    at s = 0: e^{-2t} loses digits there and underflows past 372. At s != 0
+    such an e^{-2t} is below 1e-17 s^2 unless theta lies within 1e-145 of a
+    grid angle.
     """
     t = t[:, None]
     s2 = np.sin(0.5 * offsets) ** 2
-    B = np.exp(-2.0 * t) * (1.0 - s2)
-    B += s2
-    with np.errstate(divide="ignore"):  # log 0 at s = 0 past t = 372, not taken
-        np.log(B, out=B)
-    B += t
-    np.negative(B, out=B)
-    np.copyto(B, t, where=s2 == 0.0)
+    B = np.expm1(2.0 * np.minimum(t, 354.0)) * s2  # rows past 354 are taken below
+    np.log1p(B, out=B)
+    np.subtract(t, B, out=B)
+    far = t[:, 0] > 354.0
+    if far.any():
+        tf = t[far]
+        with np.errstate(divide="ignore"):  # log 0 at s = 0 past t = 372, not taken
+            B[far] = np.where(s2 == 0.0, tf, -tf - np.log(np.exp(-2.0 * tf) * (1.0 - s2) + s2))
     return B
 
 

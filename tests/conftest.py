@@ -1,13 +1,15 @@
-"""Shared test set-up: the CLI subprocesses' import path and a disk helper."""
+"""Shared test set-up: the import path of the tests' subprocesses, and a disk helper."""
 import os
 
 import numpy as np
 
 import horowave
 
-# CLI tests run ``python -m horowave.cli`` in a subprocess: let it import the
-# same package as the tests, also when that is found only through pytest's
-# ``pythonpath`` setting
+# CLI tests call ``cli.main`` in process. A few tests launch Python: one runs
+# ``python -m horowave.cli`` for its exit status, one checks the modules a
+# fresh process loads, and the benchmark tests run perfbench. Let each import
+# the same package as the tests, also when that is found only through
+# pytest's ``pythonpath`` setting
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [os.path.dirname(os.path.dirname(horowave.__file__)),
                   os.environ.get("PYTHONPATH")]))

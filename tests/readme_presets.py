@@ -14,8 +14,9 @@ bytes rewrites it:
     PYTHONPATH=src python tests/readme_presets.py > tests/data/readme_presets.txt
 
 pytest does not collect this file; its README parser, ``readme_commands``,
-also serves ``test_cli``.
+and its runner, ``run_cli``, also serve ``test_cli`` and ``test_acceptance``.
 """
+import collections
 import contextlib
 import hashlib
 import io
@@ -43,22 +44,28 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+Run = collections.namedtuple("Run", "returncode stdout stderr")
+
+
+def run_cli(*args: str) -> Run:
+    """The exit code, stdout and stderr of ``cli.main(list(args))``, run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(args))
+    return Run(code, out.getvalue(), err.getvalue())
+
+
 def run(args: list[str]) -> list[str]:
     """The digest lines of one command, run in a temporary directory."""
-    out, err = io.StringIO(), io.StringIO()
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main(args)
-        except SystemExit as exc:  # argparse errors
-            code = exc.code
+            res = run_cli(*args)
         finally:
             os.chdir(home)
-        lines = [f"horowave {shlex.join(args)}: exit {code} "
-                 f"stdout {_sha(out.getvalue().encode())} "
-                 f"stderr {_sha(err.getvalue().encode())}"]
+        lines = [f"horowave {shlex.join(args)}: exit {res.returncode} "
+                 f"stdout {_sha(res.stdout.encode())} stderr {_sha(res.stderr.encode())}"]
         for path in sorted(pathlib.Path(tmp).rglob("*")):
             if path.is_file():
                 data = path.read_bytes()

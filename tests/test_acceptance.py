@@ -4,10 +4,9 @@ Each test prints exactly one summary line ("PASS criterion N: ...") and
 asserts the same condition, so the printed table and the pytest outcome
 can never disagree.
 """
-import subprocess
-import sys
 import time
 
+import readme_presets
 from horowave import checks
 from horowave.geometry import BoundaryPoint, DiskPoint, Horocycle, horocycle_point
 from horowave.moire import convergence_study, moire_sum_discrete, phase_correlation
@@ -108,18 +107,15 @@ def test_criterion_8_euclid():
 
 
 def test_criterion_9_figures(tmp_path):
-    cli = [sys.executable, "-m", "horowave.cli"]
     wave_out = tmp_path / "wave.csv"
-    res = subprocess.run(cli + ["wave", "--lambda", "2", "--b0", "0",
-                                "--out", str(wave_out)], capture_output=True)
+    res = readme_presets.run_cli("wave", "--lambda", "2", "--b0", "0", "--out", str(wave_out))
     wave_ok = res.returncode == 0 and wave_out.exists() \
         and (tmp_path / "wave.pgm").exists()
 
     moire_out = tmp_path / "moire.csv"
-    res = subprocess.run(cli + ["moire", "--lambda", "2", "--centers", "5",
-                                "--spacing", "0.35", "--grid", "75x128",
-                                "--radius", "1.8", "--x", "0,0",
-                                "--out", str(moire_out)], capture_output=True)
+    res = readme_presets.run_cli("moire", "--lambda", "2", "--centers", "5", "--spacing", "0.35",
+                                 "--grid", "75x128", "--radius", "1.8", "--x", "0,0",
+                                 "--out", str(moire_out))
     moire_ok = res.returncode == 0 and moire_out.exists()
 
     grid = GridSpec(75, 128, 1.8)

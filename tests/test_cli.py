@@ -20,11 +20,7 @@ from horowave.cli import _field_csv
 from horowave.euclid import line_moire_array
 from horowave.transform import GridSpec
 
-CLI = [sys.executable, "-m", "horowave.cli"]
-
-
-def run(*args, **kw):
-    return subprocess.run(CLI + list(args), capture_output=True, text=True, **kw)
+run = readme_presets.run_cli  # cli.main in process: its exit code, stdout and stderr
 
 
 def read_field(path):
@@ -192,7 +188,8 @@ def test_non_finite_field_exits_1_and_writes_nothing(tmp_path):
     # at R = 1500 the wave's modulus e^{B/2} reaches e^{748}, past the float range
     res = run("wave", "--lambda", "2", "--radius", "1500", "--out", str(tmp_path / "w.csv"))
     assert res.returncode == 1
-    assert "non-finite" in res.stderr and "Traceback" not in res.stderr
+    assert res.stderr.startswith("validation error: wave field has") and "non-finite" in res.stderr
+    assert res.stderr.count("\n") == 1  # no numpy overflow warning before it
     assert list(tmp_path.iterdir()) == []
 
 
@@ -247,9 +244,8 @@ def test_one_process_renders_each_field_twice_with_the_same_bytes(tmp_path):
         files = sorted(tmp_path.glob(f"{name}{i}.*"))
         outputs.setdefault(name, []).append([p.read_bytes() for p in files])
     assert all(first == second for first, second in outputs.values())
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["wave", "--lambda", "2", "--no-such-option", "1"])
-    assert exc.value.code == 2
+    assert cli.main(["wave", "--lambda", "2", "--no-such-option", "1"]) == 2
+    assert cli.main(["wave", "-h"]) == 0
     assert cli.main(["wave", "--lambda", "2", "--grid", "banana", "--out", "x.csv"]) == 2
 
 
@@ -283,6 +279,7 @@ _EDGE_RUNS = {
     "transform-radius-1e-300": ["transform", "--radius", "1e-300", "--grid", "8x8"],
     "transform-bump-width-1e300": ["transform", "--bump-width", "1e300", "--grid", "8x8"],
     "lemma-x-near-boundary": ["lemma", "--x", "0.9999999999999,0"],
+    "wave-radius-1500": ["wave", "--lambda", "2", "--radius", "1500"],
 }
 
 
@@ -319,7 +316,7 @@ _SWEEP_EDGES = {
     "grid": ["4x4", "5x7", "4x1024"],
     # inside, near the circle, on it
     "x": ["-0.3,-0.2", "-0.9999999,0", "0,0.9999999", "-0.6,0.8", "1,0"],
-    "spacing": ["1e-300", "-0.5", "0", "50", "1e8", "1e300"],
+    "spacing": ["1e-300", "-0.5", "0", "50", "1e8", "1e300", "1.7e308"],
     "sigmas": ["5e-324", "1e-300", "0.1", "8,4", "-4", "4,1e6", "1e5", "1e16"],
     "taper": ["cosine", "hard", "box"],
     "bump-width": ["1e-300", "0.01", "-1", "100"],
@@ -346,10 +343,7 @@ def _sweep_runs():
 @pytest.mark.parametrize("argv, must_run", _sweep_runs())
 def test_edge_sweep_writes_finite_files_or_refuses_with_one_line(tmp_path, capsys, argv,
                                                                  must_run):
-    try:
-        code = cli.main([*argv, "--out", str(tmp_path / "o.csv")])
-    except SystemExit as exc:  # argparse's refusals print a usage line too
-        code = exc.code
+    code = cli.main([*argv, "--out", str(tmp_path / "o.csv")])
     err = capsys.readouterr().err
     files = sorted(p.name for p in tmp_path.iterdir())
     if code != 0:
@@ -396,9 +390,7 @@ def test_a_value_starting_with_a_dash_reads_as_its_flag_equals_form(tmp_path, ca
 @pytest.mark.parametrize("flags", [["--grid", "8x8", "--lambda"], ["--lambda", "--grid", "8x8"],
                                    ["--grid", "8x8", "--lambda", "-h"]])
 def test_a_flag_left_with_no_value_exits_2(tmp_path, capsys, flags):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["wave", "--out", str(tmp_path / "o.csv"), *flags])
-    assert exc.value.code == 2
+    assert cli.main(["wave", "--out", str(tmp_path / "o.csv"), *flags]) == 2
     assert "expected one argument" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
@@ -446,6 +438,32 @@ def test_field_writer_matches_per_row_writer_on_edge_values():
         got = b"".join(_field_csv(xy, values, WAVE_FOOTER))
         assert got == oracles.field_csv_rows(xy, values, WAVE_FOOTER)
         assert got.endswith(b"\n# quadrature_error_estimate=0.0\n")
+
+
+def test_field_writer_tables_match_their_string_construction():
+    """The writer's word tables, built from digit arithmetic, equal their text by %-formatting."""
+    def words(texts):
+        return np.array(list(texts), dtype="S4").view(np.uint32)
+
+    full = words("%04d" % w for w in range(10000))
+    rstrip = words(("%04d" % w).rstrip("0") for w in range(10000))
+    lstrip = words(("%d" % w * (w > 0)).rjust(4, "\0") for w in range(10000))
+    int_mid = np.concatenate([lstrip, full])
+    int_low = int_mid.copy()
+    int_low[0] = words(["0".rjust(4, "\0")])[0]
+    expect = {
+        "_HEAD": words(sep + sign + ("%d" % w * (w > 0)).rjust(2, "\0")
+                       for sep in "\n," for sign in "\0-" for w in range(100)),
+        "_INT_MID": int_mid,
+        "_INT_LOW": int_low,
+        "_POINT": words([("." + ("%03d" % w).rstrip("0")) * (w > 0) for w in range(1000)]
+                        + [".%03d" % w for w in range(1000)]),
+        "_FRAC": np.concatenate([rstrip, full]),
+        "_TAIL": np.concatenate([rstrip, words("e%+03d" % x for x in range(-99, -4))]),
+    }
+    for name, want in expect.items():
+        got = getattr(cli, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
 # ties at 13 digits: exact ones (%.12g rounds them half to even), and
@@ -662,6 +680,27 @@ def test_transform_pgm_maps_amplitude_not_round_off_phase(tmp_path):
     gray = np.frombuffer(pgm[pgm.index(b"255\n") + 4:], np.uint8).reshape(g.shape)
     amp = np.abs(g)
     np.testing.assert_array_equal(gray, np.minimum(np.floor(256 * amp / amp.max()), 255))
+
+
+def test_the_module_exits_with_the_status_main_returns(tmp_path):
+    """``python -m horowave.cli`` hands ``main``'s status to ``sys.exit``.
+
+    The suite's two launches of the CLI are here; every other test calls
+    ``cli.main`` in process. An unknown flag exits 2 with argparse's usage on
+    stderr, and a field run exits 0, prints nothing and writes the bytes that
+    the same run writes in process.
+    """
+    module = [sys.executable, "-m", "horowave.cli"]
+    res = subprocess.run(module + ["wave", "--lambda", "2", "--no-such-option", "1"],
+                         capture_output=True, text=True)
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("usage: horowave") and "unrecognized arguments" in res.stderr
+    argv = ["wave", "--lambda", "2", "--grid", "8x8", "--out"]
+    res = subprocess.run(module + argv + [str(tmp_path / "a.csv")], capture_output=True, text=True)
+    assert (res.returncode, res.stdout, res.stderr) == (0, "", "")
+    assert run(*argv, str(tmp_path / "b.csv")) == (0, "", "")
+    for ext in (".csv", ".pgm"):
+        assert (tmp_path / f"a{ext}").read_bytes() == (tmp_path / f"b{ext}").read_bytes()
 
 
 def test_bad_config_exit_code():
