@@ -10,9 +10,10 @@ round-off. All outputs are written atomically (temp + rename) and are
 byte-identical across reruns of the same configuration.
 
 Exit codes: 0 ok, 1 validation failure (a field holding NaN or inf is one,
-and writes no file; so are a ``wave`` phase round-off past _WAVE_PHASE_TOL,
-``lemma`` sides apart by more than _LEMMA_TOL, a ``transform`` bump of L2
-norm 0 on its grid, and a ``moire`` phi table that does not settle), 2 bad
+and writes no file; so are a ``wave`` phase round-off past
+``waves._WAVE_PHASE_TOL``, ``lemma`` sides apart by more than _LEMMA_TOL, a
+``transform`` bump of L2 norm 0 on its grid, and a ``moire`` phi table that
+does not settle or whose distances pass the float range), 2 bad
 configuration, 3 IO error.
 """
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .transform import (
     DEFAULT_GRID,
     GridSpec,
     SampledField,
+    _angle_offsets,
     _radial_nodes,
     _relative_l2,
     forward,
@@ -41,8 +43,7 @@ from .transform import (
     inverse,
     lemma_check,
 )
-from .waves import (PLANCHEREL_KAPPA, RHO, _WAVE_PHASE_TOL, _wave_phase_error, spherical,
-                    spherical_radial)
+from .waves import PLANCHEREL_KAPPA, RHO, _wave_phase_error, spherical, spherical_radial
 
 __all__ = ["main"]
 
@@ -425,7 +426,9 @@ def cmd_moire(args) -> int:
     # flattened grid, it is checked against the mean of phi at each distance to a center
     values = field.values.ravel()
     sample = np.linspace(0, values.size - 1, min(16, values.size)).astype(np.intp)
-    w = moire._polar_coordinates(grid, b0.theta).ravel()[sample, None]  # e^beta (a + i)
+    row, col = np.divmod(sample, grid.n_theta)
+    psi = _angle_offsets(grid.n_theta, b0.theta, grid.n_theta)[col]
+    w = moire._polar_coordinates(grid.radii_t[row], psi)[:, None]  # e^beta (a + i)
     d = moire._horocycle_distances(np.log(w.imag), w.real / w.imag, moire._sum_centers(n, spacing))
     est = float(np.max(np.abs(values[sample] - np.mean(spherical_radial(lam, d), axis=1))))
     # the report is made before any file is written, so a study that fails writes none
@@ -505,14 +508,18 @@ def cmd_euclid(args) -> int:
     if n < 1:
         raise ConfigError("centers", "must be a positive integer")
     spacing = _positive("spacing", _number(args, "spacing", default=0.5))
+    if not math.isfinite(spacing * ((n - 1) / 2.0)):
+        raise ConfigError("spacing", f"the end centers +-spacing (n - 1) / 2 pass the float "
+                                     f"range at {n} centers")
     n_x, n_y = _parse_grid(args.grid) if args.grid else (81, 81)
     Q = np.linspace(2.0, 6.0, n_x)[None, :] + 1j * np.linspace(-2.0, 2.0, n_y)[:, None]
     m = _number(args, "resolution", int, default=256)
     if m < 2:
         raise ConfigError("resolution", "must be at least 2")
     # the mean of J0 rings is real, and with an even m so is the m-node rule
-    # (its nodes pair up as conjugates); the imaginary part is round-off. Centers
-    # past the float range make the field NaN, which _emit_field refuses
+    # (its nodes pair up as conjugates); the imaginary part is round-off. A tiny
+    # lambda can still overflow k c at finite centers: the field is NaN then,
+    # which _emit_field refuses
     with np.errstate(over="ignore", invalid="ignore"):
         values = euclid.line_moire_array(lam, n, spacing, Q, m=m).real
         # closed form: the farthest ring reaches a grid corner from an end center

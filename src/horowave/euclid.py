@@ -73,6 +73,9 @@ def line_moire_array(lam: float, n: int, spacing: float, q: np.ndarray,
         raise ValueError("line_moire requires n >= 1")
     if spacing <= 0:
         raise ValueError("line_moire requires spacing > 0")
+    if not np.isfinite(spacing * ((n - 1) / 2.0)):
+        raise ValueError(f"line_moire requires finite end centers +-spacing (n - 1) / 2, "
+                         f"got spacing {spacing:g} at n = {n}")
     centers = spacing * (np.arange(1, n + 1) - (n + 1) / 2.0)
     u = 2.0 * np.pi * np.arange(m) / m
     k = 2.0 * np.pi / lam

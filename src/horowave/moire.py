@@ -162,19 +162,24 @@ def _phi_sums(lams, weights, x: np.ndarray, rules) -> list[np.ndarray]:
 
     x is a 1-D array of points e^beta (a + i) and a rule ascending nodes s and
     weights w, as in ``_horocycle_distances``: d grows with |s - e^beta a|, so
-    D, the largest distance at the end nodes, bounds all. One table on [0, D]
-    (``_phi_table``), contracted with the weights, serves every node; a pass
-    takes ceil(N/P) of a rule's N nodes at the P points.
+    D, the largest distance at the end nodes, bounds all. One table on [0, D] of
+    the weighted sum (``_phi_table``) serves every node; a pass takes ceil(N/P)
+    of a rule's N nodes at the P points. A D past the float range is refused
+    before any table.
     """
     scale = 0.5 / np.sqrt(x.imag)
     sinh_half = lambda s: np.abs(s + 1j - x) * scale  # at nodes s (k, 1); abs cannot overflow
     passes = [[(s[i:i + k, None], w[i:i + k, None]) for i in range(0, len(s), k)]
               for s, w in rules for k in [-(-len(s) // x.size)]]
     # the passes holding the end nodes give D, and their values, kept, are summed first
-    with np.errstate(over="ignore"):  # sinh(D/2) is inf past D = 1420, where no table settles
+    with np.errstate(over="ignore"):  # sinh(D/2) is inf past D = 1420
         ends = {id(s): sinh_half(s) for p in passes for s, _ in p[:1] + p[1:][-1:]}
     dmax = 2.0 * math.asinh(max(float(np.max(h)) for h in ends.values()))
-    coef = _phi_table(lams, dmax) @ np.asarray(weights, float)
+    if not dmax < math.inf:
+        raise QuadratureUnderResolved(
+            "phi along the zero horocycle: the distance from a point to the farthest node "
+            "passes the float range (sinh(d/2) overflows)")
+    coef = _phi_table(lams, weights, dmax)
 
     def pass_sum(s, w):
         h = ends.pop(id(s)) if id(s) in ends else sinh_half(s)
@@ -279,7 +284,8 @@ def moire_sum_discrete(lam: float, b0: BoundaryPoint, n: int, spacing: float,
         raise ValueError("moire_sum_discrete requires n >= 1")
     if spacing <= 0:
         raise ValueError("moire_sum_discrete requires spacing > 0")
-    x = _polar_coordinates(grid, b0.theta)
+    psi = _angle_offsets(grid.n_theta, b0.theta, grid.n_theta)
+    x = _polar_coordinates(grid.radii_t[:, None], psi)
     values = _phi_sums([lam], [1.0], x.ravel(), [(_sum_centers(n, spacing), np.full(n, 1 / n))])
     return SampledField(grid, values[0].reshape(x.shape).astype(complex))
 
@@ -287,21 +293,19 @@ def moire_sum_discrete(lam: float, b0: BoundaryPoint, n: int, spacing: float,
 def _sum_centers(n: int, spacing: float) -> np.ndarray:
     """The arc lengths on ``xi(b0, 0)`` of ``moire_sum_discrete``'s n centers, ascending.
 
-    Past the float range they are -inf and inf, and the phi table refuses them.
+    Past the float range they are -inf and inf, and ``_phi_sums`` refuses them.
     """
     with np.errstate(over="ignore"):
         return spacing * (np.arange(1, n + 1) - (n + 1) / 2.0)
 
 
-def _polar_coordinates(grid: GridSpec, theta: float) -> np.ndarray:
-    """x = e^beta (a + i) at the grid nodes, (beta, a) their horocycle coordinates toward theta.
+def _polar_coordinates(t, psi) -> np.ndarray:
+    """x = e^beta (a + i) at polar nodes (t, psi), (beta, a) their horocycle coordinates.
 
-    From t and the angle psi from theta (``transform._angle_offsets``), not from
-    ``GridSpec.z``, which rounds onto the circle past t = 37:
+    psi is the angle from b0 (``transform._angle_offsets``); t and psi broadcast.
+    From them, not from ``GridSpec.z``, which rounds onto the circle past t = 37:
     e^{-beta} = e^{-t} + 2 sinh t sin^2(psi/2), e^beta a = -e^beta sinh t sin psi.
     """
-    t = grid.radii_t[:, None]
-    psi = _angle_offsets(grid.n_theta, theta, grid.n_theta)
     sinh = np.sinh(t)
     eb = 1.0 / (np.exp(-t) + sinh * (2.0 * np.sin(0.5 * psi) ** 2))
     return eb * (1j - sinh * np.sin(psi))
@@ -311,35 +315,39 @@ _PHI_TABLE_MAX_NODES = 4096  # the largest degree in d/dmax, twice that in u
 _PHI_TABLE_TAIL = 1e-14
 
 
-def _phi_table(lams, dmax: float) -> np.ndarray:
-    """Chebyshev coefficients of u -> cosh(d/2) phi_lambda(d) on [-1, 1], u = 2 (d/dmax)^2 - 1.
+def _phi_table(lams, weights, dmax: float) -> np.ndarray:
+    """Chebyshev coefficients of u -> F(d) = cosh(d/2) sum_i weights[i] phi_{lams[i]}(d).
 
-    One column per lambda of the 1-D list lams. The function does not decay
-    with d, so the table's error, divided back by cosh(d/2), stays relative
-    to phi's envelope e^{-d/2}; it is even in d, so a table in u has half the
-    terms of one in d/dmax. Its values at the Chebyshev points u = cos(pi q)
+    u = 2 (d/dmax)^2 - 1 on [-1, 1]: one table of the one function the caller sums.
+    F does not decay with d, so the table's error, divided back by cosh(d/2), stays
+    relative to phi's envelope e^{-d/2}; it is even in d, so a table in u has half
+    the terms of one in d/dmax. Its values at the Chebyshev points u = cos(pi q)
     of ``_nested_levels`` give the coefficients by a DCT-I; n doubles from 16
-    until the top quarter of them is below _PHI_TABLE_TAIL for every lambda,
-    and the trailing rows whose column-max |c_k| sum to at most that are
-    dropped, which moves no value by more than that (J. L. Aurentz and
-    L. N. Trefethen, ACM TOMS 43, 2017).
+    until the top quarter of them is below tol = _PHI_TABLE_TAIL min(1, sum |w_i|),
+    and the trailing terms whose |c_k| sum to at most tol are dropped, which
+    moves no value by more than tol (J. L. Aurentz and L. N. Trefethen, ACM
+    TOMS 43, 2017). Tables of each lambda to _PHI_TABLE_TAIL would bound the sum
+    by _PHI_TABLE_TAIL sum |w_i|; tol is never looser than that, nor than one
+    table of weight 1.
     """
+    weights = np.asarray(weights, float)
+    tol = _PHI_TABLE_TAIL * min(1.0, float(np.sum(np.abs(weights))))
+
     def phi(q):
         d = dmax * np.cos(0.5 * np.pi * q)
-        return spherical_radial_profile(lams, d).T * np.cosh(0.5 * d)[:, None]
+        return weights @ spherical_radial_profile(lams, d) * np.cosh(0.5 * d)
 
-    tail, top = math.inf, _PHI_TABLE_MAX_NODES // 2 if dmax < math.inf else 0  # no level if inf
-    for q, values in _nested_levels(phi, 16, top):
+    tail = math.inf
+    for q, values in _nested_levels(phi, 16, _PHI_TABLE_MAX_NODES // 2):
         n = len(q) - 1
-        coef = np.fft.rfft(np.concatenate([values, values[-2:0:-1]]), axis=0).real / n
+        coef = np.fft.rfft(np.concatenate([values, values[-2:0:-1]])).real / n
         coef[[0, -1]] *= 0.5
         tail = float(np.max(np.abs(coef[-n // 4:])))
-        if tail < _PHI_TABLE_TAIL:
-            kept = np.cumsum(np.max(np.abs(coef[::-1]), axis=1))[::-1] > _PHI_TABLE_TAIL
-            return coef[:np.count_nonzero(kept)]
+        if tail < tol:
+            return coef[:np.count_nonzero(np.cumsum(np.abs(coef[::-1]))[::-1] > tol)]
     raise QuadratureUnderResolved(
         f"Chebyshev table of phi_lambda, |lambda| <= {np.max(np.abs(lams)):g}, on "
-        f"[0, {dmax:g}] did not settle below {_PHI_TABLE_TAIL:g} at degree "
+        f"[0, {dmax:g}] did not settle below {tol:g} at degree "
         f"{_PHI_TABLE_MAX_NODES} in d/{dmax:g} (last tail {tail:.2e})")
 
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebvander
 
 from .errors import NotRadial, QuadratureUnderResolved, SpectralTruncation, SupportOverflow
 from .geometry import (
@@ -452,7 +451,12 @@ def _busemann_kernel(t: np.ndarray, offsets: np.ndarray, lams: np.ndarray):
             starts.append(j)
     k = np.arange(row_terms[-1])
     s = np.where(k, 2.0, 1.0) * np.array([1, 1j, -1, -1j])[k % 4]
-    T = chebvander((lams - mid) / c if c else np.zeros_like(lams), len(k) - 1)
+    x = (lams - mid) / c if c else np.zeros_like(lams)
+    T = np.ones((len(k), lams.size))  # T_k(x) by chebvander's recurrence, then transposed
+    T[1:2], x2 = x, 2.0 * x
+    for i in range(2, len(k)):
+        T[i] = T[i - 1] * x2 - T[i - 2]
+    T = T.T
 
     def blocks():
         for a, b in zip(starts, [*starts[1:], len(t)]):

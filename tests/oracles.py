@@ -263,24 +263,25 @@ def direct_forward_at(f, lams: np.ndarray, theta: float) -> np.ndarray:
     return np.array([np.sum(np.exp((-1j * lam + 0.5) * B) * g) for lam in lams])
 
 
-def phi_table_full_nodes(lams, dmax: float) -> np.ndarray:
+def phi_table_full_nodes(lams, weights, dmax: float) -> np.ndarray:
     """``moire._phi_table`` from the values at all n + 1 Chebyshev points in u, in one call.
 
-    scipy's DCT-I of cosh(d/2) phi_lambda(d) at d = dmax cos(pi j / 2n), j = 0..n, the
-    points u = cos(pi j / n) of u = 2 (d/dmax)^2 - 1, evaluated afresh at
-    every level; n doubles from 16 until the top quarter of the
-    coefficients is below 1e-14, and the trailing rows whose column-max
-    |c_k| sum to at most 1e-14 are dropped.
+    scipy's DCT-I of cosh(d/2) sum_i weights[i] phi_{lams[i]}(d) at d = dmax cos(pi j / 2n),
+    j = 0..n, the points u = cos(pi j / n) of u = 2 (d/dmax)^2 - 1, evaluated afresh at
+    every level; n doubles from 16 until the top quarter of the coefficients is below
+    tol = 1e-14 min(1, sum |w_i|), and the trailing terms whose |c_k| sum to at most
+    tol are dropped.
     """
+    weights = np.asarray(weights, float)
+    tol = 1e-14 * min(1.0, float(np.sum(np.abs(weights))))
     n = 16
     while n <= 2048:
         d = dmax * np.cos(np.pi * np.arange(n + 1) / (2 * n))
-        coef = dct(spherical_radial_profile(lams, d) * np.cosh(0.5 * d), type=1).T / n
+        coef = dct(weights @ spherical_radial_profile(lams, d) * np.cosh(0.5 * d), type=1) / n
         coef[[0, -1]] *= 0.5
-        if np.max(np.abs(coef[-n // 4:])) < 1e-14:
-            colmax = np.max(np.abs(coef), axis=1)
+        if np.max(np.abs(coef[-n // 4:])) < tol:
             keep = len(coef)
-            while np.sum(colmax[keep - 1:]) <= 1e-14:
+            while np.sum(np.abs(coef[keep - 1:])) <= tol:
                 keep -= 1
             return coef[:keep]
         n *= 2

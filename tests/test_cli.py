@@ -273,6 +273,7 @@ def test_spherical_where_z_rounds_to_1_exits_1(tmp_path):
 _EDGE_RUNS = {
     "moire-sigma-1e300": ["moire", "--lambda", "2", "--sigmas", "1e300", "--grid", "8x8"],
     "moire-spacing-1e300": ["moire", "--lambda", "2", "--spacing", "1e300", "--grid", "8x8"],
+    "moire-spacing-1.7e308": ["moire", "--lambda", "2", "--spacing", "1.7e308", "--grid", "8x8"],
     "spherical-lambda-1e300": ["spherical", "--lambda", "1e300"],
     "moire-lambda-1e300": ["moire", "--lambda", "1e300", "--grid", "8x8"],
     "transform-radius-40": ["transform", "--radius", "40", "--grid", "400x64"],
@@ -294,7 +295,8 @@ def test_edge_runs_exit_with_one_line_and_no_file(tmp_path, args):
 
 def test_moire_centers_far_out_run_until_the_phi_table_refuses(tmp_path, capsys):
     """Centers at arc length +-2e8 toward b0 = 0.7 are summed (the disk route refused them:
-    they round onto the circle); at +-2e300 the phi table on [0, D], D = 1386.8, refuses."""
+    they round onto the circle); at +-2e300 the phi table on [0, D], D = 1386.8, refuses.
+    At +-3.4e308 the end centers pass the float range, and so does D: no table is tried."""
     out = tmp_path / "o.csv"
     args = ["moire", "--lambda", "2", "--b0", "0.7", "--grid", "16x16", "--out", str(out)]
     assert cli.main([*args, "--spacing", "1e8"]) == 0
@@ -302,6 +304,13 @@ def test_moire_centers_far_out_run_until_the_phi_table_refuses(tmp_path, capsys)
     assert cli.main([*args, "--spacing", "1e300"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("validation error: Chebyshev table of phi_lambda") and "1386.8" in err
+    for f in tmp_path.iterdir():  # the first run's field, image and report
+        f.unlink()
+    assert cli.main([*args, "--spacing", "1.7e308"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: phi along the zero horocycle")
+    assert "distance" in err and "float range" in err and "degree" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # The sweep: each subcommand but validate, from a small base run, with each flag it reads
@@ -612,7 +621,7 @@ def test_wave_exits_1_past_its_phase_round_off_bound(tmp_path, capsys, lam, code
         assert list(tmp_path.iterdir()) == []
     else:
         _, _, footer = read_field(out)
-        assert float(footer["quadrature_error_estimate"]) <= cli._WAVE_PHASE_TOL
+        assert float(footer["quadrature_error_estimate"]) <= waves._WAVE_PHASE_TOL
 
 
 def test_wave_near_the_origin_counts_the_brackets_absolute_round_off(tmp_path, capsys):

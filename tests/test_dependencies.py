@@ -33,7 +33,8 @@ def test_moire_and_euclid_validate_load_no_scipy(tmp_path):
         f" '--radius', '1.8', '--out', {out!r}]) == 0",
         "assert cli.main(['validate', '--suite', 'euclid']) == 0",
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))",
     ])
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines()[-1] == "[]"
+    assert res.stdout.splitlines()[-2:] == ["[]", "[]"]

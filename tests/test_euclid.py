@@ -82,6 +82,12 @@ def test_line_moire_validates_input():
         line_moire(1.0, 5, -0.5, PlanePoint(1, 0))
 
 
+def test_line_moire_refuses_end_centers_past_the_float_range():
+    # +-1.7e308 (5 - 1) / 2 overflows; it returned all NaN, with overflow warnings
+    with pytest.raises(ValueError, match="finite end centers"):
+        line_moire_array(1.0, 5, 1.7e308, np.array([3.0 + 0.5j, 4.0 - 1.0j]))
+
+
 def test_line_moire_mirror_symmetry():
     q = np.array([2.0 + 0.7j, 2.0 - 0.7j])
     vals = line_moire_array(1.0, 6, 0.5, q)

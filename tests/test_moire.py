@@ -33,8 +33,9 @@ from horowave.moire import (
     reduction_paths,
 )
 from horowave.tapers import TaperSpec
-from horowave.transform import GridSpec, SampledField, _angle_offsets
-from horowave.waves import helgason_wave, spherical_radial, spherical_radial_profile
+from horowave.transform import GridSpec, SampledField, _angle_offsets, _lambda_weights
+from horowave.waves import (helgason_wave, plancherel_density, spherical_radial,
+                            spherical_radial_profile)
 
 B0 = BoundaryPoint(0.0)
 X0 = DiskPoint(0j)
@@ -201,8 +202,9 @@ def test_polar_coordinates_match_the_cayley_map(t):
     """e^beta and e^beta a of the polar nodes, from (t, psi) alone, within 1e-14 relative of
     mpmath. Past t = 37 the disk point ``GridSpec.z`` rounds onto the circle; they need none."""
     for n, theta in ((16, 0.0), (16, 0.7), (128, 2.0), (128, 5.9)):
-        x = moire._polar_coordinates(GridSpec(1, n, 2.0 * t), theta)[0]
-        for got_eb, got_eba, psi in zip(x.imag, x.real, _angle_offsets(n, theta, n)):
+        offsets = _angle_offsets(n, theta, n)
+        x = moire._polar_coordinates(t, offsets)
+        for got_eb, got_eba, psi in zip(x.imag, x.real, offsets):
             ref_eb, ref_eba = oracles.polar_horocycle_coordinates(t, psi)
             assert abs(got_eb - ref_eb) <= 1e-14 * ref_eb
             assert abs(got_eba - ref_eba) <= 1e-14 * abs(ref_eba)
@@ -228,19 +230,29 @@ def test_moire_sum_matches_mpmath_at_any_spacing(spacing):
 FIT_LAMBDAS = np.linspace(0.5, 4.0, 81)
 
 
+def _phi_table_values(coef, d, dmax):
+    """A phi table's sum at distances d: its Chebyshev series in u, divided back by cosh(d/2)."""
+    return chebval(2.0 * (d / dmax) ** 2 - 1.0, coef) / np.cosh(0.5 * d)
+
+
 @pytest.mark.parametrize("lam, dmax", [(0.5, 3.0), (2.0, 4.3), (4.0, 12.0),
                                        ((0.0, 0.7, 2.2, 4.0), 9.5), (7.5, 8.0),
                                        (FIT_LAMBDAS, 20.0)])
 def test_phi_table_in_even_variable_matches_radial_kernel(lam, dmax):
+    """Each lambda's table at weight 1, and a list's at weights summing to 1 in modulus."""
     lams = np.atleast_1d(lam)
-    coef = _phi_table(lams, dmax)
-    assert coef.shape[1] == len(lams)
     d = np.concatenate([[0.0, dmax], np.random.default_rng(5).uniform(0.0, dmax, 200)])
-    got = chebval(2.0 * (d / dmax) ** 2 - 1.0, coef) / np.cosh(0.5 * d)
-    assert np.max(np.abs(got - spherical_radial_profile(lams, d))) < 1e-13
-    # at d = 0, u = -1 and T_k(-1) = (-1)^k: the exactly rounded alternating sum
-    signs = (-1.0) ** np.arange(len(coef))
-    assert max(abs(math.fsum(signs * c) - 1.0) for c in coef.T) < 1e-14
+    profile = spherical_radial_profile(lams, d)
+    for lam_i, expect in zip(lams, profile):
+        coef = _phi_table([lam_i], [1.0], dmax)
+        assert coef.ndim == 1
+        assert np.max(np.abs(_phi_table_values(coef, d, dmax) - expect)) < 1e-13
+        # at d = 0, u = -1 and T_k(-1) = (-1)^k: the exactly rounded alternating sum
+        assert abs(math.fsum((-1.0) ** np.arange(len(coef)) * coef) - 1.0) < 1e-14
+    w = np.random.default_rng(6).uniform(-1.0, 1.0, len(lams))
+    w /= np.sum(np.abs(w))
+    got = _phi_table_values(_phi_table(lams, w, dmax), d, dmax)
+    assert np.max(np.abs(got - w @ profile)) < 1e-13
 
 
 @pytest.mark.parametrize("dmax", [20.0, 25.0])
@@ -252,22 +264,43 @@ def test_phi_table_at_large_lambda_d_matches_mpmath(dmax):
     8.9e-14 and 1.7e-13. The radial rule agrees with mpmath there within
     5e-16, so the error is the table's.
     """
-    coef = _phi_table(np.array([8.0]), dmax)
+    coef = _phi_table([8.0], [1.0], dmax)
     d = np.concatenate([[0.0, dmax], np.random.default_rng(7).uniform(0.0, dmax, 20)])
-    got = chebval(2.0 * (d / dmax) ** 2 - 1.0, coef)[0] / np.cosh(0.5 * d)
     ref = np.array([oracles.conical_spherical(8.0, x) for x in d])
-    assert np.max(np.abs(got - ref)) < 3e-13
+    assert np.max(np.abs(_phi_table_values(coef, d, dmax) - ref)) < 3e-13
 
 
 @pytest.mark.parametrize("lams", [[0.0], [0.5], [4.0], [8.0], FIT_LAMBDAS,
                                   [0.0, 0.7, 2.2, 4.0]],
                          ids=["0", "0.5", "4", "8", "fit", "mixed"])
 def test_phi_table_on_half_nodes_matches_full_node_table(lams):
+    """Each lambda's table at weight 1, and the list's at seeded weights of either sign."""
+    cases = [([lam], [1.0]) for lam in lams]
+    cases.append((lams, np.random.default_rng(8).uniform(-1.0, 1.0, len(lams))))
     for dmax in (0.5, 3.0, 6.4, 11.3, 25.0):
-        got = _phi_table(lams, dmax)
-        expect = oracles.phi_table_full_nodes(lams, dmax)
-        assert got.shape == expect.shape
-        assert np.max(np.abs(got - expect)) <= 1e-15
+        for lam_list, w in cases:
+            got = _phi_table(lam_list, w, dmax)
+            expect = oracles.phi_table_full_nodes(lam_list, w, dmax)
+            assert got.shape == expect.shape
+            assert np.max(np.abs(got - expect)) <= 1e-15
+
+
+def test_weighted_phi_table_is_the_weighted_sum_of_its_one_hot_tables():
+    """Each table moves no value of its cosh(d/2)-scaled sum by more than its tol =
+    1e-14 min(1, sum |w_i|), so the weighted table and the weighted sum of the one-hot
+    tables differ by at most tol + 1e-14 sum |w_i|: at moire_weak's window weights, whose
+    sum |w_i| is 0.34, and at seeded weights of either sign, whose sum |w_i| is 11.4."""
+    lams = np.linspace(0.5, 4.0, 9)
+    window = LambdaWindow(2.2)(lams) * _lambda_weights(lams) * plancherel_density(lams)
+    signed = np.random.default_rng(9).uniform(-2.0, 2.0, len(lams))
+    for w in (window, signed):
+        for dmax in (3.0, 12.0, 20.0):
+            u = 2.0 * np.linspace(0.0, 1.0, 501) ** 2 - 1.0  # at d = 0 .. dmax
+            one_hot = [_phi_table(lams, e, dmax) for e in np.eye(len(lams))]
+            parts = w @ np.array([chebval(u, c) for c in one_hot])
+            got = chebval(u, _phi_table(lams, w, dmax))
+            total = float(np.sum(np.abs(w)))
+            assert np.max(np.abs(got - parts)) <= 1e-14 * (min(1.0, total) + total)
 
 
 def test_convergence_study_shares_one_table_across_widths():
@@ -292,6 +325,21 @@ def test_weak_estimator_evaluates_half_nodes_once_per_level(monkeypatch):
     monkeypatch.setattr(moire, "spherical_radial_profile", counting)
     moire_weak(LambdaWindow(1.5), B0, X0, TaperSpec("gaussian", 48.0))
     assert sizes == [17, 16, 32, 64]
+
+
+def test_weak_estimator_tables_settle_where_the_windowed_sum_does(monkeypatch):
+    # one table of the weighted lambda sum, not one column per lambda: 65 distances
+    # serve every lambda here, where the worst of 81 columns took 129
+    sizes = []
+
+    def counting(lams, d):
+        sizes.append(np.size(d))
+        return spherical_radial_profile(lams, d)
+
+    monkeypatch.setattr(moire, "spherical_radial_profile", counting)
+    x = horocycle_point(ZERO_HOROCYCLE, -2.5)
+    moire_weak(LambdaWindow(2.2), B0, x, TaperSpec("gaussian", 12.0))
+    assert sum(sizes) == 65
 
 
 def test_phi_table_that_does_not_settle_raises(monkeypatch):

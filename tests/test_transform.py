@@ -431,7 +431,7 @@ def test_adaptive_rules_draw_their_nodes_from_nested_levels(monkeypatch):
     transform._node_check.cache_clear()
     transform._radial_nodes(DEFAULT_GRID.radii_t, 8.0)
     assert starts == [64]
-    moire._phi_table(np.array([1.0, 2.0]), 3.0)
+    moire._phi_table(np.array([1.0, 2.0]), [0.5, 0.5], 3.0)
     assert starts == [64, 16]
     horocycle_integral(lambda y: np.ones(y.shape), Horocycle(BoundaryPoint(0), 0.0),
                        TaperSpec("gaussian", 2.0))
