@@ -36,6 +36,7 @@ from .transform import (
     GridSpec,
     SampledField,
     _angle_offsets,
+    _polar_half_plane,
     _radial_nodes,
     _relative_l2,
     forward,
@@ -428,8 +429,8 @@ def cmd_moire(args) -> int:
     sample = np.linspace(0, values.size - 1, min(16, values.size)).astype(np.intp)
     row, col = np.divmod(sample, grid.n_theta)
     psi = _angle_offsets(grid.n_theta, b0.theta, grid.n_theta)[col]
-    w = moire._polar_coordinates(grid.radii_t[row], psi)[:, None]  # e^beta (a + i)
-    d = moire._horocycle_distances(np.log(w.imag), w.real / w.imag, moire._sum_centers(n, spacing))
+    w = _polar_half_plane(grid.radii_t[row], psi)[:, None]  # bit for bit the field's nodes
+    d = 2.0 * np.arcsinh(moire._sinh_half_distances(w)(moire._sum_centers(n, spacing)))
     est = float(np.max(np.abs(values[sample] - np.mean(spherical_radial(lam, d), axis=1))))
     # the report is made before any file is written, so a study that fails writes none
     reports = moire.convergence_study(lam, b0, x, sigmas, kind=kind)

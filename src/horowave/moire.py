@@ -47,7 +47,7 @@ from .geometry import (
 )
 from .tapers import TaperSpec
 from .transform import (GridSpec, SampledField, _angle_offsets, _lambda_weights, _line_rule,
-                        _nested_levels)
+                        _nested_levels, _polar_half_plane)
 from .waves import (
     RHO,
     helgason_wave,
@@ -146,29 +146,23 @@ def moire_integral(lam: float, b0: BoundaryPoint, x: DiskPoint) -> MoireReport:
     return convergence_study(lam, b0, x, [DEFAULT_TAPER.width], DEFAULT_TAPER.kind)[0]
 
 
-def _horocycle_distances(beta, a, s):
-    """d(y(s), x) at arc lengths s of the zero horocycle, from x's horocycle coordinates.
-
-    In the half-plane with b0 at infinity, y(s) = s + i and x = e^beta (a + i),
-    (beta, a) = ``horocycle_coordinates(x, b0)``, so sinh(d/2) = |y(s) - x|
-    / (2 e^{beta/2}), |y(s) - x| = hypot(s - e^beta a, e^beta - 1). All broadcast.
-    """
-    return 2.0 * np.arcsinh(np.hypot(s - np.exp(beta) * a, np.expm1(beta))
-                            / (2.0 * np.exp(0.5 * beta)))
+def _sinh_half_distances(x):
+    """s -> sinh(d/2) = |y(s) - x| / (2 sqrt(Im x)) on the zero horocycle y(s) = s + i."""
+    scale = 0.5 / np.sqrt(x.imag)
+    return lambda s: np.abs(s + 1j - x) * scale
 
 
 def _phi_sums(lams, weights, x: np.ndarray, rules) -> list[np.ndarray]:
     """sum_j w_j sum_i weights[i] phi_{lams[i]}(d(y(s_j), x)) at every point x, per rule (s, w).
 
     x is a 1-D array of points e^beta (a + i) and a rule ascending nodes s and
-    weights w, as in ``_horocycle_distances``: d grows with |s - e^beta a|, so
+    weights w, as in ``_sinh_half_distances``: d grows with |s - e^beta a|, so
     D, the largest distance at the end nodes, bounds all. One table on [0, D] of
     the weighted sum (``_phi_table``) serves every node; a pass takes ceil(N/P)
     of a rule's N nodes at the P points. A D past the float range is refused
     before any table.
     """
-    scale = 0.5 / np.sqrt(x.imag)
-    sinh_half = lambda s: np.abs(s + 1j - x) * scale  # at nodes s (k, 1); abs cannot overflow
+    sinh_half = _sinh_half_distances(x)  # at nodes s (k, 1)
     passes = [[(s[i:i + k, None], w[i:i + k, None]) for i in range(0, len(s), k)]
               for s, w in rules for k in [-(-len(s) // x.size)]]
     # the passes holding the end nodes give D, and their values, kept, are summed first
@@ -257,8 +251,8 @@ def convergence_study(lam: float, b0: BoundaryPoint, x: DiskPoint,
     ``divergent``, which flags any approx past ten times the target modulus.
     """
     sigmas = [float(s) for s in sigmas]
-    if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
-        raise ValueError("sigmas must be strictly increasing")
+    if not sigmas or any(b <= a for a, b in zip(sigmas, sigmas[1:])):
+        raise ValueError(f"sigmas must be one or more increasing widths, got {sigmas}")
     tapers = [TaperSpec(kind, s) for s in sigmas]
     beta, _ = horocycle_coordinates(x, b0)
     lines = _line_integrals([lam], [1.0], beta, 0.0, tapers)
@@ -278,14 +272,14 @@ def moire_sum_discrete(lam: float, b0: BoundaryPoint, n: int, spacing: float,
 
     Centers sit at arc lengths spacing * (i - (n+1)/2) (``_sum_centers``),
     symmetric about the geodesic axis toward b0: the finite figure-style
-    sum, ``_phi_sums`` at weights 1/n on ``_polar_coordinates``.
+    sum, ``_phi_sums`` at weights 1/n on ``transform._polar_half_plane``.
     """
     if n < 1:
         raise ValueError("moire_sum_discrete requires n >= 1")
     if spacing <= 0:
         raise ValueError("moire_sum_discrete requires spacing > 0")
     psi = _angle_offsets(grid.n_theta, b0.theta, grid.n_theta)
-    x = _polar_coordinates(grid.radii_t[:, None], psi)
+    x = _polar_half_plane(grid.radii_t[:, None], psi)
     values = _phi_sums([lam], [1.0], x.ravel(), [(_sum_centers(n, spacing), np.full(n, 1 / n))])
     return SampledField(grid, values[0].reshape(x.shape).astype(complex))
 
@@ -297,18 +291,6 @@ def _sum_centers(n: int, spacing: float) -> np.ndarray:
     """
     with np.errstate(over="ignore"):
         return spacing * (np.arange(1, n + 1) - (n + 1) / 2.0)
-
-
-def _polar_coordinates(t, psi) -> np.ndarray:
-    """x = e^beta (a + i) at polar nodes (t, psi), (beta, a) their horocycle coordinates.
-
-    psi is the angle from b0 (``transform._angle_offsets``); t and psi broadcast.
-    From them, not from ``GridSpec.z``, which rounds onto the circle past t = 37:
-    e^{-beta} = e^{-t} + 2 sinh t sin^2(psi/2), e^beta a = -e^beta sinh t sin psi.
-    """
-    sinh = np.sinh(t)
-    eb = 1.0 / (np.exp(-t) + sinh * (2.0 * np.sin(0.5 * psi) ** 2))
-    return eb * (1j - sinh * np.sin(psi))
 
 
 _PHI_TABLE_MAX_NODES = 4096  # the largest degree in d/dmax, twice that in u
@@ -356,17 +338,19 @@ def phase_correlation(field: SampledField, lam: float, b0: BoundaryPoint) -> flo
 
     Both the field and the reference e^{i lam busemann(z, b0)} are centered
     (weighted means removed) over the grid's radial rows t <= 1.5 before the
-    correlation is taken.
+    correlation is taken; a constant one (a zero field, or lam = 0) has no norm, and is refused.
     """
     rows = field.grid.radii_t <= 1.5
     w = field.weights[rows]
     f = field.values[rows]
     g = np.exp(1j * lam * field.grid.busemann(b0.theta)[rows])
+    for name, p in (("field", f), ("reference wave", g)):
+        if np.all(p == p.flat[0]):
+            raise ValueError(f"phase_correlation: a constant {name} at t <= 1.5 centers to 0")
     f = f - np.sum(w * f) / np.sum(w)
     g = g - np.sum(w * g) / np.sum(w)
-    num = abs(np.sum(w * np.conj(g) * f))
-    den = math.sqrt(float(np.sum(w * np.abs(f) ** 2) * np.sum(w * np.abs(g) ** 2)))
-    return num / den
+    return abs(np.sum(w * np.conj(g) * f)) / math.sqrt(
+        float(np.sum(w * np.abs(f) ** 2) * np.sum(w * np.abs(g) ** 2)))
 
 
 def reduction_paths(lam: float, b0: BoundaryPoint, x: DiskPoint) -> tuple[complex, complex]:

@@ -169,6 +169,20 @@ def _polar_bracket(t: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return B
 
 
+def _polar_half_plane(t, offsets) -> np.ndarray:
+    """x = e^beta (a + i): ``_polar_bracket``'s nodes in the half-plane with e^{i theta} at oo.
+
+    t and offsets broadcast. e^{-beta} = e^{-t} + 2 sinh t s^2 adds positive terms, so e^beta
+    keeps a few 2^-53 relative up to t = 710, past which ``SampledField`` refuses a grid;
+    e^beta a = -sin(a_l - theta) / (2 / expm1(2t) + 2 s^2) cannot overflow, t held at 354 as there.
+    """
+    s2 = 2.0 * np.sin(0.5 * offsets) ** 2
+    x = np.empty(np.broadcast_shapes(np.shape(t), np.shape(offsets)), complex)
+    np.divide(-np.sin(offsets), s2 + 2.0 / np.expm1(2.0 * np.minimum(t, 354.0)), out=x.real)
+    np.divide(1.0, np.exp(-t) + np.sinh(t) * s2, out=x.imag)
+    return x
+
+
 DEFAULT_GRID = GridSpec(200, 256, 4.0)
 
 

@@ -109,11 +109,12 @@ def polar_horocycle_coordinates(t: float, psi: float) -> tuple[float, float]:
     """(e^beta, e^beta a) toward b0 of the point at radius t and angle psi from b0, in mpmath.
 
     t and psi are taken as exact, and the disk point tanh(t/2) e^{i psi} is
-    carried at 50 digits by the Cayley map w = i (1 + z) / (1 - z), which
-    sends b0 (turned to 1) to infinity: w = e^beta (a + i), so e^beta = Im w
-    and e^beta a = Re w.
+    carried by the Cayley map w = i (1 + z) / (1 - z), which sends b0 (turned
+    to 1) to infinity: w = e^beta (a + i), so e^beta = Im w and e^beta a = Re w.
+    1 - tanh(t/2) is about 2 e^{-t}, so the working precision is 40 digits
+    more than t, as in ``busemann_polar``.
     """
-    with mpmath.workdps(50):
+    with mpmath.workdps(40 + int(t)):
         z = mpmath.tanh(mpmath.mpf(t) / 2) * mpmath.expj(mpmath.mpf(psi))
         w = 1j * (1 + z) / (1 - z)
         return float(w.imag), float(w.real)

@@ -22,9 +22,9 @@ from horowave import moire
 from horowave.errors import QuadratureUnderResolved
 from horowave.moire import (
     LambdaWindow,
-    _horocycle_distances,
     _line_integrals,
     _phi_table,
+    _sinh_half_distances,
     convergence_study,
     moire_integral,
     moire_sum_discrete,
@@ -33,7 +33,8 @@ from horowave.moire import (
     reduction_paths,
 )
 from horowave.tapers import TaperSpec
-from horowave.transform import GridSpec, SampledField, _angle_offsets, _lambda_weights
+from horowave.transform import (GridSpec, SampledField, _angle_offsets, _lambda_weights,
+                                _polar_bracket, _polar_half_plane)
 from horowave.waves import (helgason_wave, plancherel_density, spherical_radial,
                             spherical_radial_profile)
 
@@ -140,6 +141,12 @@ def test_convergence_study_rejects_unsorted():
         convergence_study(1.5, B0, X0, [8.0, 4.0, 12.0], "gaussian")
 
 
+def test_convergence_study_refuses_no_widths_before_any_table(monkeypatch):
+    monkeypatch.setattr(moire, "_phi_table", lambda *a: pytest.fail("a table was built"))
+    with pytest.raises(ValueError, match="sigmas"):
+        convergence_study(1.5, B0, X0, [], "gaussian")
+
+
 def test_convergence_study_reports():
     reports = convergence_study(1.5, B0, X0, [4.0, 6.0, 8.0, 10.0, 12.0], "gaussian")
     assert len(reports) == 5
@@ -197,17 +204,33 @@ def test_moire_sum_matches_kernel_sum_far_out(lam):
     assert np.max(np.abs(got - oracles.kernel_moire_sum(lam, z, centers))) < 1e-12
 
 
-@pytest.mark.parametrize("t", [0.01, 1.0, 10.0, 30.0, 38.0])
+@pytest.mark.parametrize("t", [1e-3, 0.01, 0.0125, 0.1, 1.0, 10.0, 30.0, 38.0, 400.0])
 def test_polar_coordinates_match_the_cayley_map(t):
     """e^beta and e^beta a of the polar nodes, from (t, psi) alone, within 1e-14 relative of
-    mpmath. Past t = 37 the disk point ``GridSpec.z`` rounds onto the circle; they need none."""
+    mpmath, and beta within 1e-15 t. Past t = 37 the disk point ``GridSpec.z`` rounds onto the
+    circle; they need none. beta taken as log(e^beta) erred by 1.9e-13 t at t = 1e-3."""
     for n, theta in ((16, 0.0), (16, 0.7), (128, 2.0), (128, 5.9)):
         offsets = _angle_offsets(n, theta, n)
-        x = moire._polar_coordinates(t, offsets)
-        for got_eb, got_eba, psi in zip(x.imag, x.real, offsets):
+        x = _polar_half_plane(t, offsets)
+        beta = _polar_bracket(np.array([t]), offsets)[0]
+        for got_eb, got_eba, got_beta, psi in zip(x.imag, x.real, beta, offsets):
             ref_eb, ref_eba = oracles.polar_horocycle_coordinates(t, psi)
             assert abs(got_eb - ref_eb) <= 1e-14 * ref_eb
             assert abs(got_eba - ref_eba) <= 1e-14 * abs(ref_eba)
+            assert abs(got_beta - oracles.busemann_polar(0.0, t, psi)) <= 1e-15 * t
+
+
+@pytest.mark.parametrize("shape", [(75, 128), (200, 256), (16, 16), (120, 192)])
+@pytest.mark.parametrize("theta", [0.0, 0.7, 2.3])
+def test_moire_footer_reads_the_field_nodes_bit_for_bit(shape, theta):
+    """The ``moire`` footer maps its 16 sampled (row, column) pairs alone; each point must be
+    the whole grid's, or its spot check would not check the field's own nodes."""
+    grid = GridSpec(*shape, 1.8)
+    psi = _angle_offsets(grid.n_theta, theta, grid.n_theta)
+    whole = _polar_half_plane(grid.radii_t[:, None], psi).ravel()
+    sample = np.linspace(0, whole.size - 1, 16).astype(np.intp)
+    row, col = np.divmod(sample, grid.n_theta)
+    assert np.array_equal(_polar_half_plane(grid.radii_t[row], psi[col]), whole[sample])
 
 
 @pytest.mark.parametrize("spacing", [0.35, 50.0, 5000.0, 1e8])
@@ -352,7 +375,8 @@ def test_phi_table_that_does_not_settle_raises(monkeypatch):
 
 @pytest.mark.parametrize("theta", [0.0, 0.7, 2.0])
 def test_horocycle_distances_match_mpmath(theta):
-    """The closed form in (beta, a) against mpmath's disk distance of the same two points.
+    """sinh(d/2) = |s + i - x| / (2 sqrt(Im x)) at x = e^beta (a + i), against mpmath's disk
+    distance of the same two points.
 
     Through float disk coordinates of y(s), the distance lost digits as s grew:
     5e-15 relative at s = 37, 3e-10 at 1e4 and 2e-6 at 1e6.
@@ -361,7 +385,7 @@ def test_horocycle_distances_match_mpmath(theta):
     s = np.array([0.0, 1.0, 37.0, 100.0, 1e4, 1e6])
     for xz in (0j, 0.3 - 0.2j, -0.25 + 0.4j, 0.6 + 0.5j):
         beta, a = horocycle_coordinates(DiskPoint(xz), b0)
-        got = _horocycle_distances(beta, a, s)
+        got = 2.0 * np.arcsinh(_sinh_half_distances(np.array(math.exp(beta) * (a + 1j)))(s))
         for g, si in zip(got, s):
             ref = oracles.horocycle_distance(b0.theta, beta, a, si)
             assert abs(g - ref) <= 1e-15 * ref
@@ -433,6 +457,17 @@ def test_phase_correlation_is_rotation_invariant(n):
         rolled = SampledField(SMALL_GRID, np.roll(fld.values, k, axis=1))
         got = phase_correlation(rolled, 2.0, BoundaryPoint(2.0 * math.pi * k / 128))
         assert abs(got - ref) < 1e-12
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0, 0.3, 0.7 + 0.2j])
+def test_phase_correlation_refuses_a_constant_field(value):
+    """A constant field centers to zero, or to its rounding: it read NaN at 0 and 1, with a
+    RuntimeWarning, and 4.0e-17 at 0.3."""
+    fld = SampledField(SMALL_GRID, np.full((75, 128), value, complex))
+    with pytest.raises(ValueError, match="constant field"):
+        phase_correlation(fld, 2.0, B0)
+    with pytest.raises(ValueError, match="constant reference wave"):
+        phase_correlation(moire_sum_discrete(2.0, B0, 5, 0.35, SMALL_GRID), 0.0, B0)
 
 
 def test_moire_sum_resemblance_trend():
