@@ -29,14 +29,13 @@ import numpy as np
 
 from . import euclid, moire
 from .errors import ConfigError, HorowaveError, QuadratureUnderResolved
-from .geometry import BoundaryPoint, DiskPoint
+from .geometry import BoundaryPoint, DiskPoint, _polar_half_plane
 from .tapers import TaperSpec
 from .transform import (
     DEFAULT_GRID,
     GridSpec,
     SampledField,
     _angle_offsets,
-    _polar_half_plane,
     _radial_nodes,
     _relative_l2,
     forward,

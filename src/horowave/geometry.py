@@ -5,6 +5,15 @@ bracket of a point z toward a boundary direction b is
 log((1-|z|^2)/|z-b|^2); it is positive when the horocycle through z of
 direction b separates the origin from b.
 
+The bracket is computed one way, from the polar coordinates (t, psi) of z,
+t = d(0, z) and psi the angle of z from b (``_polar_bracket``), and so is
+the point e^beta (a + i) of the half-plane with b at infinity
+(``_polar_half_plane``). Grids pass their own (t, psi); disk points take
+theirs from z (``_polar_offsets``). The bracket keeps its relative digits
+near the origin: at |z| from 1e-12 to 0.9, away from its sign changes, it
+is within 4e-15 relative of mpmath's at the float z. Near |z| = 1 the float
+z bounds any route: at |z| = 1 - 1e-6 it is within 1.6e-10.
+
 Scalar operations work on the small value types below. Numerics-heavy
 modules use the ``*_array`` helpers, which accept numpy arrays of complex
 disk coordinates directly.
@@ -186,13 +195,13 @@ def horocycle_coordinates(p: DiskPoint, b: BoundaryPoint) -> tuple[float, float]
     """(busemann level, arc-length position) of p on its horocycle toward b.
 
     Inverse of ``horocycle_point`` in the sense that
-    horocycle_point(Horocycle(b, beta), s) == p.
+    horocycle_point(Horocycle(b, beta), s) == p. Both are read from p's polar
+    coordinates (``_polar_offsets``): beta from ``busemann``, and the position
+    as the ratio of the parts of ``_polar_half_plane``'s e^beta (a + i);
+    + 0.0 turns its -0.0 on b's axis, the origin too, into +0.0.
     """
-    bc = b.b
-    w = 1j * (bc + p.z) / (bc - p.z)  # half-plane coordinate, b -> infinity
-    beta = math.log(w.imag)
-    s = w.real / w.imag
-    return beta, s
+    x = _polar_half_plane(*_polar_offsets(p.z, b.theta))
+    return busemann(p, b), float(x.real / x.imag) + 0.0
 
 
 def nilpotent_flow(b: BoundaryPoint, s: float) -> GroupElement:
@@ -209,9 +218,66 @@ def nilpotent_flow(b: BoundaryPoint, s: float) -> GroupElement:
 # --- array-level helpers -------------------------------------------------
 
 def busemann_array(z: np.ndarray, theta: float) -> np.ndarray:
-    """Busemann bracket toward e^{i theta}, vectorized over complex z."""
-    b = np.exp(1j * theta)
-    return np.log((1.0 - np.abs(z) ** 2) / np.abs(z - b) ** 2)
+    """Busemann bracket toward e^{i theta} at the points z, from their polar coordinates.
+
+    z and theta broadcast: an array of z toward one direction, or one z toward
+    an array of directions (``waves.spherical``).
+    """
+    return _polar_bracket(*_polar_offsets(z, theta))
+
+
+def _polar_offsets(z, theta) -> tuple[np.ndarray, np.ndarray]:
+    """(t, psi) with z = tanh(t/2) e^{i (theta + psi)}: t = d(0, z) and psi the angle of z
+    from theta, wrapped into [-pi, pi) by a multiple of 2 pi. A difference of the angles
+    already in that range is psi as it is, with every digit it has."""
+    psi = np.angle(z) - theta
+    return origin_distance(z), psi - 2.0 * np.pi * np.floor(psi / (2.0 * np.pi) + 0.5)
+
+
+def _polar_bracket(t, offsets) -> np.ndarray:
+    """Busemann bracket at the points tanh(t/2) e^{i (theta + psi)} toward e^{i theta}.
+
+    t and the offsets psi broadcast; grids pass their radii as a column and the
+    offsets of ``transform._angle_offsets`` as a row, and disk points take
+    theirs from ``_polar_offsets``. At z = tanh(t/2) e^{i (theta + psi)} the
+    bracket is -log(e^{-t} + 2 sinh t s^2), s = sin(psi/2), taken here as
+    t - log1p(s^2 expm1(2t)). The log1p of a positive number keeps its
+    relative digits, so near t = 0 the bracket errs by a few 2^-53 t, where
+    the log of s^2 + e^{-2t} (1 - s^2), a number near 1 there, keeps only
+    2^-53 absolute (1.6e-13 t at t = 1e-3). It keeps its digits where a
+    grid's |z| rounds to 1 (t above about 37), and at psi = 0 it is t
+    exactly, as it is 0 at t = 0. Past t = 354, where e^{2t} nears the float
+    range, it is -t - log(s^2 + e^{-2t} (1 - s^2)), and t at s = 0, element
+    by element: e^{-2t} loses digits there and underflows past 372. At
+    s != 0 such an e^{-2t} is below 1e-17 s^2 unless theta lies within
+    1e-145 of a grid angle.
+    """
+    s2 = np.sin(0.5 * offsets) ** 2
+    B = np.asarray(np.expm1(2.0 * np.minimum(t, 354.0)) * s2)  # t past 354 is taken below
+    np.log1p(B, out=B)
+    np.subtract(t, B, out=B)
+    if np.any(t > 354.0):
+        far, tf, s2 = np.broadcast_arrays(t > 354.0, t, s2)
+        tf, s2 = tf[far], s2[far]
+        with np.errstate(divide="ignore"):  # log 0 at s = 0 past t = 372, not taken
+            B[far] = np.where(s2 == 0.0, tf, -tf - np.log(np.exp(-2.0 * tf) * (1.0 - s2) + s2))
+    return B
+
+
+def _polar_half_plane(t, offsets) -> np.ndarray:
+    """x = e^beta (a + i): ``_polar_bracket``'s points in the half-plane with e^{i theta} at oo.
+
+    t and offsets broadcast. e^{-beta} = e^{-t} + 2 sinh t s^2 adds positive terms, so e^beta
+    keeps a few 2^-53 relative up to t = 710, past which ``SampledField`` refuses a grid;
+    e^beta a = -sin(psi) / (2 / expm1(2t) + 2 s^2) cannot overflow, t held at 354 as there,
+    and is +-0.0 at t = 0, where 2 / expm1(2t) is inf.
+    """
+    s2 = 2.0 * np.sin(0.5 * offsets) ** 2
+    x = np.empty(np.broadcast_shapes(np.shape(t), np.shape(offsets)), complex)
+    with np.errstate(divide="ignore", over="ignore"):
+        np.divide(-np.sin(offsets), s2 + 2.0 / np.expm1(2.0 * np.minimum(t, 354.0)), out=x.real)
+    np.divide(1.0, np.exp(-t) + np.sinh(t) * s2, out=x.imag)
+    return x
 
 
 def distance_array(z: np.ndarray, w: np.ndarray) -> np.ndarray:

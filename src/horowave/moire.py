@@ -41,13 +41,14 @@ from .errors import QuadratureUnderResolved
 from .geometry import (
     BoundaryPoint,
     DiskPoint,
+    _polar_half_plane,
     distance_array,
     horocycle_coordinates,
     horocycle_points_array,
 )
 from .tapers import TaperSpec
 from .transform import (GridSpec, SampledField, _angle_offsets, _lambda_weights, _line_rule,
-                        _nested_levels, _polar_half_plane)
+                        _nested_levels)
 from .waves import (
     RHO,
     helgason_wave,
@@ -272,7 +273,7 @@ def moire_sum_discrete(lam: float, b0: BoundaryPoint, n: int, spacing: float,
 
     Centers sit at arc lengths spacing * (i - (n+1)/2) (``_sum_centers``),
     symmetric about the geodesic axis toward b0: the finite figure-style
-    sum, ``_phi_sums`` at weights 1/n on ``transform._polar_half_plane``.
+    sum, ``_phi_sums`` at weights 1/n on ``geometry._polar_half_plane``.
     """
     if n < 1:
         raise ValueError("moire_sum_discrete requires n >= 1")

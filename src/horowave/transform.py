@@ -33,6 +33,7 @@ from .geometry import (
     BoundaryPoint,
     DiskPoint,
     Horocycle,
+    _polar_bracket,
     busemann,
     horocycle_points_array,
     horocycle_through,
@@ -116,13 +117,14 @@ class GridSpec:
         return r[:, None] * np.exp(1j * self.angles[None, :])
 
     def busemann(self, theta: float) -> np.ndarray:
-        """Busemann bracket toward e^{i theta} at every node (``_polar_bracket``).
+        """Busemann bracket toward e^{i theta} at every node (``geometry._polar_bracket``).
 
         ``forward_at``, ``moire.phase_correlation`` and the CLI's ``wave``
         read every column; ``forward`` and ``inverse`` take only the angles
         they read from ``_polar_bracket`` itself (``_even_row_ffts``).
         """
-        return _polar_bracket(self.radii_t, _angle_offsets(self.n_theta, theta, self.n_theta))
+        return _polar_bracket(self.radii_t[:, None],
+                              _angle_offsets(self.n_theta, theta, self.n_theta))
 
 
 def _angle_offsets(n: int, theta: float, count: int) -> np.ndarray:
@@ -137,50 +139,6 @@ def _angle_offsets(n: int, theta: float, count: int) -> np.ndarray:
     k = np.rint(theta * n / (2.0 * np.pi))
     m = (np.arange(count) - k + n // 2) % n - n // 2
     return 2.0 * np.pi * m / n - (theta - 2.0 * np.pi * k / n)
-
-
-def _polar_bracket(t: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Busemann bracket at the nodes tanh(t_j/2) e^{i a_l}, from t and a_l - theta.
-
-    Toward e^{i theta}, at z = tanh(t/2) e^{i a} the bracket is
-    -log(e^{-t} + 2 sinh t s^2), s = sin((a - theta)/2), taken here as
-    t - log1p(s^2 expm1(2t)), in one array of shape (len(t), len(offsets)),
-    offsets from ``_angle_offsets``. The log1p of a positive number keeps
-    its relative digits, so near t = 0 the bracket errs by a few 2^-53 t,
-    where the log of s^2 + e^{-2t} (1 - s^2), a number near 1 there, keeps
-    only 2^-53 absolute (1.6e-13 t at t = 1e-3). Unlike ``busemann_array`` on z,
-    it keeps its digits where |z| rounds to 1 (t above about 37), and at an
-    angle equal to theta (s = 0) it is t exactly. Past t = 354, where e^{2t}
-    nears the float range, it is -t - log(s^2 + e^{-2t} (1 - s^2)), and t
-    at s = 0: e^{-2t} loses digits there and underflows past 372. At s != 0
-    such an e^{-2t} is below 1e-17 s^2 unless theta lies within 1e-145 of a
-    grid angle.
-    """
-    t = t[:, None]
-    s2 = np.sin(0.5 * offsets) ** 2
-    B = np.expm1(2.0 * np.minimum(t, 354.0)) * s2  # rows past 354 are taken below
-    np.log1p(B, out=B)
-    np.subtract(t, B, out=B)
-    far = t[:, 0] > 354.0
-    if far.any():
-        tf = t[far]
-        with np.errstate(divide="ignore"):  # log 0 at s = 0 past t = 372, not taken
-            B[far] = np.where(s2 == 0.0, tf, -tf - np.log(np.exp(-2.0 * tf) * (1.0 - s2) + s2))
-    return B
-
-
-def _polar_half_plane(t, offsets) -> np.ndarray:
-    """x = e^beta (a + i): ``_polar_bracket``'s nodes in the half-plane with e^{i theta} at oo.
-
-    t and offsets broadcast. e^{-beta} = e^{-t} + 2 sinh t s^2 adds positive terms, so e^beta
-    keeps a few 2^-53 relative up to t = 710, past which ``SampledField`` refuses a grid;
-    e^beta a = -sin(a_l - theta) / (2 / expm1(2t) + 2 s^2) cannot overflow, t held at 354 as there.
-    """
-    s2 = 2.0 * np.sin(0.5 * offsets) ** 2
-    x = np.empty(np.broadcast_shapes(np.shape(t), np.shape(offsets)), complex)
-    np.divide(-np.sin(offsets), s2 + 2.0 / np.expm1(2.0 * np.minimum(t, 354.0)), out=x.real)
-    np.divide(1.0, np.exp(-t) + np.sinh(t) * s2, out=x.imag)
-    return x
 
 
 DEFAULT_GRID = GridSpec(200, 256, 4.0)
@@ -407,7 +365,7 @@ def _node_check(t0: float, t1: float, n: int, lam: float):
 
     def kernel(q):
         t = mid - half * np.cos(np.pi * q)
-        return np.exp((1j * lam + RHO) * _polar_bracket(t, _NODE_CHECK_OFFSETS))
+        return np.exp((1j * lam + RHO) * _polar_bracket(t[:, None], _NODE_CHECK_OFFSETS))
 
     max_n = min(2 * n - 4, 2 * _MAX_RADIAL_NODES - 2)  # Q < n, Q <= _MAX_RADIAL_NODES
     for q, K in _nested_levels(kernel, 64, max_n):
@@ -474,7 +432,7 @@ def _busemann_kernel(t: np.ndarray, offsets: np.ndarray, lams: np.ndarray):
 
     def blocks():
         for a, b in zip(starts, [*starts[1:], len(t)]):
-            B = _polar_bracket(t[a:b], offsets)
+            B = _polar_bracket(t[a:b, None], offsets)
             yield (slice(a, b), _bessel_stack(c * B, row_terms[b - 1]),
                    np.exp((1j * mid + RHO) * B))
 

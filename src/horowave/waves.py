@@ -64,8 +64,8 @@ _WAVE_PHASE_TOL = 1e-9
 def _wave_phase_error(lam: float, B: np.ndarray) -> float:
     """Phase round-off |lam| (max|B| + 4) 2^-53 of e^{(i lam + rho) B}, B the Busemann brackets.
 
-    The 4 covers the brackets' absolute round-off near B = 0: ``busemann_array``
-    returns up to 4 2^-53 at z = 0 (``_polar_bracket`` errs by a few 2^-53 t there).
+    The 4 covers the brackets' round-off near B = 0 close to the origin:
+    ``geometry._polar_bracket`` errs by a few 2^-53 t at radius t, and is 0 at z = 0.
     Raises HorowaveError when it passes _WAVE_PHASE_TOL or is nan.
     """
     est = abs(lam) * (float(np.max(np.abs(B), initial=0.0)) + 4.0) * 2.0 ** -53

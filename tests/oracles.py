@@ -120,6 +120,19 @@ def polar_horocycle_coordinates(t: float, psi: float) -> tuple[float, float]:
         return float(w.imag), float(w.real)
 
 
+def disk_horocycle_coordinates(z: complex, theta: float) -> tuple[float, float]:
+    """(beta, a) of the disk point z toward e^{i theta}, in mpmath.
+
+    z and theta are taken as exact: beta = log((1 - |z|^2) / |z - b|^2) and
+    a = Re w / Im w, w = i (b + z) / (b - z) the Cayley map sending b to
+    infinity, at 40 digits, which keep every digit of beta near z = 0.
+    """
+    with mpmath.workdps(40):
+        z, b = mpmath.mpc(z.real, z.imag), mpmath.expj(mpmath.mpf(theta))
+        w = 1j * (b + z) / (b - z)
+        return float(mpmath.log((1 - abs(z) ** 2) / abs(z - b) ** 2)), float(w.real / w.imag)
+
+
 def line_integrals_per_node(lams, b0, x, taper, weights) -> list[float]:
     """Tapered integrals of sum_i w[i] phi_{lams[i]}(d(y(s), x)) along the zero horocycle.
 

@@ -94,6 +94,19 @@ def test_moire_report_and_determinism(tmp_path):
     assert len(data_rows) == 3  # one row per sigma
 
 
+def test_moire_target_keeps_its_digits_near_the_origin(tmp_path):
+    """At x = 1e-12 toward b0 = 1 the wave's imaginary part is e^{beta/2} sin(2 beta),
+    beta = log((1 + r) / (1 - r)): 4.000000000004e-12. The bracket from the log of
+    (1 - |z|^2) / |z - b|^2 printed 3.99991151312e-12."""
+    out = tmp_path / "o.csv"
+    assert cli.main(["moire", "--lambda", "2", "--x", "1e-12,0", "--grid", "8x8",
+                     "--out", str(out)]) == 0
+    rows = [l.split(",") for l in (tmp_path / "o.report.csv").read_text().splitlines()[1:]
+            if not l.startswith("#")]
+    for row in rows:
+        assert abs(float(row[4]) - 4.000000000004e-12) <= 1e-11 * 4e-12, row
+
+
 def test_euclid_field(tmp_path):
     out = tmp_path / "eu.csv"
     res = run("euclid", "--centers", "5", "--spacing", "0.5", "--grid", "41x41",
@@ -323,8 +336,9 @@ _SWEEP_EDGES = {
     "b0": ["-1e-3", "-7", "1e300"],
     "radius": ["1e-300", "0.5", "27", "40", "400", "700"],
     "grid": ["4x4", "5x7", "4x1024"],
-    # inside, near the circle, on it
-    "x": ["-0.3,-0.2", "-0.9999999,0", "0,0.9999999", "-0.6,0.8", "1,0"],
+    # inside, near the circle, on it, near the origin
+    "x": ["-0.3,-0.2", "-0.9999999,0", "0,0.9999999", "-0.6,0.8", "1,0",
+          "1e-12,0", "0,-1e-300"],
     "spacing": ["1e-300", "-0.5", "0", "50", "1e8", "1e300", "1.7e308"],
     "sigmas": ["5e-324", "1e-300", "0.1", "8,4", "-4", "4,1e6", "1e5", "1e16"],
     "taper": ["cosine", "hard", "box"],
@@ -332,9 +346,11 @@ _SWEEP_EDGES = {
     "centers": ["1", "64", "0", "-3"],
     "resolution": ["2", "3", "-4", "4096"],
 }
-# edge values that must exit 0: the line rule's count grows only with log(width), and
-# distances to the centers come from their arc lengths, however far out
-_SWEEP_MUST_RUN = {"sigmas": {"4,1e6", "1e5", "1e16"}, "spacing": {"1e8"}}
+# edge values that must exit 0: the line rule's count grows only with log(width),
+# distances to the centers come from their arc lengths, however far out, and brackets
+# near the origin from the point's polar coordinates
+_SWEEP_MUST_RUN = {"sigmas": {"4,1e6", "1e5", "1e16"}, "spacing": {"1e8"},
+                   "x": {"1e-12,0", "0,-1e-300"}}
 
 
 def _sweep_runs():

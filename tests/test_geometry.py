@@ -2,6 +2,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -23,6 +24,7 @@ from horowave.geometry import (
     iwasawa,
     nilpotent_flow,
 )
+from horowave.waves import helgason_wave
 
 RNG = np.random.default_rng(7)
 
@@ -283,6 +285,37 @@ def test_horocycle_coordinates_invert_parametrization():
         beta, u = horocycle_coordinates(p, h.direction)
         assert beta == pytest.approx(-0.6, abs=1e-12)
         assert u == pytest.approx(s, abs=1e-12)
+
+
+@pytest.mark.parametrize("r", [1e-12, 1e-9, 1e-6, 1e-3, 0.3, 0.9])
+def test_disk_point_brackets_keep_their_relative_digits(r):
+    """busemann, horocycle_coordinates and helgason_wave(2, ...).imag at |z| = r, within
+    4e-15 relative of mpmath's at the float z, at three point angles and three directions.
+
+    The log of (1 - |z|^2) / |z - b|^2 and the Cayley map erred by 2.9e-4 in beta and
+    4.3e-5 in the position at r = 1e-12, and by 3.2e-7 and 3.0e-8 at r = 1e-9. The
+    angles keep psi, the angle of z from b, more than 0.64 from every multiple of
+    pi / 2: beta near the origin changes sign at psi = +-pi / 2, and the position at
+    psi = 0 and pi, and no relative bound holds there for a float z.
+    """
+    for angle in (-2.5, -1.0, 0.5):
+        p = DiskPoint(r * complex(math.cos(angle), math.sin(angle)))
+        for theta in (3.0, 4.5, 6.0):
+            b = BoundaryPoint(theta)
+            beta, pos = oracles.disk_horocycle_coordinates(p.z, b.theta)
+            wave = float(mpmath.exp(mpmath.mpf(beta) / 2) * mpmath.sin(2 * mpmath.mpf(beta)))
+            got_beta, got_pos = horocycle_coordinates(p, b)
+            assert abs(busemann(p, b) - beta) <= 4e-15 * abs(beta), (angle, theta)
+            assert abs(got_beta - beta) <= 4e-15 * abs(beta), (angle, theta)
+            assert abs(got_pos - pos) <= 4e-15 * abs(pos), (angle, theta)
+            assert abs(helgason_wave(2.0, b, p).imag - wave) <= 4e-15 * abs(wave), (angle, theta)
+
+
+def test_horocycle_coordinates_at_the_origin_are_both_plus_zero():
+    """At z = 0 the level is 0 and the position +0.0 toward any b, on b's axis too."""
+    for theta in (0.0, 0.7, math.pi):
+        beta, pos = horocycle_coordinates(DiskPoint(0j), BoundaryPoint(theta))
+        assert (beta, math.copysign(1.0, pos)) == (0.0, 1.0)
 
 
 def test_horocycle_through_recovers_level():

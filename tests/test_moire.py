@@ -12,6 +12,8 @@ from horowave.geometry import (
     BoundaryPoint,
     DiskPoint,
     Horocycle,
+    _polar_bracket,
+    _polar_half_plane,
     act,
     horocycle_coordinates,
     horocycle_point,
@@ -33,8 +35,7 @@ from horowave.moire import (
     reduction_paths,
 )
 from horowave.tapers import TaperSpec
-from horowave.transform import (GridSpec, SampledField, _angle_offsets, _lambda_weights,
-                                _polar_bracket, _polar_half_plane)
+from horowave.transform import GridSpec, SampledField, _angle_offsets, _lambda_weights
 from horowave.waves import (helgason_wave, plancherel_density, spherical_radial,
                             spherical_radial_profile)
 
@@ -212,7 +213,7 @@ def test_polar_coordinates_match_the_cayley_map(t):
     for n, theta in ((16, 0.0), (16, 0.7), (128, 2.0), (128, 5.9)):
         offsets = _angle_offsets(n, theta, n)
         x = _polar_half_plane(t, offsets)
-        beta = _polar_bracket(np.array([t]), offsets)[0]
+        beta = _polar_bracket(np.array([t])[:, None], offsets)[0]
         for got_eb, got_eba, got_beta, psi in zip(x.imag, x.real, beta, offsets):
             ref_eb, ref_eba = oracles.polar_horocycle_coordinates(t, psi)
             assert abs(got_eb - ref_eb) <= 1e-14 * ref_eb

@@ -63,9 +63,11 @@ def test_helgason_wave_raises_past_its_phase_round_off():
 
 
 def test_helgason_wave_at_the_origin_raises_on_the_brackets_round_off():
-    """The bracket at z = 0 is 0, but toward e^{0.7 i} it computes as 2 2^-53:
-    at lambda = 1e10 a phase error of 2.2e-6, so the call raises."""
-    assert busemann_array(np.asarray(0j), 0.7) != 0.0
+    """The bracket at z = 0 is exactly 0, from t = 0 (``geometry._polar_bracket``), but
+    ``_wave_phase_error``'s 4 2^-53 of round-off near B = 0 still passes 1e-9 at
+    lambda = 1e10, so the call raises, as ``wave`` exits 1 there. The log of
+    (1 - |z|^2) / |z - b|^2 gave 2 2^-53 toward e^{0.7 i}: a phase error of 2.2e-6."""
+    assert busemann_array(np.asarray(0j), 0.7) == 0.0
     with pytest.raises(HorowaveError, match="wave phase round-off"):
         helgason_wave(1e10, BoundaryPoint(0.7), DiskPoint(0j))
 
