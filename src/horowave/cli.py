@@ -43,7 +43,7 @@ from .transform import (
     inverse,
     lemma_check,
 )
-from .waves import PLANCHEREL_KAPPA, RHO, _wave_phase_error, spherical, spherical_radial
+from .waves import PLANCHEREL_KAPPA, _wave_values, spherical, spherical_radial
 
 __all__ = ["main"]
 
@@ -354,13 +354,12 @@ def cmd_wave(args) -> int:
     b0 = BoundaryPoint(_number(args, "b0", default=0.0))
     grid = _grid_from(args)
     B = grid.busemann(b0.theta)
-    # closed form: the error is the phase round-off lam B 2^-53 where |B| is largest
+    # closed form: the error is the phase round-off lam B 2^-53 where |B| is largest;
+    # a modulus past the float range is inf, which _emit_field refuses
     try:
-        est = _wave_phase_error(lam, B)
+        values, est = _wave_values(lam, B)
     except HorowaveError as exc:
         raise HorowaveError(f"{exc}; nothing written") from None
-    with np.errstate(over="ignore"):  # a modulus past the float range: refused below
-        values = np.exp((1j * lam + RHO) * B)
     del B  # not held while the field is written
     footer = {"command": "wave", "lambda": lam, "b0": b0.theta,
               "grid": f"{grid.n_r}x{grid.n_theta}", "radius": grid.R,
@@ -429,7 +428,7 @@ def cmd_moire(args) -> int:
     row, col = np.divmod(sample, grid.n_theta)
     psi = _angle_offsets(grid.n_theta, b0.theta, grid.n_theta)[col]
     w = _polar_half_plane(grid.radii_t[row], psi)[:, None]  # bit for bit the field's nodes
-    d = 2.0 * np.arcsinh(moire._sinh_half_distances(w)(moire._sum_centers(n, spacing)))
+    d = 2.0 * np.arcsinh(moire._sinh_half_distances(w)(euclid._center_row(n, spacing)))
     est = float(np.max(np.abs(values[sample] - np.mean(spherical_radial(lam, d), axis=1))))
     # the report is made before any file is written, so a study that fails writes none
     reports = moire.convergence_study(lam, b0, x, sigmas, kind=kind)
@@ -508,7 +507,7 @@ def cmd_euclid(args) -> int:
     if n < 1:
         raise ConfigError("centers", "must be a positive integer")
     spacing = _positive("spacing", _number(args, "spacing", default=0.5))
-    if not math.isfinite(spacing * ((n - 1) / 2.0)):
+    if not np.all(np.isfinite(euclid._center_row(n, spacing)[[0, -1]])):
         raise ConfigError("spacing", f"the end centers +-spacing (n - 1) / 2 pass the float "
                                      f"range at {n} centers")
     n_x, n_y = _parse_grid(args.grid) if args.grid else (81, 81)

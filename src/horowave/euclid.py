@@ -73,10 +73,10 @@ def line_moire_array(lam: float, n: int, spacing: float, q: np.ndarray,
         raise ValueError("line_moire requires n >= 1")
     if spacing <= 0:
         raise ValueError("line_moire requires spacing > 0")
-    if not np.isfinite(spacing * ((n - 1) / 2.0)):
+    centers = _center_row(n, spacing)
+    if not np.all(np.isfinite(centers[[0, -1]])):
         raise ValueError(f"line_moire requires finite end centers +-spacing (n - 1) / 2, "
                          f"got spacing {spacing:g} at n = {n}")
-    centers = spacing * (np.arange(1, n + 1) - (n + 1) / 2.0)
     u = 2.0 * np.pi * np.arange(m) / m
     k = 2.0 * np.pi / lam
     A = np.mean(np.exp(-1j * k * centers[:, None] * np.sin(u)), axis=0)
@@ -95,6 +95,15 @@ def line_moire_array(lam: float, n: int, spacing: float, q: np.ndarray,
     return (sums / m).reshape(q.shape)
 
 
+def _center_row(n: int, spacing: float) -> np.ndarray:
+    """The n centers spacing * (i - (n+1)/2), i = 1, ..., n: ascending, symmetric about 0.
+
+    Past the float range the end centers are -inf and inf; every caller refuses them.
+    """
+    with np.errstate(over="ignore"):
+        return spacing * (np.arange(1, n + 1) - (n + 1) / 2.0)
+
+
 def _aliasing_bound(lam: float, n: int, spacing: float, q: np.ndarray, m: int) -> float:
     """Bound on ``line_moire_array``'s error at q; on a grid its corners suffice.
 
@@ -103,7 +112,7 @@ def _aliasing_bound(lam: float, n: int, spacing: float, q: np.ndarray, m: int) -
     end center from q, that is at most 2 K_m(x) (``_kapteyn``), above a phase
     round-off floor x 2^-53; else 2, as the rule and J0 have modulus <= 1.
     """
-    ends = 0.5j * spacing * (n - 1) * np.array([-1.0, 1.0])
+    ends = 1j * _center_row(n, spacing)[[0, -1]]
     x = 2.0 * np.pi / lam * float(np.max(np.abs(np.ravel(q)[:, None] - ends)))
     return max(2.0 * _kapteyn(m, x), x * 2.0 ** -53) if x < m else 2.0
 

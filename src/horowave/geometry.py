@@ -196,12 +196,14 @@ def horocycle_coordinates(p: DiskPoint, b: BoundaryPoint) -> tuple[float, float]
 
     Inverse of ``horocycle_point`` in the sense that
     horocycle_point(Horocycle(b, beta), s) == p. Both are read from p's polar
-    coordinates (``_polar_offsets``): beta from ``busemann``, and the position
-    as the ratio of the parts of ``_polar_half_plane``'s e^beta (a + i);
-    + 0.0 turns its -0.0 on b's axis, the origin too, into +0.0.
+    coordinates, taken once (``_polar_offsets``): beta from ``_polar_bracket``,
+    as ``busemann`` reads it, and the position as the ratio of the parts of
+    ``_polar_half_plane``'s e^beta (a + i); + 0.0 turns its -0.0 on b's axis,
+    the origin too, into +0.0.
     """
-    x = _polar_half_plane(*_polar_offsets(p.z, b.theta))
-    return busemann(p, b), float(x.real / x.imag) + 0.0
+    t, psi = _polar_offsets(p.z, b.theta)
+    x = _polar_half_plane(t, psi)
+    return float(_polar_bracket(t, psi)), float(x.real / x.imag) + 0.0
 
 
 def nilpotent_flow(b: BoundaryPoint, s: float) -> GroupElement:

@@ -38,10 +38,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureUnderResolved
+from .euclid import _center_row
 from .geometry import (
     BoundaryPoint,
     DiskPoint,
     _polar_half_plane,
+    busemann,
     distance_array,
     horocycle_coordinates,
     horocycle_points_array,
@@ -158,18 +160,15 @@ def _phi_sums(lams, weights, x: np.ndarray, rules) -> list[np.ndarray]:
 
     x is a 1-D array of points e^beta (a + i) and a rule ascending nodes s and
     weights w, as in ``_sinh_half_distances``: d grows with |s - e^beta a|, so
-    D, the largest distance at the end nodes, bounds all. One table on [0, D] of
-    the weighted sum (``_phi_table``) serves every node; a pass takes ceil(N/P)
-    of a rule's N nodes at the P points. A D past the float range is refused
-    before any table.
+    D, the largest distance at the rules' two end nodes, bounds all. One table
+    on [0, D] of the weighted sum (``_phi_table``) serves every node; a pass
+    takes ceil(N/P) of a rule's N nodes at the P points, in node order. A D
+    past the float range is refused before any table.
     """
     sinh_half = _sinh_half_distances(x)  # at nodes s (k, 1)
-    passes = [[(s[i:i + k, None], w[i:i + k, None]) for i in range(0, len(s), k)]
-              for s, w in rules for k in [-(-len(s) // x.size)]]
-    # the passes holding the end nodes give D, and their values, kept, are summed first
+    ends = [s[::max(len(s) - 1, 1), None] for s, _ in rules]  # both end nodes, a single one once
     with np.errstate(over="ignore"):  # sinh(D/2) is inf past D = 1420
-        ends = {id(s): sinh_half(s) for p in passes for s, _ in p[:1] + p[1:][-1:]}
-    dmax = 2.0 * math.asinh(max(float(np.max(h)) for h in ends.values()))
+        dmax = 2.0 * math.asinh(max(float(np.max(sinh_half(e))) for e in ends))
     if not dmax < math.inf:
         raise QuadratureUnderResolved(
             "phi along the zero horocycle: the distance from a point to the farthest node "
@@ -177,7 +176,7 @@ def _phi_sums(lams, weights, x: np.ndarray, rules) -> list[np.ndarray]:
     coef = _phi_table(lams, weights, dmax)
 
     def pass_sum(s, w):
-        h = ends.pop(id(s)) if id(s) in ends else sinh_half(s)
+        h = sinh_half(s)
         np.arcsinh(h, out=h)  # d/2
         wc = np.cosh(h)
         np.divide(w, wc, out=wc)  # w / cosh(d/2)
@@ -196,7 +195,8 @@ def _phi_sums(lams, weights, x: np.ndarray, rules) -> list[np.ndarray]:
         h += coef[0]
         return np.einsum("ij,ij->j", h, wc)
 
-    return [sum(pass_sum(s, w) for s, w in p[-1:] + p[:-1]) for p in passes]
+    return [sum(pass_sum(s[i:i + k, None], w[i:i + k, None]) for i in range(0, len(s), k))
+            for s, w in rules for k in [-(-len(s) // x.size)]]
 
 
 def _line_integrals(lams, weights, beta: float, a: float,
@@ -255,8 +255,7 @@ def convergence_study(lam: float, b0: BoundaryPoint, x: DiskPoint,
     if not sigmas or any(b <= a for a, b in zip(sigmas, sigmas[1:])):
         raise ValueError(f"sigmas must be one or more increasing widths, got {sigmas}")
     tapers = [TaperSpec(kind, s) for s in sigmas]
-    beta, _ = horocycle_coordinates(x, b0)
-    lines = _line_integrals([lam], [1.0], beta, 0.0, tapers)
+    lines = _line_integrals([lam], [1.0], busemann(x, b0), 0.0, tapers)
     scale = HOROCYCLE_KAPPA * plancherel_density(lam)
     approx = [complex(scale * line) for line in lines]
     target = helgason_wave(lam, b0, x)
@@ -271,9 +270,10 @@ def moire_sum_discrete(lam: float, b0: BoundaryPoint, n: int, spacing: float,
                        grid: GridSpec) -> SampledField:
     """Average of n spherical functions centered along ``xi(b0, 0)``.
 
-    Centers sit at arc lengths spacing * (i - (n+1)/2) (``_sum_centers``),
+    Centers sit at arc lengths spacing * (i - (n+1)/2) (``euclid._center_row``),
     symmetric about the geodesic axis toward b0: the finite figure-style
     sum, ``_phi_sums`` at weights 1/n on ``geometry._polar_half_plane``.
+    End centers past the float range are -inf and inf, and ``_phi_sums`` refuses them.
     """
     if n < 1:
         raise ValueError("moire_sum_discrete requires n >= 1")
@@ -281,17 +281,8 @@ def moire_sum_discrete(lam: float, b0: BoundaryPoint, n: int, spacing: float,
         raise ValueError("moire_sum_discrete requires spacing > 0")
     psi = _angle_offsets(grid.n_theta, b0.theta, grid.n_theta)
     x = _polar_half_plane(grid.radii_t[:, None], psi)
-    values = _phi_sums([lam], [1.0], x.ravel(), [(_sum_centers(n, spacing), np.full(n, 1 / n))])
+    values = _phi_sums([lam], [1.0], x.ravel(), [(_center_row(n, spacing), np.full(n, 1 / n))])
     return SampledField(grid, values[0].reshape(x.shape).astype(complex))
-
-
-def _sum_centers(n: int, spacing: float) -> np.ndarray:
-    """The arc lengths on ``xi(b0, 0)`` of ``moire_sum_discrete``'s n centers, ascending.
-
-    Past the float range they are -inf and inf, and ``_phi_sums`` refuses them.
-    """
-    with np.errstate(over="ignore"):
-        return spacing * (np.arange(1, n + 1) - (n + 1) / 2.0)
 
 
 _PHI_TABLE_MAX_NODES = 4096  # the largest degree in d/dmax, twice that in u

@@ -36,7 +36,6 @@ from .geometry import (
     _polar_bracket,
     busemann,
     horocycle_points_array,
-    horocycle_through,
     origin_distance,
 )
 from .tapers import TaperSpec
@@ -119,9 +118,10 @@ class GridSpec:
     def busemann(self, theta: float) -> np.ndarray:
         """Busemann bracket toward e^{i theta} at every node (``geometry._polar_bracket``).
 
-        ``forward_at``, ``moire.phase_correlation`` and the CLI's ``wave``
-        read every column; ``forward`` and ``inverse`` take only the angles
-        they read from ``_polar_bracket`` itself (``_even_row_ffts``).
+        ``moire.phase_correlation`` and the CLI's ``wave`` read every column.
+        ``forward``, ``inverse`` and ``forward_at`` build their own offsets and
+        take from ``_polar_bracket`` only the brackets they read
+        (``_even_row_ffts``, ``_busemann_kernel``).
         """
         return _polar_bracket(self.radii_t[:, None],
                               _angle_offsets(self.n_theta, theta, self.n_theta))
@@ -746,16 +746,24 @@ def _tapered_line(values: Callable[[np.ndarray], np.ndarray], taper: TaperSpec, 
         f"(last change {change:.2e})")
 
 
+def _horocycle_line(fn: FieldFunction, theta: float, level, taper: TaperSpec, what: str):
+    """``_tapered_line`` of fn along the horocycle toward e^{i theta} at a Busemann level.
+
+    level is a scalar, or a column of levels, one integral per row.
+    """
+    def values(s: np.ndarray) -> np.ndarray:
+        return np.asarray(fn(horocycle_points_array(theta, level, s)), complex)
+
+    return _tapered_line(values, taper, what)
+
+
 def horocycle_integral(fn: FieldFunction, h: Horocycle, taper: TaperSpec) -> complex:
-    """Tapered line integral of fn along the horocycle, by arc length (``_tapered_line``).
+    """Tapered line integral of fn along the horocycle, by arc length (``_horocycle_line``).
 
     fn must accept an ndarray of complex disk coordinates.
     """
-    def values(s: np.ndarray) -> np.ndarray:
-        y = horocycle_points_array(h.direction.theta, h.busemann_value, s)
-        return np.asarray(fn(y), complex)
-
-    return complex(_tapered_line(values, taper, "horocycle integral"))
+    return complex(_horocycle_line(fn, h.direction.theta, h.busemann_value, taper,
+                                   "horocycle integral"))
 
 
 WIDE_TAPER = TaperSpec("gaussian", 20.0)
@@ -767,16 +775,12 @@ def coarea_profile(psi: FieldFunction, b0: BoundaryPoint, x: DiskPoint,
 
     Psi(u) = e^{rho u} * integral of psi, tapered by WIDE_TAPER, over the
     horocycle at Busemann value busemann(x, b0) - u; psi takes every
-    level's nodes at once, in an array of shape (len(u_grid), nodes).
+    level's nodes at once, in an array of shape (len(u_grid), nodes)
+    (``_horocycle_line`` on the column of levels).
     """
-    beta_x = busemann(x, b0)
     u = np.asarray(u_grid, float)
-
-    def values(s: np.ndarray) -> np.ndarray:
-        y = horocycle_points_array(b0.theta, (beta_x - u)[:, None], s)
-        return np.asarray(psi(y), complex)
-
-    return np.exp(RHO * u) * _tapered_line(values, WIDE_TAPER, "coarea profile")
+    levels = (busemann(x, b0) - u)[:, None]
+    return np.exp(RHO * u) * _horocycle_line(psi, b0.theta, levels, WIDE_TAPER, "coarea profile")
 
 
 def lemma_check(psi: FieldFunction, b0: BoundaryPoint,
@@ -797,7 +801,7 @@ def lemma_check(psi: FieldFunction, b0: BoundaryPoint,
     beta_x = busemann(x, b0)
     wave = np.exp((1j * lams + RHO) * beta_x)
     lhs = complex(_lambda_weights(lams) @ (wave * psi_hat) / (2.0 * np.pi))
-    line = horocycle_integral(psi, horocycle_through(b0, x), WIDE_TAPER)
+    line = horocycle_integral(psi, Horocycle(b0, beta_x), WIDE_TAPER)
     return lhs, math.exp(2.0 * RHO * beta_x) * line
 
 

@@ -75,6 +75,17 @@ def _wave_phase_error(lam: float, B: np.ndarray) -> float:
     return est
 
 
+def _wave_values(lam: float, B: np.ndarray) -> tuple[np.ndarray, float]:
+    """(e^{(i lam + rho) B}, ``_wave_phase_error(lam, B)``) at the Busemann brackets B.
+
+    The error is checked first. A modulus past the float range is inf: disk
+    points keep B below 38, and the CLI's ``wave`` refuses a grid's inf.
+    """
+    est = _wave_phase_error(lam, B)
+    with np.errstate(over="ignore"):
+        return np.exp((1j * lam + RHO) * B), est
+
+
 def helgason_wave(lam: float, b: BoundaryPoint, p: DiskPoint) -> complex:
     """Non-Euclidean plane wave exp((i lam + rho) * busemann(p, b)) (``helgason_wave_array``)."""
     return complex(helgason_wave_array(lam, b.theta, np.asarray(p.z)))
@@ -84,11 +95,9 @@ def helgason_wave_array(lam: float, theta: float, z: np.ndarray) -> np.ndarray:
     """exp((i lam + rho) B) at the points z, B their brackets toward e^{i theta}.
 
     Raises HorowaveError where the phase round-off passes _WAVE_PHASE_TOL
-    (``_wave_phase_error``).
+    (``_wave_values``).
     """
-    B = busemann_array(z, theta)
-    _wave_phase_error(lam, B)
-    return np.exp((1j * lam + RHO) * B)
+    return _wave_values(lam, busemann_array(z, theta))[0]
 
 
 def spherical(lam: float, p: DiskPoint, M: int) -> complex:

@@ -886,6 +886,38 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert rows.shape[0] == 20 * 16
 
 
+def test_config_file_skips_comments_and_blank_lines(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a wave on a small grid\n\nlambda = 2  # spectral parameter\n   \ngrid=8x8\n")
+    out = tmp_path / "c.csv"
+    assert run("wave", "--config", str(cfg), "--out", str(out)) == (0, "", "")
+    _, rows, footer = read_field(out)
+    assert rows.shape[0] == 8 * 8 and footer["lambda"] == "2.0"
+
+
+@pytest.mark.parametrize("args, line", [
+    (("wave", "--lambda", "2", "--grid", "3x8", "--out", "w.csv"),
+     "bad config value for 'grid': grid must be at least 4x4"),
+    (("moire", "--lambda", "2", "--sigmas", "4,abc", "--out", "m.csv"),
+     "bad config value for 'sigmas': expected finite positive widths in increasing order, "
+     "got '4,abc'"),
+    (("wave", "--lambda", "2"), "bad config value for 'out': missing required parameter"),
+])
+def test_refused_options_exit_2_with_one_line(args, line):
+    res = run(*args)
+    assert (res.returncode, res.stdout, res.stderr) == (2, "", f"configuration error: {line}\n")
+
+
+def test_config_line_without_equals_exits_2_with_one_line(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambda=2\ngrid 8x8\n")
+    res = run("wave", "--config", str(cfg), "--out", str(tmp_path / "c.csv"))
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == f"configuration error: bad config value for 'config': {cfg}:2: " \
+                         "expected key=value\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_validate_suite_filter_runs_fast():
     res = run("validate", "--suite", "hypgeo")
     assert res.returncode == 0

@@ -88,6 +88,13 @@ def test_line_moire_refuses_end_centers_past_the_float_range():
         line_moire_array(1.0, 5, 1.7e308, np.array([3.0 + 0.5j, 4.0 - 1.0j]))
 
 
+@pytest.mark.parametrize("x, y", [(np.nan, 0.0), (0.0, np.inf), (-np.inf, 1.0)])
+def test_plane_point_refuses_non_finite_coordinates(x, y):
+    with pytest.raises(ValueError) as exc:
+        PlanePoint(x, y)
+    assert str(exc.value) == "PlanePoint requires finite coordinates"
+
+
 def test_line_moire_mirror_symmetry():
     q = np.array([2.0 + 0.7j, 2.0 - 0.7j])
     vals = line_moire_array(1.0, 6, 0.5, q)

@@ -76,6 +76,13 @@ def test_lambda_window_support():
     assert win(np.array(2.0)) > 0.9
 
 
+@pytest.mark.parametrize("center", [0.5, 4.0, 5.0])
+def test_lambda_window_center_outside_its_support_is_refused(center):
+    with pytest.raises(ValueError) as exc:
+        LambdaWindow(center, lo=0.5, hi=4.0)
+    assert str(exc.value) == "window center must lie inside (lo, hi)"
+
+
 # --- pointwise tapered estimator ---------------------------------------------
 
 def test_moire_integral_origin_target():

@@ -154,6 +154,13 @@ def test_unequally_spaced_lambda_grid_is_rejected():
         SpectralField(lams, np.zeros((4, f.grid.n_theta), complex), f.grid)
 
 
+@pytest.mark.parametrize("lams", [[0.1, 0.05, 0.0], [0.0, 0.0, 0.05]])
+def test_lambda_grid_that_does_not_increase_is_rejected(lams):
+    with pytest.raises(ValueError) as exc:
+        SpectralField(np.array(lams), np.zeros((3, 8), complex), GridSpec(10, 8, 2.0))
+    assert str(exc.value) == "lambda grid must be strictly increasing"
+
+
 def test_spectral_field_needs_one_column_per_grid_angle():
     grid = GridSpec(10, 8, 2.0)
     lams = np.array([0.0, 0.05, 0.1])
@@ -772,13 +779,15 @@ def test_kernels_where_z_rounds_to_1_are_finite():
     assert _rel_max(at_far, at_near) < 1e-12
 
 
-def test_polar_grids_never_take_the_cartesian_bracket(monkeypatch, tmp_path):
-    """Every bracket on a grid's nodes comes from ``GridSpec.busemann``.
+def test_polar_grids_never_bracket_through_disk_points(monkeypatch, tmp_path):
+    """Every bracket on a grid's nodes comes from the grid's own radii and angle offsets.
 
-    ``busemann_array`` is replaced, in every loaded horowave namespace that
-    holds it (as perfbench's tracer wraps names), by a function that raises.
+    None goes through ``busemann_array``, which takes a disk point's polar
+    coordinates from z (``geometry._polar_offsets``). It is replaced, in every
+    loaded horowave namespace that holds it (as perfbench's tracer wraps
+    names), by a function that raises.
     """
-    def cartesian(*args):
+    def from_disk_points(*args):
         raise AssertionError("busemann_array called on a polar grid")
 
     original = geometry.busemann_array
@@ -786,7 +795,7 @@ def test_polar_grids_never_take_the_cartesian_bracket(monkeypatch, tmp_path):
         if mod is not None and (name == "horowave" or name.startswith("horowave.")):
             for attr, value in list(vars(mod).items()):
                 if value is original:
-                    monkeypatch.setattr(mod, attr, cartesian)
+                    monkeypatch.setattr(mod, attr, from_disk_points)
     f = SampledField.from_function(transform.gaussian_bump(4.0), GridSpec(16, 16, 2.0))
     inverse(forward(f))
     forward_at(f, np.arange(-2.0, 2.025, 0.05), BoundaryPoint(0.7))

@@ -273,6 +273,15 @@ def test_radial_paths_reject_negative_or_non_finite_distances(d):
         spherical_radial_profile([1.0], [0.5, d])
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_radial_paths_reject_non_finite_lambdas(lam):
+    for call in (lambda: spherical_radial(lam, 1.0),
+                 lambda: spherical_radial_profile([1.0, lam], [0.5])):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == "spherical function lambdas must be finite"
+
+
 def test_xi_function_is_lambda_zero():
     ds = np.array([0.3, 1.0, 2.5])
     np.testing.assert_allclose(xi_function(ds), spherical_radial(0.0, ds), atol=0)
