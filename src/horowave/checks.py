@@ -44,10 +44,11 @@ from .transform import (
 )
 from .waves import (
     PLANCHEREL_KAPPA,
+    _boundary_average,
     harish_chandra_c,
     helgason_wave_array,
-    spherical,
     spherical_radial,
+    xi_function,
 )
 
 __all__ = ["CheckResult", "SUITES", "run_suites"]
@@ -128,12 +129,11 @@ def _fd_laplacian_ratio(f, z0: complex, h: float = 1e-3) -> complex:
 def suite_waves() -> list[CheckResult]:
     out = []
 
-    worst = 0.0
-    for lam in (0.0, 1.0, 2.5, 4.0):
-        for d, M in ((0.5, 512), (2.0, 512), (3.5, 2048), (5.0, 8192)):
-            z = DiskPoint(math.tanh(d / 2.0) * np.exp(0.4j))
-            worst = max(worst, abs(spherical(lam, z, M=M) - spherical_radial(lam, d)))
-    out.append(_check("boundary vs radial spherical function", worst, 1e-8))
+    # relative to Xi(d); a DiskPoint at d = 30 would fix d only to about 6e-4
+    d = np.array([0.5, 2.0, 3.5, 5.0, 10.0, 20.0, 30.0])
+    worst = max(float(np.max(np.abs(_boundary_average(lam, d) - spherical_radial(lam, d))
+                             / xi_function(d))) for lam in (0.0, 1.0, 2.5, 4.0))
+    out.append(_check("boundary vs radial spherical function", worst, 1e-13))
 
     lams = np.linspace(0.0, 4.0, 17)
     ds = np.linspace(0.0, 5.0, 21)

@@ -28,7 +28,7 @@ import tempfile
 import numpy as np
 
 from . import euclid, moire
-from .errors import ConfigError, HorowaveError, QuadratureUnderResolved
+from .errors import ConfigError, HorowaveError
 from .geometry import BoundaryPoint, DiskPoint, _polar_half_plane
 from .tapers import TaperSpec
 from .transform import (
@@ -43,7 +43,7 @@ from .transform import (
     inverse,
     lemma_check,
 )
-from .waves import PLANCHEREL_KAPPA, _wave_values, spherical, spherical_radial
+from .waves import PLANCHEREL_KAPPA, _boundary_average, _wave_values, spherical_radial, xi_function
 
 __all__ = ["main"]
 
@@ -371,32 +371,16 @@ def cmd_wave(args) -> int:
 def cmd_spherical(args) -> int:
     lam = _number(args, "lambda")
     grid = _grid_from(args)
-    M = _number(args, "resolution", int, default=4096)
-    if M < 2 or M % 2:
-        raise ConfigError("resolution", f"must be even and at least 2, got {M}")
     # phi is radial: one evaluation per grid radius, the same along each row
     t = grid.radii_t
-    values = np.broadcast_to(spherical_radial(lam, t)[:, None],
-                             (grid.n_r, grid.n_theta)).astype(complex)
-    # cross-check the radial quadrature against the boundary average at the
-    # outermost radius where its M nodes settle; reported, not asserted. The
-    # average's kernel is about e^{-t} wide, so past t of about log M they do
-    # not. Where tanh(t/2) rounds to 1 (t above about 37) the outermost row
-    # is not in the disk, and that is refused
+    radial = spherical_radial(lam, t)
+    values = np.broadcast_to(radial[:, None], (grid.n_r, grid.n_theta)).astype(complex)
+    # past t of about 37 the outermost row's points would print on the boundary circle
     if not math.tanh(t[-1] / 2.0) < 1.0:
-        raise QuadratureUnderResolved(
-            f"spherical cross-check at t={t[-1]:g}: tanh(t/2) rounds to 1, so the "
-            f"boundary average cannot be taken there")
-    for tj in t[::-1].tolist():
-        try:
-            average = spherical(lam, DiskPoint(math.tanh(tj / 2.0) + 0j), M=M)
-        except QuadratureUnderResolved:
-            continue
-        est = abs(average - spherical_radial(lam, tj))
-        break
-    else:
-        raise QuadratureUnderResolved(
-            f"spherical cross-check: the {M}-node boundary average settles at no grid radius")
+        raise HorowaveError(f"spherical at t={t[-1]:g}: the printed |z| = tanh(t/2) rounds to 1")
+    # every row cross-checked against the boundary average, relative to Xi; reported,
+    # not asserted
+    est = float(np.max(np.abs(_boundary_average(lam, t) - radial) / xi_function(t)))
     footer = {"command": "spherical", "lambda": lam,
               "grid": f"{grid.n_r}x{grid.n_theta}", "radius": grid.R,
               "quadrature_error_estimate": f"{est:.3e}"}
@@ -507,7 +491,7 @@ def cmd_euclid(args) -> int:
     if n < 1:
         raise ConfigError("centers", "must be a positive integer")
     spacing = _positive("spacing", _number(args, "spacing", default=0.5))
-    if not np.all(np.isfinite(euclid._center_row(n, spacing)[[0, -1]])):
+    if not math.isfinite(spacing * ((n - 1) / 2.0)):  # the end centers, as _center_row has them
         raise ConfigError("spacing", f"the end centers +-spacing (n - 1) / 2 pass the float "
                                      f"range at {n} centers")
     n_x, n_y = _parse_grid(args.grid) if args.grid else (81, 81)
@@ -549,7 +533,7 @@ def cmd_validate(args) -> int:
 # it must have --out (it writes a field)
 _COMMANDS = {
     "wave": (cmd_wave, ("lambda", "b0", "grid", "radius", "out"), True),
-    "spherical": (cmd_spherical, ("lambda", "grid", "radius", "resolution", "out"), True),
+    "spherical": (cmd_spherical, ("lambda", "grid", "radius", "out"), True),
     "moire": (cmd_moire, ("lambda", "b0", "x", "grid", "radius", "centers", "spacing",
                           "sigmas", "taper", "out"), True),
     "transform": (cmd_transform, ("grid", "radius", "bump-width", "out"), True),

@@ -223,7 +223,7 @@ def busemann_array(z: np.ndarray, theta: float) -> np.ndarray:
     """Busemann bracket toward e^{i theta} at the points z, from their polar coordinates.
 
     z and theta broadcast: an array of z toward one direction, or one z toward
-    an array of directions (``waves.spherical``).
+    an array of directions.
     """
     return _polar_bracket(*_polar_offsets(z, theta))
 

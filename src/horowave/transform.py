@@ -39,7 +39,8 @@ from .geometry import (
     origin_distance,
 )
 from .tapers import TaperSpec
-from .waves import PLANCHEREL_KAPPA, RHO, _gauss_rule, plancherel_density, spherical_radial_profile
+from .waves import (PLANCHEREL_KAPPA, RHO, _gauss_panels, _graded_offsets, plancherel_density,
+                    spherical_radial_profile)
 
 __all__ = [
     "GridSpec",
@@ -680,17 +681,9 @@ def _line_rule(taper: TaperSpec, c: float, lam: float) -> tuple[np.ndarray, np.n
     """
     S = taper.support_radius
     c = min(max(c, -S), S)
-    f = 16.0 / max(16.0, lam)
-    r, far = 2.0 ** f, S + abs(c)
-    n = math.ceil(1.0 / (r - 1.0))
-    k = math.ceil(math.log(far / (n * f), r))
-    u = np.concatenate([f * np.arange(n + 1), n * f * r ** np.arange(1.0, k + 1)])
-    edges = np.unique(np.clip(np.concatenate([c - u, c + u, [-S, S]]), -S, S))
-    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
-    x, w = _gauss_rule(16)  # the positive half of the 32-node rule
-    x, w = np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
-    s = (mid[:, None] + half[:, None] * x).ravel()
-    return s, taper(s) * (half[:, None] * w).ravel()
+    u = _graded_offsets(lam, S + abs(c))
+    s, w = _gauss_panels(np.unique(np.clip(np.concatenate([c - u, c + u, [-S, S]]), -S, S)), 32)
+    return s, taper(s) * w
 
 
 @functools.cache

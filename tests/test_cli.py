@@ -197,6 +197,23 @@ def test_euclid_footer_is_2_where_the_rule_cannot_resolve_the_rings(tmp_path, la
     assert read_field(out)[2]["quadrature_error_estimate"] == "2.000e+00"
 
 
+def test_euclid_refuses_end_centers_past_the_float_range_before_any_center(tmp_path, capsys):
+    """The two end centers are checked as floats: a row of 4e6 centers would be 32 MB."""
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert cli.main(["euclid", "--centers", "4000000", "--spacing", "1e303", "--grid", "8x8",
+                         "--out", str(tmp_path / "e.csv")]) == 2
+        assert tracemalloc.get_traced_memory()[1] - live < 1e6
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == (
+        "configuration error: bad config value for 'spacing': the end centers +-spacing "
+        "(n - 1) / 2 pass the float range at 4000000 centers\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_non_finite_field_exits_1_and_writes_nothing(tmp_path):
     # at R = 1500 the wave's modulus e^{B/2} reaches e^{748}, past the float range
     res = run("wave", "--lambda", "2", "--radius", "1500", "--out", str(tmp_path / "w.csv"))
@@ -273,8 +290,8 @@ def test_transform_where_z_rounds_to_1_exits_1(tmp_path):
 
 
 def test_spherical_where_z_rounds_to_1_exits_1(tmp_path):
-    # the boundary-average cross-check sits at the outermost radius, where
-    # tanh(t/2) rounds to 1: one line, no traceback, no file
+    # at the outermost radius tanh(t/2) rounds to 1, so that row's points would
+    # print on the boundary circle: one line, no traceback, no file
     res = run("spherical", "--lambda", "1", "--radius", "40", "--grid", "40x8",
               "--out", str(tmp_path / "s.csv"))
     assert res.returncode == 1
@@ -422,23 +439,44 @@ def test_a_flag_left_with_no_value_exits_2(tmp_path, capsys, flags):
 
 @pytest.mark.parametrize("R", [5, 6, 7, 8, 9, 10, 11, 12])
 def test_spherical_cross_check_past_the_boundary_average_resolution(tmp_path, R):
-    """Past t of about 6 the 4096-node boundary average does not settle at the outermost
-    radius (it exited 1 there); the cross-check moves in to the outermost radius where it does.
-    """
+    """Past t of about 6 a 4096-node mean at equal angles did not settle; the graded
+    boundary average checks every row, out to the outermost, within 1e-13 Xi(t)."""
     out = tmp_path / "s.csv"
     res = run("spherical", "--lambda", "1", "--grid", "40x8", "--radius", str(R), "--out", str(out))
     assert res.returncode == 0, res.stderr
     _, rows, footer = read_field(out)
     assert np.isfinite(rows).all()
-    assert 0.0 <= float(footer["quadrature_error_estimate"]) < 1e-9
+    assert 0.0 <= float(footer["quadrature_error_estimate"]) < 1e-13
 
 
-def test_spherical_cross_check_that_settles_nowhere_exits_1(tmp_path):
-    res = run("spherical", "--lambda", "1", "--grid", "40x8", "--radius", "8",
-              "--resolution", "2", "--out", str(tmp_path / "s.csv"))
-    assert res.returncode == 1
-    assert res.stderr.startswith("validation error:") and res.stderr.count("\n") == 1
-    assert list(tmp_path.iterdir()) == []
+def test_spherical_footer_is_the_largest_row_difference_relative_to_xi(tmp_path, monkeypatch):
+    """At R = 30 the footer reads every row, the outermost too, relative to Xi(t)."""
+    averages = []
+
+    def spy(lam, t):
+        averages.append(waves._boundary_average(lam, t))
+        return averages[-1]
+
+    monkeypatch.setattr(cli, "_boundary_average", spy)
+    out = tmp_path / "s.csv"
+    assert cli.main(["spherical", "--lambda", "2", "--grid", "40x8", "--radius", "30",
+                     "--out", str(out)]) == 0
+    t = GridSpec(40, 8, 30.0).radii_t
+    want = np.max(np.abs(averages[0] - waves.spherical_radial(2.0, t)) / waves.xi_function(t))
+    assert len(averages) == 1 and len(averages[0]) == 40
+    assert read_field(out)[2]["quadrature_error_estimate"] == f"{want:.3e}"
+
+
+@pytest.mark.parametrize("lam, code", [("2e3", 0), ("4e3", 1)])
+def test_spherical_runs_wherever_the_radial_rule_does(tmp_path, capsys, lam, code):
+    """On the default grid (t up to 3.99) the boundary average takes 1041 panels a row at
+    lambda = 2e3; at 4e3 the radial rule refuses lambda t = 1.6e4, and nothing is written."""
+    out = tmp_path / "s.csv"
+    assert cli.main(["spherical", "--lambda", lam, "--out", str(out)]) == code
+    if code:
+        assert "radial rule" in capsys.readouterr().err and list(tmp_path.iterdir()) == []
+    else:
+        assert float(read_field(out)[2]["quadrature_error_estimate"]) < 1e-13
 
 
 EDGE_VALUES = [0.0, -0.0, 1e-300, 5e-324, 1e300, 1 / 3, 123456789012345.0]
@@ -599,7 +637,7 @@ def test_spherical_rows_are_one_radial_value(tmp_path):
     t = (np.arange(75) + 0.5) * 1.8 / 75
     for j in (0, 37, 74):
         assert abs(field[j, 0] - oracles.conical_spherical(2.5, t[j])) < 1e-12
-    assert float(footer["quadrature_error_estimate"]) < 1e-9
+    assert float(footer["quadrature_error_estimate"]) < 1e-13
 
 
 def test_lemma_prints_agreement():
@@ -770,19 +808,12 @@ def test_radius_past_the_float_range_is_a_config_error(tmp_path):
     assert "'grid'" in res.stderr and res.stderr.count("\n") == 1
 
 
-def test_spherical_resolution_below_two_is_rejected(tmp_path):
-    res = run("spherical", "--lambda", "1", "--grid", "8x8", "--resolution", "1",
-              "--out", str(tmp_path / "s.csv"))
-    assert res.returncode == 2
-    assert "'resolution'" in res.stderr
-
-
 @pytest.mark.parametrize("args, key", [
     (("wave", "--lambda", "abc"), "lambda"),
     (("wave", "--lambda", "nan"), "lambda"),
     (("wave", "--lambda", "2", "--b0", "east"), "b0"),
     (("wave", "--lambda", "2", "--radius", "far"), "radius"),
-    (("spherical", "--lambda", "1", "--resolution", "2.5"), "resolution"),
+    (("euclid", "--resolution", "2.5"), "resolution"),
     (("moire", "--lambda", "2", "--spacing", "q"), "spacing"),
     (("euclid", "--centers", "x"), "centers"),
     (("euclid", "--resolution", "1"), "resolution"),
@@ -793,7 +824,7 @@ def test_spherical_resolution_below_two_is_rejected(tmp_path):
     (("moire", "--lambda", "2", "--sigmas", "8,4"), "sigmas"),
     (("moire", "--lambda", "2", "--sigmas", "0,4"), "sigmas"),
     (("moire", "--lambda", "2", "--sigmas", "inf"), "sigmas"),
-    (("spherical", "--lambda", "1", "--resolution", "4095"), "resolution"),
+    (("euclid", "--resolution", "inf"), "resolution"),
 ])
 def test_bad_numeric_option_is_a_config_error(tmp_path, args, key):
     res = run(*args, "--out", str(tmp_path / "n.csv"))
@@ -810,14 +841,15 @@ def test_bad_numeric_option_is_a_config_error(tmp_path, args, key):
     ("transform", "--lambda", "3"),
     ("wave", "--lambda", "2", "--x", "0,0"),
     ("spherical", "--lambda", "1", "--b0", "1"),
+    ("spherical", "--lambda", "1", "--grid", "8x8", "--resolution", "4096"),
     ("euclid", "--radius", "2"),
     ("moire", "--lambda", "2", "--grid", "16x16", "--radius", "1.8", "--resolution", "9"),
     ("moire", "--lambda", "2", "--grid", "16x16", "--radius", "1.8", "--taper", "gaussian:99"),
     ("validate", "--suite", "hypgeo"),
     ("transform", "--config", "run.cfg"),  # a config file holding lambda=2
 ], ids=["lemma-grid", "lemma-radius", "transform-lambda", "wave-x", "spherical-b0",
-        "euclid-radius", "moire-resolution", "moire-taper-width", "validate-out",
-        "transform-config-lambda"])
+        "spherical-resolution", "euclid-radius", "moire-resolution", "moire-taper-width",
+        "validate-out", "transform-config-lambda"])
 def test_flag_the_subcommand_does_not_read_exits_2(tmp_path, args):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("lambda=2\n")

@@ -86,9 +86,9 @@ def test_spherical_matches_live_legendre_oracle():
 
 def test_boundary_average_agrees_with_radial_path():
     for lam in (0.0, 1.0, 2.5, 4.0):
-        for d, M in ((0.5, 512), (2.0, 512), (3.5, 2048), (5.0, 8192)):
+        for d in (0.5, 2.0, 3.5, 5.0):
             p = DiskPoint(math.tanh(d / 2) * np.exp(0.4j))
-            assert abs(spherical(lam, p, M=M) - spherical_radial(lam, d)) < 1e-8
+            assert abs(spherical(lam, p, M=32) - spherical_radial(lam, d)) < 1e-13 * xi_function(d)
 
 
 def test_spherical_rotation_invariance():
@@ -96,28 +96,74 @@ def test_spherical_rotation_invariance():
     assert max(abs(v - vals[0]) for v in vals) < 1e-12
 
 
-def test_spherical_doubling_guard_raises_for_far_points():
-    far = DiskPoint(math.tanh(3.0) + 0j)  # d = 6, far beyond M = 64 resolution
-    with pytest.raises(QuadratureUnderResolved):
-        spherical(1.0, far, M=64)
-
-
 @pytest.mark.parametrize("M", [-2, 0, 1, 5, 7, 4095])
 def test_spherical_refuses_an_odd_or_too_small_M(M):
-    # its check is the mean over every other angle, so the M angles must pair up
+    # M is the nodes of each panel's Gauss-Legendre rule, which come in +- pairs
     with pytest.raises(ValueError, match="even M"):
         spherical(1.0, DiskPoint(0.001), M)
 
 
-def test_spherical_check_compares_the_M_and_M_over_2_node_means():
-    # at M = 4 and 6 the change is past 1e-9; the error is that of M/2 nodes, not of M // 2
-    p = DiskPoint(0.5 + 0j)
-    for M in (4, 6):
-        with pytest.raises(QuadratureUnderResolved, match=f"the {M}- and {M // 2}-node means"):
-            spherical(1.0, p, M)
-    theta = 2.0 * np.pi * np.arange(64) / 64
-    f = np.exp((1j + 0.5) * busemann_array(np.asarray(p.z), theta))
-    assert spherical(1.0, p, 64) == complex(np.mean(f))
+@pytest.mark.parametrize("lam", [0.0, 0.5, 2.0, 7.5, 50.0])
+def test_boundary_average_against_conical_function(lam):
+    """Within 1e-13 Xi(t) out to t = 30, where a DiskPoint could no longer fix t,
+    at lambda = 50 too (within 7e-16 there when measured)."""
+    t = np.array([0.5, 2.0, 5.0, 10.0, 20.0, 30.0])
+    got = waves._boundary_average(lam, t)
+    for tj, g in zip(t.tolist(), got.tolist()):
+        xi = oracles.conical_spherical(0.0, tj)
+        assert abs(g - oracles.conical_spherical(lam, tj)) <= 1e-13 * xi, tj
+
+
+def _blocks(monkeypatch, lam, t):
+    """The rows and the nodes a row of each block of ``_boundary_average(lam, t)``."""
+    counts, panels = [], waves._gauss_panels
+
+    def spy(edges, M):
+        psi, w = panels(edges, M)
+        counts.append(psi.shape)
+        return psi, w
+
+    monkeypatch.setattr(waves, "_gauss_panels", spy)
+    waves._boundary_average(lam, np.asarray(t, float))
+    return counts
+
+
+@pytest.mark.parametrize("lam", [0.0, 2.0, 8.0, -8.0])
+def test_boundary_average_rows_grow_like_t_not_e_to_the_t(monkeypatch, lam):
+    # the panel edges double out to e^t pi: 46 panels of 32 nodes at t = 30
+    assert _blocks(monkeypatch, lam, [30.0]) == [(1, 1472)]
+    assert _blocks(monkeypatch, lam, [1.8]) == [(1, 192)]
+
+
+def test_boundary_average_cap_admits_every_lambda_t_of_the_radial_rule(monkeypatch):
+    # lambda T = 1.6e4 takes the most panels near T = 0.41 (7688 at worst), below 2^18 / 32
+    assert _blocks(monkeypatch, 1.6e4 / 0.41, [0.41]) == [(1, 7684 * 32)]
+    assert _blocks(monkeypatch, 1.6e4 / 30.0, [30.0]) == [(1, 1529 * 32)]
+
+
+def test_boundary_average_refuses_a_row_past_its_cap_before_any_node(monkeypatch):
+    monkeypatch.setattr(waves, "_gauss_panels", None)  # a node would be a TypeError
+    # 46 panels of 8192 nodes, and lambda t far past the radial rule's 1.6e4
+    for lam, t, M in ((4.0, 30.0, 8192), (1e6, 2.0, 32), (1e300, 1.0, 32)):
+        with pytest.raises(QuadratureUnderResolved, match="panels"):
+            waves._boundary_average(lam, np.array([t]), M)
+    with pytest.raises(QuadratureUnderResolved, match="panels"):
+        spherical(1e20, DiskPoint(0.5 + 0j), 32)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_spherical_rejects_a_non_finite_lambda(lam):
+    # as on the radial route; the mean at equal angles called it unsettled (nan means)
+    with pytest.raises(ValueError, match="lambdas must be finite"):
+        spherical(lam, DiskPoint(0.5 + 0j), 32)
+
+
+def test_boundary_average_blocks_match_one_block(monkeypatch):
+    t = GridSpec(75, 8, 30.0).radii_t
+    one = waves._boundary_average(2.5, t)
+    monkeypatch.setattr(waves, "_BOUNDARY_NODES", 4000)  # 2 rows of 1472 nodes a block
+    assert _blocks(monkeypatch, 2.5, t) == [(2, 1472)] * 37 + [(1, 1472)]
+    assert np.array_equal(waves._boundary_average(2.5, t), one)
 
 
 def test_spherical_basic_properties():
