@@ -57,6 +57,8 @@ def _parse_grid(text: str) -> tuple[int, int]:
         raise ConfigError("grid", f"expected NxM, got {text!r}")
     if n_r < 4 or n_theta < 4:
         raise ConfigError("grid", "grid must be at least 4x4")
+    if max(n_r, n_theta) > np.iinfo(np.intp).max:
+        raise ConfigError("grid", f"a grid side must be at most {np.iinfo(np.intp).max}")
     return n_r, n_theta
 
 
@@ -111,8 +113,8 @@ def _number(args, name: str, kind=float, default=None):
     """The numeric option ``name`` parsed with ``kind`` (float or int).
 
     An absent option gives ``default``, or is a missing required parameter
-    when there is none; text that ``kind`` cannot parse, nan and inf are a
-    ConfigError.
+    when there is none; text that ``kind`` cannot parse, nan, inf and an
+    integer past ``np.iinfo(np.intp).max`` in size are a ConfigError.
     """
     raw = getattr(args, name.replace("-", "_"))
     if raw is None:
@@ -121,7 +123,7 @@ def _number(args, name: str, kind=float, default=None):
         return default
     try:
         value = kind(raw)
-        if math.isfinite(value):
+        if (kind is float or abs(value) <= np.iinfo(np.intp).max) and math.isfinite(value):
             return value
     except ValueError:
         pass

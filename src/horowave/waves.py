@@ -388,24 +388,41 @@ def xi_function(d) -> np.ndarray:
     return spherical_radial(0.0, d)
 
 
-_C_FIT_WINDOW = (10.0, 14.0)
-_C_FIT_NODES = 81
+# B_2k / (2k (2k - 1)), k = 1..8: the terms of Stirling's series (DLMF 5.11.1)
+_STIRLING = np.array([1/12, -1/360, 1/1260, -1/1680, 1/1188, -691/360360, 1/156, -3617/122400])
 
 
-def harish_chandra_c(lam: float) -> complex:
-    """c(lambda) from the large-distance asymptotics of phi_lambda.
+def _log_gamma(z: np.ndarray) -> np.ndarray:
+    """log Gamma(z) for Re z >= 0, z != 0, up to a multiple of 2 pi i; elementwise.
 
-    Least-squares fit of phi_lambda(t) e^{t/2} against
-    c1 e^{i lam t} + c2 e^{-i lam t} at _C_FIT_NODES distances t spread
-    evenly over _C_FIT_WINDOW; returns c1.
+    Stirling's series at w = z + 12, whose first dropped term is below 1e-19,
+    then Gamma(z + 1) = z Gamma(z) (DLMF 5.5.1) back down to z. The absolute
+    error is a few 2^-53 |log Gamma(z)|.
     """
-    if abs(lam) < 1e-8:
-        raise SpectralSingularity("c-function extraction is singular at lambda = 0")
-    t = np.linspace(*_C_FIT_WINDOW, _C_FIT_NODES)
-    vals = spherical_radial(lam, t) * np.exp(t / 2.0)
-    A = np.stack([np.exp(1j * lam * t), np.exp(-1j * lam * t)], axis=1)
-    coef, *_ = np.linalg.lstsq(A, vals.astype(complex), rcond=None)
-    return complex(coef[0])
+    w = z + 12.0
+    series = np.polyval(_STIRLING[::-1], w ** -2) / w + 0.5 * math.log(2.0 * math.pi)
+    return (w - 0.5) * np.log(w) - w + series - np.log(z[..., None] + np.arange(12.0)).sum(-1)
+
+
+def harish_chandra_c(lam) -> complex | np.ndarray:
+    """c(lambda) = Gamma(i lambda) / (sqrt(pi) Gamma(1/2 + i lambda)); broadcasts.
+
+    The closed form for the hyperbolic plane (Helgason, Groups and Geometric
+    Analysis, ch. IV), from ``_log_gamma``; a scalar lambda gives a complex.
+    Raises ValueError for a non-finite lambda, SpectralSingularity where any
+    |lambda| < 1e-8 (the pole at 0), and HorowaveError where the phase
+    round-off |lambda| (log|lambda| + 4) 2^-53 passes _WAVE_PHASE_TOL
+    (``_wave_phase_error``), past about |lambda| = 5e5.
+    """
+    lam = np.asarray(lam, float)
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("c-function lambdas must be finite")
+    if np.any(np.abs(lam) < 1e-8):
+        raise SpectralSingularity("c-function is singular at lambda = 0")
+    _wave_phase_error(np.max(np.abs(lam)), np.log(np.max(np.abs(lam))))
+    z = 1j * lam.reshape(-1)  # 1-d: numpy's scalar complex product rounds otherwise
+    out = np.exp(_log_gamma(z) - _log_gamma(0.5 + z)).reshape(lam.shape) / math.sqrt(math.pi)
+    return out if out.shape else complex(out)
 
 
 def plancherel_density(lam) -> np.ndarray:

@@ -825,6 +825,13 @@ def test_radius_past_the_float_range_is_a_config_error(tmp_path):
     (("moire", "--lambda", "2", "--sigmas", "0,4"), "sigmas"),
     (("moire", "--lambda", "2", "--sigmas", "inf"), "sigmas"),
     (("euclid", "--resolution", "inf"), "resolution"),
+    # integers past np.iinfo(np.intp).max, refused before any allocation
+    (("euclid", "--centers", "1" + "0" * 400), "centers"),
+    (("moire", "--lambda", "2", "--centers", "1" + "0" * 400), "centers"),
+    (("wave", "--lambda", "2", "--grid", "1" + "0" * 400 + "x8"), "grid"),
+    (("euclid", "--centers", "10000000000000000000", "--spacing", "1e-300"), "centers"),
+    (("euclid", "--resolution", "10000000000000000000"), "resolution"),
+    (("euclid", "--grid", "8x1000000000000000000000000000000"), "grid"),
 ])
 def test_bad_numeric_option_is_a_config_error(tmp_path, args, key):
     res = run(*args, "--out", str(tmp_path / "n.csv"))

@@ -338,11 +338,49 @@ def test_c_function_conjugation_symmetry():
         assert abs(harish_chandra_c(-lam) - np.conj(harish_chandra_c(lam))) < 1e-6
 
 
+def _c_bound(lam: float) -> float:
+    """1e-14 max(1, |lam| log|lam|): the phase of Gamma(i lam) grows like |lam| log|lam|."""
+    return 1e-14 * max(1.0, abs(lam) * math.log(abs(lam)))
+
+
 def test_c_function_matches_closed_form():
     for lam in np.arange(1, 9) / 2.0:
         exact = oracles.harish_chandra_c(lam)
-        assert abs(harish_chandra_c(lam) / exact - 1.0) <= 1e-9
-        assert abs(harish_chandra_c(-lam) / np.conj(exact) - 1.0) <= 1e-9
+        assert abs(harish_chandra_c(lam) / exact - 1.0) <= _c_bound(lam)
+        assert abs(harish_chandra_c(-lam) / np.conj(exact) - 1.0) <= _c_bound(lam)
+
+
+C_LAMBDAS = [1e-3, 0.01, 0.5, 2.0, 7.5, 50.0, 200.0, 1e3, 1e5]
+
+
+@pytest.mark.parametrize("lam", C_LAMBDAS + [-lam for lam in C_LAMBDAS])
+def test_c_function_matches_mpmath_within_its_phase_conditioning(lam):
+    assert abs(harish_chandra_c(lam) / oracles.harish_chandra_c(lam) - 1.0) <= _c_bound(lam)
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.5, 1.0, 2.0, 4.0, 7.5, 50.0])
+def test_c_function_is_the_large_distance_amplitude_of_phi(lam):
+    # phi_lam(t) e^{t/2} = 2 Re[c(lam) e^{i lam t}] + O(t e^{-2t}), read off the radial rule
+    t = np.array([20.0, 25.0, 30.0])
+    amplitude = 2.0 * np.real(harish_chandra_c(lam) * np.exp(1j * lam * t))
+    assert np.max(np.abs(spherical_radial(lam, t) * np.exp(t / 2.0) - amplitude)) <= 1e-12
+
+
+def test_c_function_array_call_equals_its_scalar_calls():
+    lams = np.array([[0.5, -2.0, 7.5], [1e-3, 50.0, -1e3]])
+    c = harish_chandra_c(lams)
+    assert c.shape == lams.shape and isinstance(harish_chandra_c(2.0), complex)
+    for lam, value in zip(lams.ravel(), c.ravel()):
+        assert harish_chandra_c(float(lam)) == value
+    np.testing.assert_array_equal(harish_chandra_c(-lams), np.conj(c))
+
+
+def test_c_function_refuses_non_finite_and_past_its_phase_bound():
+    for lam in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            harish_chandra_c(lam)
+    with pytest.raises(HorowaveError):
+        harish_chandra_c(1e6)
 
 
 def test_c_function_modulus_law():
@@ -356,6 +394,8 @@ def test_c_function_modulus_law():
 def test_c_function_singular_at_zero():
     with pytest.raises(SpectralSingularity):
         harish_chandra_c(0.0)
+    with pytest.raises(SpectralSingularity):
+        harish_chandra_c(np.array([1.0, 0.0, 2.0]))
 
 
 def test_plancherel_density_shape():
