@@ -414,7 +414,7 @@ def cmd_moire(args) -> int:
     row, col = np.divmod(sample, grid.n_theta)
     psi = _angle_offsets(grid.n_theta, b0.theta, grid.n_theta)[col]
     w = _polar_half_plane(grid.radii_t[row], psi)[:, None]  # bit for bit the field's nodes
-    d = 2.0 * np.arcsinh(moire._sinh_half_distances(w)(euclid._center_row(n, spacing)))
+    d = 2.0 * np.arcsinh(moire._sinh_half_distances(w)(moire._center_row(n, spacing)))
     est = float(np.max(np.abs(values[sample] - np.mean(spherical_radial(lam, d), axis=1))))
     # the report is made before any file is written, so a study that fails writes none
     reports = moire.convergence_study(lam, b0, x, sigmas, kind=kind)
@@ -493,7 +493,7 @@ def cmd_euclid(args) -> int:
     if n < 1:
         raise ConfigError("centers", "must be a positive integer")
     spacing = _positive("spacing", _number(args, "spacing", default=0.5))
-    if not math.isfinite(spacing * ((n - 1) / 2.0)):  # the end centers, as _center_row has them
+    if not math.isfinite(spacing * ((n - 1) / 2.0)):  # line_moire_array checks the same
         raise ConfigError("spacing", f"the end centers +-spacing (n - 1) / 2 pass the float "
                                      f"range at {n} centers")
     n_x, n_y = _parse_grid(args.grid) if args.grid else (81, 81)

@@ -59,10 +59,14 @@ def line_moire_array(lam: float, n: int, spacing: float, q: np.ndarray,
     """Average of n J0 profiles centered on the y-axis, spacing apart.
 
     Each profile is an m-node circle average; the sum over centers ic moves
-    inside that average as the weight A(u) = (1/n) sum_c e^{-ik c sin u}. The
-    phase factors as e^{ik x cos u} * e^{ik y sin u}, so exponentials are taken
+    inside that average as the weight A(u) = (1/n) sum_c e^{-ik c sin u}, the
+    Dirichlet kernel sin(n y) / (n sin y), y = k spacing sin(u) / 2. It is
+    taken at z = y - j pi, |z| <= pi/2, as (-1)^{(n-1) j} sinc(n z/pi) /
+    sinc(z/pi): no 0/0 at resonance (z = 0), and no row of centers, so its
+    cost does not grow with n; one center is exactly one ring. The phase
+    factors as e^{ik x cos u} * e^{ik y sin u}, so exponentials are taken
     only on the distinct x and the distinct y coordinates of q (A folds into the
-    y factor), and each point costs m products: O(m (n_x + n_y + n + |q|))
+    y factor), and each point costs m products: O(m (n_x + n_y + |q|))
     instead of O(m |q|) exponentials, a saving on tensor grids. There the
     products are summed once per grid node from the two factor tables, without
     gathering a copy of them per point.
@@ -73,13 +77,16 @@ def line_moire_array(lam: float, n: int, spacing: float, q: np.ndarray,
         raise ValueError("line_moire requires n >= 1")
     if spacing <= 0:
         raise ValueError("line_moire requires spacing > 0")
-    centers = _center_row(n, spacing)
-    if not np.all(np.isfinite(centers[[0, -1]])):
+    if not np.isfinite(float(spacing) * ((n - 1) / 2.0)):
         raise ValueError(f"line_moire requires finite end centers +-spacing (n - 1) / 2, "
                          f"got spacing {spacing:g} at n = {n}")
     u = 2.0 * np.pi * np.arange(m) / m
     k = 2.0 * np.pi / lam
-    A = np.mean(np.exp(-1j * k * centers[:, None] * np.sin(u)), axis=0)
+    # one center is one ring (A = 1), even where k spacing overflows
+    y = (0.5 * k * spacing) * np.sin(u) if n > 1 else np.zeros(m)
+    j = np.round(y / np.pi)
+    z = y - j * np.pi
+    A = (1.0 - 2.0 * ((n - 1) % 2) * (j % 2)) * np.sinc(n * z / np.pi) / np.sinc(z / np.pi)
     q = np.asarray(q)
     xs, ix = np.unique(q.real.ravel(), return_inverse=True)
     ys, iy = np.unique(q.imag.ravel(), return_inverse=True)
@@ -95,15 +102,6 @@ def line_moire_array(lam: float, n: int, spacing: float, q: np.ndarray,
     return (sums / m).reshape(q.shape)
 
 
-def _center_row(n: int, spacing: float) -> np.ndarray:
-    """The n centers spacing * (i - (n+1)/2), i = 1, ..., n: ascending, symmetric about 0.
-
-    Past the float range the end centers are -inf and inf; every caller refuses them.
-    """
-    with np.errstate(over="ignore"):
-        return spacing * (np.arange(1, n + 1) - (n + 1) / 2.0)
-
-
 def _aliasing_bound(lam: float, n: int, spacing: float, q: np.ndarray, m: int) -> float:
     """Bound on ``line_moire_array``'s error at q; on a grid its corners suffice.
 
@@ -112,7 +110,7 @@ def _aliasing_bound(lam: float, n: int, spacing: float, q: np.ndarray, m: int) -
     end center from q, that is at most 2 K_m(x) (``_kapteyn``), above a phase
     round-off floor x 2^-53; else 2, as the rule and J0 have modulus <= 1.
     """
-    ends = 1j * _center_row(n, spacing)[[0, -1]]
+    ends = np.array([-1j, 1j]) * (spacing * ((n - 1) / 2.0))
     x = 2.0 * np.pi / lam * float(np.max(np.abs(np.ravel(q)[:, None] - ends)))
     return max(2.0 * _kapteyn(m, x), x * 2.0 ** -53) if x < m else 2.0
 

@@ -25,8 +25,8 @@ the Abel transform of phi_lambda gives kappa_H = pi exactly (Helgason,
 Groups and Geometric Analysis, ch. IV); ``validate`` checks a windowed
 estimate of it against pi.
 
-Every sum of phi along the zero horocycle, a line integral on
-``transform._line_rule`` or a center sum, is ``_phi_sums``. Against mpmath
+Every sum of phi along the zero horocycle, a line integral on ``_line_rule``
+or a center sum, is ``_phi_sums``. Against mpmath
 (``tests/data/moire_refs.json``) the line integrals are within 2.1e-14 on the
 compact tapers and 2.3e-12 on the Gaussian, whose cut at 7 sigma is that error.
 """
@@ -38,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureUnderResolved
-from .euclid import _center_row
 from .geometry import (
     BoundaryPoint,
     DiskPoint,
@@ -49,10 +48,10 @@ from .geometry import (
     horocycle_points_array,
 )
 from .tapers import TaperSpec
-from .transform import (GridSpec, SampledField, _angle_offsets, _lambda_weights, _line_rule,
-                        _nested_levels)
+from .transform import GridSpec, SampledField, _angle_offsets, _lambda_weights, _nested_levels
 from .waves import (
     RHO,
+    _graded_rule,
     helgason_wave,
     plancherel_density,
     spherical_radial,
@@ -199,6 +198,19 @@ def _phi_sums(lams, weights, x: np.ndarray, rules) -> list[np.ndarray]:
             for s, w in rules for k in [-(-len(s) // x.size)]]
 
 
+def _line_rule(taper: TaperSpec, c: float, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes s and weights, taper values included, of ``waves._graded_rule`` on [-S, S].
+
+    S is the taper's ``support_radius``, c the arc length of the point of the
+    horocycle nearest x, clipped into [-S, S], and lam the largest |lambda|;
+    the panels take 32 nodes. A compact taper's edges +-S are panel edges, so
+    every panel's integrand is analytic, with no branch on the taper's kind.
+    """
+    S = taper.support_radius
+    s, w = _graded_rule(lam, -S, S, min(max(c, -S), S))
+    return s, taper(s) * w
+
+
 def _line_integrals(lams, weights, beta: float, a: float,
                     tapers: list[TaperSpec]) -> list[complex]:
     """Tapered integrals of sum_i weights[i] phi_{lams[i]}(d(y(s), x)) along ``xi(b0, 0)``.
@@ -270,7 +282,7 @@ def moire_sum_discrete(lam: float, b0: BoundaryPoint, n: int, spacing: float,
                        grid: GridSpec) -> SampledField:
     """Average of n spherical functions centered along ``xi(b0, 0)``.
 
-    Centers sit at arc lengths spacing * (i - (n+1)/2) (``euclid._center_row``),
+    Centers sit at arc lengths spacing * (i - (n - 1)/2) (``_center_row``),
     symmetric about the geodesic axis toward b0: the finite figure-style
     sum, ``_phi_sums`` at weights 1/n on ``geometry._polar_half_plane``.
     End centers past the float range are -inf and inf, and ``_phi_sums`` refuses them.
@@ -283,6 +295,15 @@ def moire_sum_discrete(lam: float, b0: BoundaryPoint, n: int, spacing: float,
     x = _polar_half_plane(grid.radii_t[:, None], psi)
     values = _phi_sums([lam], [1.0], x.ravel(), [(_center_row(n, spacing), np.full(n, 1 / n))])
     return SampledField(grid, values[0].reshape(x.shape).astype(complex))
+
+
+def _center_row(n: int, spacing: float) -> np.ndarray:
+    """The n centers spacing * (i - (n - 1)/2), i = 0, ..., n - 1: ascending, symmetric about 0.
+
+    Past the float range the end centers are -inf and inf; every caller refuses them.
+    """
+    with np.errstate(over="ignore"):
+        return spacing * (np.arange(n) - (n - 1) / 2.0)
 
 
 _PHI_TABLE_MAX_NODES = 4096  # the largest degree in d/dmax, twice that in u

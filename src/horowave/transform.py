@@ -39,8 +39,7 @@ from .geometry import (
     origin_distance,
 )
 from .tapers import TaperSpec
-from .waves import (PLANCHEREL_KAPPA, RHO, _gauss_panels, _graded_offsets, plancherel_density,
-                    spherical_radial_profile)
+from .waves import PLANCHEREL_KAPPA, RHO, plancherel_density, spherical_radial_profile
 
 __all__ = [
     "GridSpec",
@@ -644,46 +643,6 @@ def plancherel_spectral(ftilde: np.ndarray, lams: np.ndarray) -> float:
     """(1/w) int_{-L}^{L} |ftilde|^2 density dlam, by evenness = int_0^L."""
     wl = _lambda_weights(np.asarray(lams, float))
     return float(np.sum(wl * plancherel_density(lams) * np.abs(ftilde) ** 2))
-
-
-def _line_rule(taper: TaperSpec, c: float, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes s and weights, taper values included, of the graded line rule on [-S, S].
-
-    S is the taper's ``support_radius``, c the arc length of the point of the
-    horocycle nearest x (clipped into [-S, S]) and lam the largest |lambda|.
-    The panel edges are +-S, c and c +- u_j: with f = min(1, 16/lam), u_j
-    runs in steps of f up to g = n f, n = ceil(1 / (2^f - 1)), and then
-    geometrically, g r^k with r = 2^f, until it passes S + |c| (for
-    lam <= 16 that is 0, 1, 2, 4, ...). Each panel takes the 32-node Gauss-Legendre
-    rule, with no branch on the taper's kind: a compact taper's edges +-S are
-    panel edges, so every panel's integrand is analytic.
-
-    Why this suffices for f(s) = phi_lambda(d(y(s), x)), |lambda| <= lam: in
-    the half-plane with b0 at infinity, cosh d = 1 + ((s - c)^2 + (1 - e^beta)^2)
-    / (2 e^beta), and phi_lambda is analytic in cosh d off (-inf, -1], so f
-    is analytic but at s = c +- i (1 + e^beta), at least 1 from the real
-    axis. A panel at distance u >= g from c is at most (r - 1) u wide, so
-    that point lies outside its Bernstein ellipse of parameter 3 + sqrt 8
-    (for r = 2; larger for r < 2). The phase lambda d moves by at most
-    lam f <= 16 across a panel of the first steps, since |d'(s)| <= 1, and
-    by at most 2 lam log r = 32 log 2 ~ 22 across a geometric one, since
-    |d'(s)| <= 2 / |s - c|: 3.5 wavelengths, which the 32-node rule (exact
-    to degree 63) integrates to rounding (L. N. Trefethen, Approximation
-    Theory and Approximation Practice, Thm 19.3). A Gaussian taper of
-    width sigma sees panels at most S = 7 sigma wide; the rule integrates
-    it alone within 1e-15 relative at every c in [-S, S]. Against 64-node
-    panels, at lam in {0.5, 2, 7.5, 16, 64, 128}, beta in {-3, 0, 0.85,
-    1.95}, a in {0, 0.7}, sigma in {4, 96, 1e4} and every kind, 24-node
-    panels already sit at the same rounding floor (below 1.5e-13 for
-    lam <= 16, 1.1e-12 at 128) and 16-node panels are 5e-11 off at
-    lam = 16: 32 nodes are 4/3 of the least count. For lam <= 16 the rule
-    takes at most 1152 nodes at sigma <= 1e4 and 3648 at sigma = 1e16.
-    """
-    S = taper.support_radius
-    c = min(max(c, -S), S)
-    u = _graded_offsets(lam, S + abs(c))
-    s, w = _gauss_panels(np.unique(np.clip(np.concatenate([c - u, c + u, [-S, S]]), -S, S)), 32)
-    return s, taper(s) * w
 
 
 @functools.cache

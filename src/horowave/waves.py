@@ -2,7 +2,7 @@
 
 The spherical function of the disk is evaluated two independent ways: an
 average of Helgason waves over the boundary circle (``spherical``), on the
-graded Gauss panels that ``transform._line_rule`` also reads, and a fast
+graded Gauss rule (``_graded_rule``) that ``moire._line_rule`` also reads, and a fast
 radial path (``spherical_radial``) built on the Mehler-Dirichlet integral
 
     phi_lambda(d) = (sqrt(2)/pi) * int_0^d cos(lambda t) / sqrt(cosh d - cosh t) dt,
@@ -118,8 +118,6 @@ def spherical(lam: float, p: DiskPoint, M: int) -> complex:
 _MIN_NODES = 32
 _MAX_NODES = 4096
 _RULE_TOL = 1e-13
-# Distances times nodes per block; bounds the temporaries.
-_BLOCK = 4096 * 400
 
 
 @functools.cache
@@ -151,42 +149,61 @@ def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _graded_offsets(lam: float, far: float, most: float = math.inf) -> np.ndarray:
-    """The panel edges' offsets u_j >= 0 from the center of the graded rule, out to far.
+def _graded_rule(lam: float, lo: float, hi: float, c: float, M: int = 32, unit: float = 1.0,
+                 most: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the graded Gauss rule on [lo, hi] about c in [lo, hi].
 
-    With f = min(1, 16/lam), u_j runs in steps of f up to g = n f,
+    The panel edges are lo, hi and c +- unit u_j inside them. With
+    f = min(1, 16/lam), u_j runs in steps of f up to g = n f,
     n = ceil(1 / (2^f - 1)), and then geometrically, g r^k with r = 2^f,
-    until it passes far (for lam <= 16 that is 0, 1, 2, 4, ...).
-    ``transform._line_rule`` gives the argument. Raises
-    QuadratureUnderResolved, before any array is made, where that is more
-    than ``most`` panels, and where r rounds to 1 (lam past about 1e17).
+    until unit u_j passes max(hi - c, c - lo) (for lam <= 16 that is 0, 1,
+    2, 4, ...). Each panel takes the M-node Gauss-Legendre rule, M even,
+    and no panel has width 0. Raises QuadratureUnderResolved, before any
+    array is made, where u takes more than ``most`` steps, and where r
+    rounds to 1 (lam past about 1e17).
+
+    Why this suffices for f(s) = phi_lambda(d(y(s), x)), |lambda| <= lam, on
+    the zero horocycle (``moire._line_rule``, unit 1): in the half-plane with
+    b0 at infinity, cosh d = 1 + ((s - c)^2 + (1 - e^beta)^2) / (2 e^beta),
+    and phi_lambda is analytic in cosh d off (-inf, -1], so f is analytic but
+    at s = c +- i (1 + e^beta), at least 1 from the real axis. A panel at
+    distance u >= g from c is at most (r - 1) u wide, so that point lies
+    outside its Bernstein ellipse of parameter 3 + sqrt 8 (for r = 2; larger
+    for r < 2). The phase lambda d moves by at most lam f <= 16 across a
+    panel of the first steps, since |d'(s)| <= 1, and by at most
+    2 lam log r = 32 log 2 ~ 22 across a geometric one, since
+    |d'(s)| <= 2 / |s - c|: 3.5 wavelengths, which the 32-node rule (exact to
+    degree 63) integrates to rounding (L. N. Trefethen, Approximation Theory
+    and Approximation Practice, Thm 19.3). A Gaussian taper of width sigma
+    sees panels at most S = 7 sigma wide; the rule integrates it alone within
+    1e-15 relative at every c in [-S, S]. Against 64-node panels, at lam in
+    {0.5, 2, 7.5, 16, 64, 128}, beta in {-3, 0, 0.85, 1.95}, a in {0, 0.7},
+    sigma in {4, 96, 1e4} and every taper kind, 24-node panels already sit at
+    the same rounding floor (below 1.5e-13 for lam <= 16, 1.1e-12 at 128) and
+    16-node panels are 5e-11 off at lam = 16: 32 nodes are 4/3 of the least
+    count. For lam <= 16 the line rule takes at most 1152 nodes at
+    sigma <= 1e4 and 3648 at sigma = 1e16. ``_boundary_average`` gives the
+    same argument on the circle, in units of e^{-T}.
     """
     f = 16.0 / max(16.0, lam)
     r = 2.0 ** f
     if r > 1.0:
         n = math.ceil(1.0 / (r - 1.0))
-        k = math.ceil(math.log(far / (n * f), r))
+        k = math.ceil(math.log(max(hi - c, c - lo) / unit / (n * f), r))
         if n + max(k, 0) <= most:
-            return np.concatenate([f * np.arange(n + 1), n * f * r ** np.arange(1.0, k + 1)])
+            u = unit * np.concatenate([f * np.arange(n + 1), n * f * r ** np.arange(1.0, k + 1)])
+            edges = np.unique(np.clip(np.concatenate([c - u, c + u, [lo, hi]]), lo, hi))
+            x, w = _gauss_rule(M // 2)
+            x, w = np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
+            mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+            return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
     raise QuadratureUnderResolved(f"graded rule at lambda = {lam:.4g} passes {most:g} panels")
 
 
-def _gauss_panels(edges: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the M-node Gauss-Legendre rule, M even, on each panel.
-
-    The panels lie between consecutive edges along the last axis; leading
-    axes broadcast, and a panel of width 0 takes weights 0.
-    """
-    x, w = _gauss_rule(M // 2)
-    x, w = np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
-    mid, half = 0.5 * (edges[..., 1:] + edges[..., :-1]), 0.5 * (edges[..., 1:] - edges[..., :-1])
-    s = (mid[..., None] + half[..., None] * x).reshape(*edges.shape[:-1], -1)
-    return s, (half[..., None] * w).reshape(s.shape)
-
-
-# Nodes a row of the boundary average may take, and rows times nodes per block: it
-# admits every lambda t <= 1.6e4 that the radial rule does (at most 2.46e5 nodes a row)
-_BOUNDARY_NODES = 1 << 18
+# Nodes per block of the boundary average and of the radial rule, and the most a row
+# of the boundary average may take: it admits every lambda t <= 1.6e4 that the radial
+# rule does (at most 2.46e5 nodes a row)
+_BLOCK_NODES = 1 << 18
 
 
 def _boundary_average(lam: float, t: np.ndarray, M: int = 32) -> np.ndarray:
@@ -196,41 +213,41 @@ def _boundary_average(lam: float, t: np.ndarray, M: int = 32) -> np.ndarray:
     B = -log q, q = e^{-t} + 2 sinh t sin^2(psi/2) (``_polar_bracket``), and
     phi_lambda(t) = (1/2 pi) int e^{(i lambda + rho) B} dpsi over the circle.
     B is even in psi and phi is real, so this is (1/pi) int_0^pi e^{rho B}
-    cos(lambda B) dpsi, taken on the graded rule of ``transform._line_rule``:
-    the panel edges are min(e^{-t} u_j, pi), u_j the ``_graded_offsets`` out to
-    e^T pi at lam = |lambda| min(1, (pi/2) e^T sinh T), T the largest t, and
-    each panel takes M Gauss-Legendre nodes (M even).
+    cos(lambda B) dpsi, taken on one set of angles that every row shares:
+    ``_graded_rule`` on [0, pi] about 0 in units of e^{-T}, T the largest t,
+    at lam = |lambda| min(1, (pi/2) e^T sinh T), with M nodes a panel.
 
     Why this suffices: in u = e^t psi, q vanishes first at
     u = +-2i e^t asinh(1/sqrt(e^{2t} - 1)), at least 2 from the real axis
     (their next zeros lie a half-turn on, past psi = pi), so every panel
-    is as far from a singularity as in ``_line_rule``. There, the phase
+    is as far from a singularity as in the line rule. There, the phase
     moves by at most 16 across a uniform panel and by 32 log 2 across a
     geometric one, from |d'| <= 1 and |d'| <= 2/|s - c|. Here
     |dB/du| = e^{-t} 2 sinh t |sin(psi/2) cos(psi/2)| / q is at most
     sqrt(1 - e^{-2t})/2 (q >= 2 sin(psi/2) sqrt(2 sinh t e^{-t})), at most
     sinh t (q >= e^{-t}), and at most cot(psi/2) e^{-t} <= 2/u, so
     |lambda| |dB/du| <= lam and |lambda| u |dB/du| <= 2 lam for u <= e^t pi,
-    at every t <= T: the same bounds. The lam of small T keeps the node
-    count bounded as lambda T is: it grows like lambda (T + 1.8) / 11
-    panels, not like e^T, and lambda T = 1.6e4 takes at most 7688 panels
-    (at T = 0.41). Against the conical function, at lambda in {0, 0.5, 2,
-    7.5, 50, 200} and t in {0.5, 2, 5, 10, 20, 30}, it errs within 2e-15
-    Xi(t), and 16-node panels within 4e-15. Rows are taken in blocks of at
-    most _BOUNDARY_NODES nodes.
+    at every t <= T: the same bounds. A row at t < T sees the uniform panels
+    e^{t - T} times narrower in its u, and the geometric ones at the same
+    ratio r, so it is over-resolved near psi = 0, never under-resolved. The
+    lam of small T keeps the node count bounded as lambda T is: it grows like
+    lambda (T + 1.8) / 11 panels, not like e^T, and lambda T = 1.6e4 takes at
+    most 7688 panels (at T = 0.41). Against the conical function, at lambda
+    in {0, 0.5, 2, 7.5, 50, 200} and t in {0.5, 2, 5, 10, 20, 30} in one
+    call, it errs within 2e-15 Xi(t), and 16-node panels within 4.5e-15.
+    Rows are taken in blocks of at most _BLOCK_NODES nodes.
     Raises ValueError on a non-finite lambda, and QuadratureUnderResolved,
-    before any node is made, where a row would take more than
-    _BOUNDARY_NODES nodes. Callers keep t below 38, where e^T pi is finite.
+    before any node is made, where a row would take more than _BLOCK_NODES
+    nodes. Callers keep t below 38, where e^T pi is finite.
     """
     if not math.isfinite(lam):
         raise ValueError("spherical function lambdas must be finite")
     T = float(np.max(t, initial=0.0))
-    u = _graded_offsets(abs(lam) * min(1.0, 0.5 * math.pi * math.exp(T) * math.sinh(T)),
-                        math.exp(T) * math.pi, _BOUNDARY_NODES // M)
+    psi, w = _graded_rule(abs(lam) * min(1.0, 0.5 * math.pi * math.exp(T) * math.sinh(T)),
+                          0.0, math.pi, 0.0, M, math.exp(-T), _BLOCK_NODES // M)
     out = np.empty(len(t))
-    step = _BOUNDARY_NODES // ((len(u) - 1) * M)
+    step = _BLOCK_NODES // len(psi)
     for lo in range(0, len(t), step):
-        psi, w = _gauss_panels(np.minimum(np.exp(-t[lo:lo + step, None]) * u, np.pi), M)
         B = _polar_bracket(t[lo:lo + step, None], psi)
         out[lo:lo + step] = np.sum(w * np.exp(RHO * B) * np.cos(lam * B), axis=1) / np.pi
     return out
@@ -343,7 +360,7 @@ def _radial(lam: np.ndarray, d: np.ndarray) -> np.ndarray:
     out = np.empty(x.shape)
     for nodes in np.unique(n).tolist():
         idx = todo[n == nodes]
-        step = max(1, _BLOCK // nodes)
+        step = max(1, _BLOCK_NODES // nodes)
         for lo in range(0, len(idx), step):
             j = idx[lo:lo + step]
             W, phase = _mehler_dirichlet(d[j], nodes)

@@ -214,6 +214,26 @@ def test_euclid_refuses_end_centers_past_the_float_range_before_any_center(tmp_p
     assert list(tmp_path.iterdir()) == []
 
 
+def test_euclid_at_the_largest_center_count_exits_0_in_bounded_memory(tmp_path):
+    """The centers' mean weight is a closed form in n, so no row of centers is made:
+    one of intp-max centers overflowed n + 1 to an empty row, an IndexError."""
+    out = tmp_path / "e.csv"
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert cli.main(["euclid", "--centers", str(np.iinfo(np.intp).max), "--spacing", "1e-300",
+                         "--grid", "8x8", "--out", str(out)]) == 0
+        assert tracemalloc.get_traced_memory()[1] - live < 1e6
+    finally:
+        tracemalloc.stop()
+    _, rows, _ = read_field(out)
+    assert rows.shape == (64, 4) and np.all(np.isfinite(rows))
+    # the row spans 9.2e-282: one ring at the origin, to the 12 printed digits
+    Q = np.linspace(2.0, 6.0, 8)[None, :] + 1j * np.linspace(-2.0, 2.0, 8)[:, None]
+    assert np.max(np.abs(rows[:, 2] - line_moire_array(1.0, 1, 1.0, Q).real.ravel())) <= 1e-12
+
+
 def test_non_finite_field_exits_1_and_writes_nothing(tmp_path):
     # at R = 1500 the wave's modulus e^{B/2} reaches e^{748}, past the float range
     res = run("wave", "--lambda", "2", "--radius", "1500", "--out", str(tmp_path / "w.csv"))

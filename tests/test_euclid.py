@@ -59,7 +59,7 @@ def test_line_moire_single_center_reduces_to_bessel():
 
 
 @pytest.mark.parametrize("lam", [0.5, 4.0])
-@pytest.mark.parametrize("n", [1, 60])
+@pytest.mark.parametrize("n", [1, 2, 60, 61])
 def test_line_moire_matches_per_center_loop(lam, n):
     xs = np.linspace(2.0, 6.0, 9)
     ys = np.linspace(-2.0, 2.0, 7)

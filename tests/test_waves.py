@@ -115,16 +115,18 @@ def test_boundary_average_against_conical_function(lam):
 
 
 def _blocks(monkeypatch, lam, t):
-    """The rows and the nodes a row of each block of ``_boundary_average(lam, t)``."""
-    counts, panels = [], waves._gauss_panels
+    """The rows and the nodes a row of each block of ``_boundary_average(lam, t)``,
+    whose blocks all read one 1-D set of angles."""
+    counts, angles, bracket = [], [], waves._polar_bracket
 
-    def spy(edges, M):
-        psi, w = panels(edges, M)
-        counts.append(psi.shape)
-        return psi, w
+    def spy(rows, psi):
+        angles.append(psi)
+        counts.append((len(rows), psi.size))
+        return bracket(rows, psi)
 
-    monkeypatch.setattr(waves, "_gauss_panels", spy)
+    monkeypatch.setattr(waves, "_polar_bracket", spy)
     waves._boundary_average(lam, np.asarray(t, float))
+    assert all(psi.ndim == 1 and psi is angles[0] for psi in angles)
     return counts
 
 
@@ -142,13 +144,24 @@ def test_boundary_average_cap_admits_every_lambda_t_of_the_radial_rule(monkeypat
 
 
 def test_boundary_average_refuses_a_row_past_its_cap_before_any_node(monkeypatch):
-    monkeypatch.setattr(waves, "_gauss_panels", None)  # a node would be a TypeError
+    monkeypatch.setattr(waves, "_gauss_rule", None)  # a node would be a TypeError
     # 46 panels of 8192 nodes, and lambda t far past the radial rule's 1.6e4
     for lam, t, M in ((4.0, 30.0, 8192), (1e6, 2.0, 32), (1e300, 1.0, 32)):
         with pytest.raises(QuadratureUnderResolved, match="panels"):
             waves._boundary_average(lam, np.array([t]), M)
     with pytest.raises(QuadratureUnderResolved, match="panels"):
         spherical(1e20, DiskPoint(0.5 + 0j), 32)
+
+
+@pytest.mark.parametrize("lo, hi, c, unit", [(0.0, math.pi, 0.0, math.exp(-30.0)),
+                                            (0.0, math.pi, 0.0, 1.0), (-12.0, 12.0, 12.0, 1.0),
+                                            (-84.0, 84.0, 0.7, 1.0)])
+def test_graded_rule_has_no_panel_of_width_zero(lo, hi, c, unit):
+    # the edges past [lo, hi] clip to lo or hi and are taken once
+    for lam in (0.0, 7.5, 200.0):
+        s, w = waves._graded_rule(lam, lo, hi, c, 32, unit)
+        assert s.ndim == 1 and lo < s[0] and np.all(np.diff(s) > 0) and s[-1] < hi
+        assert np.all(w > 0) and abs(np.sum(w) - (hi - lo)) <= 1e-14 * (hi - lo)
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
@@ -161,7 +174,7 @@ def test_spherical_rejects_a_non_finite_lambda(lam):
 def test_boundary_average_blocks_match_one_block(monkeypatch):
     t = GridSpec(75, 8, 30.0).radii_t
     one = waves._boundary_average(2.5, t)
-    monkeypatch.setattr(waves, "_BOUNDARY_NODES", 4000)  # 2 rows of 1472 nodes a block
+    monkeypatch.setattr(waves, "_BLOCK_NODES", 4000)  # 2 rows of 1472 nodes a block
     assert _blocks(monkeypatch, 2.5, t) == [(2, 1472)] * 37 + [(1, 1472)]
     assert np.array_equal(waves._boundary_average(2.5, t), one)
 
@@ -232,7 +245,7 @@ def test_spherical_radial_blocks_match_one_block(monkeypatch):
     lam = rng.uniform(0.0, 8.0, 5000)
     one_block = _one_block(lam[None, :], d, lam * d)[0]
     # small blocks: 75 distances per block on the 64-node rung
-    monkeypatch.setattr(waves, "_BLOCK", 96 * 50)
+    monkeypatch.setattr(waves, "_BLOCK_NODES", 96 * 50)
     np.testing.assert_array_equal(spherical_radial(lam, d), one_block)
 
 
@@ -241,7 +254,7 @@ def test_spherical_radial_profile_blocks_match_one_block(monkeypatch):
     d = rng.uniform(0.01, 12.0, 5000)
     lams = np.array([0.5, 3.0, 8.0])
     one_block = _one_block(lams[:, None], d, 8.0 * d)
-    monkeypatch.setattr(waves, "_BLOCK", 96 * 50)
+    monkeypatch.setattr(waves, "_BLOCK_NODES", 96 * 50)
     np.testing.assert_array_equal(spherical_radial_profile(lams, d), one_block)
 
 
